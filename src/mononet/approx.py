@@ -24,8 +24,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .construct import build_interpolator
-from .core import MonotoneDataset, ThresholdNetwork, validate_dataset
-from .errors import GridTooLarge
+from .core import ThresholdNetwork, validate_dataset
+from .errors import GridTooLarge, InvalidArgument
+from .io import parse_float
 
 DEFAULT_GRID_BUDGET = 10_000_000
 
@@ -52,10 +53,6 @@ class GridSpec:
     def point_count(self) -> int:
         return self.points_per_axis**self.dimension
 
-    def predicted_hidden_units(self) -> int:
-        """Hidden size of the interpolator built on this grid: (d+2)*|grid|."""
-        return (self.dimension + 2) * self.point_count
-
     def iter_points(self):
         """Grid points in row-major order (last axis varies fastest)."""
         return product(self.axis_points, repeat=self.dimension)
@@ -72,14 +69,14 @@ class GridSpec:
         pts = self.axis_points
         k = int(np.searchsorted(pts, c, side="right")) - 1
         if k < 0:
-            raise ValueError(f"coordinate {c} below the grid")
+            raise InvalidArgument(f"coordinate {c} below the grid")
         return pts[k]
 
     def _axis_above(self, c: float) -> float:
         pts = self.axis_points
         k = int(np.searchsorted(pts, c, side="left"))
         if k >= len(pts):
-            raise ValueError(f"coordinate {c} above the grid")
+            raise InvalidArgument(f"coordinate {c} above the grid")
         return pts[k]
 
 
@@ -91,11 +88,11 @@ def plan_grid(
     Raises :class:`GridTooLarge` when the exact point count exceeds ``budget``.
     """
     if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    if not lipschitz > 0:
-        raise ValueError(f"Lipschitz bound must be positive, got {lipschitz}")
-    if not eps > 0:
-        raise ValueError(f"accuracy must be positive, got {eps}")
+        raise InvalidArgument(f"dimension must be >= 1, got {d}")
+    if not 0 < lipschitz < math.inf:
+        raise InvalidArgument(f"Lipschitz bound must be positive and finite, got {lipschitz}")
+    if not 0 < eps < math.inf:
+        raise InvalidArgument(f"accuracy must be positive and finite, got {eps}")
     spacing = (eps / lipschitz) / math.sqrt(d)
     axis = [0.0]
     k = 1
@@ -113,18 +110,6 @@ def plan_grid(
         raise GridTooLarge(f"grid would hold {count} points, budget is {budget}")
     bound = (lipschitz * math.sqrt(d) / eps) ** d
     return GridSpec(dimension=d, spacing=spacing, axis_points=tuple(axis), count_bound=bound)
-
-
-def sample_grid(f: Callable[[tuple[float, ...]], float], grid: GridSpec) -> MonotoneDataset:
-    """Sample ``f`` on every grid point (row-major) and validate the result.
-
-    A non-monotone ``f`` surfaces as :class:`MonotoneViolation`.  When the
-    samples suggest a steeper slope than the grid was planned for, a warning
-    reports the empirical Lipschitz lower bound.
-    """
-    points = list(grid.iter_points())
-    values = [float(f(p)) for p in points]
-    return validate_dataset(zip(points, values))
 
 
 def empirical_lipschitz(values: Sequence[float], grid: GridSpec) -> float:
@@ -152,8 +137,10 @@ def build_approximator(
 ) -> ThresholdNetwork:
     """Monotone network within ``eps`` of ``f`` uniformly on [0,1]^d.
 
-    ``f`` must be monotone (checked on the grid samples) and ``lipschitz``
-    must genuinely bound its slope for the error guarantee to hold.
+    ``f`` is sampled on every grid point (row-major).  It must be monotone
+    (a violation on the samples raises :class:`MonotoneViolation`) and
+    ``lipschitz`` must genuinely bound its slope for the error guarantee to
+    hold; a steeper slope between samples triggers a warning.
     """
     grid = plan_grid(d, lipschitz, eps, budget)
     points = list(grid.iter_points())
@@ -189,9 +176,10 @@ BUILTIN_FUNCTIONS: dict[str, Callable[[tuple[float, ...]], float]] = {
 def resolve_function(name: str) -> Callable[[tuple[float, ...]], float]:
     """Look up a builtin target by name; ``constant:c`` builds a constant."""
     if name.startswith("constant:"):
-        return constant_function(float(name.split(":", 1)[1]))
-    try:
+        c = parse_float(name.split(":", 1)[1])
+        if c is not None:
+            return constant_function(c)
+    elif name in BUILTIN_FUNCTIONS:
         return BUILTIN_FUNCTIONS[name]
-    except KeyError:
-        known = ", ".join(sorted(BUILTIN_FUNCTIONS) + ["constant:c"])
-        raise ValueError(f"unknown function {name!r}; choose from {known}") from None
+    known = ", ".join(sorted(BUILTIN_FUNCTIONS) + ["constant:c"])
+    raise InvalidArgument(f"unknown function {name!r}; choose from {known}")

@@ -42,10 +42,16 @@ from .errors import (
     ArchitectureMismatch,
     DimensionMismatch,
     DimensionTooSmall,
+    InvalidArgument,
     PreconditionViolated,
 )
 
 _REL_TOL = 1e-9
+
+
+def _require_positive(count: int, name: str) -> None:
+    if count < 1:
+        raise InvalidArgument(f"{name} must be >= 1, got {count}")
 
 
 @dataclass(frozen=True)
@@ -137,9 +143,10 @@ def probe_monotonicity(
     seed: int = 0,
 ) -> AuditReport:
     """Sample comparable pairs u <= v in the box and check N(u) <= N(v)."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    _require_positive(samples, "samples")
     lo, hi = float(box[0]), float(box[1])
+    if not lo <= hi:
+        raise InvalidArgument(f"box needs lo <= hi, got ({lo}, {hi})")
     d = net.input_dimension
     rng = np.random.default_rng(seed)
     U = lo + (hi - lo) * rng.random((samples, d))
@@ -181,8 +188,7 @@ def relu_convexity_probe(
     only fail on a broken implementation.
     """
     _require_relu_monotone(net)
-    if triples < 1:
-        raise ValueError("triples must be >= 1")
+    _require_positive(triples, "triples")
     d = net.input_dimension
     rng = np.random.default_rng(seed)
     U = rng.random((triples, d))
@@ -314,8 +320,7 @@ def chain_width_audit(net: ThresholdNetwork, ds: MonotoneDataset) -> AuditReport
     if ds.n > 1 and not np.all(np.diff(ds.labels) > 0):
         raise PreconditionViolated("chain labels must be strictly increasing")
 
-    first = net.hidden_activations(ds.points)[0]
-    activity = ActivitySets(tuple(frozenset(np.flatnonzero(r != 0).tolist()) for r in first))
+    activity = ActivitySets.from_network(net, ds.points)
     k = net.layers[0].width
     n = ds.n
     details = {
@@ -349,10 +354,10 @@ def chain_width_audit(net: ThresholdNetwork, ds: MonotoneDataset) -> AuditReport
         assert k == n - 1 and sizes == list(range(n))
         details["width_obstruction"] = "vacuous-boundary"
         return AuditReport("chain-width", passed=True, details=details)
-    same_pattern = bool(np.array_equal(first[i], first[i + 1]))
+    # A threshold layer's activations are 0/1, so equal activity sets are
+    # equal activation patterns; the outputs must then agree.
     outputs = net.evaluate_batch(ds.points[i : i + 2])
-    same_output = bool(outputs[0] == outputs[1])
-    passed = same_pattern and same_output
+    passed = bool(outputs[0] == outputs[1])
     details["pigeonhole_index"] = i
     details["width_obstruction"] = "witnessed" if passed else "inconsistent"
     return AuditReport(
@@ -426,6 +431,9 @@ def run_depth2_campaign(
     ``details`` additionally counts how many networks interpolated the
     spread dataset (none is expected for continuously random weights).
     """
+    _require_positive(samples, "samples")
+    if d < 2:
+        raise DimensionTooSmall(f"the spread dataset needs dimension >= 2, got {d}")
     rng = np.random.default_rng(seed)
     interpolated = 0
     for k in range(samples):
@@ -471,6 +479,7 @@ def run_convexity_campaign(
     With ``check_sqrt_gap`` (1-dimensional networks only) it also verifies
     the square-root approximation gap of at least 1/8 for each network.
     """
+    _require_positive(samples, "samples")
     rng = np.random.default_rng(seed)
     min_gap = np.inf
     for k in range(samples):
@@ -500,7 +509,7 @@ def run_convexity_campaign(
                     seed=seed,
                 )
     details = {}
-    if check_sqrt_gap and input_dim == 1 and samples:
+    if check_sqrt_gap and input_dim == 1:
         details["min_sqrt_gap"] = float(min_gap)
     return AuditReport("convexity", passed=True, samples=samples, seed=seed, details=details)
 
@@ -517,6 +526,7 @@ def run_chain_width_campaign(
     chain (the regime where a repeated activation pattern is forced), so
     the audit must locate the pigeonhole witness each time.
     """
+    _require_positive(samples, "samples")
     rng = np.random.default_rng(seed)
     witnessed = 0
     for k in range(samples):

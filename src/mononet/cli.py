@@ -5,11 +5,11 @@ Subcommands: ``synth`` (dataset -> interpolating network), ``eval``
 checks), ``approx`` (grid approximator for a named target), ``matchprob``
 (exact or estimated perfect-matching probability).
 
-Exit codes: 0 success, 1 I/O problem, 2 invalid input (with a JSON
-diagnostic on stderr), 3 a randomized audit falsified a fact that is a
-theorem for its network class (a bug, never expected).  Seeds and derived
-configuration go to stderr so stdout stays byte-stable for a given
-invocation.
+Exit codes: 0 success, 1 I/O problem, 2 invalid input, usage errors
+included (with one JSON diagnostic line on stderr), 3 a randomized audit
+falsified a fact that is a theorem for its network class (a bug, never
+expected).  Seeds and derived configuration go to stderr so stdout stays
+byte-stable for a given invocation.
 
 ``--config FILE`` (before the subcommand) loads a JSON object of defaults
 whose keys are the long flag names; explicitly passed flags win.  Required
@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from . import approx, audit, construct, core, io, matching
-from .errors import Error, MonotoneViolation
+from .errors import DimensionMismatch, Error, InvalidArgument, MonotoneViolation, SchemaError
 
 DEFAULT_SEED = 1729
 EXIT_OK = 0
@@ -38,15 +38,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         config, argv = _extract_config(argv)
-    except Error as exc:
-        _diagnostic(type(exc).__name__, str(exc))
-        return EXIT_INVALID
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    parser = _build_parser(config)
-    args = parser.parse_args(argv)
-    try:
+        args = _build_parser(config).parse_args(argv)
         return args.handler(args)
     except MonotoneViolation as exc:
         _diagnostic("monotone-violation", str(exc), first=exc.first, second=exc.second)
@@ -61,8 +53,6 @@ def main(argv=None) -> int:
 
 def _extract_config(argv: list[str]) -> tuple[dict, list[str]]:
     """Pull ``--config FILE`` out of argv and load its JSON object."""
-    from .errors import SchemaError
-
     for i, a in enumerate(argv):
         if a == "--config":
             if i + 1 >= len(argv):
@@ -90,8 +80,22 @@ def _diagnostic(kind: str, message: str, **extra) -> None:
     print(json.dumps(doc), file=sys.stderr)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as :class:`InvalidArgument` instead of exiting."""
+
+    def error(self, message):
+        raise InvalidArgument(message)
+
+
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _build_parser(config: dict | None = None) -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mononet",
         description="Monotone threshold networks: synthesis, evaluation, audits.",
     )
@@ -127,7 +131,7 @@ def _build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--net", help="network JSON (structure and monotone checks)")
     p.add_argument("--d", type=int, default=2, help="input dimension for the depth2 check")
     p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=nonnegative_int, default=DEFAULT_SEED)
     p.add_argument("--box", type=float, nargs=2, default=(0.0, 1.0), metavar=("LO", "HI"))
     p.add_argument("--format", choices=["table", "json"], default="table")
     p.set_defaults(handler=_cmd_audit)
@@ -141,7 +145,7 @@ def _build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, required=True, help="target uniform accuracy")
     p.add_argument("--probes", type=int, default=0, help="report sup error over this many random probes")
     p.add_argument("--budget", type=int, default=approx.DEFAULT_GRID_BUDGET)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=nonnegative_int, default=DEFAULT_SEED)
     p.add_argument("-o", "--output", help="where to write the network JSON")
     p.set_defaults(handler=_cmd_approx)
     subparsers.append(p)
@@ -152,8 +156,7 @@ def _build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["exact", "estimate"], default="exact")
     p.add_argument("--eps", type=float, default=0.05, help="estimate mode: accuracy target")
     p.add_argument("--fail-prob", type=float, default=1e-6, help="estimate mode: failure probability")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--limit", type=int, default=matching.DEFAULT_EXACT_LIMIT)
+    p.add_argument("--seed", type=nonnegative_int, default=DEFAULT_SEED)
     p.set_defaults(handler=_cmd_matchprob)
     subparsers.append(p)
 
@@ -205,8 +208,7 @@ def _cmd_audit(args) -> int:
     check = args.check
     if check in ("structure", "monotone"):
         if not args.net:
-            _diagnostic("missing-argument", f"--net is required for --check {check}")
-            return EXIT_INVALID
+            raise InvalidArgument(f"--net is required for --check {check}")
         net = io.load_network(args.net)
         if check == "structure":
             report = audit.certify_monotone_structure(net)
@@ -217,14 +219,13 @@ def _cmd_audit(args) -> int:
         _emit_report(report, args.format)
         return EXIT_OK
     if check == "depth2":
-        print(f"seed: {args.seed}  samples: {args.samples}  d: {args.d}", file=sys.stderr)
         report = audit.run_depth2_campaign(args.d, args.samples, args.seed)
     elif check == "convexity":
-        print(f"seed: {args.seed}  samples: {args.samples}", file=sys.stderr)
         report = audit.run_convexity_campaign(args.samples, args.seed)
     else:
-        print(f"seed: {args.seed}  samples: {args.samples}", file=sys.stderr)
         report = audit.run_chain_width_campaign(args.samples, args.seed)
+    dimension = f"  d: {args.d}" if check == "depth2" else ""
+    print(f"seed: {args.seed}  samples: {args.samples}{dimension}", file=sys.stderr)
     _emit_report(report, args.format)
     if not report.passed:
         return EXIT_FALSIFIED
@@ -248,15 +249,14 @@ def _emit_report(report: audit.AuditReport, fmt: str) -> None:
 
 def _cmd_approx(args) -> int:
     if bool(args.fn) == bool(args.table):
-        _diagnostic("missing-argument", "exactly one of --fn or --table is required")
-        return EXIT_INVALID
+        raise InvalidArgument("exactly one of --fn or --table is required")
     if args.fn:
         f = approx.resolve_function(args.fn)
     else:
         f = _tabulated_function(args.table)
-    print(f"d: {args.d}  L: {args.L}  eps: {args.eps}  seed: {args.seed}", file=sys.stderr)
     grid = approx.plan_grid(args.d, args.L, args.eps, args.budget)
     net = approx.build_approximator(f, args.d, args.L, args.eps, args.budget)
+    print(f"d: {args.d}  L: {args.L}  eps: {args.eps}  seed: {args.seed}", file=sys.stderr)
     print(f"grid: {grid.points_per_axis} points per axis, {grid.point_count} total")
     print(f"hidden units: {net.hidden_unit_count}")
     if args.probes > 0:
@@ -292,16 +292,15 @@ def _tabulated_function(path):
 
 
 def _cmd_matchprob(args) -> int:
-    try:
-        p_matrix = matching.EdgeProbabilityMatrix.uniform(args.n, float(args.p))
-    except ValueError:
-        entries = io.read_points_csv(args.p)
-        p_matrix = matching.EdgeProbabilityMatrix(entries)
+    p = io.parse_float(str(args.p))
+    if p is None:
+        p_matrix = matching.EdgeProbabilityMatrix(io.read_points_csv(args.p))
+    else:
+        p_matrix = matching.EdgeProbabilityMatrix.uniform(args.n, p)
     if p_matrix.n != args.n:
-        _diagnostic("dimension-mismatch", f"matrix is {p_matrix.n} x {p_matrix.n}, --n is {args.n}")
-        return EXIT_INVALID
+        raise DimensionMismatch(f"matrix is {p_matrix.n} x {p_matrix.n}, --n is {args.n}")
     if args.mode == "exact":
-        value = matching.exact_matching_probability(p_matrix, limit=args.limit)
+        value = matching.exact_matching_probability(p_matrix)
         print(repr(value))
         return EXIT_OK
     cfg = matching.default_parameters(args.n, args.eps, args.fail_prob, seed=args.seed)

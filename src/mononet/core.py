@@ -37,6 +37,7 @@ from .errors import (
     DimensionMismatch,
     DuplicatePoint,
     EmptyDataset,
+    InvalidArgument,
     InvalidNumber,
     MonotoneViolation,
 )
@@ -61,13 +62,6 @@ def threshold(z) -> int:
     return 1 if z >= 0 else 0
 
 
-def relu(z):
-    """max(0, z), preserving exact types (int, Fraction)."""
-    if isinstance(z, (float, np.floating)) and not math.isfinite(z):
-        raise InvalidNumber(f"relu() needs a finite number, got {z!r}")
-    return z if z > 0 else 0 * z
-
-
 def _as_point_array(p) -> np.ndarray:
     v = np.asarray(p, dtype=float)
     if v.ndim == 0:
@@ -81,15 +75,6 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.flags.writeable = False
     return a
-
-
-def points_leq(a, b) -> bool:
-    """Coordinatewise comparison: True iff a <= b in every coordinate."""
-    a = _as_point_array(a)
-    b = _as_point_array(b)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"cannot compare points of dimension {len(a)} and {len(b)}")
-    return bool(np.all(a <= b))
 
 
 def pairwise_leq(points: np.ndarray) -> np.ndarray:
@@ -126,9 +111,6 @@ class MonotoneDataset:
     def dimension(self) -> int:
         return self.points.shape[1]
 
-    def point(self, i: int) -> tuple[float, ...]:
-        return tuple(float(c) for c in self.points[i])
-
     def items(self) -> list[tuple[tuple[float, ...], float]]:
         """The (point, label) pairs in canonical order."""
         return [
@@ -147,11 +129,13 @@ class MonotoneDataset:
         return f"MonotoneDataset(n={self.n}, d={self.dimension})"
 
 
-def _canonical_order(points: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Stable label sort, refined so comparable equal-label pairs go smaller-first."""
+def _canonical_order(labels: np.ndarray, leq: np.ndarray) -> np.ndarray:
+    """Stable label sort, refined so comparable equal-label pairs go smaller-first.
+
+    ``leq`` is the strict coordinatewise order: ``pairwise_leq`` with a
+    false diagonal.
+    """
     order = np.argsort(labels, kind="stable")
-    leq = pairwise_leq(points)
-    np.fill_diagonal(leq, False)
     out = []
     i = 0
     n = len(order)
@@ -236,7 +220,7 @@ def validate_dataset(raw: Iterable[tuple[Sequence[float], float]]) -> MonotoneDa
             f"vs x={tuple(map(float, points[j]))} y={float(labels[j])}",
         )
 
-    order = _canonical_order(points, labels)
+    order = _canonical_order(labels, leq)
     return MonotoneDataset(points[order], labels[order])
 
 
@@ -264,7 +248,7 @@ class ThresholdLayer:
         if not (np.isfinite(w).all() and np.isfinite(b).all()):
             raise InvalidNumber("layer weights and biases must be finite")
         if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
+            raise InvalidArgument(f"unknown activation {self.activation!r}")
         object.__setattr__(self, "weights", _readonly(w))
         object.__setattr__(self, "biases", _readonly(b))
 
@@ -275,6 +259,13 @@ class ThresholdLayer:
     @property
     def input_width(self) -> int:
         return self.weights.shape[1]
+
+    def forward(self, A: np.ndarray) -> np.ndarray:
+        """Activations ``activation(A @ weights.T + biases)`` for rows of ``A``."""
+        Z = A @ self.weights.T + self.biases
+        if self.activation == THRESHOLD:
+            return (Z >= 0).astype(float)
+        return np.maximum(Z, 0.0)
 
 
 def _coerce_output(weights, bias):
@@ -341,11 +332,6 @@ class ThresholdNetwork:
         return sum(self.hidden_widths)
 
     @property
-    def depth(self) -> int:
-        """Number of layers counting the affine output stage."""
-        return len(self.layers) + 1
-
-    @property
     def is_exact(self) -> bool:
         return self._exact
 
@@ -387,11 +373,7 @@ class ThresholdNetwork:
         A = self._check_batch(X)
         out = []
         for layer in self.layers:
-            Z = A @ layer.weights.T + layer.biases
-            if layer.activation == THRESHOLD:
-                A = (Z >= 0).astype(float)
-            else:
-                A = np.maximum(Z, 0.0)
+            A = layer.forward(A)
             out.append(A)
         return out
 
@@ -399,11 +381,7 @@ class ThresholdNetwork:
         """Forward pass for a batch of points, returning an (m,) float array."""
         A = self._check_batch(X)
         for layer in self.layers:
-            Z = A @ layer.weights.T + layer.biases
-            if layer.activation == THRESHOLD:
-                A = (Z >= 0).astype(float)
-            else:
-                A = np.maximum(Z, 0.0)
+            A = layer.forward(A)
         w, b = self._output_float
         return A @ w + b
 
@@ -457,8 +435,7 @@ class ThresholdNetwork:
             if rational is None and not _force_rational and self._layer_float_exact(
                 layer, zero_one
             ):
-                Z = A @ layer.weights.T + layer.biases
-                A = (Z >= 0).astype(float)
+                A = layer.forward(A)
                 zero_one = True
                 continue
             if rational is None:

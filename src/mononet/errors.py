@@ -1,13 +1,22 @@
 """Exception hierarchy shared by all mononet modules.
 
 Everything raised on bad input derives from :class:`Error`, so callers (and
-the CLI, which maps these to exit code 2) can catch one type.  Genuine I/O
-problems are left to the builtin ``OSError`` family.
+the CLI, which maps these to exit code 2) can catch one type; that includes
+command-line usage errors, which the CLI parser raises as
+:class:`InvalidArgument`.  Genuine I/O problems are left to the builtin
+``OSError`` family.
 """
 
 
 class Error(Exception):
     """Base class for all mononet errors."""
+
+
+class InvalidArgument(Error, ValueError):
+    """An argument lies outside its documented domain.
+
+    Also a ``ValueError``, so code that catches the builtin keeps working.
+    """
 
 
 class InvalidNumber(Error):
@@ -77,7 +86,7 @@ class PreconditionViolated(Error):
 
 
 class TooLarge(Error):
-    """Exact enumeration was requested beyond the configured size limit."""
+    """Exact enumeration was requested beyond the oracle's size limit."""
 
 
 class SchemaError(Error):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,6 +29,19 @@ from .core import ThresholdLayer, ThresholdNetwork
 from .errors import SchemaError
 
 SCHEMA_VERSION = 1
+
+# Exactly the strings float() accepts, so that parsing never has to catch
+# its ValueError (digits may carry single underscores, as in 1_000).
+_DIGITS = r"\d+(?:_\d+)*"
+_FLOAT_TEXT = re.compile(
+    rf"\s*[+-]?(?:(?:(?:{_DIGITS})?\.{_DIGITS}|{_DIGITS}\.?)(?:[eE][+-]?{_DIGITS})?"
+    r"|(?i:inf|infinity|nan))\s*"
+)
+
+
+def parse_float(text: str) -> float | None:
+    """``float(text)``, or None when ``text`` does not spell a number."""
+    return float(text) if _FLOAT_TEXT.fullmatch(text) else None
 
 
 # -- CSV ----------------------------------------------------------------------
@@ -41,11 +55,10 @@ def _parse_rows(path) -> list[list[float]]:
             cells = [c.strip() for c in cells if c.strip() != ""]
             if not cells:
                 continue
-            try:
-                rows.append([float(c) for c in cells])
-            except ValueError:
-                if lineno == 1:
-                    continue  # header row
+            row = [parse_float(c) for c in cells]
+            if None not in row:
+                rows.append(row)
+            elif lineno != 1:  # a non-numeric first line is a header
                 raise SchemaError(f"{path}: line {lineno} is not numeric: {cells}")
     if not rows:
         raise SchemaError(f"{path}: no data rows")

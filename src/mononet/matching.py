@@ -5,7 +5,7 @@ appears independently with probability ``p[i, j]``; ``m(p)`` is the
 probability that ``G(p)`` contains a perfect matching.  The module provides
 
 * an exact oracle (full enumeration of all 2**(n*n) edge subsets, feasible
-  for small n and used as the reference in every estimator test),
+  for n <= ``EXACT_MAX_N`` and used as the reference in every estimator test),
 * a sampling estimator: truncate each entry to ``bits`` binary digits, draw
   ``samples`` independent graphs, return the fraction containing a perfect
   matching, with the standard exponential concentration guarantee
@@ -23,9 +23,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .audit import AuditReport
-from .errors import TooLarge
+from .errors import InvalidArgument, TooLarge
 
-DEFAULT_EXACT_LIMIT = 5
+EXACT_MAX_N = 5  # 2**25 edge subsets, a few seconds
 _CHUNK_BITS = 20  # enumerate edge subsets in chunks of 2**20
 
 
@@ -38,9 +38,9 @@ class EdgeProbabilityMatrix:
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=float)
         if e.ndim != 2 or e.shape[0] != e.shape[1] or e.shape[0] < 1:
-            raise ValueError(f"entries must be a square matrix, got shape {e.shape}")
+            raise InvalidArgument(f"entries must be a square matrix, got shape {e.shape}")
         if not np.isfinite(e).all() or e.min() < 0 or e.max() > 1:
-            raise ValueError("edge probabilities must lie in [0, 1]")
+            raise InvalidArgument("edge probabilities must lie in [0, 1]")
         e = np.ascontiguousarray(e)
         e.flags.writeable = False
         object.__setattr__(self, "entries", e)
@@ -51,6 +51,8 @@ class EdgeProbabilityMatrix:
 
     @classmethod
     def uniform(cls, n: int, p: float) -> "EdgeProbabilityMatrix":
+        if n < 1:
+            raise InvalidArgument(f"n must be >= 1, got {n}")
         return cls(np.full((n, n), float(p)))
 
     def __eq__(self, other):
@@ -72,17 +74,17 @@ class BipartiteGraph:
 
     def __post_init__(self):
         if self.n < 1 or len(self.rows) != self.n:
-            raise ValueError("need one adjacency mask per left vertex")
+            raise InvalidArgument("need one adjacency mask per left vertex")
         full = (1 << self.n) - 1
         if any(r < 0 or r > full for r in self.rows):
-            raise ValueError("adjacency mask outside the vertex range")
+            raise InvalidArgument("adjacency mask outside the vertex range")
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "BipartiteGraph":
         rows = [0] * n
         for i, j in edges:
             if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"edge ({i}, {j}) outside [0, {n})")
+                raise InvalidArgument(f"edge ({i}, {j}) outside [0, {n})")
             rows[i] |= 1 << j
         return cls(n, tuple(rows))
 
@@ -97,9 +99,6 @@ class BipartiteGraph:
     def complete(cls, n: int) -> "BipartiteGraph":
         return cls(n, ((1 << n) - 1,) * n)
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return bool(self.rows[i] >> j & 1)
-
 
 @dataclass(frozen=True)
 class EstimatorConfig:
@@ -112,11 +111,11 @@ class EstimatorConfig:
 
     def __post_init__(self):
         if self.bits < 1:
-            raise ValueError("bits must be >= 1")
+            raise InvalidArgument("bits must be >= 1")
         if self.samples < 1:
-            raise ValueError("samples must be >= 1")
+            raise InvalidArgument("samples must be >= 1")
         if not 0 < self.delta < 1:
-            raise ValueError("delta must lie in (0, 1)")
+            raise InvalidArgument("delta must lie in (0, 1)")
 
     def with_seed(self, seed: int) -> "EstimatorConfig":
         return replace(self, seed=seed)
@@ -217,18 +216,15 @@ def _subset_probabilities(masks: np.ndarray, flat_p: np.ndarray) -> np.ndarray:
     return probs
 
 
-def exact_matching_probability(
-    p: EdgeProbabilityMatrix, limit: int = DEFAULT_EXACT_LIMIT
-) -> float:
+def exact_matching_probability(p: EdgeProbabilityMatrix) -> float:
     """Exact m(p) by enumerating all 2**(n*n) edge subsets.
 
     Sums the subset probability of every edge set containing a perfect
-    matching.  Raises :class:`TooLarge` above ``limit`` (the default 5 means
-    2**25 subsets, a few seconds).
+    matching.  Raises :class:`TooLarge` above ``EXACT_MAX_N``.
     """
     n = p.n
-    if n > limit:
-        raise TooLarge(f"exact enumeration limited to n <= {limit}, got {n}")
+    if n > EXACT_MAX_N:
+        raise TooLarge(f"exact enumeration limited to n <= {EXACT_MAX_N}, got {n}")
     m = n * n
     flat = p.entries.reshape(-1)
     total_masks = 1 << m
@@ -249,7 +245,7 @@ def truncate_probabilities(p: EdgeProbabilityMatrix, bits: int) -> EdgeProbabili
     float64), idempotent, and entrywise within 2**-bits below the input.
     """
     if bits < 1:
-        raise ValueError("bits must be >= 1")
+        raise InvalidArgument("bits must be >= 1")
     scale = 2.0**bits
     out = np.floor(p.entries * scale) / scale
     return EdgeProbabilityMatrix(np.clip(out, 0.0, 1.0))
@@ -321,11 +317,11 @@ def default_parameters(
     ``2*exp(-samples*delta^2/3) <= fail_prob``.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InvalidArgument("n must be >= 1")
     if not 0 < eps < 1:
-        raise ValueError("eps must lie in (0, 1)")
+        raise InvalidArgument("eps must lie in (0, 1)")
     if not 0 < fail_prob < 1:
-        raise ValueError("fail_prob must lie in (0, 1)")
+        raise InvalidArgument("fail_prob must lie in (0, 1)")
     bits = max(1, math.ceil(math.log2(4.0 * n**4 / eps**2)) + 1)
     delta = eps / 2.0
     # the 1e-9 backoff keeps the ceil stable when fail_prob was itself
@@ -339,16 +335,13 @@ def default_parameters(
 _PROBE_TOL = 1e-10
 
 
-def lipschitz_probe(
-    pairs: int, n: int, seed: int, limit: int = DEFAULT_EXACT_LIMIT
-) -> AuditReport:
+def lipschitz_probe(pairs: int, n: int, seed: int) -> AuditReport:
     """Check |m(p) - m(p')| <= n * ||p - p'|| on random matrix pairs.
 
     Each round also perturbs a single entry and checks the sharper bound
-    that m moves by at most the size of that perturbation.
+    that m moves by at most the size of that perturbation.  Ground truth is
+    the exact oracle, so ``n`` is limited to ``EXACT_MAX_N``.
     """
-    if n > limit:
-        raise TooLarge(f"probe needs the exact oracle, limited to n <= {limit}")
     rng = np.random.default_rng(seed)
     for k in range(pairs):
         a = EdgeProbabilityMatrix(rng.random((n, n)))
@@ -381,12 +374,11 @@ def lipschitz_probe(
     return AuditReport("lipschitz-m", passed=True, samples=pairs, seed=seed)
 
 
-def monotone_probe_m(
-    pairs: int, n: int, seed: int, limit: int = DEFAULT_EXACT_LIMIT
-) -> AuditReport:
-    """Check m(p) <= m(p') for random entrywise-ordered pairs p <= p'."""
-    if n > limit:
-        raise TooLarge(f"probe needs the exact oracle, limited to n <= {limit}")
+def monotone_probe_m(pairs: int, n: int, seed: int) -> AuditReport:
+    """Check m(p) <= m(p') for random entrywise-ordered pairs p <= p'.
+
+    Ground truth is the exact oracle, so ``n`` is limited to ``EXACT_MAX_N``.
+    """
     rng = np.random.default_rng(seed)
     for k in range(pairs):
         lo = rng.random((n, n))

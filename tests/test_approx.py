@@ -9,7 +9,6 @@ from mononet.approx import (
     empirical_lipschitz,
     plan_grid,
     resolve_function,
-    sample_grid,
 )
 from mononet.errors import GridTooLarge, MonotoneViolation
 
@@ -120,11 +119,12 @@ class TestBuildApproximator:
 
 class TestHelpers:
     def test_sample_grid_matches_function(self):
+        # The identity interpolated on the 1-D grid reproduces every grid point.
         grid = plan_grid(1, 1.0, 0.5)
-        ds = sample_grid(lambda x: x[0], grid)
-        assert ds.n == grid.point_count
-        for (pt,), y in zip(ds.points, ds.labels):
-            assert y == pt
+        net = build_approximator(lambda x: x[0], 1, 1.0, 0.5)
+        assert net.hidden_widths == (grid.point_count, grid.point_count, grid.point_count)
+        pts = np.asarray(list(grid.iter_points()))
+        assert net.evaluate_batch(pts).tolist() == pts[:, 0].tolist()
 
     def test_empirical_lipschitz(self):
         grid = plan_grid(1, 1.0, 0.25)

@@ -23,6 +23,7 @@ from mononet.errors import (
     ArchitectureMismatch,
     DimensionMismatch,
     DimensionTooSmall,
+    InvalidArgument,
     PreconditionViolated,
 )
 
@@ -80,6 +81,12 @@ class TestMonotonicityProbe:
     def test_constant_net_passes(self):
         net = ThresholdNetwork((ThresholdLayer([[0.0]], [1.0]),), [0.0], 3.0)
         assert probe_monotonicity(net, samples=50, seed=0).passed
+
+    def test_reversed_box_rejected(self):
+        # With lo > hi the drawn pairs would run downhill and fail a monotone net.
+        net, _ = build_interpolator(depth2_counterexample(2))
+        with pytest.raises(InvalidArgument):
+            probe_monotonicity(net, box=(3.0, 0.0), samples=10)
 
 
 class TestConvexityProbe:
@@ -311,3 +318,19 @@ class TestConvexityCampaign:
         report = run_convexity_campaign(40, seed=5)
         assert report.passed
         assert report.details["min_sqrt_gap"] >= 0.125 - 1e-9
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_campaigns_need_a_sample(samples):
+    # A campaign over no networks would pass without testing anything.
+    with pytest.raises(InvalidArgument):
+        run_depth2_campaign(2, samples, seed=0)
+    with pytest.raises(InvalidArgument):
+        run_convexity_campaign(samples, seed=0)
+    with pytest.raises(InvalidArgument):
+        run_chain_width_campaign(samples, seed=0)
+
+
+def test_depth2_campaign_checks_dimension_first():
+    with pytest.raises(DimensionTooSmall):
+        run_depth2_campaign(-3, 1, seed=0)

@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
+import string
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mononet.approx import BUILTIN_FUNCTIONS
 from mononet.cli import main
 from mononet.core import ThresholdLayer, ThresholdNetwork
 from mononet.io import load_network, save_network
@@ -11,6 +18,16 @@ from mononet.io import load_network, save_network
 def write(path, text):
     path.write_text(text)
     return str(path)
+
+
+def diagnostic(stderr: str) -> dict:
+    """The one JSON line that an invalid invocation leaves on stderr."""
+    assert "Traceback" not in stderr
+    lines = stderr.splitlines()
+    assert len(lines) == 1, lines
+    doc = json.loads(lines[0])
+    assert "error" in doc
+    return doc
 
 
 @pytest.fixture
@@ -236,3 +253,115 @@ class TestMatchprob:
 
     def test_too_large_exit_2(self, capsys):
         assert main(["matchprob", "--n", "6", "--p", "0.5", "--mode", "exact"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["--n", "2", "--p", "1.5"],
+        ["--n", "2", "--p", "nan"],
+        ["--n", "0", "--p", "0.5"],
+    ])
+    def test_bad_scalar_p_is_invalid_not_a_path(self, argv, capsys):
+        assert main(["matchprob", *argv]) == 2
+        assert diagnostic(capsys.readouterr().err)["error"] == "InvalidArgument"
+
+    def test_large_n_refused_before_enumerating(self, capsys):
+        start = time.perf_counter()
+        assert main(["matchprob", "--n", "9", "--p", "0.5"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert diagnostic(capsys.readouterr().err)["error"] == "TooLarge"
+
+    def test_limit_flag_is_gone(self, capsys):
+        assert main(["matchprob", "--n", "9", "--p", "0.5", "--limit", "9"]) == 2
+        doc = diagnostic(capsys.readouterr().err)
+        assert doc["error"] == "InvalidArgument"
+        assert "unrecognized arguments: --limit 9" in doc["message"]
+
+
+class TestInvalidInput:
+    @pytest.mark.parametrize("argv", [
+        "approx --fn nope --d 1 --L 1 --eps 0.5",
+        "approx --fn mean --d 1 --L 1 --eps 0",
+        "matchprob --n 3 --p 0.5 --mode estimate --eps 2",
+        "audit --check depth2 --samples -1",
+        "audit --check convexity --samples 0",
+        "audit --check chain-width --samples 0",
+        "audit --check bogus",
+        "",
+    ])
+    def test_exit_2_with_one_json_line(self, argv, capsys):
+        assert main(argv.split()) == 2
+        diagnostic(capsys.readouterr().err)
+
+
+# Valid small invocations; the property test below makes exactly one of their
+# values (or one extra flag) invalid, so no drawn command can run for long.
+VALID_ARGS = {
+    "audit": {"--check": "depth2", "--d": "2", "--samples": "2"},
+    "approx": {"--fn": "mean", "--d": "1", "--L": "1", "--eps": "0.5", "--probes": "2"},
+    "matchprob": {"--n": "2", "--p": "0.5", "--mode": "estimate", "--eps": "0.5",
+                  "--fail-prob": "0.5"},
+}
+WORDS = ["abc", "two", "1.5.2", "0x10", "1e"]
+NON_FINITE = ["nan", "inf", "-inf"]
+
+
+def bad_int(max_value):
+    return st.integers(-10**9, max_value).map(str) | st.sampled_from(WORDS + NON_FINITE + ["1.5"])
+
+
+def bad_float(valid):
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    return finite.filter(lambda x: not valid(x)).map(repr) | st.sampled_from(WORDS + NON_FINITE)
+
+
+def bad_choice(choices):
+    return st.text(string.ascii_letters, min_size=1, max_size=8).filter(lambda t: t not in choices)
+
+
+BAD_VALUES = {
+    "audit": {
+        "--check": bad_choice({"structure", "monotone", "convexity", "depth2", "chain-width"}),
+        "--d": bad_int(1),
+        "--samples": bad_int(0),
+        "--seed": bad_int(-1),
+        "--format": bad_choice({"table", "json"}),
+    },
+    "approx": {
+        "--fn": bad_choice(set(BUILTIN_FUNCTIONS)) | st.sampled_from(WORDS).map("constant:".__add__),
+        "--d": bad_int(0),
+        "--L": bad_float(lambda x: x > 0),
+        "--eps": bad_float(lambda x: x > 0),
+        "--budget": bad_int(0),
+        "--seed": bad_int(-1),
+    },
+    "matchprob": {
+        "--n": bad_int(0),
+        "--p": bad_float(lambda x: 0 <= x <= 1).filter(lambda t: t not in WORDS),
+        "--mode": bad_choice({"exact", "estimate"}),
+        "--eps": bad_float(lambda x: 0 < x < 1),
+        "--fail-prob": bad_float(lambda x: 0 < x < 1),
+        "--seed": bad_int(-1),
+    },
+}
+
+
+@st.composite
+def invalid_argv(draw):
+    command = draw(st.sampled_from(sorted(VALID_ARGS)))
+    args = dict(VALID_ARGS[command])
+    if draw(st.booleans()):
+        flag = draw(st.sampled_from(sorted(BAD_VALUES[command])))
+        args[flag] = draw(BAD_VALUES[command][flag])
+        extra = []
+    else:
+        extra = ["--zz" + draw(st.text(string.ascii_lowercase, max_size=6)), "9"]
+    return [command, *(t for kv in args.items() for t in kv), *extra]
+
+
+@settings(max_examples=150, deadline=None)
+@given(invalid_argv())
+def test_invalid_argv_exits_2_with_one_json_line(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    assert code == 2, (argv, stdout.getvalue(), stderr.getvalue())
+    diagnostic(stderr.getvalue())

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import random_monotone_dataset
 from mononet.construct import build_interpolator
@@ -12,12 +14,31 @@ from mononet.errors import SchemaError
 from mononet.io import (
     load_network,
     network_from_dict,
+    parse_float,
     network_to_dict,
     read_dataset_csv,
     read_points_csv,
     save_network,
     write_dataset_csv,
 )
+
+
+def float_or_none(text):
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+@given(st.text("0123456789+-._eEinfatyINFATY \t", max_size=10))
+@example("1_000.000_1e1_0")
+@example("١٢٣")
+def test_parse_float_agrees_with_float(text):
+    got, want = parse_float(text), float_or_none(text)
+    if want is None or not math.isnan(want):
+        assert got == want
+    else:
+        assert math.isnan(got)
 
 
 class TestDatasetCsv:
