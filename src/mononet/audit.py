@@ -24,6 +24,7 @@ exit code):
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -234,11 +235,13 @@ def sqrt_gap_witness(
     return float(xs[k]), float(gaps[k])
 
 
+@functools.lru_cache(maxsize=16)
 def depth2_counterexample(d: int) -> MonotoneDataset:
     """The spread dataset: d points ``d * e_i`` labeled 0, all-ones labeled 1.
 
     The points are pairwise incomparable, so the data is monotone; it is the
-    input of :func:`depth2_inequality_audit`.
+    input of :func:`depth2_inequality_audit`.  Cached per ``d``: the dataset
+    is frozen and its arrays are read-only, so a campaign builds it once.
     """
     if d < 2:
         raise DimensionTooSmall(f"the spread dataset needs dimension >= 2, got {d}")

@@ -12,8 +12,9 @@ expected).  Seeds and derived configuration go to stderr so stdout stays
 byte-stable for a given invocation.
 
 ``--config FILE`` (before the subcommand) loads a JSON object of defaults
-whose keys are the long flag names; explicitly passed flags win.  Required
-arguments stay required on the command line.
+whose keys are the long flag names; explicitly passed flags win.  Each value
+is checked like the same flag on the command line, and it may also supply a
+required flag.  Positional arguments stay on the command line.
 """
 
 from __future__ import annotations
@@ -165,7 +166,7 @@ def _build_parser(config: dict | None = None) -> argparse.ArgumentParser:
         for sp in subparsers:
             for action in sp._actions:
                 if action.option_strings and action.dest in config:
-                    action.default = config[action.dest]
+                    action.default = _config_value(sp, action, config[action.dest])
                     action.required = False
                     used.add(action.dest)
         for key in config:
@@ -173,6 +174,41 @@ def _build_parser(config: dict | None = None) -> argparse.ArgumentParser:
                 print(f"warning: config key {key!r} does not match any flag", file=sys.stderr)
 
     return parser
+
+
+def _config_value(parser: argparse.ArgumentParser, action: argparse.Action, value):
+    """A config value converted and checked as if ``action`` had read it from argv.
+
+    A bool is accepted only for a ``store_true`` flag, and a list only for a
+    fixed-``nargs`` flag at that length.
+    """
+    flag = action.option_strings[-1]
+    if isinstance(action, argparse._StoreTrueAction):
+        if isinstance(value, bool):
+            return value
+        raise InvalidArgument(f"config argument {flag}: expected true or false, got {value!r}")
+    if action.nargs is None:
+        return _config_scalar(parser, action, value)
+    if isinstance(value, list) and len(value) == action.nargs:
+        return [_config_scalar(parser, action, v) for v in value]
+    raise InvalidArgument(
+        f"config argument {flag}: expected a list of {action.nargs}, got {value!r}"
+    )
+
+
+def _config_scalar(parser: argparse.ArgumentParser, action: argparse.Action, value):
+    """Apply the flag's ``type`` and ``choices`` to a JSON string or number."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise InvalidArgument(
+            f"config argument {action.option_strings[-1]}: "
+            f"expected a string or a number, got {value!r}"
+        )
+    try:
+        converted = parser._get_value(action, str(value))
+        parser._check_value(action, converted)
+    except argparse.ArgumentError as exc:
+        raise InvalidArgument(f"config {exc}") from exc
+    return converted
 
 
 def _cmd_synth(args) -> int:
@@ -186,8 +222,7 @@ def _cmd_synth(args) -> int:
     io.save_network(net, args.output)
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
-            json.dump(trace.to_dict(), fh, indent=2)
-            fh.write("\n")
+            fh.write(json.dumps(trace.to_dict()) + "\n")
     print(f"builder: {'chain' if use_chain else 'general'}")
     print(f"hidden widths: {list(net.hidden_widths)}")
     print(f"hidden units: {net.hidden_unit_count}")
@@ -292,6 +327,8 @@ def _tabulated_function(path):
 
 
 def _cmd_matchprob(args) -> int:
+    if args.mode == "exact":
+        matching.require_exact_size(args.n)
     p = io.parse_float(str(args.p))
     if p is None:
         p_matrix = matching.EdgeProbabilityMatrix(io.read_points_csv(args.p))

@@ -86,7 +86,7 @@ class PreconditionViolated(Error):
 
 
 class TooLarge(Error):
-    """Exact enumeration was requested beyond the oracle's size limit."""
+    """An exact computation was requested beyond the oracle's size limit."""
 
 
 class SchemaError(Error):

@@ -4,7 +4,7 @@ Dataset CSV: one row per point, d coordinate columns then one label column,
 optional header, '.' decimal separator.  Points CSV: coordinate columns
 only.
 
-Network JSON: a versioned document
+Network JSON: a versioned document, written on one line
 
     {"version": 1, "dimension": d, "monotone_flag": bool, "exact": bool,
      "layers": [{"activation": ..., "weights": [[...]], "biases": [...]}],
@@ -164,9 +164,7 @@ def network_from_dict(doc: dict) -> ThresholdNetwork:
 
 
 def save_network(net: ThresholdNetwork, path) -> None:
-    Path(path).write_text(
-        json.dumps(network_to_dict(net), indent=2) + "\n", encoding="utf-8"
-    )
+    Path(path).write_text(json.dumps(network_to_dict(net)) + "\n", encoding="utf-8")
 
 
 def load_network(path) -> ThresholdNetwork:

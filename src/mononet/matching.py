@@ -4,11 +4,13 @@
 appears independently with probability ``p[i, j]``; ``m(p)`` is the
 probability that ``G(p)`` contains a perfect matching.  The module provides
 
-* an exact oracle (full enumeration of all 2**(n*n) edge subsets, feasible
-  for n <= ``EXACT_MAX_N`` and used as the reference in every estimator test),
+* an exact oracle (a row-wise DP over the right-vertex sets that the first
+  rows can be matched onto, kept to n <= ``EXACT_MAX_N`` and used as the
+  reference in every estimator test),
 * a sampling estimator: truncate each entry to ``bits`` binary digits, draw
   ``samples`` independent graphs, return the fraction containing a perfect
-  matching, with the standard exponential concentration guarantee
+  matching (Hopcroft-Karp on each distinct graph), with the standard
+  exponential concentration guarantee
   ``P(|m(p) - estimate| > delta + n^2 / 2**(bits/2)) <= 2*exp(-samples*delta^2/3)``,
 * probes for the structural facts the estimator analysis rests on:
   ``m`` is entrywise monotone and n-Lipschitz (and 1-Lipschitz in any
@@ -25,8 +27,10 @@ import numpy as np
 from .audit import AuditReport
 from .errors import InvalidArgument, TooLarge
 
-EXACT_MAX_N = 5  # 2**25 edge subsets, a few seconds
-_CHUNK_BITS = 20  # enumerate edge subsets in chunks of 2**20
+# Largest n the exact oracle accepts.  The DP costs (families per row) *
+# 2**n steps per row: about 2 ms at n = 5 and 40 ms at n = 6.
+EXACT_MAX_N = 5
+_CHUNK_BITS = 20  # the estimator draws at most 2**20 edge uniforms per block
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,64 +182,47 @@ def has_perfect_matching(g: BipartiteGraph) -> bool:
     return matched == n
 
 
-def _popcounts(n: int) -> np.ndarray:
-    counts = np.zeros(1 << n, dtype=np.uint8)
-    for v in range(1, 1 << n):
-        counts[v] = counts[v >> 1] + (v & 1)
-    return counts
-
-
-def _perfect_matching_flags(masks: np.ndarray, n: int) -> np.ndarray:
-    """Vectorized perfect-matching test for graphs encoded as edge bitmasks.
-
-    Bit ``n*i + j`` of a mask is edge (i, j).  Uses the marriage condition:
-    a perfect matching exists iff every set of left vertices has at least as
-    many distinct neighbors.  Independent of the augmenting-path matcher, so
-    the exact oracle and the sampler cross-check each other.
-    """
-    full = (1 << n) - 1
-    rows = [((masks >> np.uint64(n * i)) & np.uint64(full)).astype(np.uint8) for i in range(n)]
-    pop = _popcounts(n)
-    unions: list = [None] * (1 << n)
-    unions[0] = np.zeros(len(masks), dtype=np.uint8)
-    ok = np.ones(len(masks), dtype=bool)
-    for s in range(1, 1 << n):
-        low = s & -s
-        i = low.bit_length() - 1
-        unions[s] = unions[s ^ low] | rows[i]
-        ok &= pop[unions[s]] >= int(pop[s])
-    return ok
-
-
-def _subset_probabilities(masks: np.ndarray, flat_p: np.ndarray) -> np.ndarray:
-    """P(the present-edge set is exactly the given mask) for each mask."""
-    probs = np.ones(len(masks), dtype=float)
-    for e, pe in enumerate(flat_p):
-        bit = (masks >> np.uint64(e)) & np.uint64(1)
-        probs *= np.where(bit == 1, pe, 1.0 - pe)
-    return probs
+def require_exact_size(n: int) -> None:
+    """Raise :class:`TooLarge` when the exact oracle cannot take ``n``."""
+    if n > EXACT_MAX_N:
+        raise TooLarge(f"exact m(p) is limited to n <= {EXACT_MAX_N}, got {n}")
 
 
 def exact_matching_probability(p: EdgeProbabilityMatrix) -> float:
-    """Exact m(p) by enumerating all 2**(n*n) edge subsets.
+    """Exact m(p) by a row-wise DP over the matchable right-sets.
 
-    Sums the subset probability of every edge set containing a perfect
-    matching.  Raises :class:`TooLarge` above ``EXACT_MAX_N``.
+    After k rows the state is the family of k-subsets S of right vertices
+    onto which the first k left vertices can be perfectly matched (the
+    bases of a transversal matroid), encoded as an integer whose bit S is
+    set iff S is in the family.  Rows are independent, so each row maps
+    every family to its successor under each of the 2**n neighbourhoods,
+    weighted by the neighbourhood's probability.  m(p) is the total weight
+    of the non-empty families after n rows.  Raises :class:`TooLarge` above
+    ``EXACT_MAX_N``.
     """
     n = p.n
-    if n > EXACT_MAX_N:
-        raise TooLarge(f"exact enumeration limited to n <= {EXACT_MAX_N}, got {n}")
-    m = n * n
-    flat = p.entries.reshape(-1)
-    total_masks = 1 << m
-    chunk = min(total_masks, 1 << _CHUNK_BITS)
-    total = 0.0
-    for start in range(0, total_masks, chunk):
-        masks = np.arange(start, min(start + chunk, total_masks), dtype=np.uint64)
-        probs = _subset_probabilities(masks, flat)
-        flags = _perfect_matching_flags(masks, n)
-        total += float(probs[flags].sum())
-    return min(1.0, total)
+    require_exact_size(n)
+    hoods = range(1 << n)
+    # bit S of without[j] is set iff j is not in S
+    without = [sum(1 << s for s in hoods if not s >> j & 1) for j in range(n)]
+    states = {1: 1.0}  # the empty set is the only 0-subset
+    for row in p.entries:
+        q = row.tolist()
+        hood_prob = [
+            math.prod(q[j] if h >> j & 1 else 1.0 - q[j] for j in range(n)) for h in hoods
+        ]
+        nxt: dict[int, float] = {}
+        for family, prob in states.items():
+            # S -> S | {j} for every S in the family that misses j
+            grown = [(family & without[j]) << (1 << j) for j in range(n)]
+            succ = [0] * (1 << n)
+            for h in range(1, 1 << n):
+                low = h & -h
+                succ[h] = s = succ[h ^ low] | grown[low.bit_length() - 1]
+                if s:
+                    nxt[s] = nxt.get(s, 0.0) + prob * hood_prob[h]
+        states = nxt
+    return min(1.0, sum(states.values()))
 
 
 def truncate_probabilities(p: EdgeProbabilityMatrix, bits: int) -> EdgeProbabilityMatrix:
@@ -286,18 +273,21 @@ def estimate_matching_probability(p: EdgeProbabilityMatrix, cfg: EstimatorConfig
     hits = 0
     remaining = cfg.samples
     max_rows = max(1, (1 << _CHUNK_BITS) // (n * n))
+    width = (n + 7) // 8  # bytes per packed row
     while remaining > 0:
         block = min(remaining, max_rows)
         draws = rng.random((block, n, n))
-        edges = (draws < trunc).reshape(block, n * n)
-        packed = np.packbits(edges, axis=1)
+        # bit j of row i (little-endian bytes) is edge (i, j)
+        packed = np.packbits(draws < trunc, axis=2, bitorder="little").reshape(block, -1)
         uniq, counts = np.unique(packed, axis=0, return_counts=True)
-        for row, count in zip(uniq, counts):
-            key = row.tobytes()
+        for sample, count in zip(uniq, counts):
+            key = sample.tobytes()
             found = cache.get(key)
             if found is None:
-                bits = np.unpackbits(row, count=n * n).reshape(n, n)
-                found = has_perfect_matching(BipartiteGraph.from_matrix(bits))
+                rows = tuple(
+                    int.from_bytes(key[i * width : (i + 1) * width], "little") for i in range(n)
+                )
+                found = has_perfect_matching(BipartiteGraph(n, rows))
                 cache[key] = found
             if found:
                 hits += int(count)

@@ -240,6 +240,23 @@ class TestDepth2Audit:
         assert report.passed
         assert report.details["interpolating_networks"] == 0
 
+    def test_campaign_builds_the_dataset_once(self, monkeypatch):
+        from mononet import audit as audit_mod
+
+        calls = []
+
+        def counting(pairs):
+            calls.append(1)
+            return validate_dataset(pairs)
+
+        monkeypatch.setattr(audit_mod, "validate_dataset", counting)
+        depth2_counterexample.cache_clear()
+        try:
+            assert run_depth2_campaign(3, 50, 0).passed
+        finally:
+            depth2_counterexample.cache_clear()
+        assert len(calls) == 1
+
 
 class TestChainWidthAudit:
     def test_constructed_chain_net(self):

@@ -3,6 +3,7 @@ import io
 import json
 import string
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -211,6 +212,37 @@ class TestConfigFile:
         assert main(["--config", str(tmp_path / "nope.json"), "matchprob",
                      "--n", "1", "--p", "1"]) == 1
 
+    @pytest.mark.parametrize("doc, argv", [
+        ({"samples": None}, ["audit", "--check", "depth2"]),
+        ({"d": 2.5}, ["audit", "--check", "depth2"]),
+        ({"seed": -1}, ["audit", "--check", "depth2", "--samples", "2"]),
+        ({"check": "bogus", "samples": 2}, ["audit"]),
+        ({"samples": True}, ["audit", "--check", "depth2"]),
+        ({"samples": [2]}, ["audit", "--check", "depth2"]),
+        ({"box": [0, 1, 2]}, ["audit", "--check", "convexity", "--samples", "2"]),
+        ({"box": "0 1"}, ["audit", "--check", "convexity", "--samples", "2"]),
+        ({"exact": "yes"}, ["matchprob", "--n", "1", "--p", "1"]),
+        ({"n": {"value": 2}}, ["matchprob", "--p", "0.5"]),
+    ])
+    def test_bad_config_values_exit_2(self, tmp_path, capsys, doc, argv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["--config", str(cfg), *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert diagnostic(captured.err)["error"] == "InvalidArgument"
+
+    def test_config_values_are_converted(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 2, "p": 0.5, "box": [0, 2], "seed": 3}))
+        assert main(["--config", str(cfg), "matchprob", "--mode", "exact"]) == 0
+        assert capsys.readouterr().out.strip() == "0.4375"
+        spread = write(tmp_path / "spread.csv", "2,0,0\n0,2,0\n1,1,1\n")
+        cfg.write_text(json.dumps({"exact": True}))
+        out = tmp_path / "net.json"
+        assert main(["--config", str(cfg), "synth", spread, "-o", str(out)]) == 0
+        assert load_network(out).is_exact
+
 
 class TestFalsificationExitCode:
     def test_failing_campaign_exits_3(self, monkeypatch, capsys):
@@ -267,6 +299,17 @@ class TestMatchprob:
         start = time.perf_counter()
         assert main(["matchprob", "--n", "9", "--p", "0.5"]) == 2
         assert time.perf_counter() - start < 1.0
+        assert diagnostic(capsys.readouterr().err)["error"] == "TooLarge"
+
+    def test_large_n_refused_before_allocating(self, capsys):
+        tracemalloc.start()
+        try:
+            code = main(["matchprob", "--n", "4000", "--p", "0.5"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 1 << 20
         assert diagnostic(capsys.readouterr().err)["error"] == "TooLarge"
 
     def test_limit_flag_is_gone(self, capsys):

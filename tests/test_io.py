@@ -182,6 +182,16 @@ class TestNetworkJson:
         with pytest.raises(SchemaError):
             network_from_dict({"version": 1})
 
+    def test_indented_layout_still_loads(self, tmp_path):
+        rng = np.random.default_rng(32)
+        net, _ = build_interpolator(random_monotone_dataset(rng, max_n=6, max_d=2))
+        compact, indented = tmp_path / "compact.json", tmp_path / "indented.json"
+        save_network(net, compact)
+        indented.write_text(json.dumps(network_to_dict(net), indent=2) + "\n")
+        assert compact.read_text().count("\n") == 1
+        old, new = load_network(indented), load_network(compact)
+        assert network_to_dict(old) == network_to_dict(new) == network_to_dict(net)
+
     def test_bytes_stable(self, tmp_path):
         net = ThresholdNetwork((ThresholdLayer([[0.1]], [-0.7]),), [0.3], 0.0)
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mononet.matching import (
+    EXACT_MAX_N,
     BipartiteGraph,
     EdgeProbabilityMatrix,
     EstimatorConfig,
@@ -17,6 +18,7 @@ from mononet.matching import (
     has_perfect_matching,
     lipschitz_probe,
     monotone_probe_m,
+    require_exact_size,
     truncate_probabilities,
     truncation_error_bounds,
 )
@@ -107,9 +109,20 @@ class TestExactProbability:
             got = exact_matching_probability(EdgeProbabilityMatrix(p))
             assert got == pytest.approx(enumeration_oracle(p), abs=1e-13)
 
+    def test_dp_against_enumeration_non_dyadic(self):
+        rng = np.random.default_rng(26)
+        for n, count in ((1, 5), (2, 5), (3, 5), (4, 1)):
+            for _ in range(count):
+                p = rng.random((n, n))
+                got = exact_matching_probability(EdgeProbabilityMatrix(p))
+                assert abs(got - enumeration_oracle(p)) <= 1e-13, (n, p)
+
     def test_too_large(self):
         with pytest.raises(TooLarge):
             exact_matching_probability(EdgeProbabilityMatrix.uniform(6, 0.5))
+        with pytest.raises(TooLarge):
+            require_exact_size(EXACT_MAX_N + 1)
+        require_exact_size(EXACT_MAX_N)
 
     def test_matrix_validation(self):
         with pytest.raises(ValueError):
@@ -186,6 +199,18 @@ class TestEstimator:
         cfg = EstimatorConfig(bits=8, samples=200, seed=4)
         est = estimate_matching_probability(p, cfg)
         assert 0.0 <= est <= 1.0
+
+    @pytest.mark.parametrize("n", [3, 9, 17])  # packed rows of 1, 2 and 3 bytes
+    def test_against_unpacked_reference(self, n):
+        rng = np.random.default_rng(27 + n)
+        p = EdgeProbabilityMatrix(rng.uniform(0.5, 1.0, (n, n)) * min(1.0, 3.0 * math.log(n) / n))
+        cfg = EstimatorConfig(bits=12, samples=400, seed=n)
+        trunc = truncate_probabilities(p, cfg.bits).entries
+        draws = np.random.default_rng(cfg.seed).random((cfg.samples, n, n))
+        hits = sum(has_perfect_matching(BipartiteGraph.from_matrix(g)) for g in draws < trunc)
+        got = estimate_matching_probability(p, cfg)
+        assert 0.0 < got < 1.0
+        assert got == hits / cfg.samples
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
