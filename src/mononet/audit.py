@@ -49,8 +49,15 @@ from .errors import (
 
 _REL_TOL = 1e-9
 
+# Sizes of the randomized campaigns' networks and chains.
+DEPTH2_MAX_WIDTH = 32  # hidden width of a depth2 network, drawn from 1..this
+CONVEXITY_MAX_WIDTH = 16  # width of each ReLU layer, drawn from 1..this
+CONVEXITY_TRIPLES = 64  # midpoint-convexity triples per network
+CHAIN_MAX_POINTS = 16  # chain length, drawn from 3..this
+CHAIN_MAX_DIM = 6  # chain dimension, drawn from 1..this
 
-def _require_positive(count: int, name: str) -> None:
+
+def require_positive(count: int, name: str) -> None:
     if count < 1:
         raise InvalidArgument(f"{name} must be >= 1, got {count}")
 
@@ -144,7 +151,7 @@ def probe_monotonicity(
     seed: int = 0,
 ) -> AuditReport:
     """Sample comparable pairs u <= v in the box and check N(u) <= N(v)."""
-    _require_positive(samples, "samples")
+    require_positive(samples, "samples")
     lo, hi = float(box[0]), float(box[1])
     if not lo <= hi:
         raise InvalidArgument(f"box needs lo <= hi, got ({lo}, {hi})")
@@ -189,7 +196,7 @@ def relu_convexity_probe(
     only fail on a broken implementation.
     """
     _require_relu_monotone(net)
-    _require_positive(triples, "triples")
+    require_positive(triples, "triples")
     d = net.input_dimension
     rng = np.random.default_rng(seed)
     U = rng.random((triples, d))
@@ -404,16 +411,14 @@ def random_monotone_network(
     return ThresholdNetwork(tuple(layers), out_w, out_b)
 
 
-def random_chain_dataset(
-    rng: np.random.Generator, n: int, d: int, coordinate_scale: float = 1.0
-) -> MonotoneDataset:
+def random_chain_dataset(rng: np.random.Generator, n: int, d: int) -> MonotoneDataset:
     """Random coordinatewise chain with strictly increasing labels.
 
     Consecutive points differ by a nonnegative increment that is zero in a
     random subset of coordinates (never all of them), exercising the
     separating-coordinate selection.
     """
-    steps = (0.01 + rng.random((n, d))) * coordinate_scale
+    steps = 0.01 + rng.random((n, d))
     if n > 1:
         mask = rng.random((n - 1, d)) < 0.5
         for row in range(n - 1):
@@ -425,22 +430,20 @@ def random_chain_dataset(
     return validate_dataset(list(zip(map(tuple, X), y)))
 
 
-def run_depth2_campaign(
-    d: int, samples: int, seed: int, max_width: int = 32
-) -> AuditReport:
+def run_depth2_campaign(d: int, samples: int, seed: int) -> AuditReport:
     """Audit ``samples`` random monotone one-hidden-layer networks.
 
     Passes when the summed-activation inequality holds for every network;
     ``details`` additionally counts how many networks interpolated the
     spread dataset (none is expected for continuously random weights).
     """
-    _require_positive(samples, "samples")
+    require_positive(samples, "samples")
     if d < 2:
         raise DimensionTooSmall(f"the spread dataset needs dimension >= 2, got {d}")
     rng = np.random.default_rng(seed)
     interpolated = 0
     for k in range(samples):
-        width = int(rng.integers(1, max_width + 1))
+        width = int(rng.integers(1, DEPTH2_MAX_WIDTH + 1))
         net = random_monotone_network(
             rng,
             d,
@@ -469,29 +472,22 @@ def run_depth2_campaign(
     )
 
 
-def run_convexity_campaign(
-    samples: int,
-    seed: int,
-    input_dim: int = 1,
-    triples: int = 64,
-    max_width: int = 16,
-    check_sqrt_gap: bool = True,
-) -> AuditReport:
-    """Probe midpoint convexity on random monotone ReLU networks.
+def run_convexity_campaign(samples: int, seed: int) -> AuditReport:
+    """Probe midpoint convexity on random 1-dimensional monotone ReLU networks.
 
-    With ``check_sqrt_gap`` (1-dimensional networks only) it also verifies
-    the square-root approximation gap of at least 1/8 for each network.
+    Each network is also checked for the square-root approximation gap of
+    at least 1/8.
     """
-    _require_positive(samples, "samples")
+    require_positive(samples, "samples")
     rng = np.random.default_rng(seed)
     min_gap = np.inf
     for k in range(samples):
         depth = int(rng.integers(1, 4))
-        widths = tuple(int(rng.integers(1, max_width + 1)) for _ in range(depth))
-        net = random_monotone_network(
-            rng, input_dim, widths, activation=RELU, bias_scale=1.0
+        widths = tuple(int(rng.integers(1, CONVEXITY_MAX_WIDTH + 1)) for _ in range(depth))
+        net = random_monotone_network(rng, 1, widths, activation=RELU, bias_scale=1.0)
+        report = relu_convexity_probe(
+            net, triples=CONVEXITY_TRIPLES, seed=int(rng.integers(2**32))
         )
-        report = relu_convexity_probe(net, triples=triples, seed=int(rng.integers(2**32)))
         if not report.passed:
             return AuditReport(
                 "convexity",
@@ -500,41 +496,33 @@ def run_convexity_campaign(
                 samples=samples,
                 seed=seed,
             )
-        if check_sqrt_gap and input_dim == 1:
-            x, gap = sqrt_gap_witness(net)
-            min_gap = min(min_gap, gap)
-            if gap < 0.125 - 1e-9:
-                return AuditReport(
-                    "convexity",
-                    passed=False,
-                    witness={"sample_index": k, "x": x, "gap": gap},
-                    samples=samples,
-                    seed=seed,
-                )
-    details = {}
-    if check_sqrt_gap and input_dim == 1:
-        details["min_sqrt_gap"] = float(min_gap)
+        x, gap = sqrt_gap_witness(net)
+        min_gap = min(min_gap, gap)
+        if gap < 0.125 - 1e-9:
+            return AuditReport(
+                "convexity",
+                passed=False,
+                witness={"sample_index": k, "x": x, "gap": gap},
+                samples=samples,
+                seed=seed,
+            )
+    details = {"min_sqrt_gap": float(min_gap)}
     return AuditReport("convexity", passed=True, samples=samples, seed=seed, details=details)
 
 
-def run_chain_width_campaign(
-    samples: int,
-    seed: int,
-    max_points: int = 16,
-    max_dim: int = 6,
-) -> AuditReport:
+def run_chain_width_campaign(samples: int, seed: int) -> AuditReport:
     """Random chains versus random narrow monotone networks.
 
     Networks are drawn with first-layer width at most n-2 for an n-point
     chain (the regime where a repeated activation pattern is forced), so
-    the audit must locate the pigeonhole witness each time.
+    the audit must locate the pigeonhole witness each time; a passing
+    campaign has witnessed it ``samples`` times.
     """
-    _require_positive(samples, "samples")
+    require_positive(samples, "samples")
     rng = np.random.default_rng(seed)
-    witnessed = 0
     for k in range(samples):
-        n = int(rng.integers(3, max_points + 1))
-        d = int(rng.integers(1, max_dim + 1))
+        n = int(rng.integers(3, CHAIN_MAX_POINTS + 1))
+        d = int(rng.integers(1, CHAIN_MAX_DIM + 1))
         ds = random_chain_dataset(rng, n, d)
         width = int(rng.integers(1, n - 1))
         scale = float(np.abs(ds.points).max() * d + 1.0)
@@ -550,11 +538,6 @@ def run_chain_width_campaign(
                 samples=samples,
                 seed=seed,
             )
-        witnessed += 1
     return AuditReport(
-        "chain-width",
-        passed=True,
-        samples=samples,
-        seed=seed,
-        details={"witnessed": witnessed},
+        "chain-width", passed=True, samples=samples, seed=seed, details={"witnessed": samples}
     )

@@ -9,7 +9,8 @@ probability that ``G(p)`` contains a perfect matching.  The module provides
   reference in every estimator test),
 * a sampling estimator: truncate each entry to ``bits`` binary digits, draw
   ``samples`` independent graphs, return the fraction containing a perfect
-  matching (Hopcroft-Karp on each distinct graph), with the standard
+  matching (a greedy start plus augmenting paths on each distinct graph),
+  with the standard
   exponential concentration guarantee
   ``P(|m(p) - estimate| > delta + n^2 / 2**(bits/2)) <= 2*exp(-samples*delta^2/3)``,
 * probes for the structural facts the estimator analysis rests on:
@@ -24,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .audit import AuditReport
+from .audit import AuditReport, require_positive
 from .errors import InvalidArgument, TooLarge
 
 # Largest n the exact oracle accepts.  The DP costs (families per row) *
@@ -95,9 +96,8 @@ class BipartiteGraph:
     @classmethod
     def from_matrix(cls, adj) -> "BipartiteGraph":
         A = np.asarray(adj, dtype=bool)
-        n = A.shape[0]
-        rows = tuple(int(sum(1 << j for j in np.flatnonzero(A[i]))) for i in range(n))
-        return cls(n, rows)
+        packed = np.packbits(A, axis=1, bitorder="little")
+        return cls(A.shape[0], tuple(int.from_bytes(row.tobytes(), "little") for row in packed))
 
     @classmethod
     def complete(cls, n: int) -> "BipartiteGraph":
@@ -126,60 +126,49 @@ class EstimatorConfig:
 
 
 def has_perfect_matching(g: BipartiteGraph) -> bool:
-    """Hopcroft-Karp on bitmask adjacency: True iff a perfect matching exists."""
-    n = g.n
+    """True iff ``g`` has a perfect matching: a greedy start, then augmenting paths.
+
+    The greedy pass gives each left vertex its lowest free neighbour.  Each
+    left vertex it leaves unmatched then needs an augmenting path (Kuhn
+    1955), found depth-first with the visited right vertices kept in one
+    bitmask per search.  The search keeps its path on an explicit stack, so
+    no path length meets Python's recursion limit.  A left vertex with no
+    augmenting path stays unmatched in every maximum matching, so the
+    answer is False at once.
+    """
     rows = g.rows
-    match_left = [-1] * n
-    match_right = [-1] * n
-    matched = 0
-    INF = n + 1
-    dist = [0] * n
-
-    def bfs() -> bool:
-        queue = []
-        for u in range(n):
-            if match_left[u] == -1:
-                dist[u] = 0
-                queue.append(u)
-            else:
-                dist[u] = INF
-        found = INF
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            if dist[u] >= found:
-                continue
-            adj = rows[u]
-            while adj:
-                j = (adj & -adj).bit_length() - 1
-                adj &= adj - 1
-                w = match_right[j]
-                if w == -1:
-                    found = dist[u] + 1
-                elif dist[w] == INF:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return found != INF
-
-    def dfs(u: int) -> bool:
-        adj = rows[u]
-        while adj:
-            j = (adj & -adj).bit_length() - 1
-            adj &= adj - 1
-            w = match_right[j]
-            if w == -1 or (dist[w] == dist[u] + 1 and dfs(w)):
-                match_left[u] = j
-                match_right[j] = u
-                return True
-        dist[u] = INF
-        return False
-
-    while matched < n and bfs():
-        for u in range(n):
-            if match_left[u] == -1 and dfs(u):
-                matched += 1
-    return matched == n
+    owner = [0] * g.n  # owner[j]: the left vertex matched to right vertex j
+    free = (1 << g.n) - 1  # bitmask of the unmatched right vertices
+    unmatched = []
+    for u, adj in enumerate(rows):
+        hit = adj & free
+        if hit:
+            bit = hit & -hit
+            free ^= bit
+            owner[bit.bit_length() - 1] = u
+        else:
+            unmatched.append(u)
+    for u in unmatched:
+        seen = adj = rows[u]  # seen: the right vertices this search has reached
+        path = []  # (left vertex, its untried neighbours, the right vertex it tries)
+        while not adj & free:
+            while not adj:
+                if not path:
+                    return False
+                u, adj, _ = path.pop()
+            bit = adj & -adj
+            j = bit.bit_length() - 1
+            path.append((u, adj ^ bit, j))
+            u = owner[j]
+            adj = rows[u] & ~seen
+            seen |= adj
+        hit = adj & free
+        bit = hit & -hit
+        free ^= bit
+        owner[bit.bit_length() - 1] = u
+        for w, _, j in path:
+            owner[j] = w
+    return True
 
 
 def require_exact_size(n: int) -> None:
@@ -264,34 +253,32 @@ def estimate_matching_probability(p: EdgeProbabilityMatrix, cfg: EstimatorConfig
     graphs are drawn (edge present iff its uniform draw is < the truncated
     probability), and the perfect-matching fraction is returned.  Samples
     are drawn replica-major, so distinct replicas use independent stream
-    sections; repeated graphs are deduplicated before the matching test.
+    sections.  Each block of draws is deduplicated as it is drawn, and one
+    last ``np.unique`` over the blocks' distinct graphs leaves each distinct
+    graph to be matched once, so memory follows the distinct graphs rather
+    than the samples.
     """
     trunc = truncate_probabilities(p, cfg.bits).entries
     n = p.n
     rng = np.random.default_rng(cfg.seed)
-    cache: dict[bytes, bool] = {}
-    hits = 0
-    remaining = cfg.samples
     max_rows = max(1, (1 << _CHUNK_BITS) // (n * n))
     width = (n + 7) // 8  # bytes per packed row
-    while remaining > 0:
-        block = min(remaining, max_rows)
-        draws = rng.random((block, n, n))
+    graph = np.dtype((np.void, n * width))  # one packed graph as one opaque item
+    keys, counts = [], []
+    for start in range(0, cfg.samples, max_rows):
+        draws = rng.random((min(max_rows, cfg.samples - start), n, n))
         # bit j of row i (little-endian bytes) is edge (i, j)
-        packed = np.packbits(draws < trunc, axis=2, bitorder="little").reshape(block, -1)
-        uniq, counts = np.unique(packed, axis=0, return_counts=True)
-        for sample, count in zip(uniq, counts):
-            key = sample.tobytes()
-            found = cache.get(key)
-            if found is None:
-                rows = tuple(
-                    int.from_bytes(key[i * width : (i + 1) * width], "little") for i in range(n)
-                )
-                found = has_perfect_matching(BipartiteGraph(n, rows))
-                cache[key] = found
-            if found:
-                hits += int(count)
-        remaining -= block
+        block = np.packbits(draws < trunc, axis=2, bitorder="little")
+        uniq, count = np.unique(block.reshape(len(block), -1).view(graph), return_counts=True)
+        keys.append(uniq)
+        counts.append(count)
+    uniq, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+    found = np.zeros(len(uniq), dtype=bool)
+    for k, sample in enumerate(uniq):
+        key = sample.tobytes()
+        rows = tuple(int.from_bytes(key[i * width : (i + 1) * width], "little") for i in range(n))
+        found[k] = has_perfect_matching(BipartiteGraph(n, rows))
+    hits = int(np.concatenate(counts)[found[inverse]].sum())
     return hits / cfg.samples
 
 
@@ -332,8 +319,9 @@ def lipschitz_probe(pairs: int, n: int, seed: int) -> AuditReport:
     that m moves by at most the size of that perturbation.  Ground truth is
     the exact oracle, so ``n`` is limited to ``EXACT_MAX_N``.
     """
+    require_positive(pairs, "pairs")
     rng = np.random.default_rng(seed)
-    for k in range(pairs):
+    for _ in range(pairs):
         a = EdgeProbabilityMatrix(rng.random((n, n)))
         b = EdgeProbabilityMatrix(rng.random((n, n)))
         ma, mb = exact_matching_probability(a), exact_matching_probability(b)
@@ -369,8 +357,9 @@ def monotone_probe_m(pairs: int, n: int, seed: int) -> AuditReport:
 
     Ground truth is the exact oracle, so ``n`` is limited to ``EXACT_MAX_N``.
     """
+    require_positive(pairs, "pairs")
     rng = np.random.default_rng(seed)
-    for k in range(pairs):
+    for _ in range(pairs):
         lo = rng.random((n, n))
         hi = lo + (1.0 - lo) * rng.random((n, n))
         m_lo = exact_matching_probability(EdgeProbabilityMatrix(lo))

@@ -26,6 +26,7 @@ from mononet.errors import (
     InvalidArgument,
     PreconditionViolated,
 )
+from mononet.matching import lipschitz_probe, monotone_probe_m
 
 
 def relu_net(weights, biases, out_weights, out_bias=0.0):
@@ -346,6 +347,10 @@ def test_campaigns_need_a_sample(samples):
         run_convexity_campaign(samples, seed=0)
     with pytest.raises(InvalidArgument):
         run_chain_width_campaign(samples, seed=0)
+    with pytest.raises(InvalidArgument):
+        lipschitz_probe(samples, 3, seed=0)
+    with pytest.raises(InvalidArgument):
+        monotone_probe_m(samples, 3, seed=0)
 
 
 def test_depth2_campaign_checks_dimension_first():

@@ -33,6 +33,67 @@ def perm_has_matching(n: int, rows) -> bool:
     )
 
 
+def hopcroft_karp(g: BipartiteGraph) -> bool:
+    """Test oracle: Hopcroft-Karp (1973) on bitmask adjacency.
+
+    Each phase finds the shortest augmenting-path length by a layered BFS
+    from the free left vertices, then augments along vertex-disjoint
+    shortest paths by a DFS that follows the layers.
+    """
+    n, rows = g.n, g.rows
+    match_left = [-1] * n
+    match_right = [-1] * n
+    matched = 0
+    INF = n + 1
+    dist = [0] * n
+
+    def bfs() -> bool:
+        queue = []
+        for u in range(n):
+            if match_left[u] == -1:
+                dist[u] = 0
+                queue.append(u)
+            else:
+                dist[u] = INF
+        found = INF
+        head = 0
+        while head < len(queue):
+            u = queue[head]
+            head += 1
+            if dist[u] >= found:
+                continue
+            adj = rows[u]
+            while adj:
+                j = (adj & -adj).bit_length() - 1
+                adj &= adj - 1
+                w = match_right[j]
+                if w == -1:
+                    found = dist[u] + 1
+                elif dist[w] == INF:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        return found != INF
+
+    def dfs(u: int) -> bool:
+        adj = rows[u]
+        while adj:
+            j = (adj & -adj).bit_length() - 1
+            adj &= adj - 1
+            w = match_right[j]
+            if w == -1 or (dist[w] == dist[u] + 1 and dfs(w)):
+                match_left[u] = j
+                match_right[j] = u
+                return True
+        dist[u] = INF
+        return False
+
+    while matched < n and bfs():
+        for u in range(n):
+            if match_left[u] == -1 and dfs(u):
+                matched += 1
+    return matched == n
+
+
 def enumeration_oracle(p: np.ndarray) -> float:
     """Test oracle: sum subset probabilities using the permutation matcher."""
     n = p.shape[0]
@@ -78,6 +139,49 @@ class TestHasPerfectMatching:
                 adj = rng.random((n, n)) < rng.random()
                 g = BipartiteGraph.from_matrix(adj)
                 assert has_perfect_matching(g) == perm_has_matching(n, g.rows)
+
+    def test_against_hopcroft_karp(self):
+        # G(n, q) around the matching threshold ln(n)/n, and lower staircases
+        # (row i sees columns 0..i, each kept with probability 0.95, the
+        # diagonal kept whole in half of them) under random row and column
+        # permutations; both families hold graphs with and without a
+        # perfect matching.
+        rng = np.random.default_rng(28)
+        for n in [*range(1, 41), 64]:
+            for _ in range(30):
+                q = min(1.0, rng.uniform(0.5, 2.0) * math.log(n + 1) / n)
+                adj = rng.random((n, n)) < q
+                g = BipartiteGraph.from_matrix(adj)
+                assert has_perfect_matching(g) == hopcroft_karp(g), (n, g.rows)
+                stair = np.tril(rng.random((n, n)) < 0.95)
+                if rng.random() < 0.5:
+                    np.fill_diagonal(stair, True)
+                stair = stair[rng.permutation(n)][:, rng.permutation(n)]
+                g = BipartiteGraph.from_matrix(stair)
+                assert has_perfect_matching(g) == hopcroft_karp(g), (n, g.rows)
+
+    def test_greedy_start_needs_a_long_augmenting_path(self):
+        # Row i sees columns i and i+1, the last row only column 0: the greedy
+        # pass matches row i to column i, so the last row is matched only by
+        # the augmenting path that shifts every other row one column right.
+        # At n = 1200 that path is longer than Python's recursion limit.
+        for n in (2, 5, 64, 200, 1200):
+            rows = [0b11 << i for i in range(n - 1)] + [1]
+            assert has_perfect_matching(BipartiteGraph(n, tuple(rows)))
+            # with column n-2 as well, the search tries column 0 first and
+            # runs down the whole chain before it backs out to the two-step path
+            g = BipartiteGraph(n, tuple(rows[:-1]) + (1 | 1 << (n - 2),))
+            assert has_perfect_matching(g) == hopcroft_karp(g) is True
+            rows[n - 2] = 1 << (n - 2)  # now no row sees column n-1
+            assert not has_perfect_matching(BipartiteGraph(n, tuple(rows)))
+
+    def test_from_matrix_wide_rows(self):
+        # more than 64 columns: the masks outgrow a machine word
+        for n in (63, 64, 65, 100):
+            adj = np.zeros((n, n), dtype=bool)
+            adj[:, -1] = adj[0] = True
+            g = BipartiteGraph.from_matrix(adj)
+            assert g.rows == ((1 << n) - 1,) + (1 << (n - 1),) * (n - 1)
 
     def test_from_edges_bounds(self):
         with pytest.raises(ValueError):
@@ -207,7 +311,24 @@ class TestEstimator:
         cfg = EstimatorConfig(bits=12, samples=400, seed=n)
         trunc = truncate_probabilities(p, cfg.bits).entries
         draws = np.random.default_rng(cfg.seed).random((cfg.samples, n, n))
-        hits = sum(has_perfect_matching(BipartiteGraph.from_matrix(g)) for g in draws < trunc)
+        hits = sum(hopcroft_karp(BipartiteGraph.from_matrix(g)) for g in draws < trunc)
+        got = estimate_matching_probability(p, cfg)
+        assert 0.0 < got < 1.0
+        assert got == hits / cfg.samples
+
+    def test_repeated_graphs_across_blocks(self):
+        # 0/1 entries and four fair edges give at most 16 distinct graphs,
+        # and 20000 samples at n = 12 span three blocks of draws, so each
+        # graph's counts from every block must add up
+        n = 12
+        p = np.eye(n)
+        p[:4, :4] = 0.5 * np.eye(4) + 0.5 * np.eye(4, k=1)
+        p[3, 4] = 0.5
+        p = EdgeProbabilityMatrix(p)
+        cfg = EstimatorConfig(bits=12, samples=20000, seed=5)
+        trunc = truncate_probabilities(p, cfg.bits).entries
+        draws = np.random.default_rng(cfg.seed).random((cfg.samples, n, n))
+        hits = sum(hopcroft_karp(BipartiteGraph.from_matrix(g)) for g in draws < trunc)
         got = estimate_matching_probability(p, cfg)
         assert 0.0 < got < 1.0
         assert got == hits / cfg.samples
