@@ -85,7 +85,8 @@ def plan_grid(
 ) -> GridSpec:
     """Choose the sampling grid for accuracy ``eps`` at Lipschitz bound ``lipschitz``.
 
-    Raises :class:`GridTooLarge` when the exact point count exceeds ``budget``.
+    Raises :class:`GridTooLarge` when the exact point count exceeds
+    ``budget``; the count is worked out before any axis point is made.
     """
     if d < 1:
         raise InvalidArgument(f"dimension must be >= 1, got {d}")
@@ -94,20 +95,23 @@ def plan_grid(
     if not 0 < eps < math.inf:
         raise InvalidArgument(f"accuracy must be positive and finite, got {eps}")
     spacing = (eps / lipschitz) / math.sqrt(d)
-    axis = [0.0]
-    k = 1
-    while k * spacing <= 1.0:
-        axis.append(k * spacing)
-        if len(axis) > budget:
-            raise GridTooLarge(
-                f"grid needs more than {budget} points per axis at spacing {spacing}"
-            )
-        k += 1
+    # With round-to-nearest, k = floor(1 / spacing) has k * spacing <= 1.0,
+    # and (k + 1) * spacing is either above 1.0 or exactly 1.0, which is the
+    # endpoint appended below; a larger 1 / spacing is cut at the budget
+    last = math.floor(min(1.0 / spacing, budget)) if spacing > 0 else budget
+    per_axis = last + 1 + (last * spacing < 1.0)  # 0 .. last * spacing, then 1.0
+    if per_axis > budget:
+        raise GridTooLarge(
+            f"grid needs more than {budget} points per axis at spacing {spacing}"
+        )
+    # per_axis >= 2, so at d >= budget.bit_length() the count exceeds budget
+    if d >= budget.bit_length() or per_axis**d > budget:
+        raise GridTooLarge(
+            f"grid would hold {per_axis}**{d} points, budget is {budget}"
+        )
+    axis = [k * spacing for k in range(last + 1)]
     if axis[-1] < 1.0:
         axis.append(1.0)
-    count = len(axis) ** d
-    if count > budget:
-        raise GridTooLarge(f"grid would hold {count} points, budget is {budget}")
     bound = (lipschitz * math.sqrt(d) / eps) ** d
     return GridSpec(dimension=d, spacing=spacing, axis_points=tuple(axis), count_bound=bound)
 

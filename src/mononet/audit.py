@@ -132,15 +132,13 @@ def certify_monotone_structure(net: ThresholdNetwork) -> AuditReport:
                     "value": float(layer.weights[unit, idx]),
                 },
             )
-    out = np.asarray([float(w) for w in net.output_weights])
-    bad = np.flatnonzero(out < 0)
-    if len(bad):
-        idx = int(bad[0])
-        return AuditReport(
-            "structure",
-            passed=False,
-            witness={"location": "output", "input_index": idx, "value": float(out[idx])},
-        )
+    for idx, w in enumerate(net.output_weights):
+        if w < 0:
+            return AuditReport(
+                "structure",
+                passed=False,
+                witness={"location": "output", "input_index": idx, "value": float(w)},
+            )
     return AuditReport("structure", passed=True)
 
 

@@ -113,7 +113,6 @@ def _build_parser(config: dict | None = None) -> argparse.ArgumentParser:
         help="auto: use the compact chain builder for totally ordered data",
     )
     p.add_argument("--trace", help="also write the construction trace JSON here")
-    p.add_argument("--exact", action="store_true", help="store the output stage as exact rationals")
     p.set_defaults(handler=_cmd_synth)
     subparsers.append(p)
 
@@ -179,14 +178,9 @@ def _build_parser(config: dict | None = None) -> argparse.ArgumentParser:
 def _config_value(parser: argparse.ArgumentParser, action: argparse.Action, value):
     """A config value converted and checked as if ``action`` had read it from argv.
 
-    A bool is accepted only for a ``store_true`` flag, and a list only for a
-    fixed-``nargs`` flag at that length.
+    A list is accepted only for a fixed-``nargs`` flag at that length.
     """
     flag = action.option_strings[-1]
-    if isinstance(action, argparse._StoreTrueAction):
-        if isinstance(value, bool):
-            return value
-        raise InvalidArgument(f"config argument {flag}: expected true or false, got {value!r}")
     if action.nargs is None:
         return _config_scalar(parser, action, value)
     if isinstance(value, list) and len(value) == action.nargs:
@@ -216,9 +210,9 @@ def _cmd_synth(args) -> int:
     ds = core.validate_dataset(pairs)
     use_chain = args.ordered == "auto" and core.is_totally_ordered(ds)
     if use_chain:
-        net, trace = construct.build_chain_interpolator(ds, exact=args.exact)
+        net, trace = construct.build_chain_interpolator(ds)
     else:
-        net, trace = construct.build_interpolator(ds, exact=args.exact)
+        net, trace = construct.build_interpolator(ds)
     io.save_network(net, args.output)
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
@@ -329,6 +323,9 @@ def _tabulated_function(path):
 def _cmd_matchprob(args) -> int:
     if args.mode == "exact":
         matching.require_exact_size(args.n)
+    else:
+        cfg = matching.default_parameters(args.n, args.eps, args.fail_prob, seed=args.seed)
+        matching.require_estimate_size(args.n, cfg.samples)
     p = io.parse_float(str(args.p))
     if p is None:
         p_matrix = matching.EdgeProbabilityMatrix(io.read_points_csv(args.p))
@@ -340,7 +337,6 @@ def _cmd_matchprob(args) -> int:
         value = matching.exact_matching_probability(p_matrix)
         print(repr(value))
         return EXIT_OK
-    cfg = matching.default_parameters(args.n, args.eps, args.fail_prob, seed=args.seed)
     radius, failure = matching.estimator_error_bound(cfg, args.n)
     print(
         f"config: bits={cfg.bits} samples={cfg.samples} delta={cfg.delta} seed={cfg.seed}",

@@ -24,9 +24,12 @@ are sums of standard basis vectors (hence nonnegative):
 Labels may be negative: the output bias absorbs ``min(0, y[0])`` so the
 telescoping weights stay nonnegative.
 
-With ``exact=True`` the output stage is built from Fractions, making
-``evaluate_batch_exact`` reproduce every training label with zero error
-(the float path is still within a few ulps).
+The output stage is always built from Fractions, so ``evaluate_batch_exact``
+reproduces every training label with zero error.  Float evaluation loses
+nothing by it: for finite floats ``float(Fraction(a) - Fraction(b))`` is
+``a - b``, since both are correctly rounded, so the float stage holds the
+same label differences as float subtraction would give (the float path is
+within a few ulps of the labels).
 """
 
 from __future__ import annotations
@@ -68,39 +71,46 @@ class ConstructionTrace:
         }
 
 
-def _telescoping_output(labels: np.ndarray, exact: bool):
+def _telescoping_output(labels: np.ndarray) -> tuple[tuple[Fraction, ...], Fraction]:
     """Output weights y_i - y_{i-1} (nonnegative) plus the label-shift bias.
 
     The virtual y_0 is 0 for nonnegative labels; for a negative smallest
     label the bias shifts the baseline down to y_1 instead, so the first
     weight becomes 0 and all weights stay nonnegative.
     """
-    y0 = min(0.0, float(labels[0]))
-    if exact:
-        frac = [Fraction(float(v)) for v in labels]
-        prev = Fraction(y0)
-        weights = []
-        for v in frac:
-            weights.append(v - prev)
-            prev = v
-        return tuple(weights), Fraction(y0)
-    padded = np.concatenate(([y0], labels))
-    return np.diff(padded), y0
+    steps = [Fraction(min(0.0, float(labels[0])))]
+    steps += [Fraction(v) for v in labels.tolist()]
+    return tuple(b - a for a, b in zip(steps, steps[1:])), steps[0]
 
 
-def build_interpolator(
-    ds: MonotoneDataset, exact: bool = False
+def _finish(
+    layers: tuple[ThresholdLayer, ...], ds: MonotoneDataset, embedding_layer: int
 ) -> tuple[ThresholdNetwork, ConstructionTrace]:
+    """Add the telescoping output stage to ``layers`` and trace the build.
+
+    ``embedding_layer`` indexes the layer whose units indicate the training
+    points dominated by the input.
+    """
+    weights, bias = _telescoping_output(ds.labels)
+    net = ThresholdNetwork(layers, weights, bias)
+    trace = ConstructionTrace(
+        layer_widths=net.hidden_widths,
+        embedding_matrix=net.hidden_activations(ds.points)[embedding_layer] != 0,
+        output_weights=tuple(float(w) for w in weights),
+    )
+    return net, trace
+
+
+def build_interpolator(ds: MonotoneDataset) -> tuple[ThresholdNetwork, ConstructionTrace]:
     """Build the general interpolating monotone network, widths (d*n, n, n).
 
     The returned network evaluates to ``y_i`` on every training point
     (exactly on the rational path; within ~n ulps on the float path).
     """
     n, d = ds.n, ds.dimension
-    X, y = ds.points, ds.labels
 
     w1 = np.tile(np.eye(d), (n, 1))
-    b1 = -X.reshape(-1)
+    b1 = -ds.points.reshape(-1)
     layer1 = ThresholdLayer(w1, b1, THRESHOLD)
 
     w2 = np.zeros((n, n * d))
@@ -108,18 +118,7 @@ def build_interpolator(
         w2[i, i * d : (i + 1) * d] = 1.0
     layer2 = ThresholdLayer(w2, np.full(n, -float(d)), THRESHOLD)
 
-    layer3 = _suffix_or_layer(n)
-
-    w4, bias = _telescoping_output(y, exact)
-    net = ThresholdNetwork((layer1, layer2, layer3), w4, bias)
-
-    embedding = net.hidden_activations(X)[1] != 0
-    trace = ConstructionTrace(
-        layer_widths=(n * d, n, n),
-        embedding_matrix=embedding,
-        output_weights=tuple(float(w) for w in w4),
-    )
-    return net, trace
+    return _finish((layer1, layer2, _suffix_or_layer(n)), ds, embedding_layer=1)
 
 
 def _suffix_or_layer(n: int) -> ThresholdLayer:
@@ -154,9 +153,7 @@ def _separating_index(X: np.ndarray, i: int) -> int:
     return int(increased[0])
 
 
-def build_chain_interpolator(
-    ds: MonotoneDataset, exact: bool = False
-) -> tuple[ThresholdNetwork, ConstructionTrace]:
+def build_chain_interpolator(ds: MonotoneDataset) -> tuple[ThresholdNetwork, ConstructionTrace]:
     """Build the compressed interpolator for totally ordered data, widths (n, n).
 
     Layer-1 unit i thresholds a single separating coordinate against its
@@ -169,7 +166,7 @@ def build_chain_interpolator(
             "chain construction needs every pair of points comparable"
         )
     n, d = ds.n, ds.dimension
-    X, y = ds.points, ds.labels
+    X = ds.points
 
     w1 = np.zeros((n, d))
     b1 = np.empty(n)
@@ -178,15 +175,5 @@ def build_chain_interpolator(
         w1[i, r] = 1.0
         b1[i] = -X[i, r]
     layer1 = ThresholdLayer(w1, b1, THRESHOLD)
-    layer2 = _suffix_or_layer(n)
 
-    w4, bias = _telescoping_output(y, exact)
-    net = ThresholdNetwork((layer1, layer2), w4, bias)
-
-    embedding = net.hidden_activations(X)[0] != 0
-    trace = ConstructionTrace(
-        layer_widths=(n, n),
-        embedding_matrix=embedding,
-        output_weights=tuple(float(w) for w in w4),
-    )
-    return net, trace
+    return _finish((layer1, _suffix_or_layer(n)), ds, embedding_layer=0)

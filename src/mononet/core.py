@@ -18,8 +18,10 @@ Conventions used throughout the package:
 Float comparisons against stored coordinates are exact: IEEE-754 subtraction
 of two finite doubles is zero only when they are equal (gradual underflow),
 so ``sigma(x - c)`` fires exactly when ``x >= c``.  The builders in
-:mod:`mononet.construct` rely on this; see ``evaluate_batch_exact`` for the
-fully rational evaluation path.
+:mod:`mononet.construct` rely on this.  ``ThresholdLayer.forward`` is the one
+layer body: it takes a float64 batch or an object array of Fractions, and
+``evaluate_batch_exact`` runs each layer in float where that is provably
+exact and on Fractions otherwise.
 """
 
 from __future__ import annotations
@@ -260,43 +262,90 @@ class ThresholdLayer:
     def input_width(self) -> int:
         return self.weights.shape[1]
 
+    @cached_property
+    def _integers(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """``(W, b, scale)``: ``weights * scale`` and ``biases * scale`` as ints."""
+        ints, scale = _as_integers(np.column_stack([self.weights, self.biases]))
+        return ints[:, :-1], ints[:, -1], scale
+
     def forward(self, A: np.ndarray) -> np.ndarray:
-        """Activations ``activation(A @ weights.T + biases)`` for rows of ``A``."""
-        Z = A @ self.weights.T + self.biases
+        """Activations ``activation(A @ weights.T + biases)`` for rows of ``A``.
+
+        ``A`` is a float64 batch, or an object array of exact numbers
+        (Fractions, ints, or floats taken at their exact value).  The object
+        batch and the parameters are scaled to ints, so its products and sums
+        are exact int arithmetic.  Threshold units return 0/1 floats either
+        way; ReLU units on an object batch return Fractions, clamped at the
+        int 0.
+        """
+        if A.dtype != object:
+            Z = A @ self.weights.T + self.biases
+            if self.activation == THRESHOLD:
+                return (Z >= 0).astype(float)
+            return np.maximum(Z, 0.0)
+        W, b, scale = self._integers
+        N, den = _as_integers(A)
+        Z = N @ W.T + b * den  # the pre-activations times den * scale
         if self.activation == THRESHOLD:
             return (Z >= 0).astype(float)
-        return np.maximum(Z, 0.0)
+        scale *= den
+        return np.frompyfunc(lambda z: Fraction(z, scale) if z > 0 else 0, 1, 1)(Z)
+
+
+def _as_integers(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(values * scale, scale)`` as Python ints, for the least such ``scale``.
+
+    For floats, which are integers over powers of two, ``scale`` is the
+    largest of those powers.
+    """
+    ratios = [v.as_integer_ratio() for v in values.ravel().tolist()]
+    scale = math.lcm(*(q for _, q in ratios))
+    ints = np.array([p * (scale // q) for p, q in ratios], dtype=object)
+    return ints.reshape(values.shape), scale
 
 
 def _coerce_output(weights, bias):
-    """Normalize output weights/bias to (float64 array, float) or Fractions."""
+    """Normalize an output stage to ``(weights, bias, exact, float_stage)``.
+
+    Any Fraction among the weights or the bias makes the stage exact: it is
+    kept as a tuple of Fractions and a Fraction bias.  Otherwise it is a
+    float64 vector and a float.  ``float_stage`` is the (vector, float) pair
+    that float evaluation uses; an exact value beyond the float range raises
+    :class:`InvalidNumber`.
+    """
     if isinstance(weights, np.ndarray) and weights.dtype == object:
         weights = tuple(weights)
-    if isinstance(weights, (tuple, list)) and any(
-        isinstance(w, Fraction) for w in weights
-    ):
-        frac_w = tuple(Fraction(w) for w in weights)
-        return frac_w, Fraction(bias), True
-    if isinstance(bias, Fraction):
-        frac_w = tuple(Fraction(float(w)) for w in weights)
-        return frac_w, bias, True
-    w = np.asarray(weights, dtype=float)
+    exact = isinstance(bias, Fraction) or (
+        isinstance(weights, (tuple, list)) and any(isinstance(w, Fraction) for w in weights)
+    )
+    if exact:
+        weights = tuple(Fraction(v) for v in weights)
+        bias = Fraction(bias)
+        try:
+            w, b = np.array([float(v) for v in weights]), float(bias)
+        except OverflowError as exc:
+            raise InvalidNumber("output weights and bias must fit in a float") from exc
+    else:
+        w, b = np.asarray(weights, dtype=float), float(bias)
     if w.ndim != 1:
         raise DimensionMismatch(f"output weights must be a vector, got shape {w.shape}")
-    b = float(bias)
     if not (np.isfinite(w).all() and math.isfinite(b)):
         raise InvalidNumber("output weights and bias must be finite")
-    return _readonly(w), b, False
+    w = _readonly(w)
+    if not exact:
+        weights, bias = w, b
+    return weights, bias, exact, (w, b)
 
 
 @dataclass(frozen=True, eq=False)
 class ThresholdNetwork:
     """Hidden threshold/ReLU layers followed by one affine output stage.
 
-    ``output_weights`` is normally a float64 vector.  Networks built in
-    exact mode instead carry a tuple of Fractions (and a Fraction bias), so
-    that :meth:`evaluate_batch_exact` reproduces labels with zero error; the
-    float fast path then rounds them once per evaluation.
+    ``output_weights`` is a float64 vector and ``output_bias`` a float, or,
+    for an exact stage such as every built interpolator carries, a tuple of
+    Fractions and a Fraction, so that :meth:`evaluate_batch_exact`
+    reproduces labels with zero error.  Float evaluation uses the stage
+    rounded to float64 once, at construction.
     """
 
     layers: tuple[ThresholdLayer, ...]
@@ -305,11 +354,12 @@ class ThresholdNetwork:
 
     def __post_init__(self):
         layers = tuple(self.layers)
-        w, b, exact = _coerce_output(self.output_weights, self.output_bias)
+        w, b, exact, float_stage = _coerce_output(self.output_weights, self.output_bias)
         object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "output_weights", w)
         object.__setattr__(self, "output_bias", b)
         object.__setattr__(self, "_exact", exact)
+        object.__setattr__(self, "_output_float", float_stage)
         widths = [l.input_width for l in layers] + [len(w)]
         for i, layer in enumerate(layers):
             if layer.width != widths[i + 1]:
@@ -336,23 +386,12 @@ class ThresholdNetwork:
         return self._exact
 
     @cached_property
-    def _output_float(self) -> tuple[np.ndarray, float]:
-        if self.is_exact:
-            return (
-                np.array([float(w) for w in self.output_weights]),
-                float(self.output_bias),
-            )
-        return self.output_weights, self.output_bias
-
-    @cached_property
     def monotone_flag(self) -> bool:
         """True iff all hidden and output weights are nonnegative."""
         for layer in self.layers:
             if np.any(layer.weights < 0):
                 return False
-        if self.is_exact:
-            return all(w >= 0 for w in self.output_weights)
-        return bool(np.all(self.output_weights >= 0))
+        return all(w >= 0 for w in self.output_weights)
 
     # -- float evaluation ------------------------------------------------
 
@@ -420,46 +459,30 @@ class ThresholdNetwork:
             return True
         return False
 
-    def evaluate_batch_exact(self, X, *, _force_rational: bool = False) -> list[Fraction]:
+    def evaluate_batch_exact(self, X) -> list[Fraction]:
         """Exact rational forward pass for a batch of points.
 
-        Hidden layers run vectorized in float64 whenever that is provably
-        exact (see ``_layer_float_exact``); otherwise they fall back to
-        Fraction arithmetic.  The output stage is always rational, so exact
-        networks reproduce their construction labels with zero error.
+        A layer runs in float64 when its input batch is float and that is
+        provably exact (see ``_layer_float_exact``); otherwise it runs on
+        Fractions.  The output stage is always rational and sums only the
+        active units, so exact networks reproduce their construction labels
+        with zero error.
         """
         A = self._check_batch(X)
-        rational: list[list] | None = None  # per-point exact activations
-        zero_one = False
+        zero_one = False  # is A a 0/1 float batch?
         for layer in self.layers:
-            if rational is None and not _force_rational and self._layer_float_exact(
-                layer, zero_one
-            ):
-                A = layer.forward(A)
-                zero_one = True
-                continue
-            if rational is None:
-                rational = [[Fraction(v) for v in row] for row in A]
-            rational = _rational_layer(layer, rational)
-        if rational is None:
-            acts = [[int(v) for v in row] for row in A] if self.layers else [
-                [Fraction(v) for v in row] for row in A
-            ]
-        else:
-            acts = rational
-        if self.is_exact:
-            w_out = self.output_weights
-            b_out = self.output_bias
-        else:
-            w_out = [Fraction(float(v)) for v in self.output_weights]
-            b_out = Fraction(self.output_bias)
+            if A.dtype != object and not self._layer_float_exact(layer, zero_one):
+                A = A.astype(object)
+            A = layer.forward(A)
+            zero_one = layer.activation == THRESHOLD
+        w_out = [Fraction(v) for v in self.output_weights]
+        b_out = Fraction(self.output_bias)
         results = []
-        for row in acts:
+        for row in A:
             s = b_out
-            for wv, av in zip(w_out, row):
-                if wv and av:
-                    s = s + wv * av
-            results.append(Fraction(s))
+            for j in np.flatnonzero(row).tolist():
+                s += w_out[j] if zero_one else w_out[j] * Fraction(row[j])
+            results.append(s)
         return results
 
     def evaluate_exact(self, x) -> Fraction:
@@ -471,33 +494,6 @@ class ThresholdNetwork:
             f"ThresholdNetwork(dim={self.input_dimension}, widths={self.hidden_widths}, "
             f"monotone={self.monotone_flag}, exact={self.is_exact})"
         )
-
-
-def _rational_layer(layer: ThresholdLayer, acts: list[list]) -> list[list]:
-    rows = []
-    for i in range(layer.width):
-        w = layer.weights[i]
-        nz = np.flatnonzero(w)
-        rows.append((
-            [int(j) for j in nz],
-            [Fraction(float(w[j])) for j in nz],
-            Fraction(float(layer.biases[i])),
-        ))
-    step = layer.activation == THRESHOLD
-    out = []
-    for a in acts:
-        new = []
-        for idx, wts, b in rows:
-            s = b
-            for j, wv in zip(idx, wts):
-                if a[j]:
-                    s = s + wv * a[j]
-            if step:
-                new.append(1 if s >= 0 else 0)
-            else:
-                new.append(s if s > 0 else Fraction(0))
-        out.append(new)
-    return out
 
 
 def affine_network(weights, bias) -> ThresholdNetwork:

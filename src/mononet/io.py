@@ -11,8 +11,9 @@ Network JSON: a versioned document, written on one line
      "output": {"weights": [...], "bias": ...}}
 
 Floats round-trip bit-exactly: Python's shortest-repr float encoding is
-what ``json`` emits and parses.  Exact-mode networks store their output
-stage as "numerator/denominator" strings.
+what ``json`` emits and parses.  An exact output stage, which every built
+interpolator has, is stored as "numerator/denominator" strings with
+``"exact": true``.
 """
 
 from __future__ import annotations

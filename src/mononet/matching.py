@@ -31,6 +31,10 @@ from .errors import InvalidArgument, TooLarge
 # Largest n the exact oracle accepts.  The DP costs (families per row) *
 # 2**n steps per row: about 2 ms at n = 5 and 40 ms at n = 6.
 EXACT_MAX_N = 5
+# Most edge uniforms one estimate may draw (samples * n**2): n <= 351 at
+# eps = 0.05 and n <= 140 at eps = 0.02 (fail_prob 1e-6).  At the cap, n = 351
+# with p = 1 took 17 s and 561 MB peak RSS on a 2-vCPU host.
+ESTIMATE_MAX_DRAWS = 2**33
 _CHUNK_BITS = 20  # the estimator draws at most 2**20 edge uniforms per block
 
 
@@ -177,6 +181,15 @@ def require_exact_size(n: int) -> None:
         raise TooLarge(f"exact m(p) is limited to n <= {EXACT_MAX_N}, got {n}")
 
 
+def require_estimate_size(n: int, samples: int) -> None:
+    """Raise :class:`TooLarge` when ``samples`` graphs on n x n need too many draws."""
+    if samples * n * n > ESTIMATE_MAX_DRAWS:
+        raise TooLarge(
+            f"the estimate needs {samples} samples of {n * n} edges, more than "
+            f"{ESTIMATE_MAX_DRAWS} draws; raise eps or fail-prob"
+        )
+
+
 def exact_matching_probability(p: EdgeProbabilityMatrix) -> float:
     """Exact m(p) by a row-wise DP over the matchable right-sets.
 
@@ -256,10 +269,12 @@ def estimate_matching_probability(p: EdgeProbabilityMatrix, cfg: EstimatorConfig
     sections.  Each block of draws is deduplicated as it is drawn, and one
     last ``np.unique`` over the blocks' distinct graphs leaves each distinct
     graph to be matched once, so memory follows the distinct graphs rather
-    than the samples.
+    than the samples.  Raises :class:`TooLarge` when the draws would exceed
+    ``ESTIMATE_MAX_DRAWS``.
     """
-    trunc = truncate_probabilities(p, cfg.bits).entries
     n = p.n
+    require_estimate_size(n, cfg.samples)
+    trunc = truncate_probabilities(p, cfg.bits).entries
     rng = np.random.default_rng(cfg.seed)
     max_rows = max(1, (1 << _CHUNK_BITS) // (n * n))
     width = (n + 7) // 8  # bytes per packed row

@@ -65,8 +65,7 @@ def test_criterion_1_interpolation_exactness():
         err = float(np.max(np.abs(net.evaluate_batch(ds.points) - ds.labels)))
         assert err <= 1e-9
         worst_float = max(worst_float, err)
-        exact_net, _ = build_interpolator(ds, exact=True)
-        got = exact_net.evaluate_batch_exact(ds.points)
+        got = net.evaluate_batch_exact(ds.points)
         assert got == [Fraction(float(y)) for y in ds.labels]
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
@@ -82,16 +81,13 @@ def test_criterion_2_chain_construction():
         n = int(rng.integers(1, 129))
         d = int(rng.integers(1, 9))
         ds = random_chain_dataset(rng, n, d)
-        net, trace = build_chain_interpolator(ds, exact=True)
+        net, trace = build_chain_interpolator(ds)
         assert trace.layer_widths == (n, n)
         assert net.evaluate_batch_exact(ds.points) == [
             Fraction(float(y)) for y in ds.labels
         ]
         general, _ = build_interpolator(ds)
-        float_net, _ = build_chain_interpolator(ds)
-        assert np.array_equal(
-            float_net.evaluate_batch(ds.points), general.evaluate_batch(ds.points)
-        )
+        assert np.array_equal(net.evaluate_batch(ds.points), general.evaluate_batch(ds.points))
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     _report(2, "chain-construction",

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mononet.approx import (
     BUILTIN_FUNCTIONS,
@@ -39,6 +42,42 @@ class TestPlanGrid:
     def test_budget(self):
         with pytest.raises(GridTooLarge):
             plan_grid(3, 1.0, 0.01, budget=10_000)
+
+    @settings(max_examples=300, deadline=None)
+    @example(d=1, lipschitz=1.0, eps=0.33333333333333337)  # 3 * eps rounds to 1.0
+    @example(d=1, lipschitz=1.0, eps=0.1)
+    @given(
+        d=st.integers(1, 4),
+        lipschitz=st.floats(0.1, 10.0),
+        eps=st.floats(1e-3, 10.0),
+    )
+    def test_axis_matches_stepping_reference(self, d, lipschitz, eps):
+        # the reference steps k * spacing up to 1.0, one point at a time
+        budget = 10**4
+        spacing = (eps / lipschitz) / math.sqrt(d)
+        axis = [0.0]
+        k = 1
+        while k * spacing <= 1.0 and len(axis) <= budget:
+            axis.append(k * spacing)
+            k += 1
+        if axis[-1] < 1.0:
+            axis.append(1.0)
+        if len(axis) ** d > budget:
+            with pytest.raises(GridTooLarge):
+                plan_grid(d, lipschitz, eps, budget)
+        else:
+            assert plan_grid(d, lipschitz, eps, budget).axis_points == tuple(axis)
+
+    @pytest.mark.parametrize("d, eps", [(1, 1e-8), (1, 1e-320), (1, 5e-324), (200, 0.5), (10**9, 0.5)])
+    def test_refused_before_building_the_axis(self, d, eps):
+        tracemalloc.start()
+        try:
+            with pytest.raises(GridTooLarge):
+                plan_grid(d, 1.0, eps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -26,6 +26,7 @@ from mononet.errors import (
     InvalidArgument,
     PreconditionViolated,
 )
+from mononet.io import network_from_dict
 from mononet.matching import lipschitz_probe, monotone_probe_m
 
 
@@ -58,6 +59,23 @@ class TestStructureCertificate:
         report = certify_monotone_structure(net)
         assert not report.passed
         assert report.witness["location"] == "output"
+
+    def test_tiny_negative_exact_output_weight(self):
+        # -1/10**400 rounds to -0.0 in float, so only the stored value shows the sign
+        doc = {
+            "version": 1,
+            "dimension": 1,
+            "monotone_flag": False,
+            "exact": True,
+            "layers": [{"activation": "threshold", "weights": [[1.0], [1.0]], "biases": [0.0, -1.0]}],
+            "output": {"weights": ["1/2", f"-1/{10**400}"], "bias": "0/1"},
+        }
+        net = network_from_dict(doc)
+        report = certify_monotone_structure(net)
+        assert not net.monotone_flag
+        assert not report.passed
+        assert report.witness["location"] == "output"
+        assert report.witness["input_index"] == 1
 
     def test_all_zero_weights_pass(self):
         net = ThresholdNetwork((ThresholdLayer([[0.0]], [0.5]),), [0.0], 0.0)

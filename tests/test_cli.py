@@ -75,8 +75,22 @@ class TestSynth:
         assert doc["error"] == "monotone-violation"
         assert (doc["first"], doc["second"]) == (0, 1)
 
+    @pytest.mark.parametrize("ordered", ["auto", "force-general"])
+    def test_label_gap_beyond_float_range_exit_2(self, tmp_path, ordered, capsys):
+        data = write(tmp_path / "huge.csv", "0,-1e308\n1,1e308\n")
+        out = tmp_path / "x.json"
+        assert main(["synth", data, "-o", str(out), "--ordered", ordered]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert diagnostic(captured.err)["error"] == "InvalidNumber"
+        assert not out.exists()
+
     def test_missing_file_exit_1(self, tmp_path):
         assert main(["synth", str(tmp_path / "nope.csv"), "-o", str(tmp_path / "x.json")]) == 1
+
+    def test_exact_flag_is_gone(self, tmp_path, spread_csv, capsys):
+        assert main(["synth", spread_csv, "-o", str(tmp_path / "x.json"), "--exact"]) == 2
+        assert "unrecognized arguments: --exact" in diagnostic(capsys.readouterr().err)["message"]
 
     def test_byte_identical_reruns(self, tmp_path, spread_csv):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -181,6 +195,13 @@ class TestApprox:
     def test_budget_exit_2(self, capsys):
         assert main(["approx", "--fn", "mean", "--d", "3", "--L", "1", "--eps", "0.001"]) == 2
 
+    @pytest.mark.parametrize("eps", ["1e-8", "1e-320"])
+    def test_fine_grid_refused_quickly(self, eps, capsys):
+        start = time.perf_counter()
+        assert main(["approx", "--fn", "linear", "--d", "1", "--L", "1", "--eps", eps]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert diagnostic(capsys.readouterr().err)["error"] == "GridTooLarge"
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_and_flags_win(self, tmp_path, capsys):
@@ -221,7 +242,7 @@ class TestConfigFile:
         ({"samples": [2]}, ["audit", "--check", "depth2"]),
         ({"box": [0, 1, 2]}, ["audit", "--check", "convexity", "--samples", "2"]),
         ({"box": "0 1"}, ["audit", "--check", "convexity", "--samples", "2"]),
-        ({"exact": "yes"}, ["matchprob", "--n", "1", "--p", "1"]),
+        ({"fail_prob": "often"}, ["matchprob", "--n", "1", "--p", "1", "--mode", "estimate"]),
         ({"n": {"value": 2}}, ["matchprob", "--p", "0.5"]),
     ])
     def test_bad_config_values_exit_2(self, tmp_path, capsys, doc, argv):
@@ -237,10 +258,11 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"n": 2, "p": 0.5, "box": [0, 2], "seed": 3}))
         assert main(["--config", str(cfg), "matchprob", "--mode", "exact"]) == 0
         assert capsys.readouterr().out.strip() == "0.4375"
-        spread = write(tmp_path / "spread.csv", "2,0,0\n0,2,0\n1,1,1\n")
-        cfg.write_text(json.dumps({"exact": True}))
+        chain = write(tmp_path / "chain.csv", "0,0,0\n1,1,1\n")
+        cfg.write_text(json.dumps({"ordered": "force-general"}))
         out = tmp_path / "net.json"
-        assert main(["--config", str(cfg), "synth", spread, "-o", str(out)]) == 0
+        assert main(["--config", str(cfg), "synth", chain, "-o", str(out)]) == 0
+        assert "builder: general" in capsys.readouterr().out
         assert load_network(out).is_exact
 
 
@@ -312,6 +334,21 @@ class TestMatchprob:
         assert main(["matchprob", "--n", "9", "--p", "0.5"]) == 2
         assert time.perf_counter() - start < 1.0
         assert diagnostic(capsys.readouterr().err)["error"] == "TooLarge"
+
+    def test_small_eps_refused_before_sampling(self, capsys):
+        start = time.perf_counter()
+        argv = ["matchprob", "--n", "2", "--p", "0.5", "--mode", "estimate", "--eps", "1e-6"]
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert diagnostic(captured.err)["error"] == "TooLarge"
+
+    def test_default_eps_at_n_64_is_not_refused(self, capsys):
+        # p = 1 has one graph, so only the draws cost time; the budget
+        # depends on n and the sample count alone, not on p
+        assert main(["matchprob", "--n", "64", "--p", "1.0", "--mode", "estimate"]) == 0
+        assert capsys.readouterr().out == "1.0\n"
 
     def test_large_n_refused_before_allocating(self, capsys):
         tracemalloc.start()

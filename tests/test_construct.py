@@ -12,7 +12,7 @@ from mononet.construct import (
     separating_coordinate,
 )
 from mononet.core import is_totally_ordered, pairwise_leq, validate_dataset
-from mononet.errors import NotTotallyOrdered
+from mononet.errors import InvalidNumber, NotTotallyOrdered
 
 
 def spread_dataset():
@@ -68,7 +68,7 @@ class TestBuildInterpolator:
         rng = np.random.default_rng(23)
         for _ in range(10):
             ds = random_monotone_dataset(rng, max_n=16, max_d=4)
-            net, _ = build_interpolator(ds, exact=True)
+            net, _ = build_interpolator(ds)
             got = net.evaluate_batch_exact(ds.points)
             assert got == [Fraction(float(y)) for y in ds.labels]
 
@@ -162,7 +162,7 @@ class TestChainInterpolator:
 
     def test_exact_mode(self):
         ds = validate_dataset([((0, 0), 0.25), ((1, 1), 0.35), ((2, 2), 0.45)])
-        net, _ = build_chain_interpolator(ds, exact=True)
+        net, _ = build_chain_interpolator(ds)
         got = net.evaluate_batch_exact(ds.points)
         assert got == [Fraction(0.25), Fraction(0.35), Fraction(0.45)]
 
@@ -228,14 +228,37 @@ def hypothesis_datasets(draw):
 @given(hypothesis_datasets())
 @settings(max_examples=60, deadline=None)
 def test_interpolation_property(ds):
-    net, trace = build_interpolator(ds, exact=True)
+    net, trace = build_interpolator(ds)
     assert net.monotone_flag
     assert net.evaluate_batch_exact(ds.points) == [Fraction(float(y)) for y in ds.labels]
     geq = pairwise_leq(ds.points).T
     assert np.array_equal(trace.embedding_matrix, geq)
     if is_totally_ordered(ds):
-        chain_net, chain_trace = build_chain_interpolator(ds, exact=True)
+        chain_net, chain_trace = build_chain_interpolator(ds)
         assert chain_trace.layer_widths == (ds.n, ds.n)
         assert chain_net.evaluate_batch_exact(ds.points) == [
             Fraction(float(y)) for y in ds.labels
         ]
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_float_stage_is_float_label_differences(labels):
+    # negative, tied and huge labels; the exact stage rounds each difference
+    # once, which is what float subtraction does
+    labels = sorted(labels)
+    ds = validate_dataset(((float(i),), y) for i, y in enumerate(labels))
+    baseline = min(0.0, labels[0])
+    with np.errstate(over="ignore"):
+        # + 0.0: a Fraction has no signed zero, so a zero difference is +0.0
+        want = np.diff(np.concatenate(([baseline], ds.labels))) + 0.0
+    for build in (build_interpolator, build_chain_interpolator):
+        if not np.isfinite(want).all():
+            with pytest.raises(InvalidNumber):
+                build(ds)
+            continue
+        net, trace = build(ds)
+        weights, bias = net._output_float
+        assert weights.tobytes() == want.tobytes()
+        assert bias == baseline
+        assert trace.output_weights == tuple(want.tolist())

@@ -231,18 +231,107 @@ class TestEvaluate:
         assert np.all(net.evaluate_batch(U) <= net.evaluate_batch(V))
 
 
+def fraction_oracle(net: ThresholdNetwork, X) -> list[Fraction]:
+    """The network on each row of ``X``, every step in Fractions, one unit at a time."""
+    out = []
+    for x in np.asarray(X, dtype=float).tolist():
+        a = [Fraction(v) for v in x]
+        for layer in net.layers:
+            z = [
+                sum((Fraction(w) * v for w, v in zip(row, a)), Fraction(b))
+                for row, b in zip(layer.weights.tolist(), layer.biases.tolist())
+            ]
+            if layer.activation == "threshold":
+                a = [Fraction(int(v >= 0)) for v in z]
+            else:
+                a = [max(v, Fraction(0)) for v in z]
+        weights = [Fraction(w) for w in net.output_weights]
+        out.append(sum((w * v for w, v in zip(weights, a)), Fraction(net.output_bias)))
+    return out
+
+
+def dyadic(rng, shape, lo=-1.0, hi=1.0):
+    """Multiples of 1/8, so that pre-activations of exactly 0 occur."""
+    return rng.integers(int(lo * 8), int(hi * 8) + 1, size=shape) / 8.0
+
+
+def random_stack(rng, kind: str) -> ThresholdNetwork:
+    d = int(rng.integers(1, 4))
+    widths = [d] + [int(rng.integers(1, 6)) for _ in range(int(rng.integers(1, 4)))]
+    kinds = ["threshold", "relu"] if kind == "mixed" else [kind]
+    acts = [str(rng.choice(kinds)) for _ in widths[1:]]
+    layers = []
+    for k, act in enumerate(acts):
+        shape = (widths[k + 1], widths[k])
+        if kind == "mixed" and rng.random() < 0.5:
+            # small integer weights: float-exact after a 0/1 layer
+            layers.append(ThresholdLayer(rng.integers(0, 3, shape), rng.integers(-2, 1, shape[0])))
+        else:
+            layers.append(ThresholdLayer(dyadic(rng, shape), dyadic(rng, shape[0]), act))
+    out_w = dyadic(rng, widths[-1], 0.0, 2.0)
+    if rng.random() < 0.5:
+        out_w = tuple(Fraction(int(v), 3) for v in rng.integers(0, 9, widths[-1]))
+    return ThresholdNetwork(tuple(layers), out_w, Fraction(int(rng.integers(-3, 3)), 7))
+
+
 class TestExactEvaluation:
     def test_fast_path_matches_rational(self):
-        rng = np.random.default_rng(11)
-        for _ in range(10):
-            ds = random_monotone_dataset(rng, max_n=8, max_d=3)
-            from mononet.construct import build_interpolator
+        from mononet.construct import build_chain_interpolator, build_interpolator
 
-            net, _ = build_interpolator(ds, exact=True)
-            fast = net.evaluate_batch_exact(ds.points)
-            slow = net.evaluate_batch_exact(ds.points, _force_rational=True)
-            assert fast == slow
-            assert fast == [Fraction(float(v)) for v in ds.labels]
+        rng = np.random.default_rng(11)
+        for k in range(20):
+            if k % 2:
+                ds = random_monotone_dataset(rng, max_n=8, max_d=3)
+                net, _ = build_interpolator(ds)
+            else:
+                n = int(rng.integers(1, 9))
+                X = np.cumsum(rng.integers(0, 3, (n, 2)), axis=0) + np.arange(n)[:, None]
+                ds = validate_dataset(zip(map(tuple, X), np.sort(dyadic(rng, n))))
+                net, _ = build_chain_interpolator(ds)
+            queries = np.vstack([ds.points, ds.points - 0.5, ds.points + 0.25])
+            got = net.evaluate_batch_exact(queries)
+            assert got == fraction_oracle(net, queries)
+            assert got[: ds.n] == [Fraction(float(v)) for v in ds.labels]
+
+    @pytest.mark.parametrize("kind", ["threshold", "relu", "mixed", "affine"])
+    def test_matches_fraction_oracle(self, kind):
+        rng = np.random.default_rng(["threshold", "relu", "mixed", "affine"].index(kind))
+        for _ in range(40):
+            if kind == "affine":
+                d = int(rng.integers(1, 5))
+                net = affine_network(dyadic(rng, d, 0.0, 2.0), float(dyadic(rng, ())))
+            else:
+                net = random_stack(rng, kind)
+            X = dyadic(rng, (12, net.input_dimension), -2.0, 2.0)
+            got = net.evaluate_batch_exact(X)
+            assert got == fraction_oracle(net, X)
+            assert all(isinstance(v, Fraction) for v in got)
+            assert np.allclose([float(v) for v in got], net.evaluate_batch(X), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("activation", ["threshold", "relu"])
+    def test_forward_on_fractions(self, activation):
+        # full mantissas over exponents far apart, and non-dyadic inputs
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            shape = (int(rng.integers(1, 6)), int(rng.integers(1, 5)))
+            scale = 10.0 ** rng.integers(-300, 300, shape)
+            layer = ThresholdLayer(rng.uniform(-1, 1, shape) * scale, rng.uniform(-1, 1, shape[0]), activation)
+            A = np.array(
+                [[Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 10))) for _ in range(shape[1])]
+                 for _ in range(4)] + [[0] * shape[1]],
+                dtype=object,
+            )
+            got = layer.forward(A)
+            for a, row in zip(A.tolist(), got.tolist()):
+                z = [
+                    sum((Fraction(w) * v for w, v in zip(ws, a)), Fraction(b))
+                    for ws, b in zip(layer.weights.tolist(), layer.biases.tolist())
+                ]
+                if activation == "threshold":
+                    assert row == [float(v >= 0) for v in z]
+                else:
+                    assert row == [max(v, 0) for v in z]
+                    assert all(type(v) is (Fraction if v else int) for v in row)
 
     def test_rational_path_on_general_weights(self):
         rng = np.random.default_rng(12)
@@ -252,6 +341,17 @@ class TestExactEvaluation:
         exact = net.evaluate_exact(x)
         assert isinstance(exact, Fraction)
         assert math.isclose(float(exact), net.evaluate(x), rel_tol=0, abs_tol=1e-12)
+
+    def test_float_rounding_does_not_leak(self):
+        # fl(0.1 + 0.2) is above the exact sum, and 0.3 is below it
+        x = [0.1, 0.2]
+        total = Fraction(0.1) + Fraction(0.2)
+        step = ThresholdNetwork((ThresholdLayer([[1.0, 1.0]], [-(0.1 + 0.2)]),), [1.0], 0.0)
+        assert step.evaluate(x) == 1.0
+        assert step.evaluate_exact(x) == 0 == fraction_oracle(step, [x])[0]
+        relu = ThresholdNetwork((ThresholdLayer([[1.0, 1.0]], [-0.3], "relu"),), [1.0], 0.0)
+        assert relu.evaluate(x) == 0.1 + 0.2 - 0.3
+        assert relu.evaluate_exact(x) == total - Fraction(0.3) == fraction_oracle(relu, [x])[0]
 
     def test_exact_relu(self):
         layer = ThresholdLayer([[1.0]], [-0.25], activation="relu")

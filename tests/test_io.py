@@ -117,7 +117,7 @@ class TestNetworkJson:
     def test_exact_mode_round_trip(self, tmp_path):
         rng = np.random.default_rng(31)
         ds = random_monotone_dataset(rng, max_n=6, max_d=2)
-        net, _ = build_interpolator(ds, exact=True)
+        net, _ = build_interpolator(ds)
         path = tmp_path / "net.json"
         save_network(net, path)
         back = load_network(path)
@@ -170,6 +170,20 @@ class TestNetworkJson:
             "output": {"weights": ["1/0"], "bias": "0/1"},
         }
         with pytest.raises(SchemaError):
+            network_from_dict(doc)
+
+    def test_exact_weight_beyond_float_range_refused_at_load(self):
+        # every network carries its float output stage, so an exact value
+        # that has no float is refused when the network is made
+        doc = {
+            "version": 1,
+            "dimension": 1,
+            "monotone_flag": True,
+            "exact": True,
+            "layers": [],
+            "output": {"weights": [f"{10**400}/1"], "bias": "0/1"},
+        }
+        with pytest.raises(SchemaError, match="fit in a float"):
             network_from_dict(doc)
 
     def test_not_json(self, tmp_path):

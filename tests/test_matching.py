@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mononet.matching import (
+    ESTIMATE_MAX_DRAWS,
     EXACT_MAX_N,
     BipartiteGraph,
     EdgeProbabilityMatrix,
@@ -18,6 +19,7 @@ from mononet.matching import (
     has_perfect_matching,
     lipschitz_probe,
     monotone_probe_m,
+    require_estimate_size,
     require_exact_size,
     truncate_probabilities,
     truncation_error_bounds,
@@ -332,6 +334,21 @@ class TestEstimator:
         got = estimate_matching_probability(p, cfg)
         assert 0.0 < got < 1.0
         assert got == hits / cfg.samples
+
+    def test_draw_budget(self):
+        # the default run at n = 12, and the largest runs served before the budget
+        for n, eps in [(12, 0.05), (64, 0.02), (100, 0.05), (100, 0.02), (351, 0.05), (140, 0.02)]:
+            require_estimate_size(n, default_parameters(n, eps, 1e-6).samples)
+        with pytest.raises(TooLarge):
+            require_estimate_size(352, default_parameters(352, 0.05, 1e-6).samples)
+        samples = ESTIMATE_MAX_DRAWS // 16
+        require_estimate_size(4, samples)
+        with pytest.raises(TooLarge):
+            require_estimate_size(4, samples + 1)
+        with pytest.raises(TooLarge):
+            estimate_matching_probability(
+                EdgeProbabilityMatrix.uniform(2, 0.5), default_parameters(2, 1e-6, 0.5)
+            )
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
