@@ -25,6 +25,7 @@ from .core import (
     MonotoneDataset,
     ThresholdLayer,
     ThresholdNetwork,
+    WeightPattern,
     affine_network,
     is_totally_ordered,
     threshold,
@@ -58,6 +59,7 @@ __all__ = [
     "THRESHOLD",
     "ThresholdLayer",
     "ThresholdNetwork",
+    "WeightPattern",
     "affine_network",
     "build_approximator",
     "build_chain_interpolator",

@@ -38,6 +38,7 @@ from .core import (
     is_totally_ordered,
     validate_dataset,
 )
+from .io import fraction_text
 from .errors import (
     ActivationMismatch,
     ArchitectureMismatch,
@@ -115,30 +116,19 @@ def certify_monotone_structure(net: ThresholdNetwork) -> AuditReport:
     """Pass iff every hidden weight and every output weight is >= 0.
 
     This is the structural sufficient condition for monotonicity; the
-    witness pinpoints the first negative entry.
+    witness pinpoints the first negative entry (an exact one as "p/q" text).
     """
     for li, layer in enumerate(net.layers):
-        bad = np.argwhere(layer.weights < 0)
-        if len(bad):
-            unit, idx = map(int, bad[0])
-            return AuditReport(
-                "structure",
-                passed=False,
-                witness={
-                    "location": "hidden",
-                    "layer": li,
-                    "unit": unit,
-                    "input_index": idx,
-                    "value": float(layer.weights[unit, idx]),
-                },
-            )
+        bad = layer.first_negative_weight()
+        if bad:
+            witness = {"location": "hidden", "layer": li, "unit": bad[0], "input_index": bad[1]}
+            witness["value"] = float(layer.weights[bad])
+            return AuditReport("structure", passed=False, witness=witness)
     for idx, w in enumerate(net.output_weights):
         if w < 0:
-            return AuditReport(
-                "structure",
-                passed=False,
-                witness={"location": "output", "input_index": idx, "value": float(w)},
-            )
+            value = fraction_text(w) if net.is_exact else float(w)
+            witness = {"location": "output", "input_index": idx, "value": value}
+            return AuditReport("structure", passed=False, witness=witness)
     return AuditReport("structure", passed=True)
 
 

@@ -1,7 +1,8 @@
 """Builders for monotone threshold networks that interpolate monotone data.
 
 Two constructions are provided, both producing networks whose hidden weights
-are sums of standard basis vectors (hence nonnegative):
+are 0/1 (hence nonnegative) and that store O(n*d) numbers: only layer 1
+holds a matrix, the later layers hold a :class:`~mononet.core.WeightPattern`.
 
 * :func:`build_interpolator` - works for any monotone dataset with n points
   in dimension d, using hidden widths (d*n, n, n):
@@ -36,32 +37,52 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .core import (
+    BLOCKS,
+    SUFFIX,
     THRESHOLD,
     MonotoneDataset,
     ThresholdLayer,
     ThresholdNetwork,
+    WeightPattern,
     is_totally_ordered,
+    row_blocks,
 )
 from .errors import NotTotallyOrdered
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstructionTrace:
-    """Evidence emitted by the builders.
+    """Evidence emitted by the builders, worked out when it is first read.
 
-    ``embedding_matrix[j, i]`` records whether embedding unit ``i`` fired on
-    the j-th training point; for a correct build this equals
+    ``embedding_matrix[j, i]`` records whether unit ``i`` of the embedding
+    layer fires on the j-th training point; for a correct build this equals
     ``x_j >= x_i`` coordinatewise.  ``output_weights`` are the telescoping
     label differences (floats, for reporting).
     """
 
-    layer_widths: tuple[int, ...]
-    embedding_matrix: np.ndarray
-    output_weights: tuple[float, ...]
+    network: ThresholdNetwork
+    points: np.ndarray
+    embedding_layer: int
+
+    @property
+    def layer_widths(self) -> tuple[int, ...]:
+        return self.network.hidden_widths
+
+    @property
+    def output_weights(self) -> tuple[float, ...]:
+        return tuple(float(w) for w in self.network.output_weights)
+
+    @cached_property
+    def embedding_matrix(self) -> np.ndarray:
+        layers = self.network.layers[: self.embedding_layer + 1]
+        upto = ThresholdNetwork(layers, np.zeros(layers[-1].width))
+        blocks = row_blocks(len(self.points), 8 * upto.hidden_unit_count)
+        return np.concatenate([upto.hidden_activations(self.points[s])[-1] != 0 for s in blocks])
 
     def to_dict(self) -> dict:
         return {
@@ -91,14 +112,8 @@ def _finish(
     ``embedding_layer`` indexes the layer whose units indicate the training
     points dominated by the input.
     """
-    weights, bias = _telescoping_output(ds.labels)
-    net = ThresholdNetwork(layers, weights, bias)
-    trace = ConstructionTrace(
-        layer_widths=net.hidden_widths,
-        embedding_matrix=net.hidden_activations(ds.points)[embedding_layer] != 0,
-        output_weights=tuple(float(w) for w in weights),
-    )
-    return net, trace
+    net = ThresholdNetwork(layers, *_telescoping_output(ds.labels))
+    return net, ConstructionTrace(net, ds.points, embedding_layer)
 
 
 def build_interpolator(ds: MonotoneDataset) -> tuple[ThresholdNetwork, ConstructionTrace]:
@@ -108,22 +123,14 @@ def build_interpolator(ds: MonotoneDataset) -> tuple[ThresholdNetwork, Construct
     (exactly on the rational path; within ~n ulps on the float path).
     """
     n, d = ds.n, ds.dimension
-
-    w1 = np.tile(np.eye(d), (n, 1))
-    b1 = -ds.points.reshape(-1)
-    layer1 = ThresholdLayer(w1, b1, THRESHOLD)
-
-    w2 = np.zeros((n, n * d))
-    for i in range(n):
-        w2[i, i * d : (i + 1) * d] = 1.0
-    layer2 = ThresholdLayer(w2, np.full(n, -float(d)), THRESHOLD)
-
+    layer1 = ThresholdLayer(np.tile(np.eye(d), (n, 1)), -ds.points.reshape(-1), THRESHOLD)
+    layer2 = ThresholdLayer(WeightPattern(BLOCKS, d), np.full(n, -float(d)), THRESHOLD)
     return _finish((layer1, layer2, _suffix_or_layer(n)), ds, embedding_layer=1)
 
 
 def _suffix_or_layer(n: int) -> ThresholdLayer:
     """Unit i fires iff any input with index >= i is set (inputs are 0/1)."""
-    return ThresholdLayer(np.triu(np.ones((n, n))), np.full(n, -1.0), THRESHOLD)
+    return ThresholdLayer(WeightPattern(SUFFIX), np.full(n, -1.0), THRESHOLD)
 
 
 def separating_coordinate(ds: MonotoneDataset, i: int) -> tuple[int, float]:
@@ -165,15 +172,6 @@ def build_chain_interpolator(ds: MonotoneDataset) -> tuple[ThresholdNetwork, Con
         raise NotTotallyOrdered(
             "chain construction needs every pair of points comparable"
         )
-    n, d = ds.n, ds.dimension
-    X = ds.points
-
-    w1 = np.zeros((n, d))
-    b1 = np.empty(n)
-    for i in range(n):
-        r = _separating_index(X, i)
-        w1[i, r] = 1.0
-        b1[i] = -X[i, r]
-    layer1 = ThresholdLayer(w1, b1, THRESHOLD)
-
-    return _finish((layer1, _suffix_or_layer(n)), ds, embedding_layer=0)
+    r = [_separating_index(ds.points, i) for i in range(ds.n)]
+    layer1 = ThresholdLayer(np.eye(ds.dimension)[r], -ds.points[range(ds.n), r], THRESHOLD)
+    return _finish((layer1, _suffix_or_layer(ds.n)), ds, embedding_layer=0)

@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,9 +48,12 @@ THRESHOLD = "threshold"
 RELU = "relu"
 
 _ACTIVATIONS = (THRESHOLD, RELU)
+DENSE, BLOCKS, SUFFIX = "dense", "blocks", "suffix"  # the kinds of layer weights
 
 # Exact float integer arithmetic is guaranteed below this magnitude.
 _EXACT_INT_LIMIT = 2.0**53
+
+CHUNK_BYTES = 1 << 25  # the working size of one block of rows (see row_blocks)
 
 
 def threshold(z) -> int:
@@ -79,9 +82,19 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def row_blocks(rows: int, row_bytes: int) -> list[slice]:
+    """Slices over ``rows`` rows, about ``CHUNK_BYTES`` of work each; at least one."""
+    step = max(1, CHUNK_BYTES // max(row_bytes, 1))
+    return [slice(s, s + step) for s in range(0, max(rows, 1), step)]
+
+
 def pairwise_leq(points: np.ndarray) -> np.ndarray:
     """Boolean matrix M with M[i, j] = (points[i] <= points[j] coordinatewise)."""
-    return np.all(points[:, None, :] <= points[None, :, :], axis=2)
+    M = np.ones((len(points),) * 2, dtype=bool)
+    for s in row_blocks(len(points), len(points)):
+        for x in points.T:  # one coordinate at a time
+            M[s] &= x[s, None] <= x
+    return M
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,41 +245,90 @@ def is_totally_ordered(ds: MonotoneDataset) -> bool:
     return bool(np.all(leq | leq.T))
 
 
-@dataclass(frozen=True)
-class ThresholdLayer:
-    """One hidden layer: elementwise ``activation(weights @ a + biases)``."""
+class WeightPattern(NamedTuple):
+    """A 0/1 weight matrix kept as its kind: ``("blocks", k)``, whose unit i sums
+    inputs ``i*k .. i*k+k-1``, or ``("suffix", 1)``, whose unit i sums ``i .. end``.
+    """
 
-    weights: np.ndarray
+    kind: str
+    size: int = 1
+
+
+@dataclass(frozen=True, eq=False)
+class ThresholdLayer:
+    """One hidden layer: elementwise ``activation(weights @ a + biases)``.
+
+    ``weights`` is a matrix or a :class:`WeightPattern`; ``kind`` says which.
+    """
+
+    weights: np.ndarray | WeightPattern
     biases: np.ndarray
     activation: str = THRESHOLD
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        b = np.asarray(self.biases, dtype=float)
-        if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
-            raise DimensionMismatch(
-                f"layer shapes disagree: weights {w.shape}, biases {b.shape}"
-            )
-        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+        w, b = self.weights, np.asarray(self.biases, dtype=float)
+        if isinstance(w, WeightPattern):
+            if not (type(w.size) is int and w.size >= 1 and (w.kind == BLOCKS or w == (SUFFIX, 1))):
+                raise InvalidArgument(f"invalid weight pattern {tuple(w)!r}")
+            kind, shape = w.kind, (b.size, b.size * w.size)
+        else:
+            w = _readonly(np.asarray(w, dtype=float))
+            kind, shape = DENSE, w.shape
+        if len(shape) != 2 or b.ndim != 1 or shape[0] != b.shape[0]:
+            raise DimensionMismatch(f"layer shapes disagree: weights {shape}, biases {b.shape}")
+        if not (np.isfinite(b).all() and (kind != DENSE or np.isfinite(w).all())):
             raise InvalidNumber("layer weights and biases must be finite")
         if self.activation not in _ACTIVATIONS:
             raise InvalidArgument(f"unknown activation {self.activation!r}")
-        object.__setattr__(self, "weights", _readonly(w))
-        object.__setattr__(self, "biases", _readonly(b))
+        width, input_width = shape  # the class is frozen: set its fields in __dict__
+        vars(self).update(weights=w, biases=_readonly(b), kind=kind, width=width, input_width=input_width)
 
-    @property
-    def width(self) -> int:
-        return self.weights.shape[0]
+    def first_negative_weight(self) -> tuple[int, int] | None:
+        """``(unit, input_index)`` of the first negative weight, if any."""
+        bad = np.flatnonzero(self.weights < 0) if self.kind == DENSE else ()
+        return divmod(int(bad[0]), self.input_width) if len(bad) else None
 
-    @property
-    def input_width(self) -> int:
-        return self.weights.shape[1]
+    def float_exact(self, zero_one_input: bool) -> bool:
+        """Can this layer be evaluated in float64 with provably exact results?
+
+        Two airtight cases:
+
+        * every row holds at most one nonzero weight, equal to 1.0: each
+          pre-activation is a single ``a + b`` whose sign (and zeroness) is
+          exact in IEEE-754 arithmetic;
+        * the incoming activations are exactly 0/1 and weights and biases
+          are integers small enough that all sums stay below 2**53.
+
+        Only threshold activations qualify (they re-quantize to 0/1).
+        """
+        if self.activation != THRESHOLD:
+            return False
+        w, b = self.weights, self.biases
+        if self.kind != DENSE:  # 0/1 weights, at most input_width of them per row
+            w, sums = 1.0, self.input_width
+        elif np.all(np.count_nonzero(w, axis=1) <= 1) and np.all(w[w != 0] == 1.0):
+            return True
+        else:
+            sums = np.abs(w).sum(axis=1)
+        integers = np.all(w == np.rint(w)) and np.all(b == np.rint(b))
+        return bool(zero_one_input and integers and np.all(sums + np.abs(b) < _EXACT_INT_LIMIT))
 
     @cached_property
-    def _integers(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """``(W, b, scale)``: ``weights * scale`` and ``biases * scale`` as ints."""
-        ints, scale = _as_integers(np.column_stack([self.weights, self.biases]))
-        return ints[:, :-1], ints[:, -1], scale
+    def _integers(self) -> tuple[object, np.ndarray, int]:
+        """``(W, b, scale)``: ``weights * scale`` (a pattern's: ``scale``) and ``biases * scale``."""
+        w = self.weights if self.kind == DENSE else np.ones((self.width, 1))
+        ints, scale = _as_integers(np.column_stack([w, self.biases]))
+        return (ints[:, :-1] if self.kind == DENSE else scale), ints[:, -1], scale
+
+    def _sums(self, A: np.ndarray, W) -> np.ndarray:
+        """``A @ W.T``, for ``W`` the weights or the ints of ``_integers``."""
+        if self.kind == DENSE:
+            return A @ W.T
+        if self.kind == BLOCKS:
+            S = A.reshape(len(A), self.width, self.weights.size).sum(axis=2)
+        else:
+            S = np.cumsum(A[:, ::-1], axis=1)[:, ::-1]
+        return S * W if isinstance(W, int) else S
 
     def forward(self, A: np.ndarray) -> np.ndarray:
         """Activations ``activation(A @ weights.T + biases)`` for rows of ``A``.
@@ -279,13 +341,13 @@ class ThresholdLayer:
         int 0.
         """
         if A.dtype != object:
-            Z = A @ self.weights.T + self.biases
+            Z = self._sums(A, self.weights) + self.biases
             if self.activation == THRESHOLD:
                 return (Z >= 0).astype(float)
             return np.maximum(Z, 0.0)
         W, b, scale = self._integers
         N, den = _as_integers(A)
-        Z = N @ W.T + b * den  # the pre-activations times den * scale
+        Z = self._sums(N, W) + b * den  # the pre-activations times den * scale
         if self.activation == THRESHOLD:
             return (Z >= 0).astype(float)
         scale *= den
@@ -388,10 +450,8 @@ class ThresholdNetwork:
     @cached_property
     def monotone_flag(self) -> bool:
         """True iff all hidden and output weights are nonnegative."""
-        for layer in self.layers:
-            if np.any(layer.weights < 0):
-                return False
-        return all(w >= 0 for w in self.output_weights)
+        hidden = not any(layer.first_negative_weight() for layer in self.layers)
+        return hidden and all(w >= 0 for w in self.output_weights)
 
     # -- float evaluation ------------------------------------------------
 
@@ -418,9 +478,17 @@ class ThresholdNetwork:
 
     def evaluate_batch(self, X) -> np.ndarray:
         """Forward pass for a batch of points, returning an (m,) float array."""
-        A = self._check_batch(X)
-        for layer in self.layers:
-            A = layer.forward(A)
+        A = X = self._check_batch(X)
+        if self.layers:
+            # hidden layers by row blocks; the output stage runs once, as BLAS
+            # sums a row in an order that depends on the number of rows
+            parts = []
+            for s in row_blocks(len(X), 8 * max(self.hidden_widths)):
+                A = X[s]
+                for layer in self.layers:
+                    A = layer.forward(A)
+                parts.append(A)
+            A = parts[0] if len(parts) == 1 else np.concatenate(parts)
         w, b = self._output_float
         return A @ w + b
 
@@ -430,48 +498,19 @@ class ThresholdNetwork:
 
     # -- exact evaluation ------------------------------------------------
 
-    def _layer_float_exact(self, layer: ThresholdLayer, zero_one_input: bool) -> bool:
-        """Can this layer be evaluated in float64 with provably exact results?
-
-        Two airtight cases:
-
-        * every row holds at most one nonzero weight, equal to 1.0: each
-          pre-activation is a single ``a + b`` whose sign (and zeroness) is
-          exact in IEEE-754 arithmetic;
-        * the incoming activations are exactly 0/1 and weights and biases
-          are integers small enough that all sums stay below 2**53.
-
-        Only threshold activations qualify (they re-quantize to 0/1).
-        """
-        if layer.activation != THRESHOLD:
-            return False
-        w = layer.weights
-        b = layer.biases
-        if zero_one_input:
-            if (
-                np.all(w == np.rint(w))
-                and np.all(b == np.rint(b))
-                and np.all(np.abs(w).sum(axis=1) + np.abs(b) < _EXACT_INT_LIMIT)
-            ):
-                return True
-        nonzero_per_row = np.count_nonzero(w, axis=1)
-        if np.all(nonzero_per_row <= 1) and np.all(w[w != 0] == 1.0):
-            return True
-        return False
-
     def evaluate_batch_exact(self, X) -> list[Fraction]:
         """Exact rational forward pass for a batch of points.
 
         A layer runs in float64 when its input batch is float and that is
-        provably exact (see ``_layer_float_exact``); otherwise it runs on
-        Fractions.  The output stage is always rational and sums only the
-        active units, so exact networks reproduce their construction labels
-        with zero error.
+        provably exact (see ``ThresholdLayer.float_exact``); otherwise it
+        runs on Fractions.  The output stage is always rational and sums only
+        the active units, so exact networks reproduce their construction
+        labels with zero error.
         """
         A = self._check_batch(X)
         zero_one = False  # is A a 0/1 float batch?
         for layer in self.layers:
-            if A.dtype != object and not self._layer_float_exact(layer, zero_one):
+            if A.dtype != object and not layer.float_exact(zero_one):
                 A = A.astype(object)
             A = layer.forward(A)
             zero_one = layer.activation == THRESHOLD

@@ -6,9 +6,12 @@ only.
 
 Network JSON: a versioned document, written on one line
 
-    {"version": 1, "dimension": d, "monotone_flag": bool, "exact": bool,
+    {"version": 2, "dimension": d, "monotone_flag": bool, "exact": bool,
      "layers": [{"activation": ..., "weights": [[...]], "biases": [...]}],
      "output": {"weights": [...], "bias": ...}}
+
+A :class:`~mononet.core.WeightPattern` layer holds ``"kind": "blocks", "size": k``
+or ``"kind": "suffix"`` in place of ``"weights"``; version 1 files still load.
 
 Floats round-trip bit-exactly: Python's shortest-repr float encoding is
 what ``json`` emits and parses.  An exact output stage, which every built
@@ -26,10 +29,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ThresholdLayer, ThresholdNetwork
+from .core import BLOCKS, DENSE, SUFFIX, ThresholdLayer, ThresholdNetwork, WeightPattern
 from .errors import SchemaError
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # Exactly the strings float() accepts, so that parsing never has to catch
 # its ValueError (digits may carry single underscores, as in 1_000).
@@ -97,7 +100,8 @@ def read_points_csv(path) -> np.ndarray:
 # -- network JSON -------------------------------------------------------------
 
 
-def _fraction_str(f: Fraction) -> str:
+def fraction_text(f: Fraction) -> str:
+    """``f`` as the "numerator/denominator" text that network JSON holds."""
     return f"{f.numerator}/{f.denominator}"
 
 
@@ -111,8 +115,8 @@ def _parse_fraction(s) -> Fraction:
 
 def network_to_dict(net: ThresholdNetwork) -> dict:
     if net.is_exact:
-        out_w = [_fraction_str(w) for w in net.output_weights]
-        out_b = _fraction_str(net.output_bias)
+        out_w = [fraction_text(w) for w in net.output_weights]
+        out_b = fraction_text(net.output_bias)
     else:
         out_w = [float(w) for w in net.output_weights]
         out_b = float(net.output_bias)
@@ -121,30 +125,34 @@ def network_to_dict(net: ThresholdNetwork) -> dict:
         "dimension": net.input_dimension,
         "monotone_flag": net.monotone_flag,
         "exact": net.is_exact,
-        "layers": [
-            {
-                "activation": layer.activation,
-                "weights": layer.weights.tolist(),
-                "biases": layer.biases.tolist(),
-            }
-            for layer in net.layers
-        ],
+        "layers": [_layer_to_dict(layer) for layer in net.layers],
         "output": {"weights": out_w, "bias": out_b},
     }
 
 
+def _layer_to_dict(layer: ThresholdLayer) -> dict:
+    if layer.kind == DENSE:
+        weights = {"weights": layer.weights.tolist()}
+    elif layer.kind == BLOCKS:
+        weights = {"kind": BLOCKS, "size": layer.weights.size}
+    else:
+        weights = {"kind": SUFFIX}
+    return {"activation": layer.activation, **weights, "biases": layer.biases.tolist()}
+
+
+def _layer_from_dict(spec: dict) -> ThresholdLayer:
+    if "kind" not in spec:
+        weights = np.asarray(spec["weights"], dtype=float)
+    else:
+        weights = WeightPattern(spec["kind"], spec["size"] if spec["kind"] == BLOCKS else 1)
+    return ThresholdLayer(weights, np.asarray(spec["biases"], dtype=float), spec["activation"])
+
+
 def network_from_dict(doc: dict) -> ThresholdNetwork:
     try:
-        if doc["version"] != SCHEMA_VERSION:
+        if doc["version"] not in (1, SCHEMA_VERSION):
             raise SchemaError(f"unsupported network version {doc['version']!r}")
-        layers = tuple(
-            ThresholdLayer(
-                np.asarray(spec["weights"], dtype=float),
-                np.asarray(spec["biases"], dtype=float),
-                spec["activation"],
-            )
-            for spec in doc["layers"]
-        )
+        layers = tuple(_layer_from_dict(spec) for spec in doc["layers"])
         out = doc["output"]
         if doc.get("exact", False):
             weights = tuple(_parse_fraction(w) for w in out["weights"])

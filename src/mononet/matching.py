@@ -266,11 +266,10 @@ def estimate_matching_probability(p: EdgeProbabilityMatrix, cfg: EstimatorConfig
     graphs are drawn (edge present iff its uniform draw is < the truncated
     probability), and the perfect-matching fraction is returned.  Samples
     are drawn replica-major, so distinct replicas use independent stream
-    sections.  Each block of draws is deduplicated as it is drawn, and one
-    last ``np.unique`` over the blocks' distinct graphs leaves each distinct
-    graph to be matched once, so memory follows the distinct graphs rather
-    than the samples.  Raises :class:`TooLarge` when the draws would exceed
-    ``ESTIMATE_MAX_DRAWS``.
+    sections.  Each block of draws is deduplicated as it is drawn, and the
+    distinct graphs and their counts are merged at the end and whenever they
+    outgrow twice a block and the last merge, so memory follows the distinct
+    graphs.  Raises :class:`TooLarge` above ``ESTIMATE_MAX_DRAWS`` draws.
     """
     n = p.n
     require_estimate_size(n, cfg.samples)
@@ -287,13 +286,15 @@ def estimate_matching_probability(p: EdgeProbabilityMatrix, cfg: EstimatorConfig
         uniq, count = np.unique(block.reshape(len(block), -1).view(graph), return_counts=True)
         keys.append(uniq)
         counts.append(count)
-    uniq, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+        if start + max_rows >= cfg.samples or sum(map(len, keys)) > 2 * max(max_rows, len(keys[0])):
+            uniq, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+            keys, counts = [uniq], [np.bincount(inverse.ravel(), np.concatenate(counts))]
     found = np.zeros(len(uniq), dtype=bool)
     for k, sample in enumerate(uniq):
         key = sample.tobytes()
         rows = tuple(int.from_bytes(key[i * width : (i + 1) * width], "little") for i in range(n))
         found[k] = has_perfect_matching(BipartiteGraph(n, rows))
-    hits = int(np.concatenate(counts)[found[inverse]].sum())
+    hits = int(counts[0][found].sum())  # float counts, exact below 2**53
     return hits / cfg.samples
 
 

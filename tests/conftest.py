@@ -1,14 +1,20 @@
-"""Shared generators for randomized tests.
+"""Shared generators for randomized tests, and the dense reference network.
 
 Datasets are produced by scoring random points with a random monotone
 function (nonnegative linear part plus nonnegative step terms, optionally
 rounded to create label ties), so monotone consistency holds by
 construction and only needs to be re-checked by validate_dataset.
+
+``dense_interpolator`` builds the general interpolator with every weight
+matrix written out, the way the library built it before its layers were
+stored as weight patterns; it is the oracle for the pattern layers.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
-from mononet.core import MonotoneDataset, validate_dataset
+from mononet.core import MonotoneDataset, ThresholdLayer, ThresholdNetwork, validate_dataset
 
 
 def random_monotone_score(rng: np.random.Generator, X: np.ndarray) -> np.ndarray:
@@ -39,3 +45,43 @@ def random_monotone_dataset(
     rng.shuffle(X)
     y = random_monotone_score(rng, X)
     return validate_dataset(list(zip(map(tuple, X), y)))
+
+
+def blocks_matrix(width: int, size: int) -> np.ndarray:
+    """Unit i sums inputs i*size .. i*size+size-1."""
+    w = np.zeros((width, width * size))
+    for i in range(width):
+        w[i, i * size : (i + 1) * size] = 1.0
+    return w
+
+
+def suffix_matrix(width: int) -> np.ndarray:
+    """Unit i sums inputs i .. width-1."""
+    return np.triu(np.ones((width, width)))
+
+
+def dense_weights(layer: ThresholdLayer) -> np.ndarray:
+    """The layer's weight matrix, written out for a weight pattern."""
+    if layer.kind == "blocks":
+        return blocks_matrix(layer.width, layer.weights.size)
+    if layer.kind == "suffix":
+        return suffix_matrix(layer.width)
+    return layer.weights
+
+
+def densify(net: ThresholdNetwork) -> ThresholdNetwork:
+    """``net`` with every weight pattern replaced by its dense matrix."""
+    layers = tuple(ThresholdLayer(dense_weights(l), l.biases, l.activation) for l in net.layers)
+    return ThresholdNetwork(layers, net.output_weights, net.output_bias)
+
+
+def dense_interpolator(ds: MonotoneDataset) -> ThresholdNetwork:
+    """The general interpolator, widths (d*n, n, n), with dense weights throughout."""
+    n, d = ds.n, ds.dimension
+    layers = (
+        ThresholdLayer(np.tile(np.eye(d), (n, 1)), -ds.points.reshape(-1)),
+        ThresholdLayer(blocks_matrix(n, d), np.full(n, -float(d))),
+        ThresholdLayer(suffix_matrix(n), np.full(n, -1.0)),
+    )
+    steps = [Fraction(min(0.0, float(ds.labels[0])))] + [Fraction(v) for v in ds.labels.tolist()]
+    return ThresholdNetwork(layers, [b - a for a, b in zip(steps, steps[1:])], steps[0])

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per release criterion, at the stated tolerance.
 
-Each test prints a single ``ACCEPTANCE <k> PASS`` line (visible with -s or
-in captured output) and enforces its runtime budget.  All randomness is
-seeded, so the suite is deterministic.
+Each criterion's test prints a single ``ACCEPTANCE <k> PASS`` line (visible
+with -s or in captured output) and enforces its runtime budget.  All
+randomness is seeded, so the suite is deterministic.
 """
 
 import time
@@ -11,10 +11,11 @@ from itertools import product
 
 import numpy as np
 
-from conftest import random_monotone_dataset
+from conftest import dense_interpolator, densify, random_monotone_dataset
 from mononet.approx import build_approximator, plan_grid
 from mononet.audit import (
     ActivitySets,
+    certify_monotone_structure,
     chain_width_audit,
     random_chain_dataset,
     random_monotone_network,
@@ -109,6 +110,31 @@ def test_criterion_3_embedding_and_suffix_lemmas():
     _report(3, "embedding-and-suffix-lemmas",
             "500 traces: embedding iff dominance, suffix unit fires iff j >= i, "
             "0 violations")
+
+
+def test_weight_patterns_match_the_dense_construction():
+    """The built networks against the dense matrices their patterns stand for.
+
+    The general interpolator is checked against ``dense_interpolator`` on the
+    criterion-1 corpus, and the chain interpolator against its own layers
+    written out, each on the training points plus random queries.
+    """
+    rng = np.random.default_rng(20261018)
+    pairs = [(net, dense_interpolator(ds), ds) for ds, net, _ in _corpus()]
+    for _ in range(100):
+        ds = random_chain_dataset(rng, int(rng.integers(1, 65)), int(rng.integers(1, 9)))
+        chain, _ = build_chain_interpolator(ds)
+        pairs.append((chain, densify(chain), ds))
+    for net, dense, ds in pairs:
+        lo, hi = ds.points.min(axis=0), ds.points.max(axis=0)
+        queries = lo - 0.5 + (hi - lo + 1.0) * rng.random((16, ds.dimension))
+        X = np.vstack([ds.points, queries])
+        assert net.evaluate_batch(X).tobytes() == dense.evaluate_batch(X).tobytes()
+        assert net.evaluate_batch_exact(X) == dense.evaluate_batch_exact(X)
+        for a, b in zip(net.hidden_activations(X), dense.hidden_activations(X), strict=True):
+            assert np.array_equal(a, b)
+        assert net.monotone_flag is dense.monotone_flag is True
+        assert certify_monotone_structure(net).to_dict() == certify_monotone_structure(dense).to_dict()
 
 
 def test_criterion_4_depth2_inequality():

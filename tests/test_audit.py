@@ -76,6 +76,7 @@ class TestStructureCertificate:
         assert not report.passed
         assert report.witness["location"] == "output"
         assert report.witness["input_index"] == 1
+        assert report.witness["value"] == f"-1/{10**400}"  # as network JSON writes it
 
     def test_all_zero_weights_pass(self):
         net = ThresholdNetwork((ThresholdLayer([[0.0]], [0.5]),), [0.0], 0.0)

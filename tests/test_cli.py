@@ -1,15 +1,20 @@
 import contextlib
 import io
 import json
+import os
 import string
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mononet
 from mononet.approx import BUILTIN_FUNCTIONS
 from mononet.cli import main
 from mononet.core import ThresholdLayer, ThresholdNetwork
@@ -129,6 +134,58 @@ class TestEval:
         main(["synth", spread_csv, "-o", str(out)])
         pts = write(tmp_path / "pts.csv", "1,2,3\n")
         assert main(["eval", str(out), pts]) == 2
+
+    @pytest.mark.parametrize("command", ["eval", "audit"])
+    @pytest.mark.parametrize("spec", [
+        {"kind": "diagonal"},
+        {"kind": "blocks"},
+        {"kind": "blocks", "size": 0},
+        {"kind": "blocks", "size": 2.5},
+        {"kind": "blocks", "size": "2"},
+        {"kind": "blocks", "size": 3},
+        {"kind": ["suffix"]},
+        {"kind": "suffix", "biases": "x"},
+    ])
+    def test_malformed_pattern_layer_exit_2(self, tmp_path, spread_csv, command, spec, capsys):
+        out = tmp_path / "net.json"
+        main(["synth", spread_csv, "-o", str(out)])
+        doc = json.loads(out.read_text())
+        assert doc["layers"][1] == {"activation": "threshold", "kind": "blocks", "size": 2,
+                                    "biases": [-2.0, -2.0, -2.0]}
+        del doc["layers"][1]["size"]
+        doc["layers"][1].update(spec)
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        pts = write(tmp_path / "pts.csv", "1,2\n")
+        argv = ["eval", str(out), pts] if command == "eval" else ["audit", "--check", "structure", "--net", str(out)]
+        assert main(argv) == 2
+        assert diagnostic(capsys.readouterr().err)["error"] == "SchemaError"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in kilobytes on Linux")
+def test_synth_and_eval_at_n_4000_stay_under_450_mb(tmp_path):
+    # the dense layers 2 and 3 of this network alone took 640 MB
+    rng = np.random.default_rng(4000)
+    X = rng.random((4000, 4))
+    data = tmp_path / "data.csv"
+    data.write_text("".join(f"{a!r},{b!r},{c!r},{d!r},{a + 2 * b + 3 * c + 4 * d!r}\n"
+                            for a, b, c, d in X.tolist()))
+    points = tmp_path / "points.csv"
+    points.write_text("".join(",".join(map(repr, q)) + "\n" for q in rng.random((2000, 4)).tolist()))
+    net, trace = tmp_path / "net.json", tmp_path / "trace.json"
+    script = (
+        "import sys; from mononet.cli import main\n"
+        f"assert main(['synth', {str(data)!r}, '-o', {str(net)!r}, '--trace', {str(trace)!r}]) == 0\n"
+        f"assert main(['eval', {str(net)!r}, {str(points)!r}]) == 0\n"
+    )
+    src = str(Path(mononet.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    child = subprocess.Popen([sys.executable, "-c", script], env=env, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)
+    assert child.returncode == 0
+    assert usage.ru_maxrss < 450 * 1024, usage.ru_maxrss  # kilobytes on Linux
+    assert net.stat().st_size < 1 << 20
 
 
 class TestAudit:

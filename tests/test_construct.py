@@ -11,7 +11,9 @@ from mononet.construct import (
     build_interpolator,
     separating_coordinate,
 )
-from mononet.core import is_totally_ordered, pairwise_leq, validate_dataset
+from mononet import core
+from mononet.approx import build_approximator
+from mononet.core import ThresholdNetwork, is_totally_ordered, pairwise_leq, validate_dataset
 from mononet.errors import InvalidNumber, NotTotallyOrdered
 
 
@@ -79,6 +81,27 @@ class TestBuildInterpolator:
             _, trace = build_interpolator(ds)
             geq = pairwise_leq(ds.points).T  # geq[j, i] = x_j >= x_i
             assert np.array_equal(trace.embedding_matrix, geq)
+
+    def test_trace_is_worked_out_when_read(self, monkeypatch):
+        calls = []
+        forward = ThresholdNetwork.hidden_activations
+
+        def counted(net, X):
+            calls.append((net.hidden_widths, len(X)))
+            return forward(net, X)
+
+        monkeypatch.setattr(ThresholdNetwork, "hidden_activations", counted)
+        ds = random_monotone_dataset(np.random.default_rng(27), max_n=40, max_d=3)
+        net, trace = build_interpolator(ds)
+        build_approximator(lambda x: sum(x), d=2, lipschitz=2.0, eps=0.5)
+        assert calls == []
+        want = pairwise_leq(ds.points).T
+        monkeypatch.setattr(core, "CHUNK_BYTES", 8 * (ds.dimension + 1) * ds.n * 7)
+        assert np.array_equal(trace.embedding_matrix, want)
+        assert trace.embedding_matrix is trace.embedding_matrix
+        # only the layers up to the embedding, seven rows at a time
+        blocks = [(net.hidden_widths[:2], len(ds.points[s : s + 7])) for s in range(0, ds.n, 7)]
+        assert calls == blocks
 
     def test_embedding_lemma_on_probes(self):
         rng = np.random.default_rng(25)

@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_monotone_dataset
+from conftest import dense_interpolator, dense_weights, densify, random_monotone_dataset
+from mononet import core
 from mononet.core import (
     ThresholdLayer,
     ThresholdNetwork,
+    WeightPattern,
     affine_network,
     is_totally_ordered,
+    pairwise_leq,
     threshold,
     validate_dataset,
 )
@@ -19,6 +22,7 @@ from mononet.errors import (
     DimensionMismatch,
     DuplicatePoint,
     EmptyDataset,
+    InvalidArgument,
     InvalidNumber,
     MonotoneViolation,
 )
@@ -160,6 +164,27 @@ class TestTotallyOrdered:
         assert is_totally_ordered(ds)
 
 
+def one_shot_leq(P: np.ndarray) -> np.ndarray:
+    return np.all(P[:, None, :] <= P[None, :, :], axis=2)
+
+
+class TestPairwiseLeq:
+    @pytest.mark.parametrize("n", [5792, 5793])
+    def test_both_sides_of_the_first_block_boundary(self, n):
+        # a row of the comparison takes n bytes: 5792 rows fit one block, 5793 do not
+        assert (core.CHUNK_BYTES // n >= n) == (n == 5792)
+        P = np.random.default_rng(n).integers(0, 50, (n, 2)).astype(float)
+        assert np.array_equal(pairwise_leq(P), one_shot_leq(P))
+
+    def test_small_blocks_with_ties(self, monkeypatch):
+        P = np.random.default_rng(23).integers(0, 3, (37, 3)).astype(float)
+        want = one_shot_leq(P)
+        for budget in (1, 37, 37 * 36, 37 * 37, 37 * 38):
+            monkeypatch.setattr(core, "CHUNK_BYTES", budget)
+            assert np.array_equal(pairwise_leq(P), want)
+        assert pairwise_leq(P[:0]).shape == (0, 0)
+
+
 def single_unit_net():
     # one threshold unit firing when x >= 0.5
     layer = ThresholdLayer([[1.0]], [-0.5])
@@ -231,8 +256,92 @@ class TestEvaluate:
         assert np.all(net.evaluate_batch(U) <= net.evaluate_batch(V))
 
 
+BLOCKS3 = WeightPattern("blocks", 3)
+SUFFIX = WeightPattern("suffix")
+
+
+class TestWeightPatterns:
+    def test_shapes(self):
+        blocks = ThresholdLayer(BLOCKS3, [-3.0, -3.0])
+        suffix = ThresholdLayer(SUFFIX, [-1.0, -1.0, -1.0])
+        assert (blocks.kind, blocks.width, blocks.input_width) == ("blocks", 2, 6)
+        assert (suffix.kind, suffix.width, suffix.input_width) == ("suffix", 3, 3)
+        assert ThresholdLayer([[1.0, 2.0]], [0.0]).kind == "dense"
+        assert ThresholdNetwork((blocks, ThresholdLayer(SUFFIX, [0.0, 0.0])), [1.0, 1.0]).input_dimension == 6
+
+    @pytest.mark.parametrize(
+        "pattern",
+        [WeightPattern("diagonal"), WeightPattern("blocks", 0), WeightPattern("blocks", 2.0),
+         WeightPattern("blocks", True), WeightPattern("blocks", "2"), WeightPattern("suffix", 2)],
+    )
+    def test_bad_pattern(self, pattern):
+        with pytest.raises(InvalidArgument):
+            ThresholdLayer(pattern, [0.0])
+
+    def test_pattern_biases_checked(self):
+        with pytest.raises(DimensionMismatch):
+            ThresholdLayer(SUFFIX, [[0.0]])
+        with pytest.raises(InvalidNumber):
+            ThresholdLayer(SUFFIX, [float("nan")])
+
+    @pytest.mark.parametrize("activation", ["threshold", "relu"])
+    def test_forward_matches_dense_matrix(self, activation):
+        rng = np.random.default_rng(21)
+        for pattern, width in [(BLOCKS3, 4), (WeightPattern("blocks", 1), 5), (SUFFIX, 6)]:
+            layer = ThresholdLayer(pattern, dyadic(rng, width, -4.0, 1.0), activation)
+            dense = ThresholdLayer(dense_weights(layer), layer.biases, activation)
+            A = rng.integers(0, 2, (9, layer.input_width)).astype(float)
+            if activation == "relu":
+                A = dyadic(rng, A.shape, -2.0, 2.0)
+            assert np.array_equal(layer.forward(A), dense.forward(A))
+
+    def test_first_negative_weight(self):
+        assert ThresholdLayer(SUFFIX, [-5.0]).first_negative_weight() is None
+        assert ThresholdLayer([[1.0, 0.0], [0.5, -0.0], [2.0, -1e-300]], [0.0] * 3).first_negative_weight() == (2, 1)
+        assert ThresholdLayer([[0.0, 1.0]], [-1.0]).first_negative_weight() is None
+
+    def test_float_exact(self):
+        assert ThresholdLayer(BLOCKS3, [-3.0]).float_exact(True)
+        assert not ThresholdLayer(BLOCKS3, [-3.0]).float_exact(False)
+        assert not ThresholdLayer(BLOCKS3, [-2.5]).float_exact(True)
+        assert not ThresholdLayer(SUFFIX, [-(2.0**53)]).float_exact(True)
+        assert not ThresholdLayer(SUFFIX, [-1.0], "relu").float_exact(True)
+        # one unit weight per row is exact on any input
+        assert ThresholdLayer([[0.0, 1.0], [1.0, 0.0]], [-0.1, 0.3]).float_exact(False)
+        assert ThresholdLayer([[2.0, 1.0]], [-3.0]).float_exact(True)
+        assert not ThresholdLayer([[2.0, 1.0]], [-3.0]).float_exact(False)
+        assert not ThresholdLayer([[0.5, 1.0]], [-3.0]).float_exact(True)
+
+    def test_layers_compare_and_hash_by_identity(self):
+        for make in (lambda: ThresholdLayer([[1.0, 2.0]], [0.0]), lambda: ThresholdLayer(BLOCKS3, [-3.0]),
+                     lambda: ThresholdLayer(SUFFIX, [-1.0, -1.0])):
+            a, b = make(), make()
+            assert a == a and a != b
+            assert hash(a) == hash(a)
+            assert len({a, b, a}) == 2
+
+    def test_row_blocks_keep_results(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        ds = random_monotone_dataset(rng, max_n=40, max_d=3)
+        net = ThresholdNetwork(
+            (ThresholdLayer(np.tile(np.eye(ds.dimension), (ds.n, 1)), -ds.points.reshape(-1)),
+             ThresholdLayer(WeightPattern("blocks", ds.dimension), np.full(ds.n, -float(ds.dimension))),
+             ThresholdLayer(SUFFIX, np.full(ds.n, -1.0))),
+            rng.random(ds.n), 0.5,
+        )
+        X = rng.random((101, ds.dimension)) * 10
+        whole = net.evaluate_batch(X)
+        for budget in (1, 8 * 3 * ds.n * ds.dimension, 10**6):
+            monkeypatch.setattr(core, "CHUNK_BYTES", budget)
+            assert net.evaluate_batch(X).tobytes() == whole.tobytes()
+            assert net.evaluate_batch(X[:0]).shape == (0,)
+
+
 def fraction_oracle(net: ThresholdNetwork, X) -> list[Fraction]:
-    """The network on each row of ``X``, every step in Fractions, one unit at a time."""
+    """The network on each row of ``X``, every step in Fractions, one unit at a time.
+
+    ``net`` has dense weights only: pass ``dense_interpolator`` or ``densify``.
+    """
     out = []
     for x in np.asarray(X, dtype=float).tolist():
         a = [Fraction(v) for v in x]
@@ -283,14 +392,16 @@ class TestExactEvaluation:
             if k % 2:
                 ds = random_monotone_dataset(rng, max_n=8, max_d=3)
                 net, _ = build_interpolator(ds)
+                oracle = dense_interpolator(ds)
             else:
                 n = int(rng.integers(1, 9))
                 X = np.cumsum(rng.integers(0, 3, (n, 2)), axis=0) + np.arange(n)[:, None]
                 ds = validate_dataset(zip(map(tuple, X), np.sort(dyadic(rng, n))))
                 net, _ = build_chain_interpolator(ds)
+                oracle = densify(net)
             queries = np.vstack([ds.points, ds.points - 0.5, ds.points + 0.25])
             got = net.evaluate_batch_exact(queries)
-            assert got == fraction_oracle(net, queries)
+            assert got == fraction_oracle(oracle, queries)
             assert got[: ds.n] == [Fraction(float(v)) for v in ds.labels]
 
     @pytest.mark.parametrize("kind", ["threshold", "relu", "mixed", "affine"])
@@ -321,17 +432,28 @@ class TestExactEvaluation:
                  for _ in range(4)] + [[0] * shape[1]],
                 dtype=object,
             )
-            got = layer.forward(A)
-            for a, row in zip(A.tolist(), got.tolist()):
-                z = [
-                    sum((Fraction(w) * v for w, v in zip(ws, a)), Fraction(b))
-                    for ws, b in zip(layer.weights.tolist(), layer.biases.tolist())
-                ]
-                if activation == "threshold":
-                    assert row == [float(v >= 0) for v in z]
-                else:
-                    assert row == [max(v, 0) for v in z]
-                    assert all(type(v) is (Fraction if v else int) for v in row)
+            # both patterns on the same rows, with biases whose exponents lie far
+            # apart, checked against the patterns' dense matrices
+            width = int(rng.integers(1, 4))
+            biases = rng.uniform(-1, 1, width) * 10.0 ** rng.integers(-300, 3, width)
+            cases = [
+                (layer, A),
+                (ThresholdLayer(WeightPattern("blocks", shape[1]), biases, activation),
+                 np.concatenate([A] * width, axis=1)),
+                (ThresholdLayer(SUFFIX, rng.uniform(-2, 1, shape[1]), activation), A),
+            ]
+            for case, batch in cases:
+                got = case.forward(batch)
+                for a, row in zip(batch.tolist(), got.tolist()):
+                    z = [
+                        sum((Fraction(w) * v for w, v in zip(ws, a)), Fraction(b))
+                        for ws, b in zip(dense_weights(case).tolist(), case.biases.tolist())
+                    ]
+                    if activation == "threshold":
+                        assert row == [float(v >= 0) for v in z]
+                    else:
+                        assert row == [max(v, 0) for v in z]
+                        assert all(type(v) is (Fraction if v else int) for v in row)
 
     def test_rational_path_on_general_weights(self):
         rng = np.random.default_rng(12)

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import random_monotone_dataset
-from mononet.construct import build_interpolator
-from mononet.core import ThresholdLayer, ThresholdNetwork
+from pathlib import Path
+
+from conftest import densify, random_monotone_dataset
+from mononet.construct import build_chain_interpolator, build_interpolator
+from mononet.core import ThresholdLayer, ThresholdNetwork, WeightPattern, validate_dataset
 from mononet.errors import SchemaError
 from mononet.io import (
     load_network,
@@ -131,7 +133,7 @@ class TestNetworkJson:
         net = ThresholdNetwork((ThresholdLayer([[1.0]], [0.0]),), [1.0], 0.0)
         doc = network_to_dict(net)
         assert doc["monotone_flag"] is True
-        assert doc["version"] == 1
+        assert doc["version"] == 2
         assert doc["dimension"] == 1
 
     def test_bad_version(self):
@@ -205,6 +207,86 @@ class TestNetworkJson:
         assert compact.read_text().count("\n") == 1
         old, new = load_network(indented), load_network(compact)
         assert network_to_dict(old) == network_to_dict(new) == network_to_dict(net)
+
+    def test_pattern_layers_round_trip(self, tmp_path):
+        rng = np.random.default_rng(33)
+        ds = random_monotone_dataset(rng, max_n=30, max_d=4)
+        net, _ = build_interpolator(ds)
+        doc = network_to_dict(net)
+        assert doc["version"] == 2
+        assert [sorted(spec) for spec in doc["layers"]] == [
+            ["activation", "biases", "weights"],
+            ["activation", "biases", "kind", "size"],
+            ["activation", "biases", "kind"],
+        ]
+        assert doc["layers"][1]["kind"] == "blocks" and doc["layers"][1]["size"] == ds.dimension
+        assert doc["layers"][2]["kind"] == "suffix"
+        path = tmp_path / "net.json"
+        save_network(net, path)
+        back = load_network(path)
+        assert [layer.kind for layer in back.layers] == ["dense", "blocks", "suffix"]
+        assert network_to_dict(back) == doc
+        X = np.vstack([ds.points, rng.random((20, ds.dimension)) * 4])
+        assert back.evaluate_batch(X).tobytes() == net.evaluate_batch(X).tobytes()
+
+    def test_built_document_is_linear_in_n(self, tmp_path):
+        # n = 400 points in d = 2: the dense layers 2 and 3 alone held 480,000 numbers
+        rng = np.random.default_rng(34)
+        X = rng.random((400, 2))
+        ds = validate_dataset(zip(map(tuple, X), X.sum(axis=1)))
+        path = tmp_path / "net.json"
+        save_network(build_interpolator(ds)[0], path)
+        assert path.stat().st_size < 100 * ds.n * ds.dimension
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"kind": "diagonal"},
+            {"kind": "blocks"},
+            {"kind": "blocks", "size": 0},
+            {"kind": "blocks", "size": 1.0},
+            {"kind": "blocks", "size": "1"},
+            {"kind": "blocks", "size": True},
+            {"kind": "blocks", "size": 2},
+            {"kind": None},
+            {"kind": "suffix", "biases": [[0.0]]},
+        ],
+    )
+    def test_malformed_pattern_layer(self, spec):
+        doc = {
+            "version": 2,
+            "dimension": 1,
+            "monotone_flag": True,
+            "exact": False,
+            "layers": [{"activation": "threshold", "biases": [0.0], **spec}],
+            "output": {"weights": [1.0], "bias": 0.0},
+        }
+        with pytest.raises(SchemaError):
+            network_from_dict(doc)
+
+    def test_version_1_file_loads_and_evaluates_identically(self):
+        # written by `mononet synth` before layers could be weight patterns
+        data = Path(__file__).parent / "data"
+        old = load_network(data / "v1_network.json")
+        assert json.loads((data / "v1_network.json").read_text())["version"] == 1
+        ds = validate_dataset(read_dataset_csv(data / "v1_dataset.csv"))
+        net, _ = build_interpolator(ds)
+        assert [layer.kind for layer in old.layers] == ["dense"] * 3
+        assert network_to_dict(old)["layers"] == network_to_dict(densify(net))["layers"]
+        X = np.vstack([ds.points, np.random.default_rng(35).random((200, ds.dimension)) * 4 - 0.5])
+        assert old.evaluate_batch(X).tobytes() == net.evaluate_batch(X).tobytes()
+        assert old.evaluate_batch_exact(X) == net.evaluate_batch_exact(X)
+        assert old.monotone_flag and net.monotone_flag
+
+    def test_chain_network_round_trip(self, tmp_path):
+        X = np.cumsum(np.ones((12, 3)), axis=0)
+        ds = validate_dataset(zip(map(tuple, X), range(12)))
+        net, _ = build_chain_interpolator(ds)
+        path = tmp_path / "chain.json"
+        save_network(net, path)
+        back = load_network(path)
+        assert [layer.kind for layer in back.layers] == ["dense", "suffix"]
+        assert back.evaluate_batch_exact(X + 0.5) == net.evaluate_batch_exact(X + 0.5)
 
     def test_bytes_stable(self, tmp_path):
         net = ThresholdNetwork((ThresholdLayer([[0.1]], [-0.7]),), [0.3], 0.0)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import permutations, product
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mononet import matching
 from mononet.matching import (
     ESTIMATE_MAX_DRAWS,
     EXACT_MAX_N,
@@ -436,3 +438,20 @@ class TestStructuralProbes:
             lipschitz_probe(1, 7, seed=0)
         with pytest.raises(TooLarge):
             monotone_probe_m(1, 7, seed=0)
+
+
+def test_estimator_memory_follows_distinct_graphs(monkeypatch):
+    # p = 1 gives the same graph in every sample; at one sample per block of
+    # draws, holding each block's key until the end would grow with the samples
+    monkeypatch.setattr(matching, "_CHUNK_BITS", 10)  # 2**10 uniforms: one 32 x 32 sample
+    p = EdgeProbabilityMatrix.uniform(32, 1.0)
+    cfg = EstimatorConfig(bits=8, samples=6000, seed=3)
+    estimate_matching_probability(p, EstimatorConfig(bits=8, samples=2))  # first calls import
+    tracemalloc.start()
+    try:
+        estimate = estimate_matching_probability(p, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert estimate == 1.0
+    assert peak < 500_000, peak  # 4.7 MB when every block's key is kept
