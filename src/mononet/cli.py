@@ -282,7 +282,7 @@ def _cmd_approx(args) -> int:
     if args.fn:
         f = approx.resolve_function(args.fn)
     else:
-        f = _tabulated_function(args.table)
+        f = _tabulated_function(args.table, args.d)
     grid = approx.plan_grid(args.d, args.L, args.eps, args.budget)
     net = approx.build_approximator(f, args.d, args.L, args.eps, args.budget)
     print(f"d: {args.d}  L: {args.L}  eps: {args.eps}  seed: {args.seed}", file=sys.stderr)
@@ -299,14 +299,16 @@ def _cmd_approx(args) -> int:
     return EXIT_OK
 
 
-def _tabulated_function(path):
-    """Monotone lower extension of tabulated samples.
+def _tabulated_function(path, d: int):
+    """Monotone lower extension of tabulated samples in ``d`` coordinates.
 
     The value at x is the largest sample value among table points <= x,
     defaulting to the smallest sample value; this is monotone for any table.
     """
     pairs = io.read_dataset_csv(path)
     points = np.asarray([p for p, _ in pairs], dtype=float)
+    if points.shape[1] != d:
+        raise DimensionMismatch(f"{path}: table points have {points.shape[1]} coordinates, --d is {d}")
     values = np.asarray([v for _, v in pairs], dtype=float)
     floor_value = float(values.min())
 

@@ -88,12 +88,13 @@ def row_blocks(rows: int, row_bytes: int) -> list[slice]:
     return [slice(s, s + step) for s in range(0, max(rows, 1), step)]
 
 
-def pairwise_leq(points: np.ndarray) -> np.ndarray:
-    """Boolean matrix M with M[i, j] = (points[i] <= points[j] coordinatewise)."""
-    M = np.ones((len(points),) * 2, dtype=bool)
-    for s in row_blocks(len(points), len(points)):
-        for x in points.T:  # one coordinate at a time
-            M[s] &= x[s, None] <= x
+def pairwise_leq(points: np.ndarray, others: np.ndarray | None = None) -> np.ndarray:
+    """Boolean M with M[i, j] = (points[i] <= others[j] coordinatewise); others defaults to points."""
+    others = points if others is None else others
+    M = np.ones((len(points), len(others)), dtype=bool)
+    for s in row_blocks(len(points), len(others)):
+        for x, z in zip(points.T, others.T):  # one coordinate at a time
+            M[s] &= x[s, None] <= z
     return M
 
 
@@ -144,33 +145,24 @@ class MonotoneDataset:
         return f"MonotoneDataset(n={self.n}, d={self.dimension})"
 
 
-def _canonical_order(labels: np.ndarray, leq: np.ndarray) -> np.ndarray:
+def _canonical_order(labels: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Stable label sort, refined so comparable equal-label pairs go smaller-first.
 
-    ``leq`` is the strict coordinatewise order: ``pairwise_leq`` with a
-    false diagonal.
+    Each group of tied labels compares only its own points.
     """
     order = np.argsort(labels, kind="stable")
-    out = []
-    i = 0
-    n = len(order)
-    while i < n:
-        j = i
-        while j < n and labels[order[j]] == labels[order[i]]:
-            j += 1
-        group = order[i:j]
-        if len(group) > 1:
-            group = _topological_group(group, leq)
-        out.extend(group)
-        i = j
-    return np.asarray(out, dtype=int)
+    y = labels[order]
+    # split where the sorted labels change; np.diff would overflow on +-1e308
+    groups = np.split(order, np.flatnonzero(y[1:] != y[:-1]) + 1)
+    return np.concatenate([_topological_group(g, points) if len(g) > 1 else g for g in groups])
 
 
-def _topological_group(group: np.ndarray, leq: np.ndarray) -> list[int]:
+def _topological_group(group: np.ndarray, points: np.ndarray) -> list[int]:
     # Kahn's algorithm on the strict partial order restricted to the group,
     # always releasing the earliest input position first.  Re-running on its
     # own output is the identity, which makes validate_dataset idempotent.
-    sub = leq[np.ix_(group, group)]
+    sub = pairwise_leq(points[group])
+    np.fill_diagonal(sub, False)
     indeg = sub.sum(axis=0)
     ready = [int(k) for k in range(len(group)) if indeg[k] == 0]
     heapq.heapify(ready)
@@ -223,26 +215,33 @@ def validate_dataset(raw: Iterable[tuple[Sequence[float], float]]) -> MonotoneDa
             raise DuplicatePoint(seen[key], k)
         seen[key] = k
 
-    leq = pairwise_leq(points)
-    np.fill_diagonal(leq, False)
-    bad = leq & (labels[:, None] > labels[None, :])
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise MonotoneViolation(
-            int(i),
-            int(j),
-            f"x={tuple(map(float, points[i]))} y={float(labels[i])} "
-            f"vs x={tuple(map(float, points[j]))} y={float(labels[j])}",
-        )
+    # a violation is x_i <= x_j with y_i > y_j; the diagonal never is one
+    for s in row_blocks(len(points), len(points)):
+        bad = pairwise_leq(points[s], points) & (labels[s, None] > labels)
+        if bad.any():
+            i, j = np.argwhere(bad)[0] + (s.start, 0)
+            raise MonotoneViolation(
+                int(i),
+                int(j),
+                f"x={tuple(map(float, points[i]))} y={float(labels[i])} "
+                f"vs x={tuple(map(float, points[j]))} y={float(labels[j])}",
+            )
 
-    order = _canonical_order(labels, leq)
+    order = _canonical_order(labels, points)
     return MonotoneDataset(points[order], labels[order])
 
 
 def is_totally_ordered(ds: MonotoneDataset) -> bool:
-    """True iff every pair of dataset points is coordinatewise comparable."""
-    leq = pairwise_leq(ds.points)
-    return bool(np.all(leq | leq.T))
+    """True iff every pair of dataset points is coordinatewise comparable.
+
+    Consecutive points suffice: the canonical order of a chain is its
+    coordinatewise order (within equal labels Kahn's algorithm puts smaller
+    points first, across labels monotonicity does).  By transitivity the
+    test never calls a non-chain a chain, even on a hand-made
+    :class:`MonotoneDataset`; it can only miss a chain whose points are out
+    of order, and the chain builder then refuses it.
+    """
+    return bool(np.all(ds.points[:-1] <= ds.points[1:]))
 
 
 class WeightPattern(NamedTuple):

@@ -161,14 +161,14 @@ def network_from_dict(doc: dict) -> ThresholdNetwork:
             weights = np.asarray(out["weights"], dtype=float)
             bias = float(out["bias"])
         net = ThresholdNetwork(layers, weights, bias)
+        if net.input_dimension != doc["dimension"]:
+            raise SchemaError(
+                f"declared dimension {doc['dimension']} but layers expect {net.input_dimension}"
+            )
     except SchemaError:
         raise
     except Exception as exc:
         raise SchemaError(f"malformed network document: {exc}") from exc
-    if net.input_dimension != doc["dimension"]:
-        raise SchemaError(
-            f"declared dimension {doc['dimension']} but layers expect {net.input_dimension}"
-        )
     return net
 
 

@@ -135,6 +135,13 @@ class TestEval:
         pts = write(tmp_path / "pts.csv", "1,2,3\n")
         assert main(["eval", str(out), pts]) == 2
 
+    def test_missing_dimension_exit_2(self, tmp_path, capsys):
+        doc = {"version": 2, "layers": [], "output": {"weights": [1.0], "bias": 0.0}}
+        net = write(tmp_path / "net.json", json.dumps(doc))
+        pts = write(tmp_path / "pts.csv", "1\n")
+        assert main(["eval", net, pts]) == 2
+        assert diagnostic(capsys.readouterr().err)["error"] == "SchemaError"
+
     @pytest.mark.parametrize("command", ["eval", "audit"])
     @pytest.mark.parametrize("spec", [
         {"kind": "diagonal"},
@@ -244,6 +251,13 @@ class TestApprox:
     def test_table_function(self, tmp_path, capsys):
         table = write(tmp_path / "table.csv", "0,0\n0.5,0.5\n1,1\n")
         assert main(["approx", "--table", table, "--d", "1", "--L", "1", "--eps", "0.5"]) == 0
+
+    @pytest.mark.parametrize("table", ["0,0,0,0\n1,1,1,1\n", "0,0\n1,1\n"])
+    def test_table_dimension_must_match_d(self, tmp_path, table, capsys):
+        path = write(tmp_path / "table.csv", table)
+        assert main(["approx", "--table", path, "--d", "2", "--L", "1", "--eps", "0.5",
+                     "--probes", "10"]) == 2
+        assert diagnostic(capsys.readouterr().err)["error"] == "DimensionMismatch"
 
     def test_fn_and_table_conflict(self, capsys):
         assert main(["approx", "--fn", "mean", "--table", "x.csv", "--d", "1", "--L", "1",

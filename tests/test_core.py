@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,9 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_interpolator, dense_weights, densify, random_monotone_dataset
+from conftest import (
+    dense_interpolator,
+    dense_weights,
+    densify,
+    random_monotone_dataset,
+    random_monotone_score,
+)
 from mononet import core
+from mononet.audit import random_chain_dataset
+from mononet.construct import build_chain_interpolator
 from mononet.core import (
+    MonotoneDataset,
     ThresholdLayer,
     ThresholdNetwork,
     WeightPattern,
@@ -25,6 +35,7 @@ from mononet.errors import (
     InvalidArgument,
     InvalidNumber,
     MonotoneViolation,
+    NotTotallyOrdered,
 )
 
 
@@ -126,6 +137,51 @@ class TestValidateDataset:
                     # dominates a later one (points are distinct)
                     assert not np.all(X[i] >= X[j])
 
+    @pytest.mark.parametrize("budget", [64, 1])
+    def test_row_blocks_report_the_first_row_major_violation(self, monkeypatch, budget):
+        rng = np.random.default_rng(budget)
+        monkeypatch.setattr(core, "CHUNK_BYTES", budget)
+        violations = 0
+        for _ in range(80):
+            X = np.unique(rng.integers(0, 4, (int(rng.integers(2, 40)), 2)).astype(float), axis=0)
+            rng.shuffle(X)
+            y = rng.integers(0, 3, len(X)).astype(float)
+            bad = one_shot_leq(X) & (y[:, None] > y[None, :])
+            if not bad.any():
+                validate_dataset(list(zip(map(tuple, X), y)))
+                continue
+            violations += 1
+            with pytest.raises(MonotoneViolation) as err:
+                validate_dataset(list(zip(map(tuple, X), y)))
+            assert (err.value.first, err.value.second) == tuple(np.argwhere(bad)[0])
+        assert violations > 40
+
+    @pytest.mark.parametrize("budget", [64, 1])
+    def test_row_blocks_keep_the_canonical_order(self, monkeypatch, budget):
+        rng = np.random.default_rng(100 + budget)
+        corpus = []
+        for _ in range(40):
+            X = np.unique(rng.integers(0, 4, (int(rng.integers(1, 40)), 3)).astype(float), axis=0)
+            rng.shuffle(X)
+            pairs = list(zip(map(tuple, X), np.floor(random_monotone_score(rng, X) * 3)))
+            corpus.append((pairs, validate_dataset(pairs)))
+        monkeypatch.setattr(core, "CHUNK_BYTES", budget)
+        for pairs, want in corpus:
+            assert validate_dataset(pairs) == want
+
+    def test_memory_stays_within_row_blocks(self):
+        # one n x n boolean array here is 137 MiB
+        X = np.random.default_rng(12000).random((12000, 2))
+        pairs = list(zip(map(tuple, X.tolist()), (X @ [1.0, 2.0]).tolist()))
+        tracemalloc.start()
+        try:
+            ds = validate_dataset(pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.n == 12000
+        assert peak < 150 << 20, peak
+
 
 @st.composite
 def small_datasets(draw):
@@ -163,9 +219,40 @@ class TestTotallyOrdered:
         ds = validate_dataset([((0.5, 0.5), 1.0)])
         assert is_totally_ordered(ds)
 
+    def test_matches_the_pairwise_definition(self):
+        rng = np.random.default_rng(8)
+        seen = set()
+        for _ in range(400):
+            ds = random_monotone_dataset(rng, max_n=10, max_d=3)
+            seen.add(is_totally_ordered(ds))
+            assert is_totally_ordered(ds) == every_pair_comparable(ds.points)
+        assert seen == {True, False}
+
+    def test_tied_shuffled_chains(self):
+        rng = np.random.default_rng(9)
+        for _ in range(100):
+            X = random_chain_dataset(rng, int(rng.integers(1, 20)), int(rng.integers(1, 4))).points.copy()
+            rng.shuffle(X)
+            ds = validate_dataset([(tuple(p), 1.0) for p in X])
+            assert is_totally_ordered(ds) == every_pair_comparable(ds.points) is True
+
+    def test_hand_made_reverse_chain_is_not_a_chain(self):
+        chain = random_chain_dataset(np.random.default_rng(10), 6, 3)
+        ds = MonotoneDataset(chain.points[::-1], chain.labels[::-1])
+        assert every_pair_comparable(ds.points)
+        assert not is_totally_ordered(ds)
+        with pytest.raises(NotTotallyOrdered):
+            build_chain_interpolator(ds)
+
 
 def one_shot_leq(P: np.ndarray) -> np.ndarray:
     return np.all(P[:, None, :] <= P[None, :, :], axis=2)
+
+
+def every_pair_comparable(P: np.ndarray) -> bool:
+    """The definition of a chain, pair by pair."""
+    L = one_shot_leq(P)
+    return bool(np.all(L | L.T))
 
 
 class TestPairwiseLeq:
