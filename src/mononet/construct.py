@@ -52,7 +52,7 @@ from .core import (
     is_totally_ordered,
     row_blocks,
 )
-from .errors import NotTotallyOrdered
+from .errors import DuplicatePoint, NotTotallyOrdered
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,9 +154,11 @@ def _separating_index(X: np.ndarray, i: int) -> int:
         return 0
     # The canonical order of a chain is the coordinatewise order, so some
     # coordinate strictly increases from the predecessor; by transitivity it
-    # separates point i from every earlier point.
+    # separates point i from every earlier point.  Only a hand-made dataset
+    # can hold two equal consecutive points.
     increased = np.flatnonzero(X[i] > X[i - 1])
-    assert increased.size > 0, "chain points are distinct and ordered"
+    if increased.size == 0:
+        raise DuplicatePoint(i - 1, i)
     return int(increased[0])
 
 
@@ -166,7 +168,8 @@ def build_chain_interpolator(ds: MonotoneDataset) -> tuple[ThresholdNetwork, Con
     Layer-1 unit i thresholds a single separating coordinate against its
     value at point i, which reproduces the embedding indicators on the
     training points; a suffix-OR and the telescoping output complete the
-    network.  Raises :class:`NotTotallyOrdered` when the data is not a chain.
+    network.  Raises :class:`NotTotallyOrdered` when the data is not a chain
+    and :class:`DuplicatePoint` when two of its points are equal.
     """
     if not is_totally_ordered(ds):
         raise NotTotallyOrdered(

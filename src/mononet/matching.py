@@ -10,9 +10,10 @@ probability that ``G(p)`` contains a perfect matching.  The module provides
 * a sampling estimator: truncate each entry to ``bits`` binary digits, draw
   ``samples`` independent graphs, return the fraction containing a perfect
   matching (a greedy start plus augmenting paths on each distinct graph),
-  with the standard
-  exponential concentration guarantee
-  ``P(|m(p) - estimate| > delta + n^2 / 2**(bits/2)) <= 2*exp(-samples*delta^2/3)``,
+  with the guarantee
+  ``P(|m(p) - estimate| > delta + n^2 * 2**-bits) <= 2*exp(-2*samples*delta^2)``
+  (truncation costs less than n^2 * 2**-bits by coupling, Hoeffding's
+  inequality bounds the sampling error; see :func:`estimator_error_bound`),
 * probes for the structural facts the estimator analysis rests on:
   ``m`` is entrywise monotone and n-Lipschitz (and 1-Lipschitz in any
   single entry).
@@ -31,9 +32,9 @@ from .errors import InvalidArgument, TooLarge
 # Largest n the exact oracle accepts.  The DP costs (families per row) *
 # 2**n steps per row: about 2 ms at n = 5 and 40 ms at n = 6.
 EXACT_MAX_N = 5
-# Most edge uniforms one estimate may draw (samples * n**2): n <= 351 at
-# eps = 0.05 and n <= 140 at eps = 0.02 (fail_prob 1e-6).  At the cap, n = 351
-# with p = 1 took 17 s and 561 MB peak RSS on a 2-vCPU host.
+# Most edge uniforms one estimate may draw (samples * n**2): n <= 1697 at
+# eps = 0.05 and n <= 680 at eps = 0.02 (fail_prob 1e-6).  A run at the cap
+# (n = 351, 69,642 samples, p = 1) took 17 s and 561 MB peak RSS on a 2-vCPU host.
 ESTIMATE_MAX_DRAWS = 2**33
 _CHUNK_BITS = 20  # the estimator draws at most 2**20 edge uniforms per block
 
@@ -140,9 +141,17 @@ def has_perfect_matching(g: BipartiteGraph) -> bool:
     augmenting path stays unmatched in every maximum matching, so the
     answer is False at once.
     """
-    rows = g.rows
-    owner = [0] * g.n  # owner[j]: the left vertex matched to right vertex j
-    free = (1 << g.n) - 1  # bitmask of the unmatched right vertices
+    return _matches(g.rows)
+
+
+def _matches(rows) -> bool:
+    """The body of :func:`has_perfect_matching` on a sequence of row bitmasks.
+
+    The estimator calls it on raw decoded rows, which are in range by
+    construction, so no :class:`BipartiteGraph` is validated per sample.
+    """
+    owner = [0] * len(rows)  # owner[j]: the left vertex matched to right vertex j
+    free = (1 << len(rows)) - 1  # bitmask of the unmatched right vertices
     unmatched = []
     for u, adj in enumerate(rows):
         hit = adj & free
@@ -240,22 +249,21 @@ def truncate_probabilities(p: EdgeProbabilityMatrix, bits: int) -> EdgeProbabili
     return EdgeProbabilityMatrix(np.clip(out, 0.0, 1.0))
 
 
-def truncation_error_bounds(n: int, bits: int) -> tuple[float, float]:
-    """Euclidean distance bounds ||p - truncated p|| -> (coarse, sharp).
-
-    The coarse bound ``sqrt(n**2 / 2**bits)`` is the one used in the
-    estimator guarantee; entrywise truncation error below ``2**-bits``
-    actually gives the sharper ``n * 2**-bits``.
-    """
-    coarse = math.sqrt(n * n / 2.0**bits)
-    sharp = n * 2.0**-bits
-    return coarse, sharp
-
-
 def estimator_error_bound(cfg: EstimatorConfig, n: int) -> tuple[float, float]:
-    """(error radius, failure probability) of the concentration guarantee."""
-    radius = cfg.delta + n * n / 2.0 ** (cfg.bits / 2.0)
-    failure = 2.0 * math.exp(-cfg.samples * cfg.delta**2 / 3.0)
+    """(error radius, failure probability) of the estimator's guarantee.
+
+    ``P(|m(p) - estimate| > delta + n^2 * 2**-bits) <= 2*exp(-2*samples*delta^2)``.
+
+    Truncation: draw G(p) and G(trunc p) from the same edge uniforms U_ij.
+    They differ only if some U_ij falls in [trunc p_ij, p_ij), which has
+    probability p_ij - trunc p_ij < 2**-bits, so by the union bound
+    ``|m(p) - m(trunc p)| <= sum_ij (p_ij - trunc p_ij) < n^2 * 2**-bits``.
+    Sampling: the estimate is the mean of ``samples`` i.i.d. 0/1 draws with
+    mean m(trunc p), and Hoeffding's inequality (1963) bounds its deviation
+    beyond ``delta`` by ``2*exp(-2*samples*delta^2)``.
+    """
+    radius = cfg.delta + n * n * 2.0**-cfg.bits
+    failure = 2.0 * math.exp(-2.0 * cfg.samples * cfg.delta**2)
     return radius, failure
 
 
@@ -289,13 +297,22 @@ def estimate_matching_probability(p: EdgeProbabilityMatrix, cfg: EstimatorConfig
         if start + max_rows >= cfg.samples or sum(map(len, keys)) > 2 * max(max_rows, len(keys[0])):
             uniq, inverse = np.unique(np.concatenate(keys), return_inverse=True)
             keys, counts = [uniq], [np.bincount(inverse.ravel(), np.concatenate(counts))]
-    found = np.zeros(len(uniq), dtype=bool)
-    for k, sample in enumerate(uniq):
-        key = sample.tobytes()
-        rows = tuple(int.from_bytes(key[i * width : (i + 1) * width], "little") for i in range(n))
-        found[k] = has_perfect_matching(BipartiteGraph(n, rows))
+    found = np.fromiter(map(_matches, _decode_rows(uniq, n, width)), bool, len(uniq))
     hits = int(counts[0][found].sum())  # float counts, exact below 2**53
     return hits / cfg.samples
+
+
+def _decode_rows(graphs: np.ndarray, n: int, width: int) -> list:
+    """The row bitmasks of packed graphs, one list of n ints per graph.
+
+    Rows of 1, 2, 4 or 8 bytes are read as little-endian machine words in
+    one pass; wider rows are read with ``int.from_bytes``.
+    """
+    if width in (1, 2, 4, 8):
+        return graphs.view(f"<u{width}").reshape(len(graphs), n).tolist()
+    data = graphs.tobytes()
+    rows = [int.from_bytes(data[k : k + width], "little") for k in range(0, len(data), width)]
+    return [rows[k : k + n] for k in range(0, len(rows), n)]
 
 
 def default_parameters(
@@ -304,10 +321,11 @@ def default_parameters(
     """Instantiate the estimator so that |m(p) - estimate| <= eps except with
     probability ``fail_prob``.
 
-    Precision covers half the budget (``n**2 / 2**(bits/2) <= eps/2``) and
-    the sampling deviation ``delta = eps/2`` covers the rest, with the
-    replica count inverted from the concentration bound
-    ``2*exp(-samples*delta^2/3) <= fail_prob``.
+    Precision takes at most eps/64 of the budget: ``bits`` is the least
+    with ``n**2 * 2**-bits <= eps/64``.  The sampling deviation ``delta`` is
+    the rest, ``eps - n**2 * 2**-bits``, and the replica count is the least
+    with ``2*exp(-2*samples*delta^2) <= fail_prob`` (see
+    :func:`estimator_error_bound`).
     """
     if n < 1:
         raise InvalidArgument("n must be >= 1")
@@ -315,12 +333,12 @@ def default_parameters(
         raise InvalidArgument("eps must lie in (0, 1)")
     if not 0 < fail_prob < 1:
         raise InvalidArgument("fail_prob must lie in (0, 1)")
-    bits = max(1, math.ceil(math.log2(4.0 * n**4 / eps**2)) + 1)
-    delta = eps / 2.0
+    bits = math.ceil(math.log2(64.0 * n * n / eps))
+    delta = eps - n * n * 2.0**-bits
     # the 1e-9 backoff keeps the ceil stable when fail_prob was itself
     # produced by the bound for an integer sample count
-    samples = math.ceil(3.0 * math.log(2.0 / fail_prob) / delta**2 - 1e-9)
-    return EstimatorConfig(bits=bits, samples=max(1, samples), seed=seed, delta=delta)
+    samples = math.ceil(math.log(2.0 / fail_prob) / (2.0 * delta**2) - 1e-9)
+    return EstimatorConfig(bits=bits, samples=samples, seed=seed, delta=delta)
 
 
 # -- structural probes of m ---------------------------------------------------

@@ -14,7 +14,7 @@ from mononet.construct import (
 from mononet import core
 from mononet.approx import build_approximator
 from mononet.core import ThresholdNetwork, is_totally_ordered, pairwise_leq, validate_dataset
-from mononet.errors import InvalidNumber, NotTotallyOrdered
+from mononet.errors import DuplicatePoint, InvalidNumber, NotTotallyOrdered
 
 
 def spread_dataset():
@@ -147,6 +147,18 @@ class TestChainInterpolator:
     def test_rejects_incomparable(self):
         with pytest.raises(NotTotallyOrdered):
             build_chain_interpolator(spread_dataset())
+
+    def test_rejects_duplicate_points(self):
+        # a hand-made dataset skips validate_dataset's duplicate check, and
+        # is_totally_ordered accepts equal points
+        ds = core.MonotoneDataset([[0.0, 0.0], [1.0, 2.0], [1.0, 2.0]], [0.0, 1.0, 2.0])
+        with pytest.raises(DuplicatePoint) as info:
+            build_chain_interpolator(ds)
+        assert (info.value.first, info.value.second) == (1, 2)
+        with pytest.raises(DuplicatePoint):
+            build_chain_interpolator(core.MonotoneDataset([[0.0, 0.0], [0.0, 0.0]], [0.0, 1.0]))
+        with pytest.raises(DuplicatePoint):
+            separating_coordinate(ds, 3)
 
     def test_embedding_on_training_points(self):
         rng = np.random.default_rng(31)

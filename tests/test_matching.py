@@ -24,7 +24,6 @@ from mononet.matching import (
     require_estimate_size,
     require_exact_size,
     truncate_probabilities,
-    truncation_error_bounds,
 )
 from mononet.errors import TooLarge
 
@@ -262,13 +261,16 @@ class TestTruncate:
         assert 0 <= p - once.entries[0, 0] < 2.0**-bits
 
     def test_norm_bounds(self):
+        # each entry loses less than 2**-bits: the Frobenius distance is below
+        # n * 2**-bits, and the entrywise sum, which bounds |m(p) - m(trunc p)|
+        # in the estimator's radius, below n**2 * 2**-bits
         rng = np.random.default_rng(19)
         p = EdgeProbabilityMatrix(rng.random((3, 3)))
         for bits in (1, 4, 10):
             t = truncate_probabilities(p, bits)
-            dist = float(np.linalg.norm(p.entries - t.entries))
-            coarse, sharp = truncation_error_bounds(3, bits)
-            assert dist <= sharp <= coarse
+            loss = p.entries - t.entries
+            assert float(np.linalg.norm(loss)) <= 3 * 2.0**-bits
+            assert float(loss.sum()) <= 9 * 2.0**-bits
 
 
 class TestEstimator:
@@ -282,9 +284,9 @@ class TestEstimator:
         cfg = EstimatorConfig(bits=10, samples=100_000, seed=42, delta=0.02)
         est = estimate_matching_probability(p, cfg)
         radius, failure = estimator_error_bound(cfg, 2)
-        assert radius == pytest.approx(0.02 + 4 / 2**5)
-        assert failure <= 2 * math.exp(-(10**5) * 0.0004 / 3)
-        assert abs(est - 7 / 16) <= 0.02 + 4 / 2**5
+        assert radius == pytest.approx(0.02 + 4 / 2**10)
+        assert failure <= 2 * math.exp(-2 * 10**5 * 0.0004)
+        assert abs(est - 7 / 16) <= 0.02 + 4 / 2**10
         # empirically much tighter at this sample count
         assert abs(est - 7 / 16) <= 0.01
 
@@ -308,10 +310,12 @@ class TestEstimator:
         est = estimate_matching_probability(p, cfg)
         assert 0.0 <= est <= 1.0
 
-    @pytest.mark.parametrize("n", [3, 9, 17])  # packed rows of 1, 2 and 3 bytes
+    # packed rows of 1, 2, 3, 1, 2, 4, 8 and 9 bytes: every word view and the
+    # int.from_bytes fallback
+    @pytest.mark.parametrize("n", [3, 9, 17, 8, 16, 32, 64, 65])
     def test_against_unpacked_reference(self, n):
         rng = np.random.default_rng(27 + n)
-        p = EdgeProbabilityMatrix(rng.uniform(0.5, 1.0, (n, n)) * min(1.0, 3.0 * math.log(n) / n))
+        p = EdgeProbabilityMatrix(rng.uniform(0.5, 1.0, (n, n)) * min(1.0, 2.0 * math.log(n) / n))
         cfg = EstimatorConfig(bits=12, samples=400, seed=n)
         trunc = truncate_probabilities(p, cfg.bits).entries
         draws = np.random.default_rng(cfg.seed).random((cfg.samples, n, n))
@@ -339,10 +343,11 @@ class TestEstimator:
 
     def test_draw_budget(self):
         # the default run at n = 12, and the largest runs served before the budget
-        for n, eps in [(12, 0.05), (64, 0.02), (100, 0.05), (100, 0.02), (351, 0.05), (140, 0.02)]:
+        for n, eps in [(12, 0.05), (64, 0.02), (100, 0.05), (351, 0.05), (1697, 0.05), (680, 0.02)]:
             require_estimate_size(n, default_parameters(n, eps, 1e-6).samples)
-        with pytest.raises(TooLarge):
-            require_estimate_size(352, default_parameters(352, 0.05, 1e-6).samples)
+        for n, eps in [(1698, 0.05), (681, 0.02)]:
+            with pytest.raises(TooLarge):
+                require_estimate_size(n, default_parameters(n, eps, 1e-6).samples)
         samples = ESTIMATE_MAX_DRAWS // 16
         require_estimate_size(4, samples)
         with pytest.raises(TooLarge):
@@ -364,28 +369,58 @@ class TestEstimator:
 class TestDefaultParameters:
     def test_frozen_example(self):
         cfg = default_parameters(2, 0.1, 1e-6)
-        assert cfg.bits == 14
-        assert cfg.delta == 0.05
-        # ceil(3 * ln(2e6) / 0.0025) = ceil(17410.39) = 17411
-        assert cfg.samples == 17411
+        # ceil(log2(64 * 4 / 0.1)) = ceil(11.32) = 12
+        assert cfg.bits == 12
+        assert cfg.delta == 0.1 - 4 / 2**12 == 0.0990234375
+        # ceil(ln(2e6) / (2 * 0.0990234375**2)) = ceil(739.81) = 740
+        assert cfg.samples == 740
+        for n, bits, samples in [(4, 14, 740), (8, 16, 740), (12, 17, 742)]:
+            cfg = default_parameters(n, 0.1, 1e-6)
+            assert (cfg.bits, cfg.samples) == (bits, samples)
 
     def test_accuracy_split(self):
         for n in (2, 3, 5):
             for eps in (0.5, 0.1, 0.03):
                 cfg = default_parameters(n, eps, 1e-9)
-                assert n * n / 2 ** (cfg.bits / 2) <= eps / 2
-                assert cfg.delta == eps / 2
+                # bits is the least with n**2 * 2**-bits <= eps/64
+                assert n * n * 2.0**-cfg.bits <= eps / 64 < n * n * 2.0 ** (1 - cfg.bits)
+                assert cfg.delta == eps - n * n * 2.0**-cfg.bits
 
     def test_bits_clamped(self):
         cfg = default_parameters(1, 0.999, 0.5)
         assert cfg.bits >= 1
 
     def test_failure_probability_round_trips(self):
-        for samples in (1000, 5000, 17411):
-            cfg = EstimatorConfig(bits=8, samples=samples, delta=0.05)
+        delta = default_parameters(2, 0.1, 1e-6).delta
+        for samples in (740, 1000, 5000, 17411):
+            cfg = EstimatorConfig(bits=8, samples=samples, delta=delta)
             _, failure = estimator_error_bound(cfg, 2)
             again = default_parameters(2, 0.1, failure)
             assert again.samples == samples
+
+    def test_promise_holds(self):
+        for n in (1, 2, 8, 64, 1697):
+            for eps in (0.5, 0.1, 0.02):
+                for fail_prob in (0.5, 0.05, 1e-6, 1e-12):
+                    cfg = default_parameters(n, eps, fail_prob)
+                    radius, failure = estimator_error_bound(cfg, n)
+                    assert radius <= eps and failure <= fail_prob, (n, eps, fail_prob)
+
+    @pytest.mark.parametrize("eps, fail_prob", [(0.1, 0.2), (0.05, 0.05)])
+    def test_radius_covers_exact_value(self, eps, fail_prob):
+        # 150 seeded matrices at each n in {2, 3, 4}: the estimate misses the
+        # exact m(p) by more than the printed radius at most a fail_prob share
+        # of the time
+        rng = np.random.default_rng(30)
+        misses = 0
+        for n in (2, 3, 4):
+            for _ in range(150):
+                p = EdgeProbabilityMatrix(rng.random((n, n)))
+                cfg = default_parameters(n, eps, fail_prob, seed=int(rng.integers(2**32)))
+                radius, _ = estimator_error_bound(cfg, n)
+                err = abs(estimate_matching_probability(p, cfg) - exact_matching_probability(p))
+                misses += err > radius
+        assert misses <= fail_prob * 450, misses
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
