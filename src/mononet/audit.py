@@ -46,6 +46,7 @@ from .errors import (
     DimensionTooSmall,
     InvalidArgument,
     PreconditionViolated,
+    TooLarge,
 )
 
 _REL_TOL = 1e-9
@@ -56,6 +57,7 @@ CONVEXITY_MAX_WIDTH = 16  # width of each ReLU layer, drawn from 1..this
 CONVEXITY_TRIPLES = 64  # midpoint-convexity triples per network
 CHAIN_MAX_POINTS = 16  # chain length, drawn from 3..this
 CHAIN_MAX_DIM = 6  # chain dimension, drawn from 1..this
+DEPTH2_MAX_COMPARISONS = 2**30  # validating the spread dataset: (d+1)^2*d, so d <= 1023
 
 
 def require_positive(count: int, name: str) -> None:
@@ -235,12 +237,21 @@ def depth2_counterexample(d: int) -> MonotoneDataset:
     """The spread dataset: d points ``d * e_i`` labeled 0, all-ones labeled 1.
 
     The points are pairwise incomparable, so the data is monotone; it is the
-    input of :func:`depth2_inequality_audit`.  Cached per ``d``: the dataset
-    is frozen and its arrays are read-only, so a campaign builds it once.
+    input of :func:`depth2_inequality_audit`.  The canonical order puts the
+    basis points in reverse index order, ``d * e_d`` first, and the all-ones
+    point last.  Cached per ``d``: the dataset is frozen and its arrays are
+    read-only, so a campaign builds it once.  Raises :class:`TooLarge`,
+    before allocating, when validating its d + 1 points would take more than
+    ``DEPTH2_MAX_COMPARISONS`` coordinate comparisons.
     """
     if d < 2:
         raise DimensionTooSmall(f"the spread dataset needs dimension >= 2, got {d}")
-    pairs = [(tuple(float(d) * np.eye(d)[i]), 0.0) for i in range(d)]
+    if (d + 1) ** 2 * d > DEPTH2_MAX_COMPARISONS:
+        raise TooLarge(
+            f"the spread dataset at d = {d} takes (d+1)^2*d coordinate comparisons "
+            f"to validate, above the limit of {DEPTH2_MAX_COMPARISONS} (d <= 1023)"
+        )
+    pairs = [(row, 0.0) for row in (float(d) * np.eye(d)).tolist()]
     pairs.append(((1.0,) * d, 1.0))
     return validate_dataset(pairs)
 
@@ -426,8 +437,7 @@ def run_depth2_campaign(d: int, samples: int, seed: int) -> AuditReport:
     spread dataset (none is expected for continuously random weights).
     """
     require_positive(samples, "samples")
-    if d < 2:
-        raise DimensionTooSmall(f"the spread dataset needs dimension >= 2, got {d}")
+    depth2_counterexample(d)  # refuses a d too small or too large before the first network
     rng = np.random.default_rng(seed)
     interpolated = 0
     for k in range(samples):

@@ -216,7 +216,7 @@ def _cmd_synth(args) -> int:
     io.save_network(net, args.output)
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(trace.to_dict()) + "\n")
+            trace.write_json(fh)
     print(f"builder: {'chain' if use_chain else 'general'}")
     print(f"hidden widths: {list(net.hidden_widths)}")
     print(f"hidden units: {net.hidden_unit_count}")

@@ -35,6 +35,7 @@ within a few ulps of the labels).
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -79,17 +80,26 @@ class ConstructionTrace:
 
     @cached_property
     def embedding_matrix(self) -> np.ndarray:
+        return np.concatenate(list(self._embedding_blocks()))
+
+    def _embedding_blocks(self):
+        """The rows of ``embedding_matrix``, one block of ``row_blocks`` at a time."""
         layers = self.network.layers[: self.embedding_layer + 1]
         upto = ThresholdNetwork(layers, np.zeros(layers[-1].width))
-        blocks = row_blocks(len(self.points), 8 * upto.hidden_unit_count)
-        return np.concatenate([upto.hidden_activations(self.points[s])[-1] != 0 for s in blocks])
+        for s in row_blocks(len(self.points), 8 * upto.hidden_unit_count):
+            yield upto.hidden_activations(self.points[s])[-1] != 0
 
-    def to_dict(self) -> dict:
-        return {
-            "layer_widths": list(self.layer_widths),
-            "embedding_matrix": self.embedding_matrix.astype(int).tolist(),
-            "output_weights": list(self.output_weights),
-        }
+    def write_json(self, fh) -> None:
+        """Write the trace as one line of JSON, the embedding matrix as 0/1 rows.
+
+        The text is ``json.dumps`` of the dict with keys ``layer_widths``,
+        ``embedding_matrix`` and ``output_weights``, written one block of rows
+        at a time so the n x n matrix never exists as Python lists.
+        """
+        fh.write(f'{{"layer_widths": {json.dumps(list(self.layer_widths))}, "embedding_matrix": [')
+        for k, block in enumerate(self._embedding_blocks()):
+            fh.write((", " if k else "") + json.dumps(block.astype(int).tolist())[1:-1])
+        fh.write(f'], "output_weights": {json.dumps(list(self.output_weights))}}}\n')
 
 
 def _telescoping_output(labels: np.ndarray) -> tuple[tuple[Fraction, ...], Fraction]:

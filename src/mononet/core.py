@@ -26,7 +26,6 @@ exact and on Fractions otherwise.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -103,9 +102,10 @@ class MonotoneDataset:
     """Canonically ordered monotone labeled points.
 
     ``points`` is an (n, d) float64 array, ``labels`` an (n,) array with
-    labels nondecreasing along the canonical order.  Among equal labels,
-    comparable pairs are ordered smaller-point-first; remaining ties keep
-    the original input order.  Construct through :func:`validate_dataset`.
+    labels nondecreasing along the canonical order.  Equal labels are
+    ordered lexicographically by point, so a smaller point of a comparable
+    pair comes first, and the order depends only on the set of pairs, not
+    on their input order.  Construct through :func:`validate_dataset`.
     """
 
     points: np.ndarray
@@ -143,39 +143,6 @@ class MonotoneDataset:
 
     def __repr__(self):
         return f"MonotoneDataset(n={self.n}, d={self.dimension})"
-
-
-def _canonical_order(labels: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Stable label sort, refined so comparable equal-label pairs go smaller-first.
-
-    Each group of tied labels compares only its own points.
-    """
-    order = np.argsort(labels, kind="stable")
-    y = labels[order]
-    # split where the sorted labels change; np.diff would overflow on +-1e308
-    groups = np.split(order, np.flatnonzero(y[1:] != y[:-1]) + 1)
-    return np.concatenate([_topological_group(g, points) if len(g) > 1 else g for g in groups])
-
-
-def _topological_group(group: np.ndarray, points: np.ndarray) -> list[int]:
-    # Kahn's algorithm on the strict partial order restricted to the group,
-    # always releasing the earliest input position first.  Re-running on its
-    # own output is the identity, which makes validate_dataset idempotent.
-    sub = pairwise_leq(points[group])
-    np.fill_diagonal(sub, False)
-    indeg = sub.sum(axis=0)
-    ready = [int(k) for k in range(len(group)) if indeg[k] == 0]
-    heapq.heapify(ready)
-    result = []
-    while ready:
-        k = heapq.heappop(ready)
-        result.append(int(group[k]))
-        for t in np.flatnonzero(sub[k]):
-            indeg[t] -= 1
-            if indeg[t] == 0:
-                heapq.heappush(ready, int(t))
-    assert len(result) == len(group), "coordinatewise order on distinct points is acyclic"
-    return result
 
 
 def validate_dataset(raw: Iterable[tuple[Sequence[float], float]]) -> MonotoneDataset:
@@ -227,7 +194,8 @@ def validate_dataset(raw: Iterable[tuple[Sequence[float], float]]) -> MonotoneDa
                 f"vs x={tuple(map(float, points[j]))} y={float(labels[j])}",
             )
 
-    order = _canonical_order(labels, points)
+    # by label, then lexicographically by point, which extends the coordinatewise order
+    order = np.lexsort((*points.T[::-1], labels))
     return MonotoneDataset(points[order], labels[order])
 
 
@@ -235,11 +203,11 @@ def is_totally_ordered(ds: MonotoneDataset) -> bool:
     """True iff every pair of dataset points is coordinatewise comparable.
 
     Consecutive points suffice: the canonical order of a chain is its
-    coordinatewise order (within equal labels Kahn's algorithm puts smaller
-    points first, across labels monotonicity does).  By transitivity the
-    test never calls a non-chain a chain, even on a hand-made
-    :class:`MonotoneDataset`; it can only miss a chain whose points are out
-    of order, and the chain builder then refuses it.
+    coordinatewise order (within equal labels the lexicographic order puts
+    smaller points first, across labels monotonicity does).  By
+    transitivity the test never calls a non-chain a chain, even on a
+    hand-made :class:`MonotoneDataset`; it can only miss a chain whose
+    points are out of order, and the chain builder then refuses it.
     """
     return bool(np.all(ds.points[:-1] <= ds.points[1:]))
 

@@ -86,7 +86,7 @@ class PreconditionViolated(Error):
 
 
 class TooLarge(Error):
-    """An exact computation was requested beyond the oracle's size limit."""
+    """The requested work is beyond a fixed limit, refused before allocating."""
 
 
 class SchemaError(Error):

@@ -178,14 +178,14 @@ class TestSqrtGap:
 class TestDepth2Counterexample:
     def test_d2(self):
         ds = depth2_counterexample(2)
-        assert ds.items() == [((2.0, 0.0), 0.0), ((0.0, 2.0), 0.0), ((1.0, 1.0), 1.0)]
+        assert ds.items() == [((0.0, 2.0), 0.0), ((2.0, 0.0), 0.0), ((1.0, 1.0), 1.0)]
 
     def test_d3(self):
         ds = depth2_counterexample(3)
         assert ds.items() == [
-            ((3.0, 0.0, 0.0), 0.0),
-            ((0.0, 3.0, 0.0), 0.0),
             ((0.0, 0.0, 3.0), 0.0),
+            ((0.0, 3.0, 0.0), 0.0),
+            ((3.0, 0.0, 0.0), 0.0),
             ((1.0, 1.0, 1.0), 1.0),
         ]
 

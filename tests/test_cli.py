@@ -195,6 +195,26 @@ def test_synth_and_eval_at_n_4000_stay_under_450_mb(tmp_path):
     assert net.stat().st_size < 1 << 20
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in kilobytes on Linux")
+def test_synth_trace_at_n_4000_stays_under_200_mb(tmp_path):
+    # the trace as one nested int list took 298 MB
+    X = np.random.default_rng(4000).random((4000, 4))
+    data = tmp_path / "data.csv"
+    data.write_text("".join(",".join(map(repr, [*x, sum(x)])) + "\n" for x in X.tolist()))
+    net, trace = tmp_path / "net.json", tmp_path / "trace.json"
+    script = (
+        "import sys; from mononet.cli import main\n"
+        f"assert main(['synth', {str(data)!r}, '-o', {str(net)!r}, '--trace', {str(trace)!r}]) == 0\n"
+    )
+    src = str(Path(mononet.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    child = subprocess.Popen([sys.executable, "-c", script], env=env, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(child.pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert usage.ru_maxrss < 200 * 1024, usage.ru_maxrss  # kilobytes on Linux
+    assert trace.stat().st_size > 4000 * 4000 * 3  # "0, " or "1, " per entry
+
+
 class TestAudit:
     def test_depth2_pass(self, capsys):
         assert main(["audit", "--check", "depth2", "--d", "3", "--samples", "200", "--seed", "7"]) == 0
@@ -225,6 +245,19 @@ class TestAudit:
         )
         assert code == 0
         assert "verdict: FAIL" in capsys.readouterr().out
+
+    def test_depth2_large_d_refused_before_allocating(self, capsys):
+        tracemalloc.start()
+        try:
+            code = main(["audit", "--check", "depth2", "--d", "100000", "--samples", "1"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 1 << 20, peak
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert diagnostic(captured.err)["error"] == "TooLarge"
 
     def test_structure_requires_net(self, capsys):
         assert main(["audit", "--check", "structure"]) == 2

@@ -1,3 +1,5 @@
+import io
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +15,7 @@ from mononet.construct import (
 )
 from mononet import core
 from mononet.approx import build_approximator
+from mononet.audit import random_chain_dataset
 from mononet.core import ThresholdNetwork, is_totally_ordered, pairwise_leq, validate_dataset
 from mononet.errors import DuplicatePoint, InvalidNumber, NotTotallyOrdered
 
@@ -102,6 +105,24 @@ class TestBuildInterpolator:
         # only the layers up to the embedding, seven rows at a time
         blocks = [(net.hidden_widths[:2], len(ds.points[s : s + 7])) for s in range(0, ds.n, 7)]
         assert calls == blocks
+
+    @pytest.mark.parametrize("chain", [False, True])
+    def test_trace_json_is_written_by_row_blocks(self, monkeypatch, chain):
+        rng = np.random.default_rng(28)
+        if chain:
+            _, trace = build_chain_interpolator(random_chain_dataset(rng, 30, 3))
+        else:
+            _, trace = build_interpolator(random_monotone_dataset(rng, max_n=30, max_d=3))
+        want = json.dumps({
+            "layer_widths": list(trace.layer_widths),
+            "embedding_matrix": trace.embedding_matrix.astype(int).tolist(),
+            "output_weights": list(trace.output_weights),
+        }) + "\n"
+        for budget in (1, 4096, core.CHUNK_BYTES):
+            monkeypatch.setattr(core, "CHUNK_BYTES", budget)
+            out = io.StringIO()
+            trace.write_json(out)
+            assert out.getvalue() == want
 
     def test_embedding_lemma_on_probes(self):
         rng = np.random.default_rng(25)

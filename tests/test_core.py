@@ -72,7 +72,7 @@ class TestThreshold:
 class TestValidateDataset:
     def test_spread_example_keeps_order(self):
         ds = validate_dataset([((2, 0), 0.0), ((0, 2), 0.0), ((1, 1), 1.0)])
-        assert ds.items() == [((2.0, 0.0), 0.0), ((0.0, 2.0), 0.0), ((1.0, 1.0), 1.0)]
+        assert ds.items() == [((0.0, 2.0), 0.0), ((2.0, 0.0), 0.0), ((1.0, 1.0), 1.0)]
 
     def test_direct_violation(self):
         with pytest.raises(MonotoneViolation) as err:
@@ -83,11 +83,11 @@ class TestValidateDataset:
         ds = validate_dataset(
             [((0, 0), 0.0), ((1, 0), 1.0), ((0, 1), 1.0), ((1, 1), 2.0)]
         )
-        # incomparable equal-label pair keeps input order
+        # incomparable equal-label pair in lexicographic order
         assert ds.items() == [
             ((0.0, 0.0), 0.0),
-            ((1.0, 0.0), 1.0),
             ((0.0, 1.0), 1.0),
+            ((1.0, 0.0), 1.0),
             ((1.0, 1.0), 2.0),
         ]
 
@@ -182,6 +182,20 @@ class TestValidateDataset:
         assert ds.n == 12000
         assert peak < 150 << 20, peak
 
+    def test_tied_labels_stay_within_row_blocks(self, monkeypatch):
+        # one tied group of distinct points: no n x n comparison of the group
+        X = np.random.default_rng(4000).random((4000, 2))
+        pairs = [(p, 0.5) for p in map(tuple, X.tolist())]
+        monkeypatch.setattr(core, "CHUNK_BYTES", 64 << 10)
+        tracemalloc.start()
+        try:
+            ds = validate_dataset(pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20, peak
+        assert ds.points.tolist() == sorted(X.tolist())
+
 
 @st.composite
 def small_datasets(draw):
@@ -204,6 +218,14 @@ def small_datasets(draw):
 def test_validate_idempotent_property(pairs):
     ds = validate_dataset(pairs)
     assert validate_dataset(ds.items()) == ds
+
+
+@given(small_datasets(), st.randoms(use_true_random=False))
+@settings(max_examples=60)
+def test_validate_ignores_the_input_order_property(pairs, random):
+    shuffled = list(pairs)
+    random.shuffle(shuffled)
+    assert validate_dataset(shuffled) == validate_dataset(pairs)
 
 
 class TestTotallyOrdered:
