@@ -67,10 +67,7 @@ def _extract_config(argv: list[str]) -> tuple[dict, list[str]]:
             break
     else:
         return {}, argv
-    try:
-        doc = json.loads(open(path, encoding="utf-8").read())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
+    doc = io.read_json(path)
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: config must be a JSON object")
     return {k.replace("-", "_"): v for k, v in doc.items()}, rest

@@ -1,14 +1,14 @@
 """Builders for monotone threshold networks that interpolate monotone data.
 
 Two constructions are provided, both producing networks whose hidden weights
-are 0/1 (hence nonnegative) and that store O(n*d) numbers: only layer 1
-holds a matrix, the later layers hold a :class:`~mononet.core.WeightPattern`.
+are 0/1 (hence nonnegative) and that store O(n*d) numbers: no layer holds a
+matrix, each holds a :class:`~mononet.core.WeightPattern`.
 
 * :func:`build_interpolator` - works for any monotone dataset with n points
   in dimension d, using hidden widths (d*n, n, n):
 
-  - layer 1, unit ``i*d + c``: fires iff input coordinate ``c`` is >= the
-    same coordinate of the i-th dataset point;
+  - layer 1, unit ``i*d + c``: selects input coordinate ``c`` and fires iff
+    it is >= the same coordinate of the i-th dataset point;
   - layer 2, unit ``i``: ANDs the block of d layer-1 units for point i, so
     it fires iff the input dominates point i coordinatewise (the rows of
     this "embedding" stage indicate the dominated dataset points);
@@ -44,6 +44,7 @@ import numpy as np
 
 from .core import (
     BLOCKS,
+    SELECT,
     SUFFIX,
     THRESHOLD,
     MonotoneDataset,
@@ -94,11 +95,18 @@ class ConstructionTrace:
 
         The text is ``json.dumps`` of the dict with keys ``layer_widths``,
         ``embedding_matrix`` and ``output_weights``, written one block of rows
-        at a time so the n x n matrix never exists as Python lists.
+        at a time so the n x n matrix never exists as Python lists.  A row's
+        text is its byte template ``[0, 0, ..., 0], `` with its digits set.
         """
+        width = self.layer_widths[self.embedding_layer]
+        template = np.frombuffer(f"[{', '.join('0' * width)}], ".encode(), np.uint8)
         fh.write(f'{{"layer_widths": {json.dumps(list(self.layer_widths))}, "embedding_matrix": [')
-        for k, block in enumerate(self._embedding_blocks()):
-            fh.write((", " if k else "") + json.dumps(block.astype(int).tolist())[1:-1])
+        sep = ""
+        for block in self._embedding_blocks():
+            rows = np.tile(template, (len(block), 1))
+            rows[:, 1 : 3 * width : 3] += block  # "0" + 1 is "1"
+            fh.write(sep + rows.tobytes().decode("ascii")[:-2])
+            sep = ", "
         fh.write(f'], "output_weights": {json.dumps(list(self.output_weights))}}}\n')
 
 
@@ -133,7 +141,8 @@ def build_interpolator(ds: MonotoneDataset) -> tuple[ThresholdNetwork, Construct
     (exactly on the rational path; within ~n ulps on the float path).
     """
     n, d = ds.n, ds.dimension
-    layer1 = ThresholdLayer(np.tile(np.eye(d), (n, 1)), -ds.points.reshape(-1), THRESHOLD)
+    index = np.arange(n * d) % d  # unit i*d + c reads coordinate c
+    layer1 = ThresholdLayer(WeightPattern(SELECT, d, index), -ds.points.reshape(-1), THRESHOLD)
     layer2 = ThresholdLayer(WeightPattern(BLOCKS, d), np.full(n, -float(d)), THRESHOLD)
     return _finish((layer1, layer2, _suffix_or_layer(n)), ds, embedding_layer=1)
 
@@ -186,5 +195,5 @@ def build_chain_interpolator(ds: MonotoneDataset) -> tuple[ThresholdNetwork, Con
             "chain construction needs every pair of points comparable"
         )
     r = [_separating_index(ds.points, i) for i in range(ds.n)]
-    layer1 = ThresholdLayer(np.eye(ds.dimension)[r], -ds.points[range(ds.n), r], THRESHOLD)
+    layer1 = ThresholdLayer(WeightPattern(SELECT, ds.dimension, r), -ds.points[range(ds.n), r], THRESHOLD)
     return _finish((layer1, _suffix_or_layer(ds.n)), ds, embedding_layer=0)

@@ -47,7 +47,7 @@ THRESHOLD = "threshold"
 RELU = "relu"
 
 _ACTIVATIONS = (THRESHOLD, RELU)
-DENSE, BLOCKS, SUFFIX = "dense", "blocks", "suffix"  # the kinds of layer weights
+DENSE, BLOCKS, SUFFIX, SELECT = "dense", "blocks", "suffix", "select"  # the kinds of layer weights
 
 # Exact float integer arithmetic is guaranteed below this magnitude.
 _EXACT_INT_LIMIT = 2.0**53
@@ -213,12 +213,17 @@ def is_totally_ordered(ds: MonotoneDataset) -> bool:
 
 
 class WeightPattern(NamedTuple):
-    """A 0/1 weight matrix kept as its kind: ``("blocks", k)``, whose unit i sums
-    inputs ``i*k .. i*k+k-1``, or ``("suffix", 1)``, whose unit i sums ``i .. end``.
+    """A 0/1 weight matrix kept as its kind, with no matrix stored:
+
+    * ``("blocks", k)``: unit i sums inputs ``i*k .. i*k+k-1``;
+    * ``("suffix", 1)``: unit i sums inputs ``i .. end``;
+    * ``("select", d, index)``: unit u reads input ``index[u]`` of ``d`` inputs,
+      the one-hot rows of a dense matrix.
     """
 
     kind: str
     size: int = 1
+    index: np.ndarray | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,9 +240,8 @@ class ThresholdLayer:
     def __post_init__(self):
         w, b = self.weights, np.asarray(self.biases, dtype=float)
         if isinstance(w, WeightPattern):
-            if not (type(w.size) is int and w.size >= 1 and (w.kind == BLOCKS or w == (SUFFIX, 1))):
-                raise InvalidArgument(f"invalid weight pattern {tuple(w)!r}")
-            kind, shape = w.kind, (b.size, b.size * w.size)
+            w, shape = _checked_pattern(w, b.size)
+            kind = w.kind
         else:
             w = _readonly(np.asarray(w, dtype=float))
             kind, shape = DENSE, w.shape
@@ -271,6 +275,8 @@ class ThresholdLayer:
         if self.activation != THRESHOLD:
             return False
         w, b = self.weights, self.biases
+        if self.kind == SELECT:  # one weight 1.0 per row, the first case
+            return True
         if self.kind != DENSE:  # 0/1 weights, at most input_width of them per row
             w, sums = 1.0, self.input_width
         elif np.all(np.count_nonzero(w, axis=1) <= 1) and np.all(w[w != 0] == 1.0):
@@ -288,13 +294,18 @@ class ThresholdLayer:
         return (ints[:, :-1] if self.kind == DENSE else scale), ints[:, -1], scale
 
     def _sums(self, A: np.ndarray, W) -> np.ndarray:
-        """``A @ W.T``, for ``W`` the weights or the ints of ``_integers``."""
+        """``A @ W.T`` as a new C-ordered array, for ``W`` the weights or the ints of ``_integers``."""
         if self.kind == DENSE:
             return A @ W.T
-        if self.kind == BLOCKS:
-            S = A.reshape(len(A), self.width, self.weights.size).sum(axis=2)
+        if self.kind == SELECT:
+            S = A.take(self.weights.index, axis=1)
+        elif self.kind == BLOCKS:
+            S = A.reshape(len(A), self.width, self.weights.size)
+            # np.einsum takes object arrays only from numpy 1.25 on
+            S = S.sum(axis=2) if A.dtype == object else np.einsum("rnk->rn", S)
         else:
-            S = np.cumsum(A[:, ::-1], axis=1)[:, ::-1]
+            S = np.empty(A.shape, A.dtype)
+            np.cumsum(A[:, ::-1], axis=1, out=S[:, ::-1])
         return S * W if isinstance(W, int) else S
 
     def forward(self, A: np.ndarray) -> np.ndarray:
@@ -307,11 +318,12 @@ class ThresholdLayer:
         way; ReLU units on an object batch return Fractions, clamped at the
         int 0.
         """
-        if A.dtype != object:
-            Z = self._sums(A, self.weights) + self.biases
+        if A.dtype != object:  # in place: each new array of the batch costs its page faults
+            Z = self._sums(A, self.weights)
+            Z += self.biases
             if self.activation == THRESHOLD:
-                return (Z >= 0).astype(float)
-            return np.maximum(Z, 0.0)
+                return np.greater_equal(Z, 0.0, out=Z)
+            return np.maximum(Z, 0.0, out=Z)
         W, b, scale = self._integers
         N, den = _as_integers(A)
         Z = self._sums(N, W) + b * den  # the pre-activations times den * scale
@@ -319,6 +331,20 @@ class ThresholdLayer:
             return (Z >= 0).astype(float)
         scale *= den
         return np.frompyfunc(lambda z: Fraction(z, scale) if z > 0 else 0, 1, 1)(Z)
+
+
+def _checked_pattern(w: WeightPattern, width: int) -> tuple[WeightPattern, tuple[int, int]]:
+    """``w`` with a read-only ``intp`` index, and the shape of its matrix for ``width`` units."""
+    sized = type(w.size) is int and w.size >= 1
+    if sized and w.kind == SELECT:
+        index = np.asarray(w.index)  # a missing index is a 0-d object array
+        if index.ndim == 1 and index.dtype.kind in "iu" and (
+            index.size == 0 or (index.min() >= 0 and index.max() < w.size)
+        ):
+            return w._replace(index=_readonly(index.astype(np.intp))), (index.size, w.size)
+    elif sized and w.index is None and (w.kind == BLOCKS or (w.kind, w.size) == (SUFFIX, 1)):
+        return w, (width, width * w.size)
+    raise InvalidArgument(f"invalid weight pattern {(w.kind, w.size)!r}")
 
 
 def _as_integers(values: np.ndarray) -> tuple[np.ndarray, int]:

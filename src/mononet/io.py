@@ -6,17 +6,23 @@ only.
 
 Network JSON: a versioned document, written on one line
 
-    {"version": 2, "dimension": d, "monotone_flag": bool, "exact": bool,
+    {"version": 3, "dimension": d, "monotone_flag": bool, "exact": bool,
      "layers": [{"activation": ..., "weights": [[...]], "biases": [...]}],
      "output": {"weights": [...], "bias": ...}}
 
-A :class:`~mononet.core.WeightPattern` layer holds ``"kind": "blocks", "size": k``
-or ``"kind": "suffix"`` in place of ``"weights"``; version 1 files still load.
+A :class:`~mononet.core.WeightPattern` layer holds ``"kind": "select", "size": d,
+"index": [...]``, ``"kind": "blocks", "size": k`` or ``"kind": "suffix"`` in
+place of ``"weights"``.  Version 1 files (matrices only) and version 2 files
+(blocks and suffix patterns, layer 1 a matrix) still load.
 
 Floats round-trip bit-exactly: Python's shortest-repr float encoding is
 what ``json`` emits and parses.  An exact output stage, which every built
 interpolator has, is stored as "numerator/denominator" strings with
 ``"exact": true``.
+
+Every JSON input, a network or a ``--config`` file, goes through
+:func:`read_json`.  A JSON or CSV file that is not UTF-8, not JSON or nested
+too deeply to parse raises :class:`~mononet.errors.SchemaError`.
 """
 
 from __future__ import annotations
@@ -29,10 +35,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import BLOCKS, DENSE, SUFFIX, ThresholdLayer, ThresholdNetwork, WeightPattern
+from .core import BLOCKS, DENSE, SELECT, SUFFIX, ThresholdLayer, ThresholdNetwork, WeightPattern
 from .errors import SchemaError
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 # Exactly the strings float() accepts, so that parsing never has to catch
 # its ValueError (digits may carry single underscores, as in 1_000).
@@ -54,16 +60,18 @@ def parse_float(text: str) -> float | None:
 def _parse_rows(path) -> list[list[float]]:
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for lineno, cells in enumerate(reader, start=1):
-            cells = [c.strip() for c in cells if c.strip() != ""]
-            if not cells:
-                continue
-            row = [parse_float(c) for c in cells]
-            if None not in row:
-                rows.append(row)
-            elif lineno != 1:  # a non-numeric first line is a header
-                raise SchemaError(f"{path}: line {lineno} is not numeric: {cells}")
+        try:
+            for lineno, cells in enumerate(csv.reader(fh), start=1):
+                cells = [c.strip() for c in cells if c.strip() != ""]
+                if not cells:
+                    continue
+                row = [parse_float(c) for c in cells]
+                if None not in row:
+                    rows.append(row)
+                elif lineno != 1:  # a non-numeric first line is a header
+                    raise SchemaError(f"{path}: line {lineno} is not numeric: {cells}")
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise SchemaError(f"{path}: not a readable CSV file: {exc}") from exc
     if not rows:
         raise SchemaError(f"{path}: no data rows")
     width = len(rows[0])
@@ -133,6 +141,8 @@ def network_to_dict(net: ThresholdNetwork) -> dict:
 def _layer_to_dict(layer: ThresholdLayer) -> dict:
     if layer.kind == DENSE:
         weights = {"weights": layer.weights.tolist()}
+    elif layer.kind == SELECT:
+        weights = {"kind": SELECT, "size": layer.weights.size, "index": layer.weights.index.tolist()}
     elif layer.kind == BLOCKS:
         weights = {"kind": BLOCKS, "size": layer.weights.size}
     else:
@@ -144,13 +154,14 @@ def _layer_from_dict(spec: dict) -> ThresholdLayer:
     if "kind" not in spec:
         weights = np.asarray(spec["weights"], dtype=float)
     else:
-        weights = WeightPattern(spec["kind"], spec["size"] if spec["kind"] == BLOCKS else 1)
+        kind = spec["kind"]
+        weights = WeightPattern(kind, 1 if kind == SUFFIX else spec["size"], spec.get("index"))
     return ThresholdLayer(weights, np.asarray(spec["biases"], dtype=float), spec["activation"])
 
 
 def network_from_dict(doc: dict) -> ThresholdNetwork:
     try:
-        if doc["version"] not in (1, SCHEMA_VERSION):
+        if doc["version"] not in (1, 2, SCHEMA_VERSION):
             raise SchemaError(f"unsupported network version {doc['version']!r}")
         layers = tuple(_layer_from_dict(spec) for spec in doc["layers"])
         out = doc["output"]
@@ -176,11 +187,20 @@ def save_network(net: ThresholdNetwork, path) -> None:
     Path(path).write_text(json.dumps(network_to_dict(net)) + "\n", encoding="utf-8")
 
 
-def load_network(path) -> ThresholdNetwork:
+def read_json(path):
+    """The JSON document in ``path``.
+
+    Raises :class:`SchemaError` when the file is not UTF-8 or not JSON, or
+    nests too deeply to parse (a ``RecursionError``); ``OSError`` passes.
+    """
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # JSON and UTF-8 errors are ValueErrors
         raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
+
+
+def load_network(path) -> ThresholdNetwork:
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: expected a JSON object")
     return network_from_dict(doc)

@@ -7,7 +7,8 @@ construction and only needs to be re-checked by validate_dataset.
 
 ``dense_interpolator`` builds the general interpolator with every weight
 matrix written out, the way the library built it before its layers were
-stored as weight patterns; it is the oracle for the pattern layers.
+stored as weight patterns; it is the oracle for the pattern layers, and
+``densify`` writes out the patterns of any network the same way.
 """
 
 from fractions import Fraction
@@ -60,8 +61,15 @@ def suffix_matrix(width: int) -> np.ndarray:
     return np.triu(np.ones((width, width)))
 
 
+def select_matrix(inputs: int, index) -> np.ndarray:
+    """Unit u reads input index[u]: one-hot rows."""
+    return np.eye(inputs)[np.asarray(index, dtype=int)]
+
+
 def dense_weights(layer: ThresholdLayer) -> np.ndarray:
     """The layer's weight matrix, written out for a weight pattern."""
+    if layer.kind == "select":
+        return select_matrix(layer.input_width, layer.weights.index)
     if layer.kind == "blocks":
         return blocks_matrix(layer.width, layer.weights.size)
     if layer.kind == "suffix":

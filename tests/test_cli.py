@@ -487,6 +487,34 @@ class TestInvalidInput:
         assert main(argv.split()) == 2
         diagnostic(capsys.readouterr().err)
 
+    @pytest.mark.parametrize("argv", [
+        "eval {deep} {points}",
+        "audit --check structure --net {deep}",
+        "--config {deep} matchprob --n 1 --p 1",
+        "eval {latin1_json} {points}",
+        "eval {net} {latin1_csv}",
+        "synth {latin1_csv} -o {out}",
+    ], ids=["eval-deep", "audit-deep", "config-deep", "eval-latin1-network", "eval-latin1-points",
+            "synth-latin1"])
+    def test_hostile_file_exit_2_with_one_json_line(self, tmp_path, spread_csv, argv, capsys):
+        depth = 200_000  # far past the recursion limit of the JSON parser
+        files = {
+            "deep": write(tmp_path / "deep.json", "[" * depth + "]" * depth),
+            "latin1_json": str(tmp_path / "latin1.json"),
+            "latin1_csv": str(tmp_path / "latin1.csv"),
+            "points": write(tmp_path / "pts.csv", "1,2\n"),
+            "net": str(tmp_path / "net.json"),
+            "out": str(tmp_path / "out.json"),
+        }
+        Path(files["latin1_json"]).write_bytes('{"version": 3, "name": "caf\u00e9"}'.encode("latin-1"))
+        Path(files["latin1_csv"]).write_bytes("x\u00e9,y\n1,2\n".encode("latin-1"))
+        assert main(["synth", spread_csv, "-o", files["net"]]) == 0
+        capsys.readouterr()
+        assert main(argv.format(**files).split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert diagnostic(captured.err)["error"] == "SchemaError"
+
 
 # Valid small invocations; the property test below makes exactly one of their
 # values (or one extra flag) invalid, so no drawn command can run for long.

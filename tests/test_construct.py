@@ -110,19 +110,21 @@ class TestBuildInterpolator:
     def test_trace_json_is_written_by_row_blocks(self, monkeypatch, chain):
         rng = np.random.default_rng(28)
         if chain:
-            _, trace = build_chain_interpolator(random_chain_dataset(rng, 30, 3))
+            build, ds = build_chain_interpolator, random_chain_dataset(rng, 30, 3)
         else:
-            _, trace = build_interpolator(random_monotone_dataset(rng, max_n=30, max_d=3))
-        want = json.dumps({
-            "layer_widths": list(trace.layer_widths),
-            "embedding_matrix": trace.embedding_matrix.astype(int).tolist(),
-            "output_weights": list(trace.output_weights),
-        }) + "\n"
-        for budget in (1, 4096, core.CHUNK_BYTES):
-            monkeypatch.setattr(core, "CHUNK_BYTES", budget)
-            out = io.StringIO()
-            trace.write_json(out)
-            assert out.getvalue() == want
+            build, ds = build_interpolator, random_monotone_dataset(rng, max_n=30, max_d=3)
+        for data in (ds, validate_dataset([((0.5, -1.0), 2.0)])):  # and one point
+            _, trace = build(data)
+            want = json.dumps({
+                "layer_widths": list(trace.layer_widths),
+                "embedding_matrix": trace.embedding_matrix.astype(int).tolist(),
+                "output_weights": list(trace.output_weights),
+            }) + "\n"
+            for budget in (1, 4096, core.CHUNK_BYTES):
+                monkeypatch.setattr(core, "CHUNK_BYTES", budget)
+                out = io.StringIO()
+                trace.write_json(out)
+                assert out.getvalue() == want
 
     def test_embedding_lemma_on_probes(self):
         rng = np.random.default_rng(25)

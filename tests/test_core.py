@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    blocks_matrix,
     dense_interpolator,
     dense_weights,
     densify,
@@ -367,6 +368,7 @@ class TestEvaluate:
 
 BLOCKS3 = WeightPattern("blocks", 3)
 SUFFIX = WeightPattern("suffix")
+SELECT = WeightPattern("select", 3, [2, 0, 0, 1])
 
 
 class TestWeightPatterns:
@@ -375,13 +377,20 @@ class TestWeightPatterns:
         suffix = ThresholdLayer(SUFFIX, [-1.0, -1.0, -1.0])
         assert (blocks.kind, blocks.width, blocks.input_width) == ("blocks", 2, 6)
         assert (suffix.kind, suffix.width, suffix.input_width) == ("suffix", 3, 3)
+        select = ThresholdLayer(SELECT, [0.0] * 4)
+        assert (select.kind, select.width, select.input_width) == ("select", 4, 3)
+        assert select.weights.index.tolist() == [2, 0, 0, 1] and not select.weights.index.flags.writeable
         assert ThresholdLayer([[1.0, 2.0]], [0.0]).kind == "dense"
         assert ThresholdNetwork((blocks, ThresholdLayer(SUFFIX, [0.0, 0.0])), [1.0, 1.0]).input_dimension == 6
 
     @pytest.mark.parametrize(
         "pattern",
         [WeightPattern("diagonal"), WeightPattern("blocks", 0), WeightPattern("blocks", 2.0),
-         WeightPattern("blocks", True), WeightPattern("blocks", "2"), WeightPattern("suffix", 2)],
+         WeightPattern("blocks", True), WeightPattern("blocks", "2"), WeightPattern("suffix", 2),
+         WeightPattern("blocks", 1, [0]), WeightPattern("select", 1), WeightPattern("select", 1, [1]),
+         WeightPattern("select", 2, [-1]), WeightPattern("select", 2, [0.0]),
+         WeightPattern("select", 2, [True]), WeightPattern("select", 2, [[0]]),
+         WeightPattern("select", True, [0]), WeightPattern("select", 0, [0])],
     )
     def test_bad_pattern(self, pattern):
         with pytest.raises(InvalidArgument):
@@ -390,6 +399,8 @@ class TestWeightPatterns:
     def test_pattern_biases_checked(self):
         with pytest.raises(DimensionMismatch):
             ThresholdLayer(SUFFIX, [[0.0]])
+        with pytest.raises(DimensionMismatch):
+            ThresholdLayer(SELECT, [0.0] * 3)
         with pytest.raises(InvalidNumber):
             ThresholdLayer(SUFFIX, [float("nan")])
 
@@ -404,8 +415,30 @@ class TestWeightPatterns:
                 A = dyadic(rng, A.shape, -2.0, 2.0)
             assert np.array_equal(layer.forward(A), dense.forward(A))
 
+    @pytest.mark.parametrize("activation", ["threshold", "relu"])
+    def test_select_matches_one_hot_matrix(self, activation):
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            d, width = int(rng.integers(1, 6)), int(rng.integers(1, 30))
+            layer = ThresholdLayer(WeightPattern("select", d, rng.integers(0, d, width)),
+                                   rng.uniform(-1, 1, width), activation)
+            dense = ThresholdLayer(dense_weights(layer), layer.biases, activation)
+            assert np.array_equal(dense.weights.sum(axis=1), np.ones(width))
+            A = rng.uniform(-1, 1, (9, d)) * 10.0 ** rng.integers(-3, 3, (9, d))
+            A[0, layer.weights.index] = -layer.biases  # pre-activations of exactly 0
+            assert layer.forward(A).tobytes() == dense.forward(A).tobytes()
+
+    @pytest.mark.parametrize("size", [1, 2, 4, 16, 64])
+    def test_block_sums_match_blocks_matrix(self, size):
+        rng = np.random.default_rng(24)
+        width = int(rng.integers(1, 40))
+        A = rng.integers(0, 2, (33, width * size)).astype(float)
+        got = ThresholdLayer(WeightPattern("blocks", size), np.zeros(width))._sums(A, None)
+        assert got.tobytes() == (A @ blocks_matrix(width, size).T).tobytes()
+
     def test_first_negative_weight(self):
         assert ThresholdLayer(SUFFIX, [-5.0]).first_negative_weight() is None
+        assert ThresholdLayer(SELECT, [-5.0] * 4).first_negative_weight() is None
         assert ThresholdLayer([[1.0, 0.0], [0.5, -0.0], [2.0, -1e-300]], [0.0] * 3).first_negative_weight() == (2, 1)
         assert ThresholdLayer([[0.0, 1.0]], [-1.0]).first_negative_weight() is None
 
@@ -415,6 +448,9 @@ class TestWeightPatterns:
         assert not ThresholdLayer(BLOCKS3, [-2.5]).float_exact(True)
         assert not ThresholdLayer(SUFFIX, [-(2.0**53)]).float_exact(True)
         assert not ThresholdLayer(SUFFIX, [-1.0], "relu").float_exact(True)
+        # a select layer is one unit weight per row
+        assert ThresholdLayer(SELECT, [-0.1, 2.5, -(2.0**60), 0.3]).float_exact(False)
+        assert not ThresholdLayer(SELECT, [0.0] * 4, "relu").float_exact(False)
         # one unit weight per row is exact on any input
         assert ThresholdLayer([[0.0, 1.0], [1.0, 0.0]], [-0.1, 0.3]).float_exact(False)
         assert ThresholdLayer([[2.0, 1.0]], [-3.0]).float_exact(True)
@@ -423,7 +459,7 @@ class TestWeightPatterns:
 
     def test_layers_compare_and_hash_by_identity(self):
         for make in (lambda: ThresholdLayer([[1.0, 2.0]], [0.0]), lambda: ThresholdLayer(BLOCKS3, [-3.0]),
-                     lambda: ThresholdLayer(SUFFIX, [-1.0, -1.0])):
+                     lambda: ThresholdLayer(SUFFIX, [-1.0, -1.0]), lambda: ThresholdLayer(SELECT, [0.0] * 4)):
             a, b = make(), make()
             assert a == a and a != b
             assert hash(a) == hash(a)
@@ -550,6 +586,8 @@ class TestExactEvaluation:
                 (ThresholdLayer(WeightPattern("blocks", shape[1]), biases, activation),
                  np.concatenate([A] * width, axis=1)),
                 (ThresholdLayer(SUFFIX, rng.uniform(-2, 1, shape[1]), activation), A),
+                (ThresholdLayer(WeightPattern("select", shape[1], rng.integers(0, shape[1], width)),
+                                biases, activation), A),
             ]
             for case, batch in cases:
                 got = case.forward(batch)

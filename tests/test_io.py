@@ -133,7 +133,7 @@ class TestNetworkJson:
         net = ThresholdNetwork((ThresholdLayer([[1.0]], [0.0]),), [1.0], 0.0)
         doc = network_to_dict(net)
         assert doc["monotone_flag"] is True
-        assert doc["version"] == 2
+        assert doc["version"] == 3
         assert doc["dimension"] == 1
 
     def test_bad_version(self):
@@ -213,18 +213,20 @@ class TestNetworkJson:
         ds = random_monotone_dataset(rng, max_n=30, max_d=4)
         net, _ = build_interpolator(ds)
         doc = network_to_dict(net)
-        assert doc["version"] == 2
+        assert doc["version"] == 3
         assert [sorted(spec) for spec in doc["layers"]] == [
-            ["activation", "biases", "weights"],
+            ["activation", "biases", "index", "kind", "size"],
             ["activation", "biases", "kind", "size"],
             ["activation", "biases", "kind"],
         ]
+        assert doc["layers"][0]["kind"] == "select" and doc["layers"][0]["size"] == ds.dimension
+        assert doc["layers"][0]["index"] == list(range(ds.dimension)) * ds.n
         assert doc["layers"][1]["kind"] == "blocks" and doc["layers"][1]["size"] == ds.dimension
         assert doc["layers"][2]["kind"] == "suffix"
         path = tmp_path / "net.json"
         save_network(net, path)
         back = load_network(path)
-        assert [layer.kind for layer in back.layers] == ["dense", "blocks", "suffix"]
+        assert [layer.kind for layer in back.layers] == ["select", "blocks", "suffix"]
         assert network_to_dict(back) == doc
         X = np.vstack([ds.points, rng.random((20, ds.dimension)) * 4])
         assert back.evaluate_batch(X).tobytes() == net.evaluate_batch(X).tobytes()
@@ -238,6 +240,19 @@ class TestNetworkJson:
         save_network(build_interpolator(ds)[0], path)
         assert path.stat().st_size < 100 * ds.n * ds.dimension
 
+    @pytest.mark.parametrize("builder", [build_interpolator, build_chain_interpolator])
+    def test_built_document_is_linear_in_d(self, tmp_path, builder):
+        # a dense one-hot layer 1 of the general builder held n*d*d numbers:
+        # 409,600 at n = 100, d = 64
+        rng = np.random.default_rng(36)
+        path, n, sizes = tmp_path / "net.json", 100, []
+        for d in (4, 16, 64):
+            X = np.cumsum(rng.random((n, d)) + 0.1, axis=0)  # a chain, so both builders apply
+            save_network(builder(validate_dataset(zip(map(tuple, X), range(n))))[0], path)
+            sizes.append(path.stat().st_size)
+            assert sizes[-1] < 100 * n * d
+        assert sizes[1] < 6 * sizes[0] and sizes[2] < 6 * sizes[1]  # d times 4, bytes at most times 6
+
     @pytest.mark.parametrize(
         "spec",
         [
@@ -250,6 +265,17 @@ class TestNetworkJson:
             {"kind": "blocks", "size": 2},
             {"kind": None},
             {"kind": "suffix", "biases": [[0.0]]},
+            {"kind": "blocks", "size": 1, "index": [0]},
+            {"kind": "select", "index": [0]},
+            {"kind": "select", "size": 1},
+            {"kind": "select", "size": 1, "index": [1]},
+            {"kind": "select", "size": 1, "index": [-1]},
+            {"kind": "select", "size": 1, "index": [0.0]},
+            {"kind": "select", "size": 1, "index": [True]},
+            {"kind": "select", "size": 1, "index": [[0]]},
+            {"kind": "select", "size": 1, "index": "0"},
+            {"kind": "select", "size": 1, "index": [0, 0]},
+            {"kind": "select", "size": 1.0, "index": [0]},
         ],
     )
     def test_malformed_pattern_layer(self, spec):
@@ -278,6 +304,20 @@ class TestNetworkJson:
         assert old.evaluate_batch_exact(X) == net.evaluate_batch_exact(X)
         assert old.monotone_flag and net.monotone_flag
 
+    def test_version_2_file_loads_and_evaluates_identically(self):
+        # written by `mononet synth` while layer 1 was a dense one-hot matrix
+        data = Path(__file__).parent / "data"
+        old = load_network(data / "v2_network.json")
+        assert json.loads((data / "v2_network.json").read_text())["version"] == 2
+        ds = validate_dataset(read_dataset_csv(data / "v2_dataset.csv"))
+        net, _ = build_interpolator(ds)
+        assert [layer.kind for layer in old.layers] == ["dense", "blocks", "suffix"]
+        assert network_to_dict(densify(old)) == network_to_dict(densify(net))
+        X = np.vstack([ds.points, np.random.default_rng(37).random((200, ds.dimension)) * 6 - 0.5])
+        assert old.evaluate_batch(X).tobytes() == net.evaluate_batch(X).tobytes()
+        assert old.evaluate_batch_exact(X) == net.evaluate_batch_exact(X)
+        assert old.monotone_flag and net.monotone_flag
+
     def test_chain_network_round_trip(self, tmp_path):
         X = np.cumsum(np.ones((12, 3)), axis=0)
         ds = validate_dataset(zip(map(tuple, X), range(12)))
@@ -285,7 +325,7 @@ class TestNetworkJson:
         path = tmp_path / "chain.json"
         save_network(net, path)
         back = load_network(path)
-        assert [layer.kind for layer in back.layers] == ["dense", "suffix"]
+        assert [layer.kind for layer in back.layers] == ["select", "suffix"]
         assert back.evaluate_batch_exact(X + 0.5) == net.evaluate_batch_exact(X + 0.5)
 
     def test_bytes_stable(self, tmp_path):
