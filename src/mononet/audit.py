@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,6 +58,7 @@ CONVEXITY_MAX_WIDTH = 16  # width of each ReLU layer, drawn from 1..this
 CONVEXITY_TRIPLES = 64  # midpoint-convexity triples per network
 CHAIN_MAX_POINTS = 16  # chain length, drawn from 3..this
 CHAIN_MAX_DIM = 6  # chain dimension, drawn from 1..this
+DEPTH2_STACK_BYTES = 1 << 20  # the planned arrays of one stack of depth2 networks
 DEPTH2_MAX_COMPARISONS = 2**30  # validating the spread dataset: (d+1)^2*d, so d <= 1023
 
 
@@ -87,31 +89,37 @@ class AuditReport:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ActivitySets:
-    """Per input point, the indices of first-layer units with nonzero output."""
+    """Per input point, which first-layer units have nonzero output.
 
-    sets: tuple[frozenset[int], ...]
+    ``active`` is an (n, width) boolean matrix; row i is the activity set
+    of point i, and one set contains another where its row does.
+    """
+
+    active: np.ndarray
 
     @classmethod
     def from_network(cls, net: ThresholdNetwork, points) -> "ActivitySets":
         if not net.layers:
             raise ArchitectureMismatch("activity sets need at least one hidden layer")
-        acts = net.hidden_activations(points)[0]
-        return cls(tuple(frozenset(np.flatnonzero(row != 0).tolist()) for row in acts))
+        return cls(net.hidden_activations(points)[0] != 0)
+
+    def first_loss(self) -> int | None:
+        """Index i of the first consecutive pair whose set i is not within set i+1, if any."""
+        lost = np.flatnonzero((self.active[:-1] & ~self.active[1:]).any(axis=1))
+        return int(lost[0]) if len(lost) else None
 
     def is_ascending(self) -> bool:
-        return all(a <= b for a, b in zip(self.sets, self.sets[1:]))
+        return self.first_loss() is None
 
     def is_strictly_ascending(self) -> bool:
-        return all(a < b for a, b in zip(self.sets, self.sets[1:]))
+        return self.is_ascending() and bool((self.active[:-1] != self.active[1:]).any(axis=1).all())
 
     def first_repeat(self) -> int | None:
         """Index i of the first consecutive pair with equal sets, if any."""
-        for i, (a, b) in enumerate(zip(self.sets, self.sets[1:])):
-            if a == b:
-                return i
-        return None
+        equal = np.flatnonzero((self.active[:-1] == self.active[1:]).all(axis=1))
+        return int(equal[0]) if len(equal) else None
 
 
 def certify_monotone_structure(net: ThresholdNetwork) -> AuditReport:
@@ -265,42 +273,73 @@ def depth2_inequality_audit(net: ThresholdNetwork, d: int) -> AuditReport:
     whether the network happens to interpolate the dataset is reported in
     ``details`` as an observation.
     """
-    if len(net.layers) != 1:
+    bias = np.array([float(net.output_bias)])
+    return _depth2_audits(net, d, starts=np.zeros(1, np.intp), output_biases=bias).report(0)
+
+
+class _Depth2Audits(NamedTuple):
+    """The depth2 audit of each network of a stack, as arrays over the networks."""
+
+    shifted: np.ndarray  # (networks, d + 1): outputs on the spread dataset minus the output bias
+    lhs: np.ndarray
+    rhs: np.ndarray
+    passed: np.ndarray
+    interpolation_gap: np.ndarray
+
+    @property
+    def interpolates(self) -> np.ndarray:
+        return self.interpolation_gap <= 1e-9
+
+    def report(self, k: int) -> AuditReport:
+        lhs, rhs, passed = float(self.lhs[k]), float(self.rhs[k]), bool(self.passed[k])
+        return AuditReport(
+            "depth2",
+            passed=passed,
+            witness=None
+            if passed
+            else {"shifted_outputs": self.shifted[k].tolist(), "lhs": lhs, "rhs": rhs},
+            details={
+                "lhs": lhs,
+                "rhs": rhs,
+                "interpolates": bool(self.interpolates[k]),
+                "interpolation_gap": float(self.interpolation_gap[k]),
+            },
+        )
+
+
+def _depth2_audits(
+    stack: ThresholdNetwork, d: int, starts: np.ndarray, output_biases: np.ndarray
+) -> _Depth2Audits:
+    """The depth2 audit of networks side by side, through one forward pass.
+
+    ``stack``'s one hidden layer holds the networks' units one network after
+    another, network k's from unit ``starts[k]`` on, and its output weights
+    are theirs; ``output_biases[k]`` is network k's output bias.  Each
+    network's output is the sum of its segment of weighted activations.
+    """
+    if len(stack.layers) != 1:
         raise ArchitectureMismatch("audit needs exactly one hidden layer")
-    if net.layers[0].activation != THRESHOLD:
+    layer = stack.layers[0]
+    if layer.activation != THRESHOLD:
         raise ArchitectureMismatch("audit needs a threshold hidden layer")
-    if not net.monotone_flag:
+    if not stack.monotone_flag:
         raise ArchitectureMismatch("audit needs nonnegative weights throughout")
-    if net.input_dimension != d:
+    if stack.input_dimension != d:
         raise DimensionMismatch(
-            f"network has input dimension {net.input_dimension}, expected {d}"
+            f"network has input dimension {stack.input_dimension}, expected {d}"
         )
     ds = depth2_counterexample(d)
-    raw = net.evaluate_batch(ds.points)
-    shifted = raw - float(net.output_bias)
-    lhs = float(shifted[:d].sum())
-    rhs = float(shifted[d])
-    slack = _REL_TOL * (1.0 + abs(lhs) + abs(rhs))
-    passed = lhs >= rhs - slack
-    interp_gap = float(np.max(np.abs(raw - ds.labels)))
-    report = AuditReport(
-        "depth2",
-        passed=passed,
-        witness=None
-        if passed
-        else {
-            "shifted_outputs": shifted.tolist(),
-            "lhs": lhs,
-            "rhs": rhs,
-        },
-        details={
-            "lhs": lhs,
-            "rhs": rhs,
-            "interpolates": bool(interp_gap <= 1e-9),
-            "interpolation_gap": interp_gap,
-        },
-    )
-    return report
+    A = layer.forward(ds.points)
+    A *= np.asarray(stack.output_weights, dtype=float)
+    # reduceat needs a unit to start each segment: a network of no units sums to 0
+    sums = np.add.reduceat(A, starts, axis=1) if A.size else np.zeros((d + 1, len(starts)))
+    raw = sums.T + output_biases[:, None]
+    shifted = raw - output_biases[:, None]
+    lhs = shifted[:, :d].sum(axis=1)
+    rhs = shifted[:, d]
+    slack = _REL_TOL * (1.0 + np.abs(lhs) + np.abs(rhs))
+    gap = np.abs(raw - ds.labels).max(axis=1)
+    return _Depth2Audits(shifted, lhs, rhs, lhs >= rhs - slack, gap)
 
 
 def chain_width_audit(net: ThresholdNetwork, ds: MonotoneDataset) -> AuditReport:
@@ -332,22 +371,21 @@ def chain_width_audit(net: ThresholdNetwork, ds: MonotoneDataset) -> AuditReport
     activity = ActivitySets.from_network(net, ds.points)
     k = net.layers[0].width
     n = ds.n
+    bad = activity.first_loss()
     details = {
         "first_layer_width": k,
         "chain_length": n,
-        "ascending": activity.is_ascending(),
+        "ascending": bad is None,
         "strictly_ascending": activity.is_strictly_ascending(),
     }
-    if not activity.is_ascending():
-        bad = next(
-            i for i, (a, b) in enumerate(zip(activity.sets, activity.sets[1:])) if not a <= b
-        )
+    active = activity.active
+    if bad is not None:
         return AuditReport(
             "chain-width",
             passed=False,
             witness={
                 "index": bad,
-                "lost_units": sorted(activity.sets[bad] - activity.sets[bad + 1]),
+                "lost_units": np.flatnonzero(active[bad] & ~active[bad + 1]).tolist(),
             },
             details=details,
         )
@@ -359,8 +397,7 @@ def chain_width_audit(net: ThresholdNetwork, ds: MonotoneDataset) -> AuditReport
         # No repeat among n ascending sets in [k] forces strictly increasing
         # sizes, so sizes are exactly 0..n-1 and k == n-1: the one boundary
         # configuration where a narrow first layer evades the collision.
-        sizes = [len(s) for s in activity.sets]
-        assert k == n - 1 and sizes == list(range(n))
+        assert k == n - 1 and active.sum(axis=1).tolist() == list(range(n))
         details["width_obstruction"] = "vacuous-boundary"
         return AuditReport("chain-width", passed=True, details=details)
     # A threshold layer's activations are 0/1, so equal activity sets are
@@ -374,7 +411,7 @@ def chain_width_audit(net: ThresholdNetwork, ds: MonotoneDataset) -> AuditReport
         passed=passed,
         witness={
             "index": i,
-            "activity_set": sorted(activity.sets[i]),
+            "activity_set": np.flatnonzero(active[i]).tolist(),
             "outputs": outputs.tolist(),
             "labels": ds.labels[i : i + 2].tolist(),
         },
@@ -383,6 +420,23 @@ def chain_width_audit(net: ThresholdNetwork, ds: MonotoneDataset) -> AuditReport
 
 
 # -- randomized campaigns ----------------------------------------------------
+
+
+def _network_draw(rng: np.random.Generator, input_dim: int, widths: tuple[int, ...]) -> np.ndarray:
+    """The U[0, 1) doubles of one random network, from one ``rng.random`` call.
+
+    Layer by layer, ``width * fan_in`` weights and then ``width`` bias draws;
+    last, ``fan_in`` output weights and one output bias draw.  Drawing each
+    array in turn (``random((width, fan_in))``, ``uniform(-s, s, width)``,
+    ..., ``uniform(-o, o)``) takes the same doubles, one per entry.
+    """
+    fan_ins = (input_dim, *widths)
+    return rng.random(sum(w * (f + 1) for w, f in zip(widths, fan_ins)) + fan_ins[-1] + 1)
+
+
+def _symmetric(u, scale: float):
+    """``uniform(-scale, scale)`` from its U[0, 1) draw ``u``, as numpy computes it."""
+    return -scale + (scale + scale) * u
 
 
 def random_monotone_network(
@@ -398,16 +452,15 @@ def random_monotone_network(
     The bias range should roughly cover the input scale times fan-in so that
     units land on both sides of their thresholds.
     """
-    layers = []
-    fan_in = input_dim
+    u = _network_draw(rng, input_dim, widths)
+    layers, at, fan_in = [], 0, input_dim
     for width in widths:
-        w = rng.random((width, fan_in))
-        b = rng.uniform(-bias_scale, bias_scale, size=width)
-        layers.append(ThresholdLayer(w, b, activation))
-        fan_in = width
-    out_w = rng.random(fan_in)
-    out_b = rng.uniform(-output_bias_scale, output_bias_scale)
-    return ThresholdNetwork(tuple(layers), out_w, out_b)
+        end = at + width * fan_in
+        weights = u[at:end].reshape(width, fan_in)
+        biases = _symmetric(u[end : end + width], bias_scale)
+        layers.append(ThresholdLayer(weights, biases, activation))
+        at, fan_in = end + width, width
+    return ThresholdNetwork(tuple(layers), u[at:-1], float(_symmetric(u[-1], output_bias_scale)))
 
 
 def random_chain_dataset(rng: np.random.Generator, n: int, d: int) -> MonotoneDataset:
@@ -415,18 +468,45 @@ def random_chain_dataset(rng: np.random.Generator, n: int, d: int) -> MonotoneDa
 
     Consecutive points differ by a nonnegative increment that is zero in a
     random subset of coordinates (never all of them), exercising the
-    separating-coordinate selection.
+    separating-coordinate selection.  The points increase and so do the
+    labels, so the pairs are already a valid dataset in canonical order.
     """
     steps = 0.01 + rng.random((n, d))
     if n > 1:
         mask = rng.random((n - 1, d)) < 0.5
-        for row in range(n - 1):
-            if mask[row].all():
-                mask[row, rng.integers(d)] = False
+        for row in np.flatnonzero(mask.all(axis=1)):
+            mask[row, rng.integers(d)] = False
         steps[1:][mask] = 0.0
     X = np.cumsum(steps, axis=0)
     y = np.cumsum(0.05 + rng.random(n))
-    return validate_dataset(list(zip(map(tuple, X), y)))
+    return MonotoneDataset(X, y)
+
+
+def _random_depth2_stack(
+    rng: np.random.Generator, d: int, count: int
+) -> tuple[ThresholdNetwork, np.ndarray, np.ndarray]:
+    """``count`` networks drawn as ``run_depth2_campaign`` draws them, side by side.
+
+    Returns the arguments of :func:`_depth2_audits` after ``d``: the stack,
+    each network's first unit and each network's output bias.
+    """
+    widths, weights, biases, out_weights, out_biases = [], [], [], [], []
+    for _ in range(count):
+        width = int(rng.integers(1, DEPTH2_MAX_WIDTH + 1))
+        # width * d weights, width biases, width output weights and one output bias
+        u = _network_draw(rng, d, (width,))
+        a, b = width * d, width * (d + 1)
+        widths.append(width)
+        weights.append(u[:a])
+        biases.append(u[a:b])
+        out_weights.append(u[b:-1])
+        out_biases.append(u[-1])
+    layer = ThresholdLayer(
+        np.concatenate(weights).reshape(-1, d), _symmetric(np.concatenate(biases), float(d * d))
+    )
+    stack = ThresholdNetwork((layer,), np.concatenate(out_weights))
+    w = np.array(widths)
+    return stack, np.cumsum(w) - w, _symmetric(np.array(out_biases), 1.0)
 
 
 def run_depth2_campaign(d: int, samples: int, seed: int) -> AuditReport:
@@ -435,32 +515,30 @@ def run_depth2_campaign(d: int, samples: int, seed: int) -> AuditReport:
     Passes when the summed-activation inequality holds for every network;
     ``details`` additionally counts how many networks interpolated the
     spread dataset (none is expected for continuously random weights).
+    The networks are audited in stacks of at most ``DEPTH2_STACK_BYTES``
+    of planned arrays, one forward pass per stack.
     """
     require_positive(samples, "samples")
     depth2_counterexample(d)  # refuses a d too small or too large before the first network
     rng = np.random.default_rng(seed)
+    # a network's draw, weights, biases and activations take at most this many doubles each
+    doubles = DEPTH2_MAX_WIDTH * (d + 2)
+    stack = max(1, DEPTH2_STACK_BYTES // (4 * 8 * doubles))
     interpolated = 0
-    for k in range(samples):
-        width = int(rng.integers(1, DEPTH2_MAX_WIDTH + 1))
-        net = random_monotone_network(
-            rng,
-            d,
-            (width,),
-            activation=THRESHOLD,
-            bias_scale=float(d * d),
-            output_bias_scale=1.0,
-        )
-        report = depth2_inequality_audit(net, d)
-        if not report.passed:
+    for first in range(0, samples, stack):
+        net, starts, output_biases = _random_depth2_stack(rng, d, min(stack, samples - first))
+        audits = _depth2_audits(net, d, starts, output_biases)
+        failed = np.flatnonzero(~audits.passed)
+        if len(failed):
+            k = int(failed[0])
             return AuditReport(
                 "depth2",
                 passed=False,
-                witness={"sample_index": k, **(report.witness or {})},
+                witness={"sample_index": first + k, **audits.report(k).witness},
                 samples=samples,
                 seed=seed,
             )
-        if report.details["interpolates"]:
-            interpolated += 1
+        interpolated += int(np.count_nonzero(audits.interpolates))
     return AuditReport(
         "depth2",
         passed=True,

@@ -296,7 +296,9 @@ class ThresholdLayer:
     def _sums(self, A: np.ndarray, W) -> np.ndarray:
         """``A @ W.T`` as a new C-ordered array, for ``W`` the weights or the ints of ``_integers``."""
         if self.kind == DENSE:
-            return A @ W.T
+            # with one input each sum is one product, so np.dot, several times faster than @
+            # on an inner dimension of 1, gives the same bits
+            return np.dot(A, W.T) if self.input_width == 1 else A @ W.T
         if self.kind == SELECT:
             S = A.take(self.weights.index, axis=1)
         elif self.kind == BLOCKS:
@@ -444,7 +446,7 @@ class ThresholdNetwork:
     def monotone_flag(self) -> bool:
         """True iff all hidden and output weights are nonnegative."""
         hidden = not any(layer.first_negative_weight() for layer in self.layers)
-        return hidden and all(w >= 0 for w in self.output_weights)
+        return hidden and not (np.asarray(self.output_weights) < 0).any()
 
     # -- float evaluation ------------------------------------------------
 

@@ -11,9 +11,10 @@ Network JSON: a versioned document, written on one line
      "output": {"weights": [...], "bias": ...}}
 
 A :class:`~mononet.core.WeightPattern` layer holds ``"kind": "select", "size": d,
-"index": [...]``, ``"kind": "blocks", "size": k`` or ``"kind": "suffix"`` in
-place of ``"weights"``.  Version 1 files (matrices only) and version 2 files
-(blocks and suffix patterns, layer 1 a matrix) still load.
+"index": [...]``, ``"kind": "blocks", "size": k`` or ``"kind": "suffix"`` (whose
+``"size"``, if given, is 1) in place of ``"weights"``.  Version 1 files
+(matrices only) and version 2 files (blocks and suffix patterns, layer 1 a
+matrix) still load; the version is an int, so ``true`` and ``2.0`` are refused.
 
 Floats round-trip bit-exactly: Python's shortest-repr float encoding is
 what ``json`` emits and parses.  An exact output stage, which every built
@@ -155,13 +156,14 @@ def _layer_from_dict(spec: dict) -> ThresholdLayer:
         weights = np.asarray(spec["weights"], dtype=float)
     else:
         kind = spec["kind"]
-        weights = WeightPattern(kind, 1 if kind == SUFFIX else spec["size"], spec.get("index"))
+        size = spec.get("size", 1) if kind == SUFFIX else spec["size"]  # a suffix's is 1, left out
+        weights = WeightPattern(kind, size, spec.get("index"))
     return ThresholdLayer(weights, np.asarray(spec["biases"], dtype=float), spec["activation"])
 
 
 def network_from_dict(doc: dict) -> ThresholdNetwork:
     try:
-        if doc["version"] not in (1, 2, SCHEMA_VERSION):
+        if type(doc["version"]) is not int or doc["version"] not in (1, 2, SCHEMA_VERSION):
             raise SchemaError(f"unsupported network version {doc['version']!r}")
         layers = tuple(_layer_from_dict(spec) for spec in doc["layers"])
         out = doc["output"]

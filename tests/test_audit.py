@@ -1,7 +1,14 @@
+import json
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from mononet import audit
 from mononet.audit import (
+    DEPTH2_MAX_WIDTH,
+    DEPTH2_STACK_BYTES,
     ActivitySets,
     certify_monotone_structure,
     chain_width_audit,
@@ -17,6 +24,7 @@ from mononet.audit import (
     sqrt_gap_witness,
 )
 from mononet.construct import build_chain_interpolator, build_interpolator
+from mononet.cli import main
 from mononet.core import RELU, ThresholdLayer, ThresholdNetwork, validate_dataset
 from mononet.errors import (
     ActivationMismatch,
@@ -205,6 +213,13 @@ class TestDepth2Audit:
         assert report.passed
         assert report.details["lhs"] == report.details["rhs"] == 0.0
 
+    def test_no_units(self):
+        net = ThresholdNetwork((ThresholdLayer(np.zeros((0, 3)), []),), [], 0.5)
+        report = depth2_inequality_audit(net, 3)
+        assert report.passed
+        assert report.details == {"lhs": 0.0, "rhs": 0.0, "interpolates": False,
+                                  "interpolation_gap": 0.5}
+
     def test_and_unit(self):
         # sigma(x1 + x2 - 2): fires on all three points of the d=2 dataset
         net = ThresholdNetwork((ThresholdLayer([[1.0, 1.0]], [-2.0]),), [1.0], 0.0)
@@ -375,3 +390,199 @@ def test_campaigns_need_a_sample(samples):
 def test_depth2_campaign_checks_dimension_first():
     with pytest.raises(DimensionTooSmall):
         run_depth2_campaign(-3, 1, seed=0)
+
+
+# -- the campaigns against network-by-network oracles -------------------------
+
+
+def array_by_array_draw(rng, input_dim, widths, bias_scale, output_bias_scale):
+    """A random network's parameters drawn one array at a time, as uniform draws."""
+    layers, fan_in = [], input_dim
+    for width in widths:
+        layers.append((rng.random((width, fan_in)), rng.uniform(-bias_scale, bias_scale, size=width)))
+        fan_in = width
+    return layers, rng.random(fan_in), rng.uniform(-output_bias_scale, output_bias_scale)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_network_draw_matches_array_by_array_draws(d):
+    for seed in range(10):
+        for widths in ((1,), (7,), (32,), (3, 5), (16, 1, 4)):
+            for scales in ((1.0, 1.0), (float(d * d), 1.0), (0.3, 2.5)):
+                ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+                net = random_monotone_network(ours, d, widths, bias_scale=scales[0],
+                                              output_bias_scale=scales[1])
+                layers, out_w, out_b = array_by_array_draw(theirs, d, widths, *scales)
+                for layer, (w, b) in zip(net.layers, layers, strict=True):
+                    assert layer.weights.shape == w.shape
+                    assert layer.weights.tobytes() == w.tobytes()
+                    assert layer.biases.tobytes() == b.tobytes()
+                assert net.output_weights.tobytes() == out_w.tobytes()
+                assert np.float64(net.output_bias).tobytes() == np.float64(out_b).tobytes()
+                assert ours.random() == theirs.random()  # both streams go on alike
+
+
+def test_depth2_stack_holds_the_drawn_networks():
+    for d in (2, 3, 5, 40):
+        for seed in range(5):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            stack, starts, biases = audit._random_depth2_stack(ours, d, 50)
+            nets = [random_monotone_network(theirs, d, (int(theirs.integers(1, DEPTH2_MAX_WIDTH + 1)),),
+                                            bias_scale=float(d * d))
+                    for _ in range(50)]
+            layer = stack.layers[0]
+            assert layer.weights.tobytes() == np.vstack([n.layers[0].weights for n in nets]).tobytes()
+            assert layer.biases.tobytes() == np.concatenate([n.layers[0].biases for n in nets]).tobytes()
+            assert stack.output_weights.tobytes() == np.concatenate([n.output_weights for n in nets]).tobytes()
+            assert biases.tolist() == [n.output_bias for n in nets]
+            assert starts.tolist() == np.cumsum([0] + [n.layers[0].width for n in nets])[:-1].tolist()
+            assert ours.random() == theirs.random()
+
+
+def depth2_by_network(net: ThresholdNetwork, d: int, tol: float = 1e-9) -> dict:
+    """The depth2 inequality in closed form from ``evaluate_batch`` on the spread dataset."""
+    ds = depth2_counterexample(d)
+    raw = net.evaluate_batch(ds.points)
+    shifted = raw - float(net.output_bias)
+    lhs, rhs = float(shifted[:d].sum()), float(shifted[d])
+    return {
+        "passed": lhs >= rhs - tol * (1.0 + abs(lhs) + abs(rhs)),
+        "interpolates": float(np.max(np.abs(raw - ds.labels))) <= 1e-9,
+        "shifted_outputs": shifted.tolist(),
+        "lhs": lhs,
+        "rhs": rhs,
+    }
+
+
+def depth2_campaign_by_network(d: int, samples: int, seed: int, tol: float = 1e-9) -> dict:
+    """``run_depth2_campaign`` one network at a time: its verdict, count and first failure."""
+    rng = np.random.default_rng(seed)
+    interpolated = 0
+    for k in range(samples):
+        width = int(rng.integers(1, DEPTH2_MAX_WIDTH + 1))
+        net = random_monotone_network(rng, d, (width,), bias_scale=float(d * d))
+        result = depth2_by_network(net, d, tol)
+        if not result["passed"]:
+            return {"passed": False, "sample_index": k, **result}
+        interpolated += result["interpolates"]
+    return {"passed": True, "interpolating_networks": interpolated}
+
+
+def stack_of(nets):
+    """Networks side by side, as ``_depth2_audits`` takes them."""
+    layer = ThresholdLayer(np.vstack([n.layers[0].weights for n in nets]),
+                           np.concatenate([n.layers[0].biases for n in nets]))
+    widths = [n.layers[0].width for n in nets]
+    starts = np.cumsum([0] + widths)[:-1]
+    outputs = np.concatenate([np.asarray(n.output_weights, float) for n in nets])
+    biases = np.array([float(n.output_bias) for n in nets])
+    return ThresholdNetwork((layer,), outputs), starts, biases
+
+
+def assert_close(ours, theirs):
+    assert ours.keys() == theirs.keys()
+    for key, value in theirs.items():
+        assert np.allclose(ours[key], value, rtol=0, atol=1e-12), key
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_stacked_depth2_audits_match_each_network(d):
+    rng = np.random.default_rng(100 + d)
+    nets = [random_monotone_network(rng, d, (int(rng.integers(1, 33)),), bias_scale=float(d * d))
+            for _ in range(300)]
+    # crafted: tight and interpolating, no unit ever firing, every unit always firing
+    if d == 2:
+        nets.append(ThresholdNetwork((ThresholdLayer([[2.0, 1.0], [1.0, 2.0]], [-3.0, -3.0]),),
+                                     [1.0, 1.0], -1.0))
+    nets.append(ThresholdNetwork((ThresholdLayer(np.ones((3, d)), [-1e9] * 3),), [0.5] * 3, 0.25))
+    nets.append(ThresholdNetwork((ThresholdLayer(np.ones((2, d)), [0.0, 1.0]),), [0.5, 2.0], -4.0))
+    stack, starts, biases = stack_of(nets)
+    audits = audit._depth2_audits(stack, d, starts, biases)
+    for k, net in enumerate(nets):
+        want = depth2_by_network(net, d)
+        ours = audits.report(k)
+        single = depth2_inequality_audit(net, d)
+        assert ours.to_dict() == single.to_dict()  # the stack of one is the same body
+        assert (ours.passed, ours.details["interpolates"]) == (want["passed"], want["interpolates"])
+        assert_close({"lhs": ours.details["lhs"], "rhs": ours.details["rhs"],
+                      "shifted_outputs": audits.shifted[k]},
+                     {key: want[key] for key in ("lhs", "rhs", "shifted_outputs")})
+    assert int(np.count_nonzero(audits.interpolates)) == sum(
+        depth2_by_network(net, d)["interpolates"] for net in nets) == (d == 2)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("stack", [None, 7])
+def test_depth2_campaign_matches_network_by_network(monkeypatch, d, stack):
+    if stack:  # stacks of 7 networks, so that stack boundaries fall all through the samples
+        monkeypatch.setattr(audit, "DEPTH2_STACK_BYTES", 4 * 8 * DEPTH2_MAX_WIDTH * (d + 2) * stack)
+    for seed in range(4):
+        report = run_depth2_campaign(d, 450, seed)
+        want = depth2_campaign_by_network(d, 450, seed)
+        assert report.passed and want["passed"]
+        assert report.details["interpolating_networks"] == want["interpolating_networks"]
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_falsified_depth2_campaign_reports_the_same_network(monkeypatch, d):
+    # a negative tolerance fails every network with lhs == rhs, such as one that never fires
+    monkeypatch.setattr(audit, "_REL_TOL", -1e-12)
+    monkeypatch.setattr(audit, "DEPTH2_STACK_BYTES", 4 * 8 * DEPTH2_MAX_WIDTH * (d + 2) * 7)
+    indices = []
+    for seed in range(6):
+        report = run_depth2_campaign(d, 3000, seed)
+        want = depth2_campaign_by_network(d, 3000, seed, tol=-1e-12)
+        assert not report.passed and not want["passed"]
+        assert report.witness["sample_index"] == want["sample_index"]
+        assert_close(report.witness, {key: want[key] for key in report.witness})
+        assert report.witness.keys() == {"sample_index", "shifted_outputs", "lhs", "rhs"}
+        indices.append(want["sample_index"])
+    assert max(indices) >= 7  # some failure lies past the first stack
+
+
+def test_random_chain_dataset_is_validated_and_canonical():
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        ds = random_chain_dataset(rng, int(rng.integers(1, 20)), int(rng.integers(1, 7)))
+        assert ds == validate_dataset(ds.items())
+        assert ds.points.tobytes() == validate_dataset(ds.items()).points.tobytes()
+
+
+def test_activity_sets_match_per_point_sets():
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        n, width = int(rng.integers(1, 9)), int(rng.integers(0, 5))
+        active = rng.random((n, width)) < rng.random()
+        if rng.random() < 0.5:  # ascending rows, the common case along a chain
+            active = np.logical_or.accumulate(active, axis=0)
+        sets = [frozenset(np.flatnonzero(row).tolist()) for row in active]
+        pairs = list(zip(sets, sets[1:]))
+        activity = ActivitySets(active)
+        assert activity.is_ascending() == all(a <= b for a, b in pairs)
+        assert activity.is_strictly_ascending() == all(a < b for a, b in pairs)
+        assert activity.first_repeat() == next((i for i, (a, b) in enumerate(pairs) if a == b), None)
+        assert activity.first_loss() == next((i for i, (a, b) in enumerate(pairs) if not a <= b), None)
+
+
+def test_depth2_campaign_memory_is_bounded_at_the_largest_d():
+    # a stack of 256 networks of full width would hold 32 * 1023 * 8 * 256 bytes, 67 MB,
+    # of weights alone; the stack is sized by bytes instead
+    depth2_counterexample(1023)  # cached: the dataset is not the campaign's to count
+    tracemalloc.start()
+    try:
+        report = run_depth2_campaign(1023, 300, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 4 * DEPTH2_STACK_BYTES
+
+
+PINNED = json.loads((Path(__file__).parent / "data" / "audit_stdout.json").read_text())
+
+
+@pytest.mark.parametrize("case", PINNED, ids=[c["argv"] for c in PINNED])
+def test_audit_stdout_is_pinned(case, capsys):
+    """stdout of ``audit`` as the network-by-network campaigns printed it, byte for byte."""
+    assert main(case["argv"].split()) == 0
+    assert capsys.readouterr().out == case["stdout"]

@@ -142,6 +142,18 @@ class TestEval:
         assert main(["eval", net, pts]) == 2
         assert diagnostic(capsys.readouterr().err)["error"] == "SchemaError"
 
+    @pytest.mark.parametrize("field, value", [("version", True), ("version", 2.0), ("size", 7)])
+    def test_version_and_suffix_size_checked_exit_2(self, tmp_path, spread_csv, field, value, capsys):
+        out = tmp_path / "net.json"
+        main(["synth", spread_csv, "-o", str(out)])
+        doc = json.loads(out.read_text())
+        assert doc["layers"][2]["kind"] == "suffix" and "size" not in doc["layers"][2]
+        (doc["layers"][2] if field == "size" else doc)[field] = value
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["eval", str(out), write(tmp_path / "pts.csv", "1,2\n")]) == 2
+        assert diagnostic(capsys.readouterr().err)["error"] == "SchemaError"
+
     @pytest.mark.parametrize("command", ["eval", "audit"])
     @pytest.mark.parametrize("spec", [
         {"kind": "diagonal"},

@@ -357,6 +357,24 @@ class TestEvaluate:
         with pytest.raises(InvalidNumber):
             ThresholdLayer([[float("inf")]], [0.0])
 
+    @pytest.mark.parametrize("activation", ["threshold", "relu"])
+    def test_fan_in_one_matches_matmul(self, activation):
+        # a fan-in-1 dense layer sums with np.dot; each entry is one product either way
+        rng = np.random.default_rng(25)
+        for m in (1, 2, 7, 100, 10_001):
+            for width in range(1, 33):
+                layer = ThresholdLayer(rng.random((width, 1)), rng.uniform(-1, 1, width), activation)
+                A = rng.uniform(-1, 1, (m, 1)) * 10.0 ** rng.integers(-3, 4, (m, 1))
+                Z = A @ layer.weights.T
+                assert layer._sums(A, layer.weights).tobytes() == Z.tobytes()
+                Z = Z + layer.biases
+                want = (Z >= 0).astype(float) if activation == "threshold" else np.maximum(Z, 0.0)
+                assert layer.forward(A).tobytes() == want.tobytes()
+        net = ThresholdNetwork((ThresholdLayer(dyadic(rng, (5, 1)), dyadic(rng, 5), activation),),
+                               dyadic(rng, 5, 0.0, 1.0), 0.25)
+        X = dyadic(rng, (9, 1), -2.0, 2.0)
+        assert net.evaluate_batch_exact(X) == fraction_oracle(net, X)
+
     def test_monotone_on_sampled_pairs(self):
         rng = np.random.default_rng(3)
         layer = ThresholdLayer(rng.random((6, 2)), rng.uniform(-1, 1, 6))

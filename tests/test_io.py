@@ -139,9 +139,11 @@ class TestNetworkJson:
     def test_bad_version(self):
         net = ThresholdNetwork((ThresholdLayer([[1.0]], [0.0]),), [1.0], 0.0)
         doc = network_to_dict(net)
-        doc["version"] = 99
-        with pytest.raises(SchemaError):
-            network_from_dict(doc)
+        # True == 1 and 2.0 == 2, so a version must be an int, not only equal to one
+        for version in (99, 0, True, 2.0, 3.0, "3", None):
+            doc["version"] = version
+            with pytest.raises(SchemaError, match="unsupported network version"):
+                network_from_dict(doc)
 
     def test_declared_dimension_checked(self):
         net = ThresholdNetwork((ThresholdLayer([[1.0]], [0.0]),), [1.0], 0.0)
@@ -230,6 +232,8 @@ class TestNetworkJson:
         assert network_to_dict(back) == doc
         X = np.vstack([ds.points, rng.random((20, ds.dimension)) * 4])
         assert back.evaluate_batch(X).tobytes() == net.evaluate_batch(X).tobytes()
+        doc["layers"][2]["size"] = 1  # a suffix's one size, which the writer leaves out
+        assert network_from_dict(doc).evaluate_batch(X).tobytes() == net.evaluate_batch(X).tobytes()
 
     def test_built_document_is_linear_in_n(self, tmp_path):
         # n = 400 points in d = 2: the dense layers 2 and 3 alone held 480,000 numbers
@@ -276,6 +280,9 @@ class TestNetworkJson:
             {"kind": "select", "size": 1, "index": "0"},
             {"kind": "select", "size": 1, "index": [0, 0]},
             {"kind": "select", "size": 1.0, "index": [0]},
+            {"kind": "suffix", "size": 7},
+            {"kind": "suffix", "size": True},
+            {"kind": "suffix", "size": 1.0},
         ],
     )
     def test_malformed_pattern_layer(self, spec):
