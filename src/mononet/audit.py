@@ -233,11 +233,22 @@ def sqrt_gap_witness(
     _require_relu_monotone(net)
     if net.input_dimension != 1:
         raise DimensionMismatch("sqrt gap search needs a 1-dimensional network")
-    steps = int(round(1.0 / resolution))
-    xs = np.linspace(0.0, 1.0, steps + 1)
-    gaps = np.abs(net.evaluate_batch(xs[:, None]) - np.sqrt(xs))
+    xs, roots = _sqrt_grid(int(round(1.0 / resolution)))
+    gaps = np.abs(net.evaluate_batch(xs[:, None]) - roots)
     k = int(np.argmax(gaps))
     return float(xs[k]), float(gaps[k])
+
+
+@functools.lru_cache(maxsize=4)
+def _sqrt_grid(steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The grid ``linspace(0, 1, steps + 1)`` and its square roots, read-only.
+
+    Cached per ``steps``, so a convexity campaign builds its grid once.
+    """
+    xs = np.linspace(0.0, 1.0, steps + 1)
+    roots = np.sqrt(xs)
+    xs.flags.writeable = roots.flags.writeable = False
+    return xs, roots
 
 
 @functools.lru_cache(maxsize=16)

@@ -20,6 +20,7 @@ required flag.  Positional arguments stay on the command line.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -39,7 +40,8 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         config, argv = _extract_config(argv)
-        args = _build_parser(config).parse_args(argv)
+        parser = _build_parser(config) if config else _default_parser()
+        args = parser.parse_args(argv)
         return args.handler(args)
     except MonotoneViolation as exc:
         _diagnostic("monotone-violation", str(exc), first=exc.first, second=exc.second)
@@ -90,6 +92,17 @@ def nonnegative_int(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
+
+
+@functools.cache
+def _default_parser() -> argparse.ArgumentParser:
+    """The parser without config defaults, built once per process.
+
+    Parsing leaves a parser as it was, so every plain call can share it.  A
+    ``--config`` call builds its own, because config values replace the
+    actions' defaults.
+    """
+    return _build_parser()
 
 
 def _build_parser(config: dict | None = None) -> argparse.ArgumentParser:

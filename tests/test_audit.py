@@ -182,6 +182,19 @@ class TestSqrtGap:
         with pytest.raises(DimensionMismatch):
             sqrt_gap_witness(net)
 
+    @pytest.mark.parametrize("resolution", [1e-4, 0.01, 0.3])
+    def test_cached_grid_gives_the_fresh_grid_witness(self, resolution):
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            net = random_monotone_network(rng, 1, (int(rng.integers(1, 8)),), activation=RELU)
+            xs = np.linspace(0.0, 1.0, int(round(1.0 / resolution)) + 1)
+            gaps = np.abs(net.evaluate_batch(xs[:, None]) - np.sqrt(xs))
+            k = int(np.argmax(gaps))
+            assert sqrt_gap_witness(net, resolution) == (float(xs[k]), float(gaps[k]))
+        grid = audit._sqrt_grid(int(round(1.0 / resolution)))
+        assert audit._sqrt_grid(int(round(1.0 / resolution))) is grid
+        assert not any(a.flags.writeable for a in grid)
+
 
 class TestDepth2Counterexample:
     def test_d2(self):

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mononet
+from mononet import cli
 from mononet.approx import BUILTIN_FUNCTIONS
 from mononet.cli import main
 from mononet.core import ThresholdLayer, ThresholdNetwork
@@ -333,6 +334,21 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"n": 2, "p": "0.5", "mode": "exact"}))
         assert main(["--config", str(cfg), "matchprob"]) == 0
         assert capsys.readouterr().out.strip() == "0.4375"
+
+    def test_config_defaults_stay_in_their_call(self, tmp_path, capsys):
+        # plain calls share one parser; a config call must not leave its defaults in it
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mode": "estimate", "eps": 0.2, "seed": 11, "samples": 25}))
+        plain = ["matchprob", "--n", "2", "--p", "0.5"]
+        for argv in (plain, ["--config", str(cfg), *plain], plain):
+            assert main(argv) == 0
+            captured = capsys.readouterr()
+            assert ("config: bits=" in captured.err) == (argv is not plain)
+            if argv is plain:
+                assert captured.out == "0.4375\n"
+        assert main(["audit", "--check", "depth2"]) == 0
+        assert "seed: 1729  samples: 1000  d: 2" in capsys.readouterr().err
+        assert cli._default_parser() is cli._default_parser()
 
     def test_unknown_key_warns(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -1,6 +1,8 @@
+import json
 import math
 import tracemalloc
 from itertools import permutations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mononet import matching
+from mononet.cli import main
 from mononet.matching import (
     ESTIMATE_MAX_DRAWS,
     EXACT_MAX_N,
@@ -191,6 +194,57 @@ class TestHasPerfectMatching:
             BipartiteGraph.from_edges(2, [(0, 2)])
 
 
+def dict_dp_oracle(p: np.ndarray) -> float:
+    """Test oracle: exact m(p) by the row DP with one dict update per (family, neighbourhood).
+
+    A family is an int whose bit S is set iff the first rows can be matched
+    onto the right-vertex set S.  Each row adds ``prob * hood_prob[h]`` to
+    the successor of every family under every neighbourhood h, families in
+    dict order and h ascending, and the result is the ``sum`` of the last
+    row's weights in dict order.  The array DP must give the same float.
+    """
+    n = len(p)
+    hoods = range(1 << n)
+    # bit S of without[j] is set iff j is not in S
+    without = [sum(1 << s for s in hoods if not s >> j & 1) for j in range(n)]
+    states = {1: 1.0}  # the empty set is the only 0-subset
+    for row in p:
+        q = row.tolist()
+        hood_prob = [
+            math.prod(q[j] if h >> j & 1 else 1.0 - q[j] for j in range(n)) for h in hoods
+        ]
+        nxt: dict[int, float] = {}
+        for family, prob in states.items():
+            # S -> S | {j} for every S in the family that misses j
+            grown = [(family & without[j]) << (1 << j) for j in range(n)]
+            succ = [0] * (1 << n)
+            for h in range(1, 1 << n):
+                low = h & -h
+                succ[h] = s = succ[h ^ low] | grown[low.bit_length() - 1]
+                if s:
+                    nxt[s] = nxt.get(s, 0.0) + prob * hood_prob[h]
+        states = nxt
+    return min(1.0, sum(states.values()))
+
+
+def seeded_matrices(seed: int, n: int, count: int):
+    """``count`` seeded n x n matrices: U[0, 1) entries, some set to 0 and 1,
+    sixteenths, upper triangles and uniform values, in turn."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        p = rng.random((n, n))
+        if k % 5 == 1:
+            p[rng.random((n, n)) < 0.3] = 0.0
+            p[rng.random((n, n)) < 0.3] = 1.0
+        elif k % 5 == 2:
+            p = rng.integers(0, 17, size=(n, n)) / 16.0
+        elif k % 5 == 3:
+            p = np.triu(p)
+        elif k % 5 == 4:
+            p = np.full((n, n), (0.0, 1.0, 0.5, 1 / 3, rng.random())[k // 5 % 5])
+        yield p
+
+
 class TestExactProbability:
     def test_single_edge(self):
         assert exact_matching_probability(EdgeProbabilityMatrix.uniform(1, 0.3)) == 0.3
@@ -223,6 +277,32 @@ class TestExactProbability:
                 p = rng.random((n, n))
                 got = exact_matching_probability(EdgeProbabilityMatrix(p))
                 assert abs(got - enumeration_oracle(p)) <= 1e-13, (n, p)
+
+    def test_array_dp_equals_dict_dp_bit_for_bit(self):
+        count = 0
+        for n in range(1, EXACT_MAX_N + 1):
+            for p in seeded_matrices(100 + n, n, 45):
+                got = exact_matching_probability(EdgeProbabilityMatrix(p))
+                want = dict_dp_oracle(p)
+                assert type(got) is float and got == want, (n, p.tolist(), got, want)
+                count += 1
+        assert count >= 200
+
+    def test_array_dp_at_six(self):
+        # the size cap sits in front of the DP body; n = 6 is the largest whose
+        # families fit in 64 mask bits
+        for p in seeded_matrices(6, 6, 5):
+            assert matching._family_dp(p) == dict_dp_oracle(p)
+
+    def test_array_dp_at_six_factorizes(self):
+        # rows 3..5 can only use columns 3..5, so m([[A, C], [0, B]]) = m(A) * m(B)
+        rng = np.random.default_rng(66)
+        for _ in range(3):
+            A, B, C = rng.random((3, 3)), rng.random((3, 3)), rng.random((3, 3))
+            p = np.block([[A, C], [np.zeros((3, 3)), B]])
+            want = exact_matching_probability(EdgeProbabilityMatrix(A)) * \
+                exact_matching_probability(EdgeProbabilityMatrix(B))
+            assert matching._family_dp(p) == pytest.approx(want, abs=1e-14)
 
     def test_too_large(self):
         with pytest.raises(TooLarge):
@@ -490,3 +570,24 @@ def test_estimator_memory_follows_distinct_graphs(monkeypatch):
         tracemalloc.stop()
     assert estimate == 1.0
     assert peak < 500_000, peak  # 4.7 MB when every block's key is kept
+
+
+PINNED_EXACT = json.loads((Path(__file__).parent / "data" / "matchprob_exact_stdout.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "case", PINNED_EXACT, ids=[f"{k}-n{c['n']}" for k, c in enumerate(PINNED_EXACT)]
+)
+def test_matchprob_exact_stdout_is_pinned(case, tmp_path, capsys):
+    """stdout of ``matchprob --mode exact`` as the dict DP printed it, byte for byte.
+
+    ``p`` is a scalar (``--p 0.25``) or a matrix, passed as a CSV of the
+    floats' reprs.
+    """
+    p = case["p"]
+    if isinstance(p, list):
+        path = tmp_path / "p.csv"
+        path.write_text("".join(",".join(map(repr, row)) + "\n" for row in p))
+        p = path
+    assert main(["matchprob", "--n", str(case["n"]), "--p", str(p), "--mode", "exact"]) == 0
+    assert capsys.readouterr().out == case["stdout"]
