@@ -37,7 +37,6 @@ from .core import (
     ThresholdLayer,
     ThresholdNetwork,
     is_totally_ordered,
-    validate_dataset,
 )
 from .io import fraction_text
 from .errors import (
@@ -59,7 +58,7 @@ CONVEXITY_TRIPLES = 64  # midpoint-convexity triples per network
 CHAIN_MAX_POINTS = 16  # chain length, drawn from 3..this
 CHAIN_MAX_DIM = 6  # chain dimension, drawn from 1..this
 DEPTH2_STACK_BYTES = 1 << 20  # the planned arrays of one stack of depth2 networks
-DEPTH2_MAX_COMPARISONS = 2**30  # validating the spread dataset: (d+1)^2*d, so d <= 1023
+DEPTH2_MAX_DOUBLES = 2**20  # the spread dataset holds (d+1)*d doubles, so d <= 1023
 
 
 def require_positive(count: int, name: str) -> None:
@@ -256,23 +255,22 @@ def depth2_counterexample(d: int) -> MonotoneDataset:
     """The spread dataset: d points ``d * e_i`` labeled 0, all-ones labeled 1.
 
     The points are pairwise incomparable, so the data is monotone; it is the
-    input of :func:`depth2_inequality_audit`.  The canonical order puts the
-    basis points in reverse index order, ``d * e_d`` first, and the all-ones
-    point last.  Cached per ``d``: the dataset is frozen and its arrays are
-    read-only, so a campaign builds it once.  Raises :class:`TooLarge`,
-    before allocating, when validating its d + 1 points would take more than
-    ``DEPTH2_MAX_COMPARISONS`` coordinate comparisons.
+    input of :func:`depth2_inequality_audit`.  It is built in canonical order
+    without validation: the basis points in reverse index order, ``d * e_d``
+    first, then the all-ones point.  Cached per ``d``: the dataset is frozen
+    and its arrays are read-only, so a campaign builds it once.  Raises
+    :class:`TooLarge`, before allocating, when its (d+1)*d coordinates would
+    exceed ``DEPTH2_MAX_DOUBLES``.
     """
     if d < 2:
         raise DimensionTooSmall(f"the spread dataset needs dimension >= 2, got {d}")
-    if (d + 1) ** 2 * d > DEPTH2_MAX_COMPARISONS:
+    if (d + 1) * d > DEPTH2_MAX_DOUBLES:
         raise TooLarge(
-            f"the spread dataset at d = {d} takes (d+1)^2*d coordinate comparisons "
-            f"to validate, above the limit of {DEPTH2_MAX_COMPARISONS} (d <= 1023)"
+            f"the spread dataset at d = {d} holds (d+1)*d doubles, "
+            f"above the limit of {DEPTH2_MAX_DOUBLES} (d <= 1023)"
         )
-    pairs = [(row, 0.0) for row in (float(d) * np.eye(d)).tolist()]
-    pairs.append(((1.0,) * d, 1.0))
-    return validate_dataset(pairs)
+    points = np.vstack((float(d) * np.eye(d)[::-1], np.ones((1, d))))
+    return MonotoneDataset(points, np.append(np.zeros(d), 1.0))
 
 
 def depth2_inequality_audit(net: ThresholdNetwork, d: int) -> AuditReport:

@@ -11,10 +11,11 @@ falsified a fact that is a theorem for its network class (a bug, never
 expected).  Seeds and derived configuration go to stderr so stdout stays
 byte-stable for a given invocation.
 
-``--config FILE`` (before the subcommand) loads a JSON object of defaults
-whose keys are the long flag names; explicitly passed flags win.  Each value
-is checked like the same flag on the command line, and it may also supply a
-required flag.  Positional arguments stay on the command line.
+``--config FILE`` (before the subcommand) loads a JSON object keyed by long
+flag names.  The keys that name flags of the invoked subcommand become flags
+right after it, so each is checked like the same flag on the command line and
+may supply a required one; explicit flags come later and win.  Positional
+arguments stay on the command line.
 """
 
 from __future__ import annotations
@@ -40,7 +41,9 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         config, argv = _extract_config(argv)
-        parser = _build_parser(config) if config else _default_parser()
+        parser = _parser()
+        if config:
+            argv = _config_argv(parser, config, argv)
         args = parser.parse_args(argv)
         return args.handler(args)
     except MonotoneViolation as exc:
@@ -95,23 +98,18 @@ def nonnegative_int(text: str) -> int:
 
 
 @functools.cache
-def _default_parser() -> argparse.ArgumentParser:
-    """The parser without config defaults, built once per process.
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
 
-    Parsing leaves a parser as it was, so every plain call can share it.  A
-    ``--config`` call builds its own, because config values replace the
-    actions' defaults.
+    Parsing leaves a parser as it was, so every call shares this one.
+    ``commands`` maps each subcommand's name to its parser.
     """
-    return _build_parser()
-
-
-def _build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     parser = _Parser(
         prog="mononet",
         description="Monotone threshold networks: synthesis, evaluation, audits.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    subparsers = []
+    parser.commands = sub.choices
 
     p = sub.add_parser("synth", help="build an interpolating monotone network from CSV data")
     p.add_argument("dataset", help="CSV with d coordinate columns plus a label column")
@@ -124,13 +122,11 @@ def _build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     )
     p.add_argument("--trace", help="also write the construction trace JSON here")
     p.set_defaults(handler=_cmd_synth)
-    subparsers.append(p)
 
     p = sub.add_parser("eval", help="evaluate a network on points from CSV")
     p.add_argument("network", help="network JSON file")
     p.add_argument("points", help="CSV of evaluation points")
     p.set_defaults(handler=_cmd_eval)
-    subparsers.append(p)
 
     p = sub.add_parser("audit", help="run a structural certificate or randomized check")
     p.add_argument(
@@ -145,11 +141,11 @@ def _build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--box", type=float, nargs=2, default=(0.0, 1.0), metavar=("LO", "HI"))
     p.add_argument("--format", choices=["table", "json"], default="table")
     p.set_defaults(handler=_cmd_audit)
-    subparsers.append(p)
 
     p = sub.add_parser("approx", help="build a grid approximator for a monotone target")
-    p.add_argument("--fn", help="builtin target: linear, mean, min, max, sqrt, constant:c")
-    p.add_argument("--table", help="CSV of (point, value) samples defining the target")
+    target = p.add_mutually_exclusive_group(required=True)
+    target.add_argument("--fn", help="builtin target: linear, mean, min, max, sqrt, constant:c")
+    target.add_argument("--table", help="CSV of (point, value) samples defining the target")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--L", type=float, required=True, help="declared Lipschitz bound")
     p.add_argument("--eps", type=float, required=True, help="target uniform accuracy")
@@ -158,7 +154,6 @@ def _build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--seed", type=nonnegative_int, default=DEFAULT_SEED)
     p.add_argument("-o", "--output", help="where to write the network JSON")
     p.set_defaults(handler=_cmd_approx)
-    subparsers.append(p)
 
     p = sub.add_parser("matchprob", help="perfect-matching probability of a random bipartite graph")
     p.add_argument("--n", type=int, required=True)
@@ -168,51 +163,47 @@ def _build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--fail-prob", type=float, default=1e-6, help="estimate mode: failure probability")
     p.add_argument("--seed", type=nonnegative_int, default=DEFAULT_SEED)
     p.set_defaults(handler=_cmd_matchprob)
-    subparsers.append(p)
-
-    if config:
-        used = set()
-        for sp in subparsers:
-            for action in sp._actions:
-                if action.option_strings and action.dest in config:
-                    action.default = _config_value(sp, action, config[action.dest])
-                    action.required = False
-                    used.add(action.dest)
-        for key in config:
-            if key not in used:
-                print(f"warning: config key {key!r} does not match any flag", file=sys.stderr)
 
     return parser
 
 
-def _config_value(parser: argparse.ArgumentParser, action: argparse.Action, value):
-    """A config value converted and checked as if ``action`` had read it from argv.
+def _config_argv(parser: argparse.ArgumentParser, config: dict, argv: list[str]) -> list[str]:
+    """``argv`` with the config's values as flags right after the subcommand.
 
-    A list is accepted only for a fixed-``nargs`` flag at that length.
+    A scalar becomes ``--flag=value``, so a value that starts with ``-`` stays
+    a value.  A list is accepted only for a fixed-``nargs`` flag at its length.
     """
-    flag = action.option_strings[-1]
-    if action.nargs is None:
-        return _config_scalar(parser, action, value)
-    if isinstance(value, list) and len(value) == action.nargs:
-        return [_config_scalar(parser, action, v) for v in value]
-    raise InvalidArgument(
-        f"config argument {flag}: expected a list of {action.nargs}, got {value!r}"
-    )
-
-
-def _config_scalar(parser: argparse.ArgumentParser, action: argparse.Action, value):
-    """Apply the flag's ``type`` and ``choices`` to a JSON string or number."""
-    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-        raise InvalidArgument(
-            f"config argument {action.option_strings[-1]}: "
-            f"expected a string or a number, got {value!r}"
-        )
-    try:
-        converted = parser._get_value(action, str(value))
-        parser._check_value(action, converted)
-    except argparse.ArgumentError as exc:
-        raise InvalidArgument(f"config {exc}") from exc
-    return converted
+    flags = {
+        name: {a.dest: a for a in sp._actions if a.option_strings and a.dest != "help"}
+        for name, sp in parser.commands.items()
+    }
+    for key in config:
+        if not any(key in f for f in flags.values()):
+            print(f"warning: config key {key!r} does not match any flag", file=sys.stderr)
+    command = next((a for a in argv if not a.startswith("-")), None)
+    if command not in flags:
+        return argv  # the parser reports the missing or unknown subcommand
+    tokens = []
+    for dest, action in flags[command].items():
+        if dest not in config:
+            continue
+        value, flag = config[dest], action.option_strings[-1]
+        if action.nargs is None:
+            values = [value]
+        elif isinstance(value, list) and len(value) == action.nargs:
+            values = value
+        else:
+            raise InvalidArgument(f"config argument {flag}: expected a list of {action.nargs}, got {value!r}")
+        for v in values:
+            if isinstance(v, bool) or not isinstance(v, (str, int, float)):
+                raise InvalidArgument(f"config argument {flag}: expected a string or a number, got {v!r}")
+        if action.nargs is None:
+            tokens.append(f"{flag}={value}")
+        else:  # positional notation, so that argparse reads -1e-07 as a number, not a flag
+            tokens += [flag, *(np.format_float_positional(v, trim="-") if isinstance(v, float)
+                               else str(v) for v in values)]
+    i = argv.index(command) + 1
+    return argv[:i] + tokens + argv[i:]
 
 
 def _cmd_synth(args) -> int:
@@ -287,9 +278,7 @@ def _emit_report(report: audit.AuditReport, fmt: str) -> None:
 
 
 def _cmd_approx(args) -> int:
-    if bool(args.fn) == bool(args.table):
-        raise InvalidArgument("exactly one of --fn or --table is required")
-    if args.fn:
+    if args.fn is not None:
         f = approx.resolve_function(args.fn)
     else:
         f = _tabulated_function(args.table, args.d)

@@ -33,6 +33,7 @@ from mononet.errors import (
     DimensionTooSmall,
     InvalidArgument,
     PreconditionViolated,
+    TooLarge,
 )
 from mononet.io import network_from_dict
 from mononet.matching import lipschitz_probe, monotone_probe_m
@@ -218,6 +219,19 @@ class TestDepth2Counterexample:
         with pytest.raises(DimensionTooSmall):
             depth2_counterexample(1)
 
+    @pytest.mark.parametrize("d", [*range(2, 11), 1023])
+    def test_equals_the_validated_dataset(self, d):
+        pairs = [(row, 0.0) for row in float(d) * np.eye(d)] + [(np.ones(d), 1.0)]
+        ds, validated = depth2_counterexample(d), validate_dataset(pairs)
+        assert ds == validated
+        assert ds.points.tobytes() == validated.points.tobytes()
+        assert ds.labels.tobytes() == validated.labels.tobytes()
+        assert not ds.points.flags.writeable and not ds.labels.flags.writeable
+
+    def test_too_large_refused(self):
+        with pytest.raises(TooLarge, match="holds"):
+            depth2_counterexample(1024)
+
 
 class TestDepth2Audit:
     def test_zero_net(self):
@@ -288,22 +302,13 @@ class TestDepth2Audit:
         assert report.passed
         assert report.details["interpolating_networks"] == 0
 
-    def test_campaign_builds_the_dataset_once(self, monkeypatch):
-        from mononet import audit as audit_mod
-
-        calls = []
-
-        def counting(pairs):
-            calls.append(1)
-            return validate_dataset(pairs)
-
-        monkeypatch.setattr(audit_mod, "validate_dataset", counting)
+    def test_campaign_builds_the_dataset_once(self):
         depth2_counterexample.cache_clear()
         try:
             assert run_depth2_campaign(3, 50, 0).passed
+            assert depth2_counterexample.cache_info().misses == 1
         finally:
             depth2_counterexample.cache_clear()
-        assert len(calls) == 1
 
 
 class TestChainWidthAudit:

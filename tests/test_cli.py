@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import mononet
@@ -308,6 +308,20 @@ class TestApprox:
     def test_fn_and_table_conflict(self, capsys):
         assert main(["approx", "--fn", "mean", "--table", "x.csv", "--d", "1", "--L", "1",
                      "--eps", "0.5"]) == 2
+        assert diagnostic(capsys.readouterr().err)["error"] == "InvalidArgument"
+
+    @pytest.mark.parametrize("config, target", [
+        (None, []),
+        ({"fn": "mean"}, ["--table", "x.csv"]),
+    ], ids=["neither", "config-fn-and-table"])
+    def test_exactly_one_of_fn_and_table(self, tmp_path, capsys, config, target):
+        argv = ["approx", *target, "--d", "1", "--L", "1", "--eps", "0.5"]
+        if config is not None:
+            argv = ["--config", write(tmp_path / "cfg.json", json.dumps(config)), *argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert diagnostic(captured.err)["error"] == "InvalidArgument"
 
     def test_budget_exit_2(self, capsys):
         assert main(["approx", "--fn", "mean", "--d", "3", "--L", "1", "--eps", "0.001"]) == 2
@@ -336,7 +350,7 @@ class TestConfigFile:
         assert capsys.readouterr().out.strip() == "0.4375"
 
     def test_config_defaults_stay_in_their_call(self, tmp_path, capsys):
-        # plain calls share one parser; a config call must not leave its defaults in it
+        # every call shares one parser; a config call must not leave its values in it
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"mode": "estimate", "eps": 0.2, "seed": 11, "samples": 25}))
         plain = ["matchprob", "--n", "2", "--p", "0.5"]
@@ -348,7 +362,7 @@ class TestConfigFile:
                 assert captured.out == "0.4375\n"
         assert main(["audit", "--check", "depth2"]) == 0
         assert "seed: 1729  samples: 1000  d: 2" in capsys.readouterr().err
-        assert cli._default_parser() is cli._default_parser()
+        assert cli._parser() is cli._parser()
 
     def test_unknown_key_warns(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -384,6 +398,35 @@ class TestConfigFile:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert diagnostic(captured.err)["error"] == "InvalidArgument"
+
+    def test_explicit_box_beats_the_config_box(self, tmp_path, capsys):
+        net = tmp_path / "net.json"
+        save_network(ThresholdNetwork((ThresholdLayer([[1.0]], [0.5]),), [1.0], 0.0), net)
+        cfg = write(tmp_path / "cfg.json", json.dumps({"box": [1, 0]}))
+        argv = ["--config", cfg, "audit", "--check", "monotone", "--net", str(net), "--samples", "5"]
+        assert main(argv) == 2
+        assert "box needs lo <= hi, got (1.0, 0.0)" in diagnostic(capsys.readouterr().err)["message"]
+        assert main([*argv, "--box", "0", "1"]) == 0
+        assert "verdict: pass" in capsys.readouterr().out
+
+    def test_another_subcommands_key_is_ignored(self, tmp_path, capsys):
+        cfg = write(tmp_path / "cfg.json", json.dumps({"fail_prob": "often", "ordered": 3}))
+        assert main(["--config", cfg, "audit", "--check", "depth2", "--samples", "2"]) == 0
+        assert "warning" not in capsys.readouterr().err
+
+    def test_a_value_that_starts_with_a_dash_stays_a_value(self, tmp_path, capsys):
+        cfg = write(tmp_path / "cfg.json", json.dumps({"p": "-0.5", "n": 2}))
+        assert main(["--config", cfg, "matchprob"]) == 2
+        doc = diagnostic(capsys.readouterr().err)
+        assert doc == {"error": "InvalidArgument", "message": "edge probabilities must lie in [0, 1]"}
+        cfg = write(tmp_path / "cfg.json", json.dumps({"box": [-1e-7, 1], "samples": 2}))
+        assert main(["--config", cfg, "audit", "--check", "convexity"]) == 0
+
+    def test_type_errors_name_the_flag(self, tmp_path, capsys):
+        cfg = write(tmp_path / "cfg.json", json.dumps({"seed": -1}))
+        assert main(["--config", cfg, "audit", "--check", "depth2", "--samples", "2"]) == 2
+        message = diagnostic(capsys.readouterr().err)["message"]
+        assert message == "argument --seed: must be >= 0, got -1"
 
     def test_config_values_are_converted(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -617,3 +660,70 @@ def test_invalid_argv_exits_2_with_one_json_line(argv):
         code = main(argv)
     assert code == 2, (argv, stdout.getvalue(), stderr.getvalue())
     diagnostic(stderr.getvalue())
+
+
+# Config documents for a bare subcommand: the valid values below, with some keys
+# redrawn.  Drawn numbers stay small, so a run that is valid finishes fast.  The
+# flags that write files (-o, --trace) are left out, so a run writes nothing.
+VALID_CONFIG = {
+    "audit": {"check": "depth2", "d": 2, "samples": 2},
+    "approx": {"fn": "mean", "d": 1, "L": 1, "eps": 0.5, "probes": 2},
+    "matchprob": {"n": 2, "p": 0.5, "mode": "estimate", "eps": 0.5, "fail_prob": 0.5},
+}
+CONFIG_KEYS = sorted({"check", "net", "d", "samples", "seed", "box", "format", "fn", "table",
+                      "L", "eps", "probes", "budget", "n", "p", "mode", "fail_prob", "fail-prob",
+                      "ordered", "help", "config", "command", "handler", "zz"})
+CONFIG_SCALARS = (
+    st.none() | st.booleans() | st.integers(-2, 3) | st.sampled_from([-0.5, 0.0, 0.5, 1.0, 2.5])
+    | st.sampled_from(["depth2", "monotone", "exact", "mean", "nope.csv", "0.5", "", "é", "--"])
+    | st.text(string.ascii_letters + string.digits + ".-= ", max_size=6).map("-".__add__)
+)
+CONFIG_VALUES = st.recursive(
+    CONFIG_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+@st.composite
+def config_file(draw):
+    """The bytes of a config file: mostly a JSON object, sometimes a broken one."""
+    command = draw(st.sampled_from(sorted(VALID_CONFIG)))
+    doc = dict(VALID_CONFIG[command])
+    for key in draw(st.lists(st.sampled_from(CONFIG_KEYS), max_size=3)):
+        doc[key] = draw(CONFIG_VALUES)
+    text = json.dumps(doc, ensure_ascii=False)
+    kind = draw(st.sampled_from(["json"] * 6 + ["latin-1", "truncated", "nested", "not-an-object"]))
+    if kind == "latin-1":
+        return command, text[:-1].encode("latin-1", "replace") + b', "caf\xe9": 1}'
+    if kind == "truncated":
+        return command, text[: draw(st.integers(0, len(text) - 1))].encode()
+    if kind == "nested":
+        depth = draw(st.sampled_from([3, 100_000]))
+        return command, ("[" * depth + "]" * depth).encode()
+    if kind == "not-an-object":
+        return command, json.dumps(list(doc.items())).encode()
+    return command, text.encode()
+
+
+@settings(max_examples=150, deadline=None)
+@given(config_file())
+def test_any_config_file_exits_cleanly(tmp_path_factory, case):
+    command, data = case
+    path = tmp_path_factory.mktemp("config") / "cfg.json"
+    path.write_bytes(data)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["--config", str(path), command])
+    err = stderr.getvalue()
+    event(f"exit {code}")
+    assert code in (0, 1, 2), (data, code, err)
+    assert "Traceback" not in err
+    if code == 0:
+        return
+    lines = [line for line in err.splitlines() if not line.startswith("warning: config key ")]
+    assert len(lines) == 1, (data, err)
+    if code == 2:
+        assert "error" in json.loads(lines[0])
+    else:  # an I/O error: a drawn path to a network, table or matrix that does not exist
+        assert lines[0].startswith("error: ")
