@@ -175,12 +175,7 @@ def validate_dataset(raw: Iterable[tuple[Sequence[float], float]]) -> MonotoneDa
     if not np.isfinite(labels).all():
         raise InvalidNumber("labels must be finite")
 
-    seen: dict[tuple, int] = {}
-    for k in range(len(points)):
-        key = tuple(points[k])
-        if key in seen:
-            raise DuplicatePoint(seen[key], k)
-        seen[key] = k
+    _check_distinct(points)
 
     # a violation is x_i <= x_j with y_i > y_j; the diagonal never is one
     for s in row_blocks(len(points), len(points)):
@@ -197,6 +192,22 @@ def validate_dataset(raw: Iterable[tuple[Sequence[float], float]]) -> MonotoneDa
     # by label, then lexicographically by point, which extends the coordinatewise order
     order = np.lexsort((*points.T[::-1], labels))
     return MonotoneDataset(points[order], labels[order])
+
+
+def _check_distinct(points: np.ndarray) -> None:
+    """Raise :class:`DuplicatePoint` for the least index whose point occurred earlier.
+
+    A stable lexsort puts equal points next to each other in input order,
+    so each run of equal rows starts at its point's first index, and the
+    run's least later index comes right after it.  ``-0.0`` and ``0.0``
+    compare equal.
+    """
+    order = np.lexsort(points.T[::-1]) if points.shape[1] else np.arange(len(points))
+    ranked = points[order]
+    later = np.flatnonzero((ranked[1:] == ranked[:-1]).all(axis=1)) + 1  # equal to the row before
+    if len(later):
+        k = later[np.argmin(order[later])]  # the least input index among the repeats
+        raise DuplicatePoint(int(order[k - 1]), int(order[k]))
 
 
 def is_totally_ordered(ds: MonotoneDataset) -> bool:

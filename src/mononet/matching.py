@@ -9,7 +9,9 @@ probability that ``G(p)`` contains a perfect matching.  The module provides
   reference in every estimator test),
 * a sampling estimator: truncate each entry to ``bits`` binary digits, draw
   ``samples`` independent graphs, return the fraction containing a perfect
-  matching (a greedy start plus augmenting paths on each distinct graph),
+  matching (Hall's condition on every subset of rows, as array operations
+  over all distinct graphs at once, for n <= 8; a greedy start plus
+  augmenting paths on each distinct graph above),
   with the guarantee
   ``P(|m(p) - estimate| > delta + n^2 * 2**-bits) <= 2*exp(-2*samples*delta^2)``
   (truncation costs less than n^2 * 2**-bits by coupling, Hoeffding's
@@ -39,6 +41,7 @@ EXACT_MAX_N = 5
 # (n = 351, 69,642 samples, p = 1) took 17 s and 561 MB peak RSS on a 2-vCPU host.
 ESTIMATE_MAX_DRAWS = 2**33
 _CHUNK_BITS = 20  # the estimator draws at most 2**20 edge uniforms per block
+_HALL_BYTES = 1 << 22  # the Hall check plans at most this many bytes per slice of graphs
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,8 +152,9 @@ def has_perfect_matching(g: BipartiteGraph) -> bool:
 def _matches(rows) -> bool:
     """The body of :func:`has_perfect_matching` on a sequence of row bitmasks.
 
-    The estimator calls it on raw decoded rows, which are in range by
-    construction, so no :class:`BipartiteGraph` is validated per sample.
+    The estimator calls it above n = 8 on raw decoded rows, which are in
+    range by construction, so no :class:`BipartiteGraph` is validated per
+    sample.
     """
     owner = [0] * len(rows)  # owner[j]: the left vertex matched to right vertex j
     free = (1 << len(rows)) - 1  # bitmask of the unmatched right vertices
@@ -332,10 +336,11 @@ def estimate_matching_probability(p: EdgeProbabilityMatrix, cfg: EstimatorConfig
     graphs are drawn (edge present iff its uniform draw is < the truncated
     probability), and the perfect-matching fraction is returned.  Samples
     are drawn replica-major, so distinct replicas use independent stream
-    sections.  Each block of draws is deduplicated as it is drawn, and the
-    distinct graphs and their counts are merged at the end and whenever they
-    outgrow twice a block and the last merge, so memory follows the distinct
-    graphs.  Raises :class:`TooLarge` above ``ESTIMATE_MAX_DRAWS`` draws.
+    sections.  Each block of draws is deduplicated as it is drawn.  With more
+    than one block, the distinct graphs and their counts are merged at the
+    end and whenever they outgrow twice a block and the last merge, so
+    memory follows the distinct graphs.  Raises :class:`TooLarge` above
+    ``ESTIMATE_MAX_DRAWS`` draws.
     """
     n = p.n
     require_estimate_size(n, cfg.samples)
@@ -352,21 +357,75 @@ def estimate_matching_probability(p: EdgeProbabilityMatrix, cfg: EstimatorConfig
         uniq, count = np.unique(block.reshape(len(block), -1).view(graph), return_counts=True)
         keys.append(uniq)
         counts.append(count)
-        if start + max_rows >= cfg.samples or sum(map(len, keys)) > 2 * max(max_rows, len(keys[0])):
+        if len(keys) > 1 and (
+            start + max_rows >= cfg.samples or sum(map(len, keys)) > 2 * max(max_rows, len(keys[0]))
+        ):
             uniq, inverse = np.unique(np.concatenate(keys), return_inverse=True)
             keys, counts = [uniq], [np.bincount(inverse.ravel(), np.concatenate(counts))]
-    found = np.fromiter(map(_matches, _decode_rows(uniq, n, width)), bool, len(uniq))
-    hits = int(counts[0][found].sum())  # float counts, exact below 2**53
+    found = _perfect_matchings(keys[0], n, width)
+    hits = int(counts[0][found].sum())  # integer or float counts, exact below 2**53
     return hits / cfg.samples
+
+
+def _perfect_matchings(graphs: np.ndarray, n: int, width: int) -> np.ndarray:
+    """Whether each packed graph has a perfect matching, as a bool array.
+
+    Rows of one byte (n <= 8) are checked by Hall's theorem (1935): a
+    perfect matching exists iff every set S of rows sees at least |S|
+    columns.  The neighbourhoods of all 2**n row sets of all graphs are one
+    (2**n, graphs) ``uint8`` table, built by doubling: N[S] = N[S without
+    its top row] | that row.  The table grows as 2**n per graph, so wider
+    rows go to :func:`_matches` one graph at a time, which is faster there.
+    The table is built over slices of graphs planned to at most
+    ``_HALL_BYTES`` each.
+    """
+    if width > 1:
+        return np.fromiter(map(_matches, _decode_rows(graphs, n, width)), bool, len(graphs))
+    rows = graphs.view("<u1").reshape(-1, n)
+    sets = np.arange(1 << n, dtype=np.uint8)
+    slack = (np.uint8(n) - _popcount8(sets, np.empty_like(sets)))[:, None]  # n - |S|
+    per_graph = (2 << n) + n  # the table, one scratch table and the graph's rows
+    step = max(1, _HALL_BYTES // per_graph)
+    found = np.empty(len(rows), dtype=bool)
+    hoods = np.empty((1 << n, min(step, len(rows))), dtype=np.uint8)
+    scratch = np.empty_like(hoods)
+    for start in range(0, len(rows), step):
+        cols = np.ascontiguousarray(rows[start : start + step].T)  # cols[i]: row i of every graph
+        table = hoods[:, : cols.shape[1]]
+        table[0] = 0
+        for i in range(n):
+            np.bitwise_or(table[: 1 << i], cols[i], out=table[1 << i : 2 << i])
+        _popcount8(table, scratch[:, : cols.shape[1]])
+        table += slack  # |N(S)| + n - |S| <= 2n, and >= n iff |N(S)| >= |S|
+        found[start : start + step] = table.min(axis=0) >= n
+    return found
+
+
+def _popcount8(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The bit count of each byte of a ``uint8`` array, in place, with ``t`` as scratch.
+
+    Three SWAR steps (SIMD within a register); ``np.bitwise_count`` needs numpy 2.0.
+    """
+    np.right_shift(x, 1, out=t)
+    t &= 0x55
+    x -= t  # bit pairs hold their counts
+    np.right_shift(x, 2, out=t)
+    t &= 0x33
+    x &= 0x33
+    x += t  # nibbles hold their counts
+    np.right_shift(x, 4, out=t)
+    x += t
+    x &= 0x0F
+    return x
 
 
 def _decode_rows(graphs: np.ndarray, n: int, width: int) -> list:
     """The row bitmasks of packed graphs, one list of n ints per graph.
 
-    Rows of 1, 2, 4 or 8 bytes are read as little-endian machine words in
-    one pass; wider rows are read with ``int.from_bytes``.
+    Rows of 2, 4 or 8 bytes are read as little-endian machine words in one
+    pass; other widths are read with ``int.from_bytes``.
     """
-    if width in (1, 2, 4, 8):
+    if width in (2, 4, 8):
         return graphs.view(f"<u{width}").reshape(len(graphs), n).tolist()
     data = graphs.tobytes()
     rows = [int.from_bytes(data[k : k + width], "little") for k in range(0, len(data), width)]

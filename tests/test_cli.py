@@ -182,7 +182,28 @@ class TestEval:
         assert diagnostic(capsys.readouterr().err)["error"] == "SchemaError"
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in kilobytes on Linux")
+def child_peak_kb(script: str) -> int:
+    """Run ``script`` in a fresh Python that imports mononet from this tree; its peak RSS in kB.
+
+    The child reads its own ``VmHWM`` from /proc/self/status at exit.  The
+    ``ru_maxrss`` of a child of this process starts from this process's
+    high-water mark, so it would measure the earlier tests too.
+    """
+    script += (
+        "print([line.split()[1] for line in open('/proc/self/status')"
+        " if line.startswith('VmHWM:')][0], file=sys.stderr)\n"
+    )
+    src = str(Path(mononet.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    child = subprocess.run(
+        [sys.executable, "-c", script], env=env, stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE, text=True,
+    )
+    assert child.returncode == 0, child.stderr[-2000:]
+    return int(child.stderr.split()[-1])
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_synth_and_eval_at_n_4000_stay_under_450_mb(tmp_path):
     # the dense layers 2 and 3 of this network alone took 640 MB
     rng = np.random.default_rng(4000)
@@ -198,17 +219,12 @@ def test_synth_and_eval_at_n_4000_stay_under_450_mb(tmp_path):
         f"assert main(['synth', {str(data)!r}, '-o', {str(net)!r}, '--trace', {str(trace)!r}]) == 0\n"
         f"assert main(['eval', {str(net)!r}, {str(points)!r}]) == 0\n"
     )
-    src = str(Path(mononet.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    child = subprocess.Popen([sys.executable, "-c", script], env=env, stdout=subprocess.DEVNULL)
-    _, status, usage = os.wait4(child.pid, 0)
-    child.returncode = os.waitstatus_to_exitcode(status)
-    assert child.returncode == 0
-    assert usage.ru_maxrss < 450 * 1024, usage.ru_maxrss  # kilobytes on Linux
+    peak = child_peak_kb(script)
+    assert peak < 450 * 1024, peak
     assert net.stat().st_size < 1 << 20
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in kilobytes on Linux")
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_synth_trace_at_n_4000_stays_under_200_mb(tmp_path):
     # the trace as one nested int list took 298 MB
     X = np.random.default_rng(4000).random((4000, 4))
@@ -219,12 +235,8 @@ def test_synth_trace_at_n_4000_stays_under_200_mb(tmp_path):
         "import sys; from mononet.cli import main\n"
         f"assert main(['synth', {str(data)!r}, '-o', {str(net)!r}, '--trace', {str(trace)!r}]) == 0\n"
     )
-    src = str(Path(mononet.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    child = subprocess.Popen([sys.executable, "-c", script], env=env, stdout=subprocess.DEVNULL)
-    _, status, usage = os.wait4(child.pid, 0)
-    assert os.waitstatus_to_exitcode(status) == 0
-    assert usage.ru_maxrss < 200 * 1024, usage.ru_maxrss  # kilobytes on Linux
+    peak = child_peak_kb(script)
+    assert peak < 200 * 1024, peak
     assert trace.stat().st_size > 4000 * 4000 * 3  # "0, " or "1, " per entry
 
 

@@ -40,6 +40,18 @@ from mononet.errors import (
 )
 
 
+def dict_duplicate_oracle(points: np.ndarray):
+    """Test oracle: (first, second) of the least index whose point occurred
+    earlier, found through a dict of coordinate tuples; None if all differ."""
+    seen: dict[tuple, int] = {}
+    for k in range(len(points)):
+        key = tuple(points[k])
+        if key in seen:
+            return seen[key], k
+        seen[key] = k
+    return None
+
+
 class TestThreshold:
     def test_boundary_is_one(self):
         assert threshold(0.0) == 1
@@ -107,6 +119,45 @@ class TestValidateDataset:
     def test_duplicate_rejected_even_with_equal_labels(self):
         with pytest.raises(DuplicatePoint):
             validate_dataset([((1, 2), 0.0), ((1, 2), 0.0)])
+
+    def test_duplicate_pair_matches_the_dict_oracle(self):
+        # few distinct coordinates, so most datasets repeat points, some
+        # more than twice and some as -0.0 against 0.0; d = 0 makes every
+        # point equal
+        rng = np.random.default_rng(41)
+        raised = 0
+        for trial in range(600):
+            n, d = int(rng.integers(1, 25)), int(rng.integers(0, 4))
+            points = rng.integers(-1, 2, (n, d)) * rng.choice([1.0, -0.0], (n, d))
+            want = dict_duplicate_oracle(points)
+            raw = [(p, 0.0) for p in points]
+            if want is None:
+                validate_dataset(raw)
+                continue
+            with pytest.raises(DuplicatePoint) as err:
+                validate_dataset(raw)
+            assert (err.value.first, err.value.second) == want, (trial, points)
+            raised += 1
+        assert 200 < raised < 600
+
+    def test_duplicate_check_memory(self):
+        # the 1024 x 1023 spread dataset (8 MB of points) with row 5 repeated
+        # at the end; the refusal comes before the monotonicity check
+        d = 1023
+        spread = np.vstack([d * np.eye(d)[::-1], np.ones((1, d))])
+        raw = [(p, 0.0) for p in np.vstack([spread, spread[5:6]])]
+        with pytest.raises(DuplicatePoint):  # first calls import
+            validate_dataset(raw[:2] + raw[:1])
+        tracemalloc.start()
+        try:
+            with pytest.raises(DuplicatePoint) as err:
+                validate_dataset(raw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (err.value.first, err.value.second) == (5, d + 1)
+        # the points, their sorted copy and slack; one tuple key per point took 42 MB
+        assert peak < 24_000_000, peak
 
     def test_nonfinite_rejected(self):
         with pytest.raises(InvalidNumber):

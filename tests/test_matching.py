@@ -100,6 +100,20 @@ def hopcroft_karp(g: BipartiteGraph) -> bool:
     return matched == n
 
 
+def batched(n: int, graphs) -> list:
+    """``matching._perfect_matchings`` on graphs given as sequences of n row bitmasks.
+
+    Each graph is packed as the estimator packs it: n rows of ceil(n/8)
+    little-endian bytes, one opaque item per graph.
+    """
+    width = (n + 7) // 8
+    data = b"".join(r.to_bytes(width, "little") for rows in graphs for r in rows)
+    packed = np.frombuffer(data, dtype=(np.void, n * width))
+    found = matching._perfect_matchings(packed, n, width)
+    assert found.dtype == bool and found.shape == (len(graphs),)
+    return found.tolist()
+
+
 def enumeration_oracle(p: np.ndarray) -> float:
     """Test oracle: sum subset probabilities using the permutation matcher."""
     n = p.shape[0]
@@ -132,11 +146,17 @@ class TestHasPerfectMatching:
         assert not has_perfect_matching(g)
 
     def test_exhaustive_small(self):
-        for n in (1, 2, 3):
-            for mask in range(1 << (n * n)):
-                rows = tuple((mask >> (n * i)) & ((1 << n) - 1) for i in range(n))
-                got = has_perfect_matching(BipartiteGraph(n, rows))
-                assert got == perm_has_matching(n, rows), (n, mask)
+        for n in (1, 2, 3, 4):
+            graphs = [
+                tuple((mask >> (n * i)) & ((1 << n) - 1) for i in range(n))
+                for mask in range(1 << (n * n))
+            ]
+            want = [matching._matches(rows) for rows in graphs]
+            if n <= 3:
+                for mask, rows in enumerate(graphs):
+                    assert want[mask] == perm_has_matching(n, rows), (n, mask)
+            # Hall's condition over all graphs at once agrees with the Kuhn matcher
+            assert batched(n, graphs) == want, n
 
     def test_random_medium(self):
         rng = np.random.default_rng(17)
@@ -151,20 +171,34 @@ class TestHasPerfectMatching:
         # (row i sees columns 0..i, each kept with probability 0.95, the
         # diagonal kept whole in half of them) under random row and column
         # permutations; both families hold graphs with and without a
-        # perfect matching.
+        # perfect matching.  The empty and the complete graph and permuted
+        # block-triangular graphs [[A, C], [0, B]] join them in the batched
+        # check, which runs Hall's condition up to n = 8 and the Kuhn
+        # matcher above.
         rng = np.random.default_rng(28)
         for n in [*range(1, 41), 64]:
+            graphs = [BipartiteGraph(n, (0,) * n), BipartiteGraph.complete(n)]
             for _ in range(30):
                 q = min(1.0, rng.uniform(0.5, 2.0) * math.log(n + 1) / n)
                 adj = rng.random((n, n)) < q
                 g = BipartiteGraph.from_matrix(adj)
                 assert has_perfect_matching(g) == hopcroft_karp(g), (n, g.rows)
+                graphs.append(g)
                 stair = np.tril(rng.random((n, n)) < 0.95)
                 if rng.random() < 0.5:
                     np.fill_diagonal(stair, True)
                 stair = stair[rng.permutation(n)][:, rng.permutation(n)]
                 g = BipartiteGraph.from_matrix(stair)
                 assert has_perfect_matching(g) == hopcroft_karp(g), (n, g.rows)
+                graphs.append(g)
+                k = int(rng.integers(1, n + 1))  # A is k x k, B the rest
+                block = rng.random((n, n)) < rng.uniform(0.3, 1.0)
+                block[k:, :k] = False
+                block = block[rng.permutation(n)][:, rng.permutation(n)]
+                graphs.append(BipartiteGraph.from_matrix(block))
+            want = [hopcroft_karp(g) for g in graphs]
+            assert [matching._matches(g.rows) for g in graphs] == want, n
+            assert batched(n, [g.rows for g in graphs]) == want, n
 
     def test_greedy_start_needs_a_long_augmenting_path(self):
         # Row i sees columns i and i+1, the last row only column 0: the greedy
@@ -390,9 +424,10 @@ class TestEstimator:
         est = estimate_matching_probability(p, cfg)
         assert 0.0 <= est <= 1.0
 
-    # packed rows of 1, 2, 3, 1, 2, 4, 8 and 9 bytes: every word view and the
+    # packed rows of 1 byte (Hall's condition: n = 3, 6, 7, 8), and of 2, 3,
+    # 2, 4, 8 and 9 bytes (the Kuhn matcher): every word view and the
     # int.from_bytes fallback
-    @pytest.mark.parametrize("n", [3, 9, 17, 8, 16, 32, 64, 65])
+    @pytest.mark.parametrize("n", [3, 6, 7, 9, 17, 8, 16, 32, 64, 65])
     def test_against_unpacked_reference(self, n):
         rng = np.random.default_rng(27 + n)
         p = EdgeProbabilityMatrix(rng.uniform(0.5, 1.0, (n, n)) * min(1.0, 2.0 * math.log(n) / n))
@@ -502,6 +537,26 @@ class TestDefaultParameters:
                 misses += err > radius
         assert misses <= fail_prob * 450, misses
 
+    def test_radius_covers_exact_value_at_six_and_seven(self):
+        # beyond the exact oracle's size cap: at n = 6 the DP body is the
+        # truth, at n = 7 a permuted [[A, C], [0, B]] with A 3 x 3 and B 4 x 4,
+        # whose m is m(A) * m(B) (rows of B can only use columns of B)
+        rng = np.random.default_rng(67)
+        cases = [(p, matching._family_dp(p)) for p in seeded_matrices(606, 6, 10)]
+        for _ in range(10):
+            A, B, C = rng.random((3, 3)), rng.random((4, 4)), rng.random((3, 4))
+            p = np.block([[A, C], [np.zeros((4, 3)), B]])
+            p = p[rng.permutation(7)][:, rng.permutation(7)]
+            m_a = exact_matching_probability(EdgeProbabilityMatrix(A))
+            m_b = exact_matching_probability(EdgeProbabilityMatrix(B))
+            cases.append((p, m_a * m_b))
+        for seed, (p, truth) in enumerate(cases):
+            n = len(p)
+            cfg = default_parameters(n, 0.1, 1e-6, seed=seed)
+            radius, _ = estimator_error_bound(cfg, n)
+            est = estimate_matching_probability(EdgeProbabilityMatrix(p), cfg)
+            assert abs(est - truth) <= radius, (n, seed, est, truth)
+
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             default_parameters(0, 0.1, 0.1)
@@ -570,6 +625,27 @@ def test_estimator_memory_follows_distinct_graphs(monkeypatch):
         tracemalloc.stop()
     assert estimate == 1.0
     assert peak < 500_000, peak  # 4.7 MB when every block's key is kept
+
+
+def test_hall_check_memory_is_planned_per_slice(monkeypatch):
+    # 60,000 distinct graphs at n = 8: one table over all of them would take
+    # 60,000 * 2**8 bytes, twice over with the scratch table (31 MB)
+    rng = np.random.default_rng(8)
+    graphs = np.unique(rng.integers(0, 256, (60_000, 8), dtype=np.uint8).view((np.void, 8)))
+    want = [matching._matches(rows) for rows in graphs.view("<u1").reshape(-1, 8).tolist()]
+    matching._perfect_matchings(graphs[:10], 8, 1)  # first calls import
+    tracemalloc.start()
+    try:
+        found = matching._perfect_matchings(graphs, 8, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found.tolist() == want
+    # the planned slice, the answers and a few vectors of one slice
+    assert peak < matching._HALL_BYTES + len(graphs) + 250_000, peak
+    # one graph per slice gives the same answers
+    monkeypatch.setattr(matching, "_HALL_BYTES", 1)
+    assert matching._perfect_matchings(graphs[:500], 8, 1).tolist() == want[:500]
 
 
 PINNED_EXACT = json.loads((Path(__file__).parent / "data" / "matchprob_exact_stdout.json").read_text())
