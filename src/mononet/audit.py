@@ -338,7 +338,7 @@ def _depth2_audits(
             f"network has input dimension {stack.input_dimension}, expected {d}"
         )
     ds = depth2_counterexample(d)
-    A = layer.forward(ds.points)
+    A = layer.forward(ds.points).astype(float)
     A *= np.asarray(stack.output_weights, dtype=float)
     # reduceat needs a unit to start each segment: a network of no units sums to 0
     sums = np.add.reduceat(A, starts, axis=1) if A.size else np.zeros((d + 1, len(starts)))

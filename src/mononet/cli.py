@@ -229,8 +229,8 @@ def _cmd_eval(args) -> int:
     net = io.load_network(args.network)
     points = io.read_points_csv(args.points)
     values = net.evaluate_batch(points)
-    for v in values:
-        print(repr(float(v)))
+    if len(values):  # the reader gives at least one point; print no blank line for none
+        print("\n".join(map(repr, values.tolist())))
     return EXIT_OK
 
 

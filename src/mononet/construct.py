@@ -88,7 +88,7 @@ class ConstructionTrace:
         layers = self.network.layers[: self.embedding_layer + 1]
         upto = ThresholdNetwork(layers, np.zeros(layers[-1].width))
         for s in row_blocks(len(self.points), 8 * upto.hidden_unit_count):
-            yield upto.hidden_activations(self.points[s])[-1] != 0
+            yield upto.hidden_activations(self.points[s])[-1]
 
     def write_json(self, fh) -> None:
         """Write the trace as one line of JSON, the embedding matrix as 0/1 rows.

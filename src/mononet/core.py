@@ -19,9 +19,16 @@ Float comparisons against stored coordinates are exact: IEEE-754 subtraction
 of two finite doubles is zero only when they are equal (gradual underflow),
 so ``sigma(x - c)`` fires exactly when ``x >= c``.  The builders in
 :mod:`mononet.construct` rely on this.  ``ThresholdLayer.forward`` is the one
-layer body: it takes a float64 batch or an object array of Fractions, and
-``evaluate_batch_exact`` runs each layer in float where that is provably
-exact and on Fractions otherwise.
+layer body: it takes a float64 batch, a bool batch or an object array of
+Fractions, and ``evaluate_batch_exact`` runs each layer in float where that
+is provably exact and on Fractions otherwise.
+
+A threshold layer returns a bool batch, one byte per unit.  A select unit
+compares its input with ``-b`` directly, by the argument above, and a
+weight-pattern unit on a bool input counts its set inputs in an integer
+dtype: a count ``S`` below 2**53 is exact in float, so ``S + b >= 0`` iff
+``S >= ceil(-b)``.  Either way the bits are those of ``sigma(W @ a + b)``
+in float64.
 """
 
 from __future__ import annotations
@@ -304,6 +311,33 @@ class ThresholdLayer:
         ints, scale = _as_integers(np.column_stack([w, self.biases]))
         return (ints[:, :-1] if self.kind == DENSE else scale), ints[:, -1], scale
 
+    @cached_property
+    def _cuts(self) -> np.ndarray:
+        """``-biases``: a select unit on a float input ``x`` fires iff ``x >= -b``."""
+        return _readonly(-self.biases)
+
+    @cached_property
+    def _count_cuts(self) -> np.ndarray:
+        """A pattern unit on a 0/1 input fires iff its count reaches this cut.
+
+        The cuts are ``ceil(-b)`` clipped to ``0 .. fan_in + 1``, in the least
+        unsigned dtype that holds ``fan_in + 1``, the dtype the counts take.
+        """
+        fan_in = {SELECT: 1, BLOCKS: self.weights.size}.get(self.kind, self.input_width)
+        dtype = np.min_scalar_type(fan_in + 1)
+        return _readonly(np.clip(np.ceil(-self.biases), 0, fan_in + 1).astype(dtype))
+
+    def _counts(self, A: np.ndarray, dtype) -> np.ndarray:
+        """Each unit's count of set inputs, for a bool batch ``A``, in ``dtype``."""
+        U = A.view(np.uint8)
+        if self.kind == SELECT:
+            return U.take(self.weights.index, axis=1)
+        if self.kind == BLOCKS:
+            return np.einsum("rnk->rn", U.reshape(len(U), self.width, self.weights.size), dtype=dtype)
+        S = np.empty(U.shape, dtype)
+        np.cumsum(U[:, ::-1], axis=1, dtype=dtype, out=S[:, ::-1])
+        return S
+
     def _sums(self, A: np.ndarray, W) -> np.ndarray:
         """``A @ W.T`` as a new C-ordered array, for ``W`` the weights or the ints of ``_integers``."""
         if self.kind == DENSE:
@@ -324,26 +358,47 @@ class ThresholdLayer:
     def forward(self, A: np.ndarray) -> np.ndarray:
         """Activations ``activation(A @ weights.T + biases)`` for rows of ``A``.
 
-        ``A`` is a float64 batch, or an object array of exact numbers
-        (Fractions, ints, or floats taken at their exact value).  The object
+        ``A`` is a float64 batch, a bool batch (the output of a threshold
+        layer), or an object array of exact numbers (Fractions, ints, or
+        floats taken at their exact value).  Threshold units return a bool
+        batch; ReLU units return float64, or on an object batch Fractions,
+        clamped at the int 0.
+
+        Two threshold cases skip the float sums, with the same bits:
+
+        * a select unit on a float input fires iff ``x >= -b``: for finite
+          doubles the rounded ``x + b`` is >= 0 exactly when ``x + b`` is (the
+          argument of ``float_exact``);
+        * a pattern unit on a bool input counts its set inputs in an integer
+          dtype.  A count ``S`` below 2**53 is exact in float, so ``S + b >= 0``
+          iff ``S >= -b`` iff ``S >= ceil(-b)``.
+
+        Dense and ReLU layers cast a bool input to float64 once.  The object
         batch and the parameters are scaled to ints, so its products and sums
-        are exact int arithmetic.  Threshold units return 0/1 floats either
-        way; ReLU units on an object batch return Fractions, clamped at the
-        int 0.
+        are exact int arithmetic.
         """
-        if A.dtype != object:  # in place: each new array of the batch costs its page faults
-            Z = self._sums(A, self.weights)
-            Z += self.biases
+        if A.dtype == object:
+            W, b, scale = self._integers
+            N, den = _as_integers(A)
+            Z = self._sums(N, W) + b * den  # the pre-activations times den * scale
             if self.activation == THRESHOLD:
-                return np.greater_equal(Z, 0.0, out=Z)
-            return np.maximum(Z, 0.0, out=Z)
-        W, b, scale = self._integers
-        N, den = _as_integers(A)
-        Z = self._sums(N, W) + b * den  # the pre-activations times den * scale
+                return Z >= 0
+            scale *= den
+            return np.frompyfunc(lambda z: Fraction(z, scale) if z > 0 else 0, 1, 1)(Z)
+        if self.activation == THRESHOLD and self.kind != DENSE:
+            if A.dtype == bool:
+                cuts = self._count_cuts
+                return self._counts(A, cuts.dtype) >= cuts
+            if self.kind == SELECT:
+                return A.take(self.weights.index, axis=1) >= self._cuts
+        if A.dtype == bool:
+            A = A.astype(float)
+        # in place: each new array of the batch costs its page faults
+        Z = self._sums(A, self.weights)
+        Z += self.biases
         if self.activation == THRESHOLD:
-            return (Z >= 0).astype(float)
-        scale *= den
-        return np.frompyfunc(lambda z: Fraction(z, scale) if z > 0 else 0, 1, 1)(Z)
+            return Z >= 0.0
+        return np.maximum(Z, 0.0, out=Z)
 
 
 def _checked_pattern(w: WeightPattern, width: int) -> tuple[WeightPattern, tuple[int, int]]:
@@ -495,6 +550,7 @@ class ThresholdNetwork:
                     A = layer.forward(A)
                 parts.append(A)
             A = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            A = A.astype(float, copy=False)  # a threshold layer's bools, cast once for BLAS
         w, b = self._output_float
         return A @ w + b
 
@@ -514,7 +570,7 @@ class ThresholdNetwork:
         labels with zero error.
         """
         A = self._check_batch(X)
-        zero_one = False  # is A a 0/1 float batch?
+        zero_one = False  # is A a threshold layer's bool batch?
         for layer in self.layers:
             if A.dtype != object and not layer.float_exact(zero_one):
                 A = A.astype(object)

@@ -58,19 +58,28 @@ def parse_float(text: str) -> float | None:
 # -- CSV ----------------------------------------------------------------------
 
 
-def _parse_rows(path) -> list[list[float]]:
+def _parse_rows(path) -> np.ndarray:
+    """The numeric rows of a CSV file as a ``(rows, width)`` float64 array.
+
+    Cells are stripped and blank ones dropped; a line of only blank cells is
+    skipped, and a first line that is not numeric is a header.  Each line is
+    converted by one comprehension of ``float``, which accepts exactly the
+    strings :func:`parse_float` does, so a line is not numeric when it
+    raises ``ValueError``.
+    """
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         try:
             for lineno, cells in enumerate(csv.reader(fh), start=1):
-                cells = [c.strip() for c in cells if c.strip() != ""]
-                if not cells:
+                try:
+                    row = [float(c) for c in map(str.strip, cells) if c]
+                except ValueError:
+                    if lineno != 1:  # a non-numeric first line is a header
+                        cells = [c.strip() for c in cells if c.strip() != ""]
+                        raise SchemaError(f"{path}: line {lineno} is not numeric: {cells}") from None
                     continue
-                row = [parse_float(c) for c in cells]
-                if None not in row:
+                if row:
                     rows.append(row)
-                elif lineno != 1:  # a non-numeric first line is a header
-                    raise SchemaError(f"{path}: line {lineno} is not numeric: {cells}")
         except (UnicodeDecodeError, csv.Error) as exc:
             raise SchemaError(f"{path}: not a readable CSV file: {exc}") from exc
     if not rows:
@@ -79,15 +88,15 @@ def _parse_rows(path) -> list[list[float]]:
     for k, row in enumerate(rows):
         if len(row) != width:
             raise SchemaError(f"{path}: row {k + 1} has {len(row)} columns, expected {width}")
-    return rows
+    return np.array(rows, dtype=float)
 
 
 def read_dataset_csv(path) -> list[tuple[tuple[float, ...], float]]:
     """Raw (point, label) pairs; validate with ``core.validate_dataset``."""
     rows = _parse_rows(path)
-    if len(rows[0]) < 2:
+    if rows.shape[1] < 2:
         raise SchemaError(f"{path}: need at least one coordinate column plus a label")
-    return [(tuple(r[:-1]), r[-1]) for r in rows]
+    return [(tuple(r[:-1]), r[-1]) for r in rows.tolist()]
 
 
 def write_dataset_csv(path, pairs, header: bool = False) -> None:
@@ -103,7 +112,7 @@ def write_dataset_csv(path, pairs, header: bool = False) -> None:
 
 def read_points_csv(path) -> np.ndarray:
     """Evaluation points as an (m, d) array."""
-    return np.asarray(_parse_rows(path), dtype=float)
+    return _parse_rows(path)
 
 
 # -- network JSON -------------------------------------------------------------

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -130,6 +131,14 @@ class TestEval:
         printed = [float(line) for line in capsys.readouterr().out.splitlines()]
         assert printed == net.evaluate_batch(probes).tolist()
 
+    def test_no_points_print_nothing(self, tmp_path, spread_csv, monkeypatch, capsys):
+        out = tmp_path / "net.json"
+        main(["synth", spread_csv, "-o", str(out)])
+        capsys.readouterr()
+        monkeypatch.setattr(cli.io, "read_points_csv", lambda path: np.empty((0, 2)))
+        assert main(["eval", str(out), "pts.csv"]) == 0
+        assert capsys.readouterr().out == ""
+
     def test_dimension_mismatch_exit_2(self, tmp_path, spread_csv, capsys):
         out = tmp_path / "net.json"
         main(["synth", spread_csv, "-o", str(out)])
@@ -201,6 +210,29 @@ def child_peak_kb(script: str) -> int:
     )
     assert child.returncode == 0, child.stderr[-2000:]
     return int(child.stderr.split()[-1])
+
+
+PINNED_EVAL = json.loads((Path(__file__).parent / "data" / "eval_stdout.json").read_text())
+
+
+@pytest.mark.parametrize("case", PINNED_EVAL, ids=[f"{k}-{c['runs'][0]['argv'].split()[0]}"
+                                                    for k, c in enumerate(PINNED_EVAL)])
+def test_eval_stdout_is_pinned(case, tmp_path, monkeypatch, capsys):
+    """stdout of ``synth`` then ``eval``, and of ``approx --probes``, as the float64 forward pass printed it.
+
+    Each case writes its ``files`` and runs its argvs in that directory;
+    ``{data}`` stands for ``tests/data``, home of the version 1 and 2
+    fixture networks.  ``sha256`` pins the written network and trace files.
+    """
+    data = str(Path(__file__).parent / "data")
+    monkeypatch.chdir(tmp_path)
+    for name, text in case["files"].items():
+        Path(name).write_text(text, encoding="utf-8")
+    for run in case["runs"]:
+        assert main(run["argv"].replace("{data}", data).split()) == 0
+        assert capsys.readouterr().out == run["stdout"]
+    for name, digest in case.get("sha256", {}).items():
+        assert hashlib.sha256(Path(name).read_bytes()).hexdigest() == digest, name
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")

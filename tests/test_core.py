@@ -419,8 +419,10 @@ class TestEvaluate:
                 Z = A @ layer.weights.T
                 assert layer._sums(A, layer.weights).tobytes() == Z.tobytes()
                 Z = Z + layer.biases
-                want = (Z >= 0).astype(float) if activation == "threshold" else np.maximum(Z, 0.0)
-                assert layer.forward(A).tobytes() == want.tobytes()
+                want = Z >= 0 if activation == "threshold" else np.maximum(Z, 0.0)
+                got = layer.forward(A)
+                assert got.dtype == (bool if activation == "threshold" else float)
+                assert got.tobytes() == want.tobytes()
         net = ThresholdNetwork((ThresholdLayer(dyadic(rng, (5, 1)), dyadic(rng, 5), activation),),
                                dyadic(rng, 5, 0.0, 1.0), 0.25)
         X = dyadic(rng, (9, 1), -2.0, 2.0)
@@ -487,15 +489,26 @@ class TestWeightPatterns:
     @pytest.mark.parametrize("activation", ["threshold", "relu"])
     def test_select_matches_one_hot_matrix(self, activation):
         rng = np.random.default_rng(23)
-        for _ in range(20):
+        for k in range(40):
             d, width = int(rng.integers(1, 6)), int(rng.integers(1, 30))
-            layer = ThresholdLayer(WeightPattern("select", d, rng.integers(0, d, width)),
-                                   rng.uniform(-1, 1, width), activation)
+            biases = rng.uniform(-1, 1, width) if k % 2 else odd_biases(rng, width, 1)
+            layer = ThresholdLayer(WeightPattern("select", d, rng.integers(0, d, width)), biases, activation)
             dense = ThresholdLayer(dense_weights(layer), layer.biases, activation)
             assert np.array_equal(dense.weights.sum(axis=1), np.ones(width))
-            A = rng.uniform(-1, 1, (9, d)) * 10.0 ** rng.integers(-3, 3, (9, d))
-            A[0, layer.weights.index] = -layer.biases  # pre-activations of exactly 0
+            A = rng.uniform(-1, 1, (12, d)) * 10.0 ** rng.integers(-3, 3, (12, d))
+            # pre-activations of exactly 0, and one ulp to either side of 0
+            A[0, layer.weights.index] = -layer.biases
+            A[1, layer.weights.index] = np.nextafter(-layer.biases, np.inf)
+            A[2, layer.weights.index] = np.nextafter(-layer.biases, -np.inf)
             assert layer.forward(A).tobytes() == dense.forward(A).tobytes()
+            bits = rng.random((9, d)) < 0.5  # a threshold layer's output
+            assert layer.forward(bits).tobytes() == dense.forward(bits).tobytes()
+            if activation == "threshold":
+                assert layer.forward(bits).dtype == layer.forward(A).dtype == bool
+                index = layer.weights.index
+                exact = [[Fraction(x) + Fraction(b) >= 0 for x, b in zip(row[index].tolist(), layer.biases.tolist())]
+                         for row in A]
+                assert layer.forward(A).tolist() == exact
 
     @pytest.mark.parametrize("size", [1, 2, 4, 16, 64])
     def test_block_sums_match_blocks_matrix(self, size):
@@ -504,6 +517,50 @@ class TestWeightPatterns:
         A = rng.integers(0, 2, (33, width * size)).astype(float)
         got = ThresholdLayer(WeightPattern("blocks", size), np.zeros(width))._sums(A, None)
         assert got.tobytes() == (A @ blocks_matrix(width, size).T).tobytes()
+
+    @pytest.mark.parametrize("fan_in", [1, 4, 254, 255, 256, 300])
+    @pytest.mark.parametrize("kind", ["blocks", "suffix"])
+    def test_bool_counts_match_float_dense_and_exact(self, kind, fan_in):
+        # the counts cross from uint8 to uint16 at fan-in 255; a suffix unit i has fan-in width - i
+        rng = np.random.default_rng(fan_in)
+        width = 6 if kind == "blocks" else fan_in
+        pattern = WeightPattern("blocks", fan_in) if kind == "blocks" else SUFFIX
+        layer = ThresholdLayer(pattern, odd_biases(rng, width, fan_in))
+        inputs = layer.input_width
+        density = np.vstack([np.zeros(1), np.ones(1), rng.random((62, 1))])
+        A = rng.random((64, inputs)) < density
+        # a select layer of cut 0.5 hands the same bits to the pattern layer inside a network
+        ones = ThresholdLayer(WeightPattern("select", inputs, np.arange(inputs)), np.full(inputs, -0.5))
+        weights = tuple(Fraction(1, 2**i) for i in range(width))  # the sum spells out the units
+        net = ThresholdNetwork((ones, layer), weights, Fraction(-1, 3))
+        X = A.astype(float)
+
+        got = layer.forward(A)
+        assert got.dtype == bool and got.shape == (64, width)
+        assert 0 < got.sum() < got.size
+        assert got.tobytes() == layer.forward(X).tobytes()  # the float sums
+        assert got.tobytes() == ThresholdLayer(dense_weights(layer), layer.biases).forward(X).tobytes()
+        assert got.tobytes() == layer.forward(A.astype(object)).tobytes()  # exact ints
+        assert got.tobytes() == net.hidden_activations(X)[-1].tobytes()
+        assert got.tobytes() == densify(net).hidden_activations(X)[-1].tobytes()
+        assert net.evaluate_batch_exact(X) == [
+            sum((w for w, a in zip(weights, row) if a), Fraction(-1, 3)) for row in got.tolist()
+        ]
+
+    @pytest.mark.parametrize("fan_in", [1, 4, 300])
+    def test_integer_cuts_take_the_count_path_in_exact_evaluation(self, fan_in):
+        rng = np.random.default_rng(fan_in + 1)
+        layer = ThresholdLayer(WeightPattern("blocks", fan_in), -rng.integers(-1, fan_in + 3, 8).astype(float))
+        assert layer.float_exact(True)
+        ones = ThresholdLayer(WeightPattern("select", 8 * fan_in, np.arange(8 * fan_in)), np.full(8 * fan_in, -0.5))
+        weights = tuple(Fraction(1, 2**i) for i in range(8))
+        net = ThresholdNetwork((ones, layer), weights, 0)
+        X = (rng.random((40, 8 * fan_in)) < rng.random((40, 1))).astype(float)
+        counts = X.reshape(40, 8, fan_in).sum(axis=2).astype(int).tolist()
+        cuts = (-layer.biases).astype(int).tolist()
+        want = [sum(w for w, c, cut in zip(weights, row, cuts) if c >= cut) for row in counts]
+        assert net.evaluate_batch_exact(X) == want
+        assert net.evaluate_batch(X).tolist() == [float(v) for v in want]
 
     def test_first_negative_weight(self):
         assert ThresholdLayer(SUFFIX, [-5.0]).first_negative_weight() is None
@@ -571,6 +628,23 @@ def fraction_oracle(net: ThresholdNetwork, X) -> list[Fraction]:
         weights = [Fraction(w) for w in net.output_weights]
         out.append(sum((w * v for w, v in zip(weights, a)), Fraction(net.output_bias)))
     return out
+
+
+ODD_BIASES = [-0.5, 0.25, -0.0, 5e-324, -5e-324, 1e300, -1e300, -2.0000000000000004]
+
+
+def odd_biases(rng, width: int, fan_in: int) -> np.ndarray:
+    """Biases of units of fan-in up to ``fan_in``: ``-k``, one ulp to either side, and ``ODD_BIASES``.
+
+    The pool holds ``-fan_in`` and ``-(fan_in + 1)``, the cuts that all and
+    none of a full unit's inputs reach.
+    """
+    k = -rng.integers(0, fan_in + 2, width).astype(float)
+    pool = np.array(ODD_BIASES + [-float(fan_in), -(fan_in + 1.0)])
+    choices = [k, np.nextafter(k, np.inf), np.nextafter(k, -np.inf), rng.choice(pool, width)]
+    biases = np.choose(rng.integers(0, 4, width), choices)
+    biases[: len(pool)] = pool[: width]  # every odd bias at least once
+    return biases
 
 
 def dyadic(rng, shape, lo=-1.0, hi=1.0):

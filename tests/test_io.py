@@ -1,10 +1,11 @@
+import csv
 import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pathlib import Path
@@ -14,6 +15,7 @@ from mononet.construct import build_chain_interpolator, build_interpolator
 from mononet.core import ThresholdLayer, ThresholdNetwork, WeightPattern, validate_dataset
 from mononet.errors import SchemaError
 from mononet.io import (
+    _parse_rows,
     load_network,
     network_from_dict,
     parse_float,
@@ -41,6 +43,90 @@ def test_parse_float_agrees_with_float(text):
         assert got == want
     else:
         assert math.isnan(got)
+
+
+def per_cell_rows(path) -> list[list[float]]:
+    """The CSV reader as it was, ``parse_float`` on each stripped cell; the oracle for ``_parse_rows``."""
+    rows = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            for lineno, cells in enumerate(csv.reader(fh), start=1):
+                cells = [c.strip() for c in cells if c.strip() != ""]
+                if not cells:
+                    continue
+                row = [parse_float(c) for c in cells]
+                if None not in row:
+                    rows.append(row)
+                elif lineno != 1:  # a non-numeric first line is a header
+                    raise SchemaError(f"{path}: line {lineno} is not numeric: {cells}")
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise SchemaError(f"{path}: not a readable CSV file: {exc}") from exc
+    if not rows:
+        raise SchemaError(f"{path}: no data rows")
+    width = len(rows[0])
+    for k, row in enumerate(rows):
+        if len(row) != width:
+            raise SchemaError(f"{path}: row {k + 1} has {len(row)} columns, expected {width}")
+    return rows
+
+
+NUMERIC_CELLS = ["1_000", "1_000.000_1e1_0", "١٢٣", "٣.٥", "inf", "-Infinity", "nan", "-nan", "+1e3",
+                 ".5", "5.", "-0", "-0.0", "1e999", "-1e-400", "5e-324", "\u00a01.5\u00a0", "\t2\t"]
+ODD_CELLS = ["", " ", "x", "y1", "1e", "1__0", "_1", "1_", "0x10", "1,5", "1 2", "infinit", "--1",
+             "\x1c", "1\x1c", "\u2003", "\x00", "NaN%", '"']
+
+
+@st.composite
+def csv_bytes(draw) -> bytes:
+    """CSV text that is mostly valid: a header, padded, quoted and blank cells, odd
+    numerals, ragged rows, non-numeric later lines, and now and then a byte that is not UTF-8."""
+    width = draw(st.integers(1, 4))
+    numeric = st.one_of(st.floats().map(repr), st.integers(-(10**20), 10**20).map(str),
+                        st.sampled_from(NUMERIC_CELLS))
+    odd = st.one_of(st.sampled_from(ODD_CELLS), st.text("0123456789+-._eEinfaINF \t", max_size=6))
+    lines = []
+    if draw(st.booleans()):
+        lines.append(",".join(draw(st.lists(st.sampled_from(["x1", "x2", "y", "", " label "]),
+                                            min_size=1, max_size=width + 1))))
+    for _ in range(draw(st.integers(0, 6))):
+        w = width if draw(st.integers(0, 7)) else draw(st.integers(0, width + 2))  # now and then ragged
+        cells = []
+        for _ in range(w):
+            cell = draw(numeric) if draw(st.integers(0, 39)) else draw(odd)
+            pad = draw(st.sampled_from(["", "", " ", "\t", "  "]))
+            cell = pad + cell + pad
+            if draw(st.integers(0, 5)) == 0:  # quoted, which also admits commas and newlines
+                cell = '"' + cell.replace('"', '""') + draw(st.sampled_from(["", "", "", ",", "\n"])) + '"'
+            cells.append(cell)
+        lines.append(",".join(cells))
+    data = (draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))).encode()
+    if draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\x80"])) + data[at:]
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_bytes())
+@example(b"x1,y\n1,2\n")
+@example(b"\n\nx,y\n1,2\n")
+@example(b"1,2\n3\n")
+@example(b'"1","-0.0"\n" 2 ",nan\n')
+@example("1\x1c,2\u00a0\n".encode())
+def test_reader_matches_the_per_cell_oracle(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    path.write_bytes(data)
+    try:
+        want = np.array(per_cell_rows(path), dtype=float)
+    except SchemaError as exc:
+        with pytest.raises(SchemaError) as err:
+            _parse_rows(path)
+        assert str(err.value) == str(exc)
+        return
+    got = _parse_rows(path)
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()  # -0.0 and the NaN bits included
+    assert read_points_csv(path).tobytes() == want.tobytes()
 
 
 class TestDatasetCsv:
