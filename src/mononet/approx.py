@@ -148,7 +148,7 @@ def build_approximator(
     """
     grid = plan_grid(d, lipschitz, eps, budget)
     points = list(grid.iter_points())
-    values = [float(f(p)) for p in points]
+    values = np.array([float(f(p)) for p in points])
     observed = empirical_lipschitz(values, grid)
     if observed > lipschitz * (1 + 1e-9):
         warnings.warn(
@@ -156,7 +156,7 @@ def build_approximator(
             f"Lipschitz bound {lipschitz:.6g}; the error guarantee may not hold",
             stacklevel=2,
         )
-    ds = validate_dataset(zip(points, values))
+    ds = validate_dataset(np.array(points), values)
     net, _ = build_interpolator(ds)
     return net
 

@@ -207,8 +207,7 @@ def _config_argv(parser: argparse.ArgumentParser, config: dict, argv: list[str])
 
 
 def _cmd_synth(args) -> int:
-    pairs = io.read_dataset_csv(args.dataset)
-    ds = core.validate_dataset(pairs)
+    ds = core.validate_dataset(*io.read_dataset_csv(args.dataset))
     use_chain = args.ordered == "auto" and core.is_totally_ordered(ds)
     if use_chain:
         net, trace = construct.build_chain_interpolator(ds)
@@ -304,11 +303,9 @@ def _tabulated_function(path, d: int):
     The value at x is the largest sample value among table points <= x,
     defaulting to the smallest sample value; this is monotone for any table.
     """
-    pairs = io.read_dataset_csv(path)
-    points = np.asarray([p for p, _ in pairs], dtype=float)
+    points, values = io.read_dataset_csv(path)
     if points.shape[1] != d:
         raise DimensionMismatch(f"{path}: table points have {points.shape[1]} coordinates, --d is {d}")
-    values = np.asarray([v for _, v in pairs], dtype=float)
     floor_value = float(values.min())
 
     def f(x):

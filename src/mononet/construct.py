@@ -54,7 +54,7 @@ from .core import (
     is_totally_ordered,
     row_blocks,
 )
-from .errors import DuplicatePoint, NotTotallyOrdered
+from .errors import DuplicatePoint, InvalidArgument, NotTotallyOrdered
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,10 +158,11 @@ def separating_coordinate(ds: MonotoneDataset, i: int) -> tuple[int, float]:
     ``i`` is 1-based; returns ``(r, t)`` with ``r`` 1-based such that
     coordinate ``r`` of every earlier point is strictly below ``t``, and of
     every later point is >= ``t``, where ``t`` is coordinate ``r`` of point
-    ``i``.  For ``i == 1`` the first coordinate is returned.
+    ``i``.  For ``i == 1`` the first coordinate is returned.  An ``i``
+    outside ``1..n`` raises :class:`InvalidArgument`.
     """
     if not 1 <= i <= ds.n:
-        raise IndexError(f"point index {i} outside 1..{ds.n}")
+        raise InvalidArgument(f"point index {i} outside 1..{ds.n}")
     if not is_totally_ordered(ds):
         raise NotTotallyOrdered("separating coordinates exist only for chain datasets")
     r = _separating_index(ds.points, i - 1)

@@ -2,9 +2,10 @@
 
 Conventions used throughout the package:
 
-* A *point* is any sequence of finite reals; internally points live in
-  float64 arrays.  The partial order is coordinatewise: ``x >= y`` iff every
-  coordinate of ``x`` is >= the matching coordinate of ``y``.
+* A *point* is a row of finite reals: a dataset is an (n, d) array of
+  points and an (n,) array of labels, float64 inside.  The partial order is
+  coordinatewise: ``x >= y`` iff every coordinate of ``x`` is >= the
+  matching coordinate of ``y``.
 * A hidden layer computes ``sigma(W @ a + b)`` elementwise, where ``sigma``
   is either the unit step (1 for arguments >= 0, else 0) or ReLU.  Note the
   bias is *added*; a unit that should fire when a coordinate reaches a
@@ -37,7 +38,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,15 +74,6 @@ def threshold(z) -> int:
     return 1 if z >= 0 else 0
 
 
-def _as_point_array(p) -> np.ndarray:
-    v = np.asarray(p, dtype=float)
-    if v.ndim == 0:
-        v = v.reshape(1)
-    if v.ndim != 1:
-        raise DimensionMismatch(f"a point must be a flat sequence, got shape {v.shape}")
-    return v
-
-
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.flags.writeable = False
@@ -111,8 +103,9 @@ class MonotoneDataset:
     ``points`` is an (n, d) float64 array, ``labels`` an (n,) array with
     labels nondecreasing along the canonical order.  Equal labels are
     ordered lexicographically by point, so a smaller point of a comparable
-    pair comes first, and the order depends only on the set of pairs, not
-    on their input order.  Construct through :func:`validate_dataset`.
+    pair comes first, and the order depends only on the set of labeled
+    points, not on their input order.  Construct through
+    :func:`validate_dataset`.
     """
 
     points: np.ndarray
@@ -134,13 +127,6 @@ class MonotoneDataset:
     def dimension(self) -> int:
         return self.points.shape[1]
 
-    def items(self) -> list[tuple[tuple[float, ...], float]]:
-        """The (point, label) pairs in canonical order."""
-        return [
-            (tuple(float(c) for c in p), float(y))
-            for p, y in zip(self.points, self.labels)
-        ]
-
     def __eq__(self, other):
         if not isinstance(other, MonotoneDataset):
             return NotImplemented
@@ -152,31 +138,23 @@ class MonotoneDataset:
         return f"MonotoneDataset(n={self.n}, d={self.dimension})"
 
 
-def validate_dataset(raw: Iterable[tuple[Sequence[float], float]]) -> MonotoneDataset:
-    """Check and canonically order a list of (point, label) pairs.
+def validate_dataset(points, labels) -> MonotoneDataset:
+    """Check and canonically order an (n, d) array of points and their (n,) labels.
 
     Raises :class:`EmptyDataset`, :class:`DimensionMismatch`,
     :class:`InvalidNumber`, :class:`DuplicatePoint`, or
-    :class:`MonotoneViolation` (whose indices refer to input positions).
+    :class:`MonotoneViolation` (whose indices refer to input rows).
     """
-    if isinstance(raw, MonotoneDataset):
-        raw = raw.items()
-    pairs = list(raw)
-    if not pairs:
+    try:
+        points, labels = np.asarray(points, dtype=float), np.asarray(labels, dtype=float)
+    except (TypeError, ValueError) as exc:  # a ragged list, or an iterator of pairs
+        raise DimensionMismatch(f"points and labels must form arrays of numbers: {exc}") from None
+    if points.shape[:1] == (0,):
         raise EmptyDataset("a dataset needs at least one point")
-    pts = []
-    ys = []
-    for p, y in pairs:
-        pts.append(_as_point_array(p))
-        ys.append(float(y))
-    d = len(pts[0])
-    for k, v in enumerate(pts):
-        if len(v) != d:
-            raise DimensionMismatch(
-                f"point at position {k} has {len(v)} coordinates, expected {d}"
-            )
-    points = np.array(pts, dtype=float)
-    labels = np.array(ys, dtype=float)
+    if points.ndim != 2 or labels.shape != points.shape[:1]:
+        raise DimensionMismatch(
+            f"points must be (n, d) and labels (n,), got {points.shape} and {labels.shape}"
+        )
     if not np.isfinite(points).all():
         raise InvalidNumber("point coordinates must be finite")
     if not np.isfinite(labels).all():

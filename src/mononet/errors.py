@@ -12,11 +12,8 @@ class Error(Exception):
     """Base class for all mononet errors."""
 
 
-class InvalidArgument(Error, ValueError):
-    """An argument lies outside its documented domain.
-
-    Also a ``ValueError``, so code that catches the builtin keeps working.
-    """
+class InvalidArgument(Error):
+    """An argument lies outside its documented domain."""
 
 
 class InvalidNumber(Error):

@@ -1,8 +1,10 @@
 """CSV and JSON interchange formats.
 
 Dataset CSV: one row per point, d coordinate columns then one label column,
-optional header, '.' decimal separator.  Points CSV: coordinate columns
-only.
+optional header, '.' decimal separator; it reads as an (n, d) float64 array
+of points and an (n,) array of labels, the arguments of
+:func:`~mononet.core.validate_dataset`.  Points CSV: coordinate columns
+only, read as an (m, d) array.
 
 Network JSON: a versioned document, written on one line
 
@@ -91,23 +93,12 @@ def _parse_rows(path) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
-def read_dataset_csv(path) -> list[tuple[tuple[float, ...], float]]:
-    """Raw (point, label) pairs; validate with ``core.validate_dataset``."""
+def read_dataset_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, d) points and (n,) labels of a dataset CSV, for ``core.validate_dataset``."""
     rows = _parse_rows(path)
     if rows.shape[1] < 2:
         raise SchemaError(f"{path}: need at least one coordinate column plus a label")
-    return [(tuple(r[:-1]), r[-1]) for r in rows.tolist()]
-
-
-def write_dataset_csv(path, pairs, header: bool = False) -> None:
-    pairs = list(pairs)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        if header and pairs:
-            d = len(pairs[0][0])
-            writer.writerow([f"x{i + 1}" for i in range(d)] + ["y"])
-        for point, label in pairs:
-            writer.writerow([repr(float(c)) for c in point] + [repr(float(label))])
+    return rows[:, :-1], rows[:, -1]
 
 
 def read_points_csv(path) -> np.ndarray:

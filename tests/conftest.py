@@ -9,13 +9,26 @@ construction and only needs to be re-checked by validate_dataset.
 matrix written out, the way the library built it before its layers were
 stored as weight patterns; it is the oracle for the pattern layers, and
 ``densify`` writes out the patterns of any network the same way.
+
+``pairs_validate_oracle`` is the validator that took a list of
+(point, label) pairs, point by point, before ``validate_dataset`` took the
+two arrays; it is the oracle for the array checks.
 """
 
 from fractions import Fraction
 
 import numpy as np
 
-from mononet.core import MonotoneDataset, ThresholdLayer, ThresholdNetwork, validate_dataset
+from mononet.core import (
+    MonotoneDataset,
+    ThresholdLayer,
+    ThresholdNetwork,
+    _check_distinct,
+    pairwise_leq,
+    row_blocks,
+    validate_dataset,
+)
+from mononet.errors import DimensionMismatch, EmptyDataset, InvalidNumber, MonotoneViolation
 
 
 def random_monotone_score(rng: np.random.Generator, X: np.ndarray) -> np.ndarray:
@@ -45,7 +58,49 @@ def random_monotone_dataset(
     X = np.unique(X, axis=0)
     rng.shuffle(X)
     y = random_monotone_score(rng, X)
-    return validate_dataset(list(zip(map(tuple, X), y)))
+    return validate_dataset(X, y)
+
+
+def pairs_validate_oracle(raw) -> MonotoneDataset:
+    """Check and canonically order a list of (point, label) pairs, one pair at a time.
+
+    A scalar point counts as a point of one coordinate.  Raises the errors
+    of ``validate_dataset``, with the same input positions.
+    """
+    pairs = list(raw)
+    if not pairs:
+        raise EmptyDataset("a dataset needs at least one point")
+    pts = []
+    ys = []
+    for p, y in pairs:
+        v = np.asarray(p, dtype=float)
+        if v.ndim == 0:
+            v = v.reshape(1)
+        if v.ndim != 1:
+            raise DimensionMismatch(f"a point must be a flat sequence, got shape {v.shape}")
+        pts.append(v)
+        ys.append(float(y))
+    d = len(pts[0])
+    for k, v in enumerate(pts):
+        if len(v) != d:
+            raise DimensionMismatch(f"point at position {k} has {len(v)} coordinates, expected {d}")
+    points = np.array(pts, dtype=float)
+    labels = np.array(ys, dtype=float)
+    if not np.isfinite(points).all():
+        raise InvalidNumber("point coordinates must be finite")
+    if not np.isfinite(labels).all():
+        raise InvalidNumber("labels must be finite")
+
+    _check_distinct(points)
+
+    for s in row_blocks(len(points), len(points)):
+        bad = pairwise_leq(points[s], points) & (labels[s, None] > labels)
+        if bad.any():
+            i, j = np.argwhere(bad)[0] + (s.start, 0)
+            raise MonotoneViolation(int(i), int(j))
+
+    order = np.lexsort((*points.T[::-1], labels))
+    return MonotoneDataset(points[order], labels[order])
 
 
 def blocks_matrix(width: int, size: int) -> np.ndarray:

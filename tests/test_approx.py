@@ -13,7 +13,7 @@ from mononet.approx import (
     plan_grid,
     resolve_function,
 )
-from mononet.errors import GridTooLarge, MonotoneViolation
+from mononet.errors import GridTooLarge, InvalidArgument, MonotoneViolation
 
 
 class TestPlanGrid:
@@ -80,11 +80,11 @@ class TestPlanGrid:
         assert peak < 1 << 16
 
     def test_bad_arguments(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgument):
             plan_grid(0, 1.0, 0.1)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgument):
             plan_grid(1, 0.0, 0.1)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgument):
             plan_grid(1, 1.0, 0.0)
 
     def test_neighbors(self):
@@ -178,6 +178,6 @@ class TestHelpers:
         assert resolve_function("linear")((0.2, 0.4)) == 0.2
         assert resolve_function("sqrt")((0.25,)) == 0.5
         assert resolve_function("constant:0.7")((0.0,)) == 0.7
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgument):
             resolve_function("nope")
         assert set(BUILTIN_FUNCTIONS) == {"linear", "mean", "min", "max", "sqrt"}

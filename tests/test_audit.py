@@ -200,16 +200,13 @@ class TestSqrtGap:
 class TestDepth2Counterexample:
     def test_d2(self):
         ds = depth2_counterexample(2)
-        assert ds.items() == [((0.0, 2.0), 0.0), ((2.0, 0.0), 0.0), ((1.0, 1.0), 1.0)]
+        assert ds.points.tolist() == [[0.0, 2.0], [2.0, 0.0], [1.0, 1.0]]
+        assert ds.labels.tolist() == [0.0, 0.0, 1.0]
 
     def test_d3(self):
         ds = depth2_counterexample(3)
-        assert ds.items() == [
-            ((0.0, 0.0, 3.0), 0.0),
-            ((0.0, 3.0, 0.0), 0.0),
-            ((3.0, 0.0, 0.0), 0.0),
-            ((1.0, 1.0, 1.0), 1.0),
-        ]
+        assert ds.points.tolist() == [[0.0, 0.0, 3.0], [0.0, 3.0, 0.0], [3.0, 0.0, 0.0], [1.0, 1.0, 1.0]]
+        assert ds.labels.tolist() == [0.0, 0.0, 0.0, 1.0]
 
     def test_d5_validates(self):
         ds = depth2_counterexample(5)
@@ -221,8 +218,8 @@ class TestDepth2Counterexample:
 
     @pytest.mark.parametrize("d", [*range(2, 11), 1023])
     def test_equals_the_validated_dataset(self, d):
-        pairs = [(row, 0.0) for row in float(d) * np.eye(d)] + [(np.ones(d), 1.0)]
-        ds, validated = depth2_counterexample(d), validate_dataset(pairs)
+        points = np.vstack([float(d) * np.eye(d), np.ones(d)])
+        ds, validated = depth2_counterexample(d), validate_dataset(points, [0.0] * d + [1.0])
         assert ds == validated
         assert ds.points.tobytes() == validated.points.tobytes()
         assert ds.labels.tobytes() == validated.labels.tobytes()
@@ -345,7 +342,7 @@ class TestChainWidthAudit:
             assert out[0] == out[1]
 
     def test_single_point_chain(self):
-        ds = validate_dataset([((1.0,), 2.0)])
+        ds = validate_dataset([[1.0]], [2.0])
         net = ThresholdNetwork((ThresholdLayer([[1.0]], [0.0]),), [1.0], 0.0)
         report = chain_width_audit(net, ds)
         assert report.passed
@@ -354,7 +351,7 @@ class TestChainWidthAudit:
         # an ascending chain of n activity sets in a universe of n-1 units can
         # be repeat-free (the complete flag), and such a network really can
         # interpolate: units sigma(x - 2..x - n) on the chain 1..n, y = 0..n-1
-        ds = validate_dataset([((float(i),), float(i - 1)) for i in range(1, 5)])
+        ds = validate_dataset([[1.0], [2.0], [3.0], [4.0]], [0.0, 1.0, 2.0, 3.0])
         net = ThresholdNetwork(
             (ThresholdLayer(np.ones((3, 1)), [-2.0, -3.0, -4.0]),), np.ones(3), 0.0
         )
@@ -364,15 +361,15 @@ class TestChainWidthAudit:
         assert report.details["width_obstruction"] == "vacuous-boundary"
 
     def test_preconditions(self):
-        spread = validate_dataset([((2, 0), 0.0), ((0, 2), 0.0), ((1, 1), 1.0)])
+        spread = validate_dataset([[2, 0], [0, 2], [1, 1]], [0.0, 0.0, 1.0])
         net = ThresholdNetwork((ThresholdLayer(np.ones((2, 2)), [0.0, -1.0]),), [1.0, 1.0], 0.0)
         with pytest.raises(PreconditionViolated):
             chain_width_audit(net, spread)
-        flat = validate_dataset([((0.0,), 1.0), ((1.0,), 1.0)])
+        flat = validate_dataset([[0.0], [1.0]], [1.0, 1.0])
         net1 = ThresholdNetwork((ThresholdLayer([[1.0]], [0.0]),), [1.0], 0.0)
         with pytest.raises(PreconditionViolated):
             chain_width_audit(net1, flat)
-        chain = validate_dataset([((0.0,), 0.0), ((1.0,), 1.0)])
+        chain = validate_dataset([[0.0], [1.0]], [0.0, 1.0])
         relu = relu_net([[1.0]], [0.0], [1.0])
         with pytest.raises(ActivationMismatch):
             chain_width_audit(relu, chain)
@@ -562,8 +559,8 @@ def test_random_chain_dataset_is_validated_and_canonical():
     for seed in range(200):
         rng = np.random.default_rng(seed)
         ds = random_chain_dataset(rng, int(rng.integers(1, 20)), int(rng.integers(1, 7)))
-        assert ds == validate_dataset(ds.items())
-        assert ds.points.tobytes() == validate_dataset(ds.items()).points.tobytes()
+        assert ds == validate_dataset(ds.points, ds.labels)
+        assert ds.points.tobytes() == validate_dataset(ds.points, ds.labels).points.tobytes()
 
 
 def test_activity_sets_match_per_point_sets():

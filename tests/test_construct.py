@@ -17,11 +17,11 @@ from mononet import core
 from mononet.approx import build_approximator
 from mononet.audit import random_chain_dataset
 from mononet.core import ThresholdNetwork, is_totally_ordered, pairwise_leq, validate_dataset
-from mononet.errors import DuplicatePoint, InvalidNumber, NotTotallyOrdered
+from mononet.errors import DuplicatePoint, InvalidArgument, InvalidNumber, NotTotallyOrdered
 
 
 def spread_dataset():
-    return validate_dataset([((2, 0), 0.0), ((0, 2), 0.0), ((1, 1), 1.0)])
+    return validate_dataset([[2, 0], [0, 2], [1, 1]], [0.0, 0.0, 1.0])
 
 
 class TestBuildInterpolator:
@@ -32,7 +32,7 @@ class TestBuildInterpolator:
         assert net.monotone_flag
 
     def test_single_point(self):
-        ds = validate_dataset([((0.3, 0.7), 5.0)])
+        ds = validate_dataset([[0.3, 0.7]], [5.0])
         net, trace = build_interpolator(ds)
         assert trace.layer_widths == (2, 1, 1)
         assert net.evaluate([0.3, 0.7]) == 5.0
@@ -40,14 +40,14 @@ class TestBuildInterpolator:
         assert net.evaluate([0.0, 0.0]) == 0.0
 
     def test_negative_label_shifts_bias(self):
-        ds = validate_dataset([((0.0,), -2.0), ((1.0,), 3.0)])
+        ds = validate_dataset([[0.0], [1.0]], [-2.0, 3.0])
         net, trace = build_interpolator(ds)
         assert net.evaluate_batch(ds.points).tolist() == [-2.0, 3.0]
         assert net.output_bias == -2.0
         assert trace.output_weights == (0.0, 5.0)
         assert net.monotone_flag
         # oracle: shifting all labels up by 2 and the outputs back down agrees
-        shifted = validate_dataset([((0.0,), 0.0), ((1.0,), 5.0)])
+        shifted = validate_dataset([[0.0], [1.0]], [0.0, 5.0])
         net2, _ = build_interpolator(shifted)
         probes = np.linspace(-1, 2, 13)[:, None]
         assert np.array_equal(net.evaluate_batch(probes), net2.evaluate_batch(probes) - 2.0)
@@ -113,7 +113,7 @@ class TestBuildInterpolator:
             build, ds = build_chain_interpolator, random_chain_dataset(rng, 30, 3)
         else:
             build, ds = build_interpolator, random_monotone_dataset(rng, max_n=30, max_d=3)
-        for data in (ds, validate_dataset([((0.5, -1.0), 2.0)])):  # and one point
+        for data in (ds, validate_dataset([[0.5, -1.0]], [2.0])):  # and one point
             _, trace = build(data)
             want = json.dumps({
                 "layer_widths": list(trace.layer_widths),
@@ -148,21 +148,21 @@ class TestBuildInterpolator:
 
 class TestChainInterpolator:
     def test_three_point_chain(self):
-        ds = validate_dataset([((0, 0), 0.0), ((1, 1), 1.0), ((2, 2), 2.0)])
+        ds = validate_dataset([[0, 0], [1, 1], [2, 2]], [0.0, 1.0, 2.0])
         net, trace = build_chain_interpolator(ds)
         assert trace.layer_widths == (3, 3)
         assert net.evaluate_batch(ds.points).tolist() == [0.0, 1.0, 2.0]
         assert net.hidden_unit_count == 2 * ds.n
 
     def test_single_point(self):
-        ds = validate_dataset([((0.0,), 0.0)])
+        ds = validate_dataset([[0.0]], [0.0])
         net, trace = build_chain_interpolator(ds)
         assert trace.layer_widths == (1, 1)
         assert net.evaluate([0.0]) == 0.0
         assert net.evaluate([5.0]) == 0.0
 
     def test_tied_labels(self):
-        ds = validate_dataset([((0, 0), 1.0), ((0, 1), 1.0), ((1, 1), 2.0)])
+        ds = validate_dataset([[0, 0], [0, 1], [1, 1]], [1.0, 1.0, 2.0])
         net, trace = build_chain_interpolator(ds)
         assert trace.output_weights == (1.0, 0.0, 1.0)
         assert net.evaluate_batch(ds.points).tolist() == [1.0, 1.0, 2.0]
@@ -219,7 +219,7 @@ class TestChainInterpolator:
             )
 
     def test_exact_mode(self):
-        ds = validate_dataset([((0, 0), 0.25), ((1, 1), 0.35), ((2, 2), 0.45)])
+        ds = validate_dataset([[0, 0], [1, 1], [2, 2]], [0.25, 0.35, 0.45])
         net, _ = build_chain_interpolator(ds)
         got = net.evaluate_batch_exact(ds.points)
         assert got == [Fraction(0.25), Fraction(0.35), Fraction(0.45)]
@@ -227,19 +227,19 @@ class TestChainInterpolator:
 
 class TestSeparatingCoordinate:
     def test_tied_coordinate(self):
-        ds = validate_dataset([((0, 5), 0.0), ((1, 5), 1.0), ((2, 6), 2.0)])
+        ds = validate_dataset([[0, 5], [1, 5], [2, 6]], [0.0, 1.0, 2.0])
         assert separating_coordinate(ds, 2) == (1, 1.0)
 
     def test_one_dimensional(self):
-        ds = validate_dataset([((0.0,), 0.0), ((1.0,), 1.0), ((2.0,), 2.0)])
+        ds = validate_dataset([[0.0], [1.0], [2.0]], [0.0, 1.0, 2.0])
         assert separating_coordinate(ds, 3) == (1, 2.0)
 
     def test_second_coordinate_only(self):
-        ds = validate_dataset([((0, 0), 0.0), ((0, 1), 1.0)])
+        ds = validate_dataset([[0, 0], [0, 1]], [0.0, 1.0])
         assert separating_coordinate(ds, 2) == (2, 1.0)
 
     def test_first_point(self):
-        ds = validate_dataset([((3, 4), 0.0), ((5, 6), 1.0)])
+        ds = validate_dataset([[3, 4], [5, 6]], [0.0, 1.0])
         assert separating_coordinate(ds, 1) == (1, 3.0)
 
     def test_separates_all_smaller_points(self):
@@ -254,8 +254,8 @@ class TestSeparatingCoordinate:
             assert np.all(col[i - 1 :] >= t)
 
     def test_bad_index(self):
-        ds = validate_dataset([((0.0,), 0.0)])
-        with pytest.raises(IndexError):
+        ds = validate_dataset([[0.0]], [0.0])
+        with pytest.raises(InvalidArgument):
             separating_coordinate(ds, 2)
 
     def test_not_chain(self):
@@ -276,11 +276,8 @@ def hypothesis_datasets(draw):
     )
     w = [draw(st.integers(0, 3)) for _ in range(d)]
     step_axis = draw(st.integers(0, d - 1))
-    pairs = []
-    for p in points:
-        y = float(sum(wi * c for wi, c in zip(w, p))) + 2.0 * (p[step_axis] >= 2)
-        pairs.append((tuple(map(float, p)), y))
-    return validate_dataset(pairs)
+    labels = [float(sum(wi * c for wi, c in zip(w, p))) + 2.0 * (p[step_axis] >= 2) for p in points]
+    return validate_dataset(points, labels)
 
 
 @given(hypothesis_datasets())
@@ -305,7 +302,7 @@ def test_float_stage_is_float_label_differences(labels):
     # negative, tied and huge labels; the exact stage rounds each difference
     # once, which is what float subtraction does
     labels = sorted(labels)
-    ds = validate_dataset(((float(i),), y) for i, y in enumerate(labels))
+    ds = validate_dataset(np.arange(len(labels), dtype=float)[:, None], labels)
     baseline = min(0.0, labels[0])
     with np.errstate(over="ignore"):
         # + 0.0: a Fraction has no signed zero, so a zero difference is +0.0

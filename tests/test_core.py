@@ -12,6 +12,7 @@ from conftest import (
     dense_interpolator,
     dense_weights,
     densify,
+    pairs_validate_oracle,
     random_monotone_dataset,
     random_monotone_score,
 )
@@ -33,6 +34,7 @@ from mononet.errors import (
     DimensionMismatch,
     DuplicatePoint,
     EmptyDataset,
+    Error,
     InvalidArgument,
     InvalidNumber,
     MonotoneViolation,
@@ -84,41 +86,39 @@ class TestThreshold:
 
 class TestValidateDataset:
     def test_spread_example_keeps_order(self):
-        ds = validate_dataset([((2, 0), 0.0), ((0, 2), 0.0), ((1, 1), 1.0)])
-        assert ds.items() == [((0.0, 2.0), 0.0), ((2.0, 0.0), 0.0), ((1.0, 1.0), 1.0)]
+        ds = validate_dataset([[2, 0], [0, 2], [1, 1]], [0.0, 0.0, 1.0])
+        assert ds.points.tolist() == [[0.0, 2.0], [2.0, 0.0], [1.0, 1.0]]
+        assert ds.labels.tolist() == [0.0, 0.0, 1.0]
 
     def test_direct_violation(self):
         with pytest.raises(MonotoneViolation) as err:
-            validate_dataset([((0, 0), 1.0), ((1, 1), 0.0)])
+            validate_dataset([[0, 0], [1, 1]], [1.0, 0.0])
         assert (err.value.first, err.value.second) == (0, 1)
 
     def test_label_sort(self):
         ds = validate_dataset(
-            [((0, 0), 0.0), ((1, 0), 1.0), ((0, 1), 1.0), ((1, 1), 2.0)]
+            [[0, 0], [1, 0], [0, 1], [1, 1]], [0.0, 1.0, 1.0, 2.0]
         )
         # incomparable equal-label pair in lexicographic order
-        assert ds.items() == [
-            ((0.0, 0.0), 0.0),
-            ((0.0, 1.0), 1.0),
-            ((1.0, 0.0), 1.0),
-            ((1.0, 1.0), 2.0),
-        ]
+        assert ds.points.tolist() == [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]
+        assert ds.labels.tolist() == [0.0, 1.0, 1.0, 2.0]
 
     def test_equal_label_comparable_pair_smaller_first(self):
-        ds = validate_dataset([((5, 5), 1.0), ((0, 0), 1.0)])
-        assert ds.items() == [((0.0, 0.0), 1.0), ((5.0, 5.0), 1.0)]
+        ds = validate_dataset([[5, 5], [0, 0]], [1.0, 1.0])
+        assert ds.points.tolist() == [[0.0, 0.0], [5.0, 5.0]]
+        assert ds.labels.tolist() == [1.0, 1.0]
 
     def test_empty(self):
         with pytest.raises(EmptyDataset):
-            validate_dataset([])
+            validate_dataset(np.empty((0, 2)), [])
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            validate_dataset([((1, 2), 0.0), ((1, 2, 3), 1.0)])
+            validate_dataset([[1, 2], [1, 2, 3]], [0.0, 1.0])
 
     def test_duplicate_rejected_even_with_equal_labels(self):
         with pytest.raises(DuplicatePoint):
-            validate_dataset([((1, 2), 0.0), ((1, 2), 0.0)])
+            validate_dataset([[1, 2], [1, 2]], [0.0, 0.0])
 
     def test_duplicate_pair_matches_the_dict_oracle(self):
         # few distinct coordinates, so most datasets repeat points, some
@@ -130,12 +130,12 @@ class TestValidateDataset:
             n, d = int(rng.integers(1, 25)), int(rng.integers(0, 4))
             points = rng.integers(-1, 2, (n, d)) * rng.choice([1.0, -0.0], (n, d))
             want = dict_duplicate_oracle(points)
-            raw = [(p, 0.0) for p in points]
+            labels = np.zeros(n)
             if want is None:
-                validate_dataset(raw)
+                validate_dataset(points, labels)
                 continue
             with pytest.raises(DuplicatePoint) as err:
-                validate_dataset(raw)
+                validate_dataset(points, labels)
             assert (err.value.first, err.value.second) == want, (trial, points)
             raised += 1
         assert 200 < raised < 600
@@ -145,13 +145,14 @@ class TestValidateDataset:
         # at the end; the refusal comes before the monotonicity check
         d = 1023
         spread = np.vstack([d * np.eye(d)[::-1], np.ones((1, d))])
-        raw = [(p, 0.0) for p in np.vstack([spread, spread[5:6]])]
+        points = np.vstack([spread, spread[5:6]])
+        labels = np.zeros(len(points))
         with pytest.raises(DuplicatePoint):  # first calls import
-            validate_dataset(raw[:2] + raw[:1])
+            validate_dataset(points[[0, 1, 0]], labels[:3])
         tracemalloc.start()
         try:
             with pytest.raises(DuplicatePoint) as err:
-                validate_dataset(raw)
+                validate_dataset(points, labels)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -159,14 +160,42 @@ class TestValidateDataset:
         # the points, their sorted copy and slack; one tuple key per point took 42 MB
         assert peak < 24_000_000, peak
 
+    @pytest.mark.parametrize(
+        "points, labels, error",
+        [
+            ([[1, 2], 3], [0.0, 1.0], DimensionMismatch),
+            (zip([(0.0,)], [0.0]), [0.0], DimensionMismatch),
+            ([[0.0], [1.0]], [[0.0], [1.0, 2.0]], DimensionMismatch),
+            (np.zeros((2, 1, 1)), [0.0, 1.0], DimensionMismatch),
+            (5.0, [0.0], DimensionMismatch),
+            ([[0.0], [1.0]], [0.0], DimensionMismatch),
+            ([[0.0], [1.0]], [0.0, 1.0, 2.0], DimensionMismatch),
+            ([[0.0], [1.0]], [[0.0], [1.0]], DimensionMismatch),
+            ([[0.0], [1.0]], 0.0, DimensionMismatch),
+            (np.empty((0, 0)), [], EmptyDataset),
+            (np.empty((0, 3)), np.empty(0), EmptyDataset),
+            ([], [], EmptyDataset),
+            ([[0.0, -np.inf]], [0.0], InvalidNumber),
+            ([[0.0]], [np.nan], InvalidNumber),
+        ],
+        ids=["ragged-points", "pairs-iterator", "ragged-labels", "3-d-points", "0-d-points",
+             "short-labels", "long-labels", "2-d-labels", "0-d-labels", "0-by-0", "0-by-3",
+             "empty-lists", "minus-inf-point", "nan-label"],
+    )
+    def test_array_boundary(self, points, labels, error):
+        with pytest.raises(error):
+            validate_dataset(points, labels)
+
     def test_nonfinite_rejected(self):
         with pytest.raises(InvalidNumber):
-            validate_dataset([((float("nan"),), 0.0)])
+            validate_dataset([[float("nan")]], [0.0])
         with pytest.raises(InvalidNumber):
-            validate_dataset([((1.0,), float("inf"))])
+            validate_dataset([[1.0]], [float("inf")])
 
-    def test_scalar_points_allowed(self):
-        ds = validate_dataset([(0.0, -2.0), (1.0, 3.0)])
+    def test_scalar_points_refused(self):
+        with pytest.raises(DimensionMismatch):
+            validate_dataset([0.0, 1.0], [-2.0, 3.0])
+        ds = validate_dataset([[0.0], [1.0]], [-2.0, 3.0])
         assert ds.dimension == 1
         assert ds.labels.tolist() == [-2.0, 3.0]
 
@@ -174,7 +203,7 @@ class TestValidateDataset:
         rng = np.random.default_rng(5)
         for _ in range(25):
             ds = random_monotone_dataset(rng, max_n=20, max_d=4)
-            again = validate_dataset(ds.items())
+            again = validate_dataset(ds.points, ds.labels)
             assert again == ds
 
     def test_canonical_order_consistent(self):
@@ -200,11 +229,11 @@ class TestValidateDataset:
             y = rng.integers(0, 3, len(X)).astype(float)
             bad = one_shot_leq(X) & (y[:, None] > y[None, :])
             if not bad.any():
-                validate_dataset(list(zip(map(tuple, X), y)))
+                validate_dataset(X, y)
                 continue
             violations += 1
             with pytest.raises(MonotoneViolation) as err:
-                validate_dataset(list(zip(map(tuple, X), y)))
+                validate_dataset(X, y)
             assert (err.value.first, err.value.second) == tuple(np.argwhere(bad)[0])
         assert violations > 40
 
@@ -215,19 +244,19 @@ class TestValidateDataset:
         for _ in range(40):
             X = np.unique(rng.integers(0, 4, (int(rng.integers(1, 40)), 3)).astype(float), axis=0)
             rng.shuffle(X)
-            pairs = list(zip(map(tuple, X), np.floor(random_monotone_score(rng, X) * 3)))
-            corpus.append((pairs, validate_dataset(pairs)))
+            y = np.floor(random_monotone_score(rng, X) * 3)
+            corpus.append((X, y, validate_dataset(X, y)))
         monkeypatch.setattr(core, "CHUNK_BYTES", budget)
-        for pairs, want in corpus:
-            assert validate_dataset(pairs) == want
+        for X, y, want in corpus:
+            assert validate_dataset(X, y) == want
 
     def test_memory_stays_within_row_blocks(self):
         # one n x n boolean array here is 137 MiB
         X = np.random.default_rng(12000).random((12000, 2))
-        pairs = list(zip(map(tuple, X.tolist()), (X @ [1.0, 2.0]).tolist()))
+        y = X @ [1.0, 2.0]
         tracemalloc.start()
         try:
-            ds = validate_dataset(pairs)
+            ds = validate_dataset(X, y)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -237,11 +266,11 @@ class TestValidateDataset:
     def test_tied_labels_stay_within_row_blocks(self, monkeypatch):
         # one tied group of distinct points: no n x n comparison of the group
         X = np.random.default_rng(4000).random((4000, 2))
-        pairs = [(p, 0.5) for p in map(tuple, X.tolist())]
+        y = np.full(len(X), 0.5)
         monkeypatch.setattr(core, "CHUNK_BYTES", 64 << 10)
         tracemalloc.start()
         try:
-            ds = validate_dataset(pairs)
+            ds = validate_dataset(X, y)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -262,35 +291,67 @@ def small_datasets(draw):
     )
     w = [draw(st.integers(0, 3)) for _ in range(d)]
     labels = [float(sum(wi * c for wi, c in zip(w, p))) for p in points]
-    return [(tuple(map(float, p)), y) for p, y in zip(points, labels)]
+    return np.array(points, dtype=float), np.array(labels)
 
 
 @given(small_datasets())
 @settings(max_examples=60)
-def test_validate_idempotent_property(pairs):
-    ds = validate_dataset(pairs)
-    assert validate_dataset(ds.items()) == ds
+def test_validate_idempotent_property(data):
+    ds = validate_dataset(*data)
+    assert validate_dataset(ds.points, ds.labels) == ds
 
 
 @given(small_datasets(), st.randoms(use_true_random=False))
 @settings(max_examples=60)
-def test_validate_ignores_the_input_order_property(pairs, random):
-    shuffled = list(pairs)
-    random.shuffle(shuffled)
-    assert validate_dataset(shuffled) == validate_dataset(pairs)
+def test_validate_ignores_the_input_order_property(data, random):
+    X, y = data
+    order = list(range(len(X)))
+    random.shuffle(order)
+    assert validate_dataset(X[order], y[order]) == validate_dataset(X, y)
+
+
+@st.composite
+def raw_datasets(draw):
+    """Small integer grids with -0.0, repeated rows and label inversions, at d = 0..3."""
+    d = draw(st.integers(0, 3))
+    values = st.sampled_from([-1.0, -0.0, 0.0, 1.0, 2.0])
+    rows = draw(st.lists(st.tuples(*[values] * d), max_size=8, unique=draw(st.booleans())))
+    n = len(rows)
+    X = np.array(rows, dtype=float).reshape(n, d)
+    y = X.sum(axis=1) + draw(st.sampled_from([0.0, -0.0, 0.5]))  # monotone, so some datasets pass
+    drops = draw(st.lists(st.integers(0, n - 1), max_size=2)) if n else []
+    y[drops] -= 2.5  # below the label of any point below it: an inversion
+    return X, y
+
+
+def validation_outcome(validate, *args):
+    """The dataset's bytes, or the error's class and input pair."""
+    try:
+        ds = validate(*args)
+    except Error as exc:
+        return type(exc), getattr(exc, "first", None), getattr(exc, "second", None)
+    return ds.points.shape, ds.points.tobytes(), ds.labels.tobytes()
+
+
+@given(raw_datasets())
+@settings(max_examples=400, deadline=None)
+def test_validate_matches_the_pairs_oracle_property(data):
+    X, y = data
+    want = validation_outcome(pairs_validate_oracle, zip(map(tuple, X), y))
+    assert validation_outcome(validate_dataset, X, y) == want
 
 
 class TestTotallyOrdered:
     def test_chain(self):
-        ds = validate_dataset([((0, 0), 0.0), ((1, 1), 1.0), ((2, 2), 2.0)])
+        ds = validate_dataset([[0, 0], [1, 1], [2, 2]], [0.0, 1.0, 2.0])
         assert is_totally_ordered(ds)
 
     def test_spread_is_not(self):
-        ds = validate_dataset([((2, 0), 0.0), ((0, 2), 0.0), ((1, 1), 1.0)])
+        ds = validate_dataset([[2, 0], [0, 2], [1, 1]], [0.0, 0.0, 1.0])
         assert not is_totally_ordered(ds)
 
     def test_single_point(self):
-        ds = validate_dataset([((0.5, 0.5), 1.0)])
+        ds = validate_dataset([[0.5, 0.5]], [1.0])
         assert is_totally_ordered(ds)
 
     def test_matches_the_pairwise_definition(self):
@@ -307,7 +368,7 @@ class TestTotallyOrdered:
         for _ in range(100):
             X = random_chain_dataset(rng, int(rng.integers(1, 20)), int(rng.integers(1, 4))).points.copy()
             rng.shuffle(X)
-            ds = validate_dataset([(tuple(p), 1.0) for p in X])
+            ds = validate_dataset(X, np.ones(len(X)))
             assert is_totally_ordered(ds) == every_pair_comparable(ds.points) is True
 
     def test_hand_made_reverse_chain_is_not_a_chain(self):
@@ -684,7 +745,7 @@ class TestExactEvaluation:
             else:
                 n = int(rng.integers(1, 9))
                 X = np.cumsum(rng.integers(0, 3, (n, 2)), axis=0) + np.arange(n)[:, None]
-                ds = validate_dataset(zip(map(tuple, X), np.sort(dyadic(rng, n))))
+                ds = validate_dataset(X, np.sort(dyadic(rng, n)))
                 net, _ = build_chain_interpolator(ds)
                 oracle = densify(net)
             queries = np.vstack([ds.points, ds.points - 0.5, ds.points + 0.25])

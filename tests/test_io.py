@@ -23,7 +23,6 @@ from mononet.io import (
     read_dataset_csv,
     read_points_csv,
     save_network,
-    write_dataset_csv,
 )
 
 
@@ -130,26 +129,27 @@ def test_reader_matches_the_per_cell_oracle(tmp_path_factory, data):
 
 
 class TestDatasetCsv:
-    def test_round_trip_with_header(self, tmp_path):
+    def test_header(self, tmp_path):
         path = tmp_path / "data.csv"
-        pairs = [((0.1, 0.2), 0.5), ((1.0, 1.0), 2.0)]
-        write_dataset_csv(path, pairs, header=True)
-        assert read_dataset_csv(path) == pairs
+        path.write_text("x1,x2,y\n0.1,0.2,0.5\n1.0,1.0,2.0\n")
+        points, labels = read_dataset_csv(path)
+        assert points.tolist() == [[0.1, 0.2], [1.0, 1.0]]
+        assert labels.tolist() == [0.5, 2.0]
 
     def test_headerless(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("1,2,3\n4,5,6\n")
-        assert read_dataset_csv(path) == [((1.0, 2.0), 3.0), ((4.0, 5.0), 6.0)]
+        points, labels = read_dataset_csv(path)
+        assert points.tolist() == [[1.0, 2.0], [4.0, 5.0]]
+        assert labels.tolist() == [3.0, 6.0]
 
     def test_awkward_floats_survive(self, tmp_path):
         path = tmp_path / "data.csv"
         values = [5e-324, -0.0, 1e300, 0.1, math.nextafter(1.0, 2.0)]
-        pairs = [((v,), v) for v in values]
-        write_dataset_csv(path, pairs)
-        back = read_dataset_csv(path)
-        for (orig, _), (got, _) in zip(pairs, back):
-            assert orig[0] == got[0]
-            assert math.copysign(1, orig[0]) == math.copysign(1, got[0])
+        path.write_text("".join(f"{v!r},{v!r}\n" for v in values))
+        points, labels = read_dataset_csv(path)
+        assert points.shape == (len(values), 1)
+        assert points.tobytes() == labels.tobytes() == np.array(values).tobytes()  # -0.0 included
 
     def test_ragged_rejected(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -325,7 +325,7 @@ class TestNetworkJson:
         # n = 400 points in d = 2: the dense layers 2 and 3 alone held 480,000 numbers
         rng = np.random.default_rng(34)
         X = rng.random((400, 2))
-        ds = validate_dataset(zip(map(tuple, X), X.sum(axis=1)))
+        ds = validate_dataset(X, X.sum(axis=1))
         path = tmp_path / "net.json"
         save_network(build_interpolator(ds)[0], path)
         assert path.stat().st_size < 100 * ds.n * ds.dimension
@@ -338,7 +338,7 @@ class TestNetworkJson:
         path, n, sizes = tmp_path / "net.json", 100, []
         for d in (4, 16, 64):
             X = np.cumsum(rng.random((n, d)) + 0.1, axis=0)  # a chain, so both builders apply
-            save_network(builder(validate_dataset(zip(map(tuple, X), range(n))))[0], path)
+            save_network(builder(validate_dataset(X, np.arange(n)))[0], path)
             sizes.append(path.stat().st_size)
             assert sizes[-1] < 100 * n * d
         assert sizes[1] < 6 * sizes[0] and sizes[2] < 6 * sizes[1]  # d times 4, bytes at most times 6
@@ -388,7 +388,7 @@ class TestNetworkJson:
         data = Path(__file__).parent / "data"
         old = load_network(data / "v1_network.json")
         assert json.loads((data / "v1_network.json").read_text())["version"] == 1
-        ds = validate_dataset(read_dataset_csv(data / "v1_dataset.csv"))
+        ds = validate_dataset(*read_dataset_csv(data / "v1_dataset.csv"))
         net, _ = build_interpolator(ds)
         assert [layer.kind for layer in old.layers] == ["dense"] * 3
         assert network_to_dict(old)["layers"] == network_to_dict(densify(net))["layers"]
@@ -402,7 +402,7 @@ class TestNetworkJson:
         data = Path(__file__).parent / "data"
         old = load_network(data / "v2_network.json")
         assert json.loads((data / "v2_network.json").read_text())["version"] == 2
-        ds = validate_dataset(read_dataset_csv(data / "v2_dataset.csv"))
+        ds = validate_dataset(*read_dataset_csv(data / "v2_dataset.csv"))
         net, _ = build_interpolator(ds)
         assert [layer.kind for layer in old.layers] == ["dense", "blocks", "suffix"]
         assert network_to_dict(densify(old)) == network_to_dict(densify(net))
@@ -413,7 +413,7 @@ class TestNetworkJson:
 
     def test_chain_network_round_trip(self, tmp_path):
         X = np.cumsum(np.ones((12, 3)), axis=0)
-        ds = validate_dataset(zip(map(tuple, X), range(12)))
+        ds = validate_dataset(X, np.arange(12))
         net, _ = build_chain_interpolator(ds)
         path = tmp_path / "chain.json"
         save_network(net, path)

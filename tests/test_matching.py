@@ -28,7 +28,7 @@ from mononet.matching import (
     require_exact_size,
     truncate_probabilities,
 )
-from mononet.errors import TooLarge
+from mononet.errors import InvalidArgument, TooLarge
 
 
 def perm_has_matching(n: int, rows) -> bool:
@@ -224,7 +224,7 @@ class TestHasPerfectMatching:
             assert g.rows == ((1 << n) - 1,) + (1 << (n - 1),) * (n - 1)
 
     def test_from_edges_bounds(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgument):
             BipartiteGraph.from_edges(2, [(0, 2)])
 
 
@@ -346,9 +346,9 @@ class TestExactProbability:
         require_exact_size(EXACT_MAX_N)
 
     def test_matrix_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgument):
             EdgeProbabilityMatrix([[1.5]])
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgument):
             EdgeProbabilityMatrix([[0.1, 0.2]])
 
 
@@ -473,11 +473,11 @@ class TestEstimator:
             )
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgument):
             EstimatorConfig(bits=0, samples=10)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgument):
             EstimatorConfig(bits=4, samples=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgument):
             EstimatorConfig(bits=4, samples=10, delta=1.5)
 
 
@@ -558,11 +558,11 @@ class TestDefaultParameters:
             assert abs(est - truth) <= radius, (n, seed, est, truth)
 
     def test_bad_arguments(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgument):
             default_parameters(0, 0.1, 0.1)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgument):
             default_parameters(2, 1.5, 0.1)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgument):
             default_parameters(2, 0.1, 0.0)
 
 
