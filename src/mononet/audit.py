@@ -55,6 +55,8 @@ _REL_TOL = 1e-9
 DEPTH2_MAX_WIDTH = 32  # hidden width of a depth2 network, drawn from 1..this
 CONVEXITY_MAX_WIDTH = 16  # width of each ReLU layer, drawn from 1..this
 CONVEXITY_TRIPLES = 64  # midpoint-convexity triples per network
+SQRT_GAP_BOUND = 0.125  # the least sup-gap to sqrt on [0, 1] of a convex function
+SQRT_BOUND_STRIDE = 100  # the convexity campaign bounds each gap on every 100th grid point
 CHAIN_MAX_POINTS = 16  # chain length, drawn from 3..this
 CHAIN_MAX_DIM = 6  # chain dimension, drawn from 1..this
 DEPTH2_STACK_BYTES = 1 << 20  # the planned arrays of one stack of depth2 networks
@@ -561,10 +563,32 @@ def run_convexity_campaign(samples: int, seed: int) -> AuditReport:
     """Probe midpoint convexity on random 1-dimensional monotone ReLU networks.
 
     Each network is also checked for the square-root approximation gap of
-    at least 1/8.
+    at least ``SQRT_GAP_BOUND`` (1/8), and the report gives the least gap.
+
+    The search is branch and bound.  Every ``SQRT_BOUND_STRIDE``-th point of
+    the grid of :func:`sqrt_gap_witness` (101 exact grid points) gives
+    ``bound``, a lower bound on a network's grid gap.  The full search runs
+    only when ``bound <= min_gap + _REL_TOL * (1 + min_gap)``; otherwise the
+    network's gap exceeds the least gap so far, which is at least 1/8, so it
+    can neither set the minimum nor fail.  The minimum and every failure
+    therefore come from the same ``sqrt_gap_witness`` calls on the same
+    networks as a search of every network.
+
+    The margin covers rounding: BLAS sums a row in an order that depends on
+    the number of rows, so a network's value at a grid point may differ
+    between the short and the full batch.  The first layer has fan-in 1, one
+    product per sum, so its values agree.  A later sum has at most 16 terms
+    with weights in [0, 1) and inputs below 2, 33 and 529, the largest
+    activations of layers 1 to 3 (biases lie in (-1, 1)); two orders of
+    such a sum differ by at most 2 * 15 * 2**-53 times the sum of its
+    terms, plus the differences its inputs carry.  Through three hidden
+    layers and the output stage, with an ulp for each bias add, that is
+    below 1e-10, a tenth of the margin at its least, 1e-9.
     """
     require_positive(samples, "samples")
     rng = np.random.default_rng(seed)
+    xs, roots = _sqrt_grid(10000)  # the grid of sqrt_gap_witness at its default resolution
+    coarse_xs, coarse_roots = xs[::SQRT_BOUND_STRIDE, None], roots[::SQRT_BOUND_STRIDE]
     min_gap = np.inf
     for k in range(samples):
         depth = int(rng.integers(1, 4))
@@ -581,9 +605,12 @@ def run_convexity_campaign(samples: int, seed: int) -> AuditReport:
                 samples=samples,
                 seed=seed,
             )
+        bound = np.abs(net.evaluate_batch(coarse_xs) - coarse_roots).max()
+        if bound > min_gap + _REL_TOL * (1.0 + min_gap):
+            continue
         x, gap = sqrt_gap_witness(net)
         min_gap = min(min_gap, gap)
-        if gap < 0.125 - 1e-9:
+        if gap < SQRT_GAP_BOUND - _REL_TOL:
             return AuditReport(
                 "convexity",
                 passed=False,

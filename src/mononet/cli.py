@@ -89,6 +89,14 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise InvalidArgument(message)
 
+    def parse_known_args(self, args=None, namespace=None):
+        # some argparse versions drop the value of "--flag=--" and store an empty list
+        for a in args or ():
+            flag, _, value = a.partition("=")
+            if flag.startswith("-") and value == "--":
+                self.error(f"argument {flag}: expected one argument, got '--'")
+        return super().parse_known_args(args, namespace)
+
 
 def nonnegative_int(text: str) -> int:
     value = int(text)

@@ -420,8 +420,9 @@ def _coerce_output(weights, bias):
         isinstance(weights, (tuple, list)) and any(isinstance(w, Fraction) for w in weights)
     )
     if exact:
-        weights = tuple(Fraction(v) for v in weights)
-        bias = Fraction(bias)
+        # a Fraction is immutable, so one already built is kept as it is
+        weights = tuple(v if type(v) is Fraction else Fraction(v) for v in weights)
+        bias = bias if type(bias) is Fraction else Fraction(bias)
         try:
             w, b = np.array([float(v) for v in weights]), float(bias)
         except OverflowError as exc:

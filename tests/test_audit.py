@@ -555,6 +555,68 @@ def test_falsified_depth2_campaign_reports_the_same_network(monkeypatch, d):
     assert max(indices) >= 7  # some failure lies past the first stack
 
 
+def convexity_campaign_oracle(samples: int, seed: int) -> audit.AuditReport:
+    """``run_convexity_campaign`` with the full sqrt-gap search on every network."""
+    rng = np.random.default_rng(seed)
+    min_gap = np.inf
+    for k in range(samples):
+        depth = int(rng.integers(1, 4))
+        widths = tuple(int(rng.integers(1, audit.CONVEXITY_MAX_WIDTH + 1)) for _ in range(depth))
+        net = random_monotone_network(rng, 1, widths, activation=RELU, bias_scale=1.0)
+        report = relu_convexity_probe(
+            net, triples=audit.CONVEXITY_TRIPLES, seed=int(rng.integers(2**32))
+        )
+        if not report.passed:
+            return audit.AuditReport("convexity", passed=False, samples=samples, seed=seed,
+                                     witness={"sample_index": k, **report.witness})
+        x, gap = sqrt_gap_witness(net)
+        min_gap = min(min_gap, gap)
+        if gap < audit.SQRT_GAP_BOUND - audit._REL_TOL:
+            return audit.AuditReport("convexity", passed=False, samples=samples, seed=seed,
+                                     witness={"sample_index": k, "x": x, "gap": gap})
+    return audit.AuditReport("convexity", passed=True, samples=samples, seed=seed,
+                             details={"min_sqrt_gap": float(min_gap)})
+
+
+@pytest.mark.parametrize("samples", [1, 2, 30, 300])
+def test_convexity_campaign_matches_the_full_search(samples):
+    for seed in range(50):
+        report = run_convexity_campaign(samples, seed)
+        assert report.passed
+        assert json.dumps(report.to_dict()) == json.dumps(convexity_campaign_oracle(samples, seed).to_dict())
+
+
+def test_falsified_convexity_probe_reports_the_same_network(monkeypatch):
+    # a negative tolerance fails a triple whose midpoint lies on a linear piece; with
+    # one triple per network that happens only now and then
+    monkeypatch.setattr(audit, "_REL_TOL", -1e-12)
+    monkeypatch.setattr(audit, "CONVEXITY_TRIPLES", 1)
+    indices = []
+    for seed in range(12):
+        report = run_convexity_campaign(300, seed)
+        want = convexity_campaign_oracle(300, seed)
+        assert not report.passed
+        assert json.dumps(report.to_dict()) == json.dumps(want.to_dict())
+        assert report.witness.keys() == {"sample_index", "u", "v", "midpoint_value", "endpoint_mean"}
+        indices.append(want.witness["sample_index"])
+    assert max(indices) >= 1  # some failure lies past the first network
+
+
+def test_falsified_sqrt_gap_reports_the_same_network(monkeypatch):
+    # with the bound raised to 0.3, the first network of gap below it fails the campaign
+    monkeypatch.setattr(audit, "SQRT_GAP_BOUND", 0.3)
+    indices = []
+    for seed in range(8):
+        report = run_convexity_campaign(300, seed)
+        want = convexity_campaign_oracle(300, seed)
+        assert json.dumps(report.to_dict()) == json.dumps(want.to_dict())
+        if not want.passed:
+            assert report.witness.keys() == {"sample_index", "x", "gap"}
+            assert report.witness["gap"] < 0.3
+            indices.append(want.witness["sample_index"])
+    assert len(indices) >= 4 and max(indices) >= 50  # failures far past the first full search
+
+
 def test_random_chain_dataset_is_validated_and_canonical():
     for seed in range(200):
         rng = np.random.default_rng(seed)

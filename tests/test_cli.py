@@ -596,6 +596,8 @@ class TestInvalidInput:
         "audit --check convexity --samples 0",
         "audit --check chain-width --samples 0",
         "audit --check bogus",
+        "approx --fn mean --d 1 --L 1 --eps 0.5 --probes=--",
+        "approx --fn mean --d 1 --L=-- --eps 0.5",
         "",
     ])
     def test_exit_2_with_one_json_line(self, argv, capsys):

@@ -831,3 +831,12 @@ class TestExactEvaluation:
         net = ThresholdNetwork((layer,), [2.0], 0.0)
         assert net.evaluate_exact([0.75]) == Fraction(1)
         assert net.evaluate_exact([0.0]) == Fraction(0)
+
+    def test_output_fractions_are_kept_and_the_rest_converted(self):
+        weights = (Fraction(1, 3), 0.5, 2, Fraction(7, 2))
+        bias = Fraction(-1, 5)
+        net = ThresholdNetwork((ThresholdLayer(np.ones((4, 1)), np.zeros(4)),), weights, bias)
+        assert net.output_weights[0] is weights[0] and net.output_weights[3] is weights[3]
+        assert net.output_bias is bias
+        assert net.output_weights[1:3] == (Fraction(1, 2), Fraction(2))
+        assert all(type(w) is Fraction for w in net.output_weights)
