@@ -59,7 +59,8 @@ SQRT_GAP_BOUND = 0.125  # the least sup-gap to sqrt on [0, 1] of a convex functi
 SQRT_BOUND_STRIDE = 100  # the convexity campaign bounds each gap on every 100th grid point
 CHAIN_MAX_POINTS = 16  # chain length, drawn from 3..this
 CHAIN_MAX_DIM = 6  # chain dimension, drawn from 1..this
-DEPTH2_STACK_BYTES = 1 << 20  # the planned arrays of one stack of depth2 networks
+CHAIN_MAX_WIDTH = CHAIN_MAX_POINTS - 2  # first-layer width, drawn from 1..n-2 for n points
+STACK_BYTES = 1 << 20  # the planned arrays of one stack of depth2 networks or of chains
 DEPTH2_MAX_DOUBLES = 2**20  # the spread dataset holds (d+1)*d doubles, so d <= 1023
 
 
@@ -104,7 +105,8 @@ class ActivitySets:
     def from_network(cls, net: ThresholdNetwork, points) -> "ActivitySets":
         if not net.layers:
             raise ArchitectureMismatch("activity sets need at least one hidden layer")
-        return cls(net.hidden_activations(points)[0] != 0)
+        # only the first layer: the later ones would be run and thrown away
+        return cls(net.layers[0].forward(net._check_batch(points)) != 0)
 
     def first_loss(self) -> int | None:
         """Index i of the first consecutive pair whose set i is not within set i+1, if any."""
@@ -367,6 +369,10 @@ def chain_width_audit(net: ThresholdNetwork, ds: MonotoneDataset) -> AuditReport
     complete strictly ascending flag (sizes 0 through n-1) with no repeat,
     and such networks can interpolate.  The audit then passes with
     ``details["width_obstruction"] == "vacuous-boundary"``.
+
+    The chain runs as a stack of one through the analysis of
+    :func:`run_chain_width_campaign`; the outputs at the repeat come from
+    the whole network.
     """
     if not net.layers:
         raise ArchitectureMismatch("audit needs at least one hidden layer")
@@ -379,32 +385,64 @@ def chain_width_audit(net: ThresholdNetwork, ds: MonotoneDataset) -> AuditReport
     if ds.n > 1 and not np.all(np.diff(ds.labels) > 0):
         raise PreconditionViolated("chain labels must be strictly increasing")
 
-    activity = ActivitySets.from_network(net, ds.points)
-    k = net.layers[0].width
-    n = ds.n
-    bad = activity.first_loss()
+    active = ActivitySets.from_network(net, ds.points).active
+    loss, repeat = _chain_width_analysis(active[None], np.array([ds.n]))
+    i = int(repeat[0])
+    outputs = net.evaluate_batch(ds.points[i : i + 2]) if i >= 0 else None
+    return _chain_width_report(active, int(loss[0]), i, outputs, ds.labels)
+
+
+def _first_true(mask: np.ndarray) -> np.ndarray:
+    """Per row of ``mask``, the column of its first True, or -1 if it has none."""
+    first = np.argmax(np.pad(mask, ((0, 0), (0, 1)), constant_values=True), axis=1)
+    return np.where(first < mask.shape[1], first, -1)
+
+
+def _chain_width_analysis(active: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per chain of a stack, its first activity loss and its first repeat, or -1.
+
+    ``active[k]`` holds chain k's activity sets, row i for point i; rows
+    from ``lengths[k]`` on are padding, and so is a pair (i, i+1) that
+    reaches them.  A loss at i is a unit active at point i and not at i+1;
+    a repeat at i is an equal set at both.
+    """
+    own = np.arange(active.shape[1] - 1) < lengths[:, None] - 1
+    before, after = active[:, :-1], active[:, 1:]
+    lost = (before & ~after).any(axis=2) & own
+    same = (before == after).all(axis=2) & own
+    return _first_true(lost), _first_true(same)
+
+
+def _chain_width_report(
+    active: np.ndarray, loss: int, repeat: int, outputs: np.ndarray | None, labels: np.ndarray
+) -> AuditReport:
+    """The chain-width audit of one chain from its analysis.
+
+    ``active`` is its (n, width) activity matrix, ``loss`` and ``repeat``
+    are its first loss and first repeat (-1 for none), and ``outputs`` the
+    network's outputs at points ``repeat`` and ``repeat + 1``.
+    """
+    n, k = active.shape
     details = {
         "first_layer_width": k,
         "chain_length": n,
-        "ascending": bad is None,
-        "strictly_ascending": activity.is_strictly_ascending(),
+        "ascending": loss < 0,
+        "strictly_ascending": loss < 0 and repeat < 0,
     }
-    active = activity.active
-    if bad is not None:
+    if loss >= 0:
         return AuditReport(
             "chain-width",
             passed=False,
             witness={
-                "index": bad,
-                "lost_units": np.flatnonzero(active[bad] & ~active[bad + 1]).tolist(),
+                "index": loss,
+                "lost_units": np.flatnonzero(active[loss] & ~active[loss + 1]).tolist(),
             },
             details=details,
         )
     if k >= n:
         details["width_obstruction"] = "not-applicable"
         return AuditReport("chain-width", passed=True, details=details)
-    i = activity.first_repeat()
-    if i is None:
+    if repeat < 0:
         # No repeat among n ascending sets in [k] forces strictly increasing
         # sizes, so sizes are exactly 0..n-1 and k == n-1: the one boundary
         # configuration where a narrow first layer evades the collision.
@@ -413,18 +451,17 @@ def chain_width_audit(net: ThresholdNetwork, ds: MonotoneDataset) -> AuditReport
         return AuditReport("chain-width", passed=True, details=details)
     # A threshold layer's activations are 0/1, so equal activity sets are
     # equal activation patterns; the outputs must then agree.
-    outputs = net.evaluate_batch(ds.points[i : i + 2])
     passed = bool(outputs[0] == outputs[1])
-    details["pigeonhole_index"] = i
+    details["pigeonhole_index"] = repeat
     details["width_obstruction"] = "witnessed" if passed else "inconsistent"
     return AuditReport(
         "chain-width",
         passed=passed,
         witness={
-            "index": i,
-            "activity_set": np.flatnonzero(active[i]).tolist(),
+            "index": repeat,
+            "activity_set": np.flatnonzero(active[repeat]).tolist(),
             "outputs": outputs.tolist(),
-            "labels": ds.labels[i : i + 2].tolist(),
+            "labels": labels[repeat : repeat + 2].tolist(),
         },
         details=details,
     )
@@ -526,7 +563,7 @@ def run_depth2_campaign(d: int, samples: int, seed: int) -> AuditReport:
     Passes when the summed-activation inequality holds for every network;
     ``details`` additionally counts how many networks interpolated the
     spread dataset (none is expected for continuously random weights).
-    The networks are audited in stacks of at most ``DEPTH2_STACK_BYTES``
+    The networks are audited in stacks of at most ``STACK_BYTES``
     of planned arrays, one forward pass per stack.
     """
     require_positive(samples, "samples")
@@ -534,7 +571,7 @@ def run_depth2_campaign(d: int, samples: int, seed: int) -> AuditReport:
     rng = np.random.default_rng(seed)
     # a network's draw, weights, biases and activations take at most this many doubles each
     doubles = DEPTH2_MAX_WIDTH * (d + 2)
-    stack = max(1, DEPTH2_STACK_BYTES // (4 * 8 * doubles))
+    stack = max(1, STACK_BYTES // (4 * 8 * doubles))
     interpolated = 0
     for first in range(0, samples, stack):
         net, starts, output_biases = _random_depth2_stack(rng, d, min(stack, samples - first))
@@ -622,31 +659,115 @@ def run_convexity_campaign(samples: int, seed: int) -> AuditReport:
     return AuditReport("convexity", passed=True, samples=samples, seed=seed, details=details)
 
 
+class _ChainStack(NamedTuple):
+    """Random chains and their narrow networks side by side, zero-padded.
+
+    Chain k has ``lengths[k]`` points in its first rows of ``points`` and its
+    dimension's first columns; its network has ``widths[k]`` first-layer
+    units.  A padding unit has weight 0 and a negative bias, so it never
+    fires, and output weight 0.
+    """
+
+    points: np.ndarray  # (chains, CHAIN_MAX_POINTS, CHAIN_MAX_DIM)
+    labels: np.ndarray  # (chains, CHAIN_MAX_POINTS)
+    lengths: np.ndarray
+    weights: np.ndarray  # (chains, CHAIN_MAX_WIDTH, CHAIN_MAX_DIM)
+    biases: np.ndarray  # (chains, CHAIN_MAX_WIDTH)
+    widths: np.ndarray
+    output_weights: np.ndarray  # (chains, CHAIN_MAX_WIDTH)
+    output_biases: np.ndarray  # (chains,)
+
+    def activity(self) -> np.ndarray:
+        """Every chain's first-layer activity sets, (chains, points, units), in one matmul."""
+        Z = np.matmul(self.points, self.weights.transpose(0, 2, 1))
+        Z += self.biases[:, None, :]
+        return Z >= 0.0
+
+
+# a chain's points and labels, its network's parameters and its pre-activations, in doubles
+_CHAIN_DOUBLES = (
+    CHAIN_MAX_POINTS * (CHAIN_MAX_DIM + 1 + CHAIN_MAX_WIDTH)
+    + CHAIN_MAX_WIDTH * (CHAIN_MAX_DIM + 2)
+    + 1
+)
+
+
+def _random_chain_stack(rng: np.random.Generator, count: int) -> _ChainStack:
+    """``count`` chains and networks drawn as ``run_chain_width_campaign`` draws them.
+
+    Each sample draws, in order, its length n, its dimension d, its chain,
+    its width and its network's parameters (one :func:`_network_draw`), as
+    a loop of ``random_chain_dataset`` and ``random_monotone_network`` does.
+    """
+    points = np.zeros((count, CHAIN_MAX_POINTS, CHAIN_MAX_DIM))
+    labels = np.zeros((count, CHAIN_MAX_POINTS))
+    weights = np.zeros((count, CHAIN_MAX_WIDTH, CHAIN_MAX_DIM))
+    biases = np.zeros((count, CHAIN_MAX_WIDTH))  # the U[0, 1) draws, scaled after the loop
+    output_weights = np.zeros((count, CHAIN_MAX_WIDTH))
+    output_biases = np.empty(count)
+    lengths = np.empty(count, np.intp)
+    widths = np.empty(count, np.intp)
+    scales = np.empty(count)
+    for s in range(count):
+        n = int(rng.integers(3, CHAIN_MAX_POINTS + 1))
+        d = int(rng.integers(1, CHAIN_MAX_DIM + 1))
+        ds = random_chain_dataset(rng, n, d)
+        width = int(rng.integers(1, n - 1))
+        # width * d weights, width biases, width output weights and one output bias
+        u = _network_draw(rng, d, (width,))
+        a, b = width * d, width * (d + 1)
+        points[s, :n, :d] = ds.points
+        labels[s, :n] = ds.labels
+        weights[s, :width, :d] = u[:a].reshape(width, d)
+        biases[s, :width] = u[a:b]
+        output_weights[s, :width] = u[b:-1]
+        output_biases[s] = u[-1]
+        lengths[s], widths[s] = n, width
+        scales[s] = np.abs(ds.points).max() * d + 1.0
+    # a padding unit's draw is 0, so its bias is -scale <= -1
+    biases = _symmetric(biases, scales[:, None])
+    return _ChainStack(
+        points, labels, lengths, weights, biases, widths, output_weights, _symmetric(output_biases, 1.0)
+    )
+
+
 def run_chain_width_campaign(samples: int, seed: int) -> AuditReport:
     """Random chains versus random narrow monotone networks.
 
     Networks are drawn with first-layer width at most n-2 for an n-point
     chain (the regime where a repeated activation pattern is forced), so
     the audit must locate the pigeonhole witness each time; a passing
-    campaign has witnessed it ``samples`` times.
+    campaign has witnessed it ``samples`` times.  The chains are audited in
+    stacks of at most ``STACK_BYTES`` of planned arrays: one batched matmul
+    gives every activity set of a stack, and array reductions over it the
+    first loss, the first repeat and the outputs there, as
+    :func:`chain_width_audit` finds them for one chain.
     """
     require_positive(samples, "samples")
     rng = np.random.default_rng(seed)
-    for k in range(samples):
-        n = int(rng.integers(3, CHAIN_MAX_POINTS + 1))
-        d = int(rng.integers(1, CHAIN_MAX_DIM + 1))
-        ds = random_chain_dataset(rng, n, d)
-        width = int(rng.integers(1, n - 1))
-        scale = float(np.abs(ds.points).max() * d + 1.0)
-        net = random_monotone_network(
-            rng, d, (width,), activation=THRESHOLD, bias_scale=scale
-        )
-        report = chain_width_audit(net, ds)
-        if not report.passed or report.details.get("width_obstruction") != "witnessed":
+    # twice a chain's doubles: its bool activity sets, masks and pairs take less than the rest
+    stack = max(1, STACK_BYTES // (2 * 8 * _CHAIN_DOUBLES))
+    for first in range(0, samples, stack):
+        chains = _random_chain_stack(rng, min(stack, samples - first))
+        active = chains.activity()
+        loss, repeat = _chain_width_analysis(active, chains.lengths)
+        # the activity sets at each repeat and the one after it, through the output stage
+        rows = np.maximum(repeat, 0)[:, None, None] + np.arange(2)[:, None]
+        pairs = np.take_along_axis(active, rows, axis=1)
+        outputs = (pairs * chains.output_weights[:, None, :]).sum(axis=2)
+        outputs += chains.output_biases[:, None]
+        # every width is at most n-2, so each chain must show a repeat with equal outputs
+        failed = np.flatnonzero((loss >= 0) | (repeat < 0) | (outputs[:, 0] != outputs[:, 1]))
+        if len(failed):
+            k = int(failed[0])
+            n, width = chains.lengths[k], chains.widths[k]
+            report = _chain_width_report(
+                active[k, :n, :width], int(loss[k]), int(repeat[k]), outputs[k], chains.labels[k, :n]
+            )
             return AuditReport(
                 "chain-width",
                 passed=False,
-                witness={"sample_index": k, **(report.witness or {})},
+                witness={"sample_index": first + k, **(report.witness or {})},
                 samples=samples,
                 seed=seed,
             )

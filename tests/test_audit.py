@@ -8,7 +8,7 @@ import pytest
 from mononet import audit
 from mononet.audit import (
     DEPTH2_MAX_WIDTH,
-    DEPTH2_STACK_BYTES,
+    STACK_BYTES,
     ActivitySets,
     certify_monotone_structure,
     chain_width_audit,
@@ -530,7 +530,7 @@ def test_stacked_depth2_audits_match_each_network(d):
 @pytest.mark.parametrize("stack", [None, 7])
 def test_depth2_campaign_matches_network_by_network(monkeypatch, d, stack):
     if stack:  # stacks of 7 networks, so that stack boundaries fall all through the samples
-        monkeypatch.setattr(audit, "DEPTH2_STACK_BYTES", 4 * 8 * DEPTH2_MAX_WIDTH * (d + 2) * stack)
+        monkeypatch.setattr(audit, "STACK_BYTES", 4 * 8 * DEPTH2_MAX_WIDTH * (d + 2) * stack)
     for seed in range(4):
         report = run_depth2_campaign(d, 450, seed)
         want = depth2_campaign_by_network(d, 450, seed)
@@ -542,7 +542,7 @@ def test_depth2_campaign_matches_network_by_network(monkeypatch, d, stack):
 def test_falsified_depth2_campaign_reports_the_same_network(monkeypatch, d):
     # a negative tolerance fails every network with lhs == rhs, such as one that never fires
     monkeypatch.setattr(audit, "_REL_TOL", -1e-12)
-    monkeypatch.setattr(audit, "DEPTH2_STACK_BYTES", 4 * 8 * DEPTH2_MAX_WIDTH * (d + 2) * 7)
+    monkeypatch.setattr(audit, "STACK_BYTES", 4 * 8 * DEPTH2_MAX_WIDTH * (d + 2) * 7)
     indices = []
     for seed in range(6):
         report = run_depth2_campaign(d, 3000, seed)
@@ -617,6 +617,155 @@ def test_falsified_sqrt_gap_reports_the_same_network(monkeypatch):
     assert len(indices) >= 4 and max(indices) >= 50  # failures far past the first full search
 
 
+def chain_width_audit_oracle(net: ThresholdNetwork, ds) -> audit.AuditReport:
+    """``chain_width_audit`` one chain at a time through ``ActivitySets``, without its precondition checks."""
+    activity = ActivitySets(net.hidden_activations(ds.points)[0] != 0)
+    k, n = net.layers[0].width, ds.n
+    bad = activity.first_loss()
+    details = {"first_layer_width": k, "chain_length": n, "ascending": bad is None,
+               "strictly_ascending": activity.is_strictly_ascending()}
+    active = activity.active
+    if bad is not None:
+        witness = {"index": bad, "lost_units": np.flatnonzero(active[bad] & ~active[bad + 1]).tolist()}
+        return audit.AuditReport("chain-width", passed=False, witness=witness, details=details)
+    if k >= n:
+        details["width_obstruction"] = "not-applicable"
+        return audit.AuditReport("chain-width", passed=True, details=details)
+    i = activity.first_repeat()
+    if i is None:
+        details["width_obstruction"] = "vacuous-boundary"
+        return audit.AuditReport("chain-width", passed=True, details=details)
+    outputs = net.evaluate_batch(ds.points[i : i + 2])
+    passed = bool(outputs[0] == outputs[1])
+    details["pigeonhole_index"] = i
+    details["width_obstruction"] = "witnessed" if passed else "inconsistent"
+    witness = {"index": i, "activity_set": np.flatnonzero(active[i]).tolist(),
+               "outputs": outputs.tolist(), "labels": ds.labels[i : i + 2].tolist()}
+    return audit.AuditReport("chain-width", passed=passed, witness=witness, details=details)
+
+
+def random_chain_sample(rng):
+    """One chain and one narrow network, drawn as ``run_chain_width_campaign`` draws them."""
+    n = int(rng.integers(3, audit.CHAIN_MAX_POINTS + 1))
+    d = int(rng.integers(1, audit.CHAIN_MAX_DIM + 1))
+    ds = random_chain_dataset(rng, n, d)
+    width = int(rng.integers(1, n - 1))
+    scale = float(np.abs(ds.points).max() * d + 1.0)
+    return ds, random_monotone_network(rng, d, (width,), bias_scale=scale)
+
+
+def chain_width_campaign_oracle(samples: int, seed: int) -> audit.AuditReport:
+    """``run_chain_width_campaign`` one network at a time."""
+    rng = np.random.default_rng(seed)
+    for k in range(samples):
+        ds, net = random_chain_sample(rng)
+        report = chain_width_audit_oracle(net, ds)
+        if not report.passed or report.details.get("width_obstruction") != "witnessed":
+            return audit.AuditReport("chain-width", passed=False, samples=samples, seed=seed,
+                                     witness={"sample_index": k, **(report.witness or {})})
+    return audit.AuditReport("chain-width", passed=True, samples=samples, seed=seed,
+                             details={"witnessed": samples})
+
+
+@pytest.mark.parametrize("samples", [1, 2, 30, 500])
+def test_chain_width_campaign_matches_the_oracle(samples):
+    for seed in range(50):
+        report = run_chain_width_campaign(samples, seed)
+        assert report.passed
+        assert json.dumps(report.to_dict()) == json.dumps(chain_width_campaign_oracle(samples, seed).to_dict())
+
+
+def test_chain_stack_holds_the_drawn_chains_and_their_activity_sets():
+    for seed in range(20):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        chains = audit._random_chain_stack(ours, 500)
+        active = chains.activity()
+        for k in range(500):
+            ds, net = random_chain_sample(theirs)
+            (n, d), width = ds.points.shape, net.layers[0].width
+            assert (chains.lengths[k], chains.widths[k]) == (n, width)
+            assert chains.points[k, :n, :d].tobytes() == ds.points.tobytes()
+            assert chains.labels[k, :n].tobytes() == ds.labels.tobytes()
+            assert chains.weights[k, :width, :d].tobytes() == net.layers[0].weights.tobytes()
+            assert chains.biases[k, :width].tobytes() == net.layers[0].biases.tobytes()
+            assert chains.output_weights[k, :width].tobytes() == net.output_weights.tobytes()
+            assert chains.output_biases[k] == net.output_bias
+            assert np.array_equal(active[k, :n, :width], ActivitySets.from_network(net, ds.points).active)
+            assert not active[k, :, width:].any()  # padding units never fire
+        assert ours.random() == theirs.random()
+
+
+def test_chain_width_audit_matches_the_oracle_on_each_outcome():
+    rng = np.random.default_rng(18)
+    cases = [random_chain_sample(rng) for _ in range(300)]
+    for _ in range(100):  # wide networks: not-applicable, or repeat-free at width n-1
+        n = int(rng.integers(1, 8))
+        ds = random_chain_dataset(rng, n, int(rng.integers(1, 4)))
+        scale = float(np.abs(ds.points).max() * ds.dimension + 1.0)
+        cases.append((ds, random_monotone_network(rng, ds.dimension, (int(rng.integers(max(n - 1, 1), n + 2)),),
+                                                  bias_scale=scale)))
+    line = validate_dataset([[1.0], [2.0], [3.0], [4.0]], [0.0, 1.0, 2.0, 3.0])
+    flag = ThresholdNetwork((ThresholdLayer(np.ones((3, 1)), [-2.0, -3.0, -4.0]),), np.ones(3), 0.0)
+    empty = ThresholdNetwork((ThresholdLayer(np.zeros((0, 1)), []),), [], 0.5)
+    deep, _ = build_chain_interpolator(line)
+    cases += [(line, flag), (line, empty), (line, deep)]
+    outcomes = set()
+    for ds, net in cases:
+        report = chain_width_audit(net, ds)
+        assert json.dumps(report.to_dict()) == json.dumps(chain_width_audit_oracle(net, ds).to_dict())
+        outcomes.add(report.details["width_obstruction"])
+    assert outcomes == {"witnessed", "not-applicable", "vacuous-boundary"}
+
+
+def test_chain_width_audit_reports_a_lost_unit_as_the_oracle_does():
+    ds = validate_dataset([[0.0, 0.0], [1.0, 0.0], [2.0, 1.0]], [0.0, 1.0, 2.0])
+    # unit 0 reads the first coordinate with a negative weight: active at x1 = 0 only
+    layer = ThresholdLayer([[-1.0, 0.0], [1.0, 1.0]], [0.5, -2.5])
+    net = ThresholdNetwork((layer,), [1.0, 1.0], 0.0)
+    active = ActivitySets.from_network(net, ds.points).active
+    loss, repeat = audit._chain_width_analysis(active[None], np.array([ds.n]))
+    report = audit._chain_width_report(active, int(loss[0]), int(repeat[0]), None, ds.labels)
+    assert json.dumps(report.to_dict()) == json.dumps(chain_width_audit_oracle(net, ds).to_dict())
+    assert report.witness == {"index": 0, "lost_units": [0]}
+
+
+@pytest.mark.parametrize("stack", [None, 7])
+def test_falsified_chain_width_campaign_reports_the_same_network(monkeypatch, stack):
+    # draws shifted below zero give negative weights, and now and then a lost unit
+    network_draw = audit._network_draw
+    monkeypatch.setattr(audit, "_network_draw", lambda *args: network_draw(*args) - 0.1)
+    if stack:  # stacks of 7 chains, so that stack boundaries fall all through the samples
+        monkeypatch.setattr(audit, "STACK_BYTES", 2 * 8 * audit._CHAIN_DOUBLES * stack)
+    indices = []
+    for seed in range(8):
+        report = run_chain_width_campaign(3000, seed)
+        want = chain_width_campaign_oracle(3000, seed)
+        assert not report.passed and not want.passed
+        assert report.witness["sample_index"] == want.witness["sample_index"]
+        assert report.witness.keys() == want.witness.keys()
+        assert_close(report.witness, want.witness)
+        indices.append(want.witness["sample_index"])
+    # some failure lies past the first stack
+    assert max(indices) >= (stack or audit.STACK_BYTES // (2 * 8 * audit._CHAIN_DOUBLES))
+
+
+def test_activity_sets_run_only_the_first_layer(monkeypatch):
+    rng = np.random.default_rng(19)
+    dense = random_monotone_network(rng, 3, (5, 4, 3))
+    built, _ = build_interpolator(random_chain_dataset(rng, 6, 3))
+    points = rng.random((40, 3)) * 3
+    nets = (dense, built)
+    before = [net.hidden_activations(points)[0] != 0 for net in nets]
+    calls = []
+    forward = ThresholdLayer.forward
+    monkeypatch.setattr(ThresholdLayer, "forward", lambda self, A: calls.append(self) or forward(self, A))
+    for net, want in zip(nets, before):
+        assert len(net.layers) == 3
+        active = ActivitySets.from_network(net, points).active
+        assert active.dtype == bool and np.array_equal(active, want)
+        assert len(calls) == 1 and calls.pop() is net.layers[0]
+
+
 def test_random_chain_dataset_is_validated_and_canonical():
     for seed in range(200):
         rng = np.random.default_rng(seed)
@@ -652,7 +801,19 @@ def test_depth2_campaign_memory_is_bounded_at_the_largest_d():
     finally:
         tracemalloc.stop()
     assert report.passed
-    assert peak < 4 * DEPTH2_STACK_BYTES
+    assert peak < 4 * STACK_BYTES
+
+
+def test_chain_width_campaign_memory_is_bounded():
+    # the chains are drawn and audited stack by stack, so the peak does not grow with the samples
+    tracemalloc.start()
+    try:
+        report = run_chain_width_campaign(20_000, seed=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 4 * STACK_BYTES
 
 
 PINNED = json.loads((Path(__file__).parent / "data" / "audit_stdout.json").read_text())
