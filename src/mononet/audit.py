@@ -53,6 +53,7 @@ _REL_TOL = 1e-9
 
 # Sizes of the randomized campaigns' networks and chains.
 DEPTH2_MAX_WIDTH = 32  # hidden width of a depth2 network, drawn from 1..this
+CONVEXITY_MAX_DEPTH = 3  # hidden layers of a convexity network, drawn from 1..this
 CONVEXITY_MAX_WIDTH = 16  # width of each ReLU layer, drawn from 1..this
 CONVEXITY_TRIPLES = 64  # midpoint-convexity triples per network
 SQRT_GAP_BOUND = 0.125  # the least sup-gap to sqrt on [0, 1] of a convex function
@@ -60,7 +61,7 @@ SQRT_BOUND_STRIDE = 100  # the convexity campaign bounds each gap on every 100th
 CHAIN_MAX_POINTS = 16  # chain length, drawn from 3..this
 CHAIN_MAX_DIM = 6  # chain dimension, drawn from 1..this
 CHAIN_MAX_WIDTH = CHAIN_MAX_POINTS - 2  # first-layer width, drawn from 1..n-2 for n points
-STACK_BYTES = 1 << 20  # the planned arrays of one stack of depth2 networks or of chains
+STACK_BYTES = 1 << 20  # the planned arrays of one stack of networks or of chains
 DEPTH2_MAX_DOUBLES = 2**20  # the spread dataset holds (d+1)*d doubles, so d <= 1023
 
 
@@ -501,14 +502,34 @@ def random_monotone_network(
     units land on both sides of their thresholds.
     """
     u = _network_draw(rng, input_dim, widths)
+    return _network_from_draw(u, input_dim, widths, activation, bias_scale, output_bias_scale)
+
+
+def _network_parts(
+    u: np.ndarray, input_dim: int, widths: tuple[int, ...], bias_scale: float, output_bias_scale: float
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray, float]:
+    """Each layer's (weights, biases), the output weights and the output bias of draw ``u``."""
     layers, at, fan_in = [], 0, input_dim
     for width in widths:
         end = at + width * fan_in
-        weights = u[at:end].reshape(width, fan_in)
-        biases = _symmetric(u[end : end + width], bias_scale)
-        layers.append(ThresholdLayer(weights, biases, activation))
+        layers.append((u[at:end].reshape(width, fan_in), _symmetric(u[end : end + width], bias_scale)))
         at, fan_in = end + width, width
-    return ThresholdNetwork(tuple(layers), u[at:-1], float(_symmetric(u[-1], output_bias_scale)))
+    return layers, u[at:-1], float(_symmetric(u[-1], output_bias_scale))
+
+
+def _network_from_draw(
+    u: np.ndarray,
+    input_dim: int,
+    widths: tuple[int, ...],
+    activation: str,
+    bias_scale: float,
+    output_bias_scale: float,
+) -> ThresholdNetwork:
+    """The network of :func:`random_monotone_network` from its :func:`_network_draw` ``u``."""
+    layers, output_weights, output_bias = _network_parts(u, input_dim, widths, bias_scale, output_bias_scale)
+    return ThresholdNetwork(
+        tuple(ThresholdLayer(w, b, activation) for w, b in layers), output_weights, output_bias
+    )
 
 
 def random_chain_dataset(rng: np.random.Generator, n: int, d: int) -> MonotoneDataset:
@@ -519,15 +540,18 @@ def random_chain_dataset(rng: np.random.Generator, n: int, d: int) -> MonotoneDa
     separating-coordinate selection.  The points increase and so do the
     labels, so the pairs are already a valid dataset in canonical order.
     """
+    return MonotoneDataset(*_random_chain(rng, n, d))
+
+
+def _random_chain(rng: np.random.Generator, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The points (n, d) and labels (n,) of :func:`random_chain_dataset`, as plain arrays."""
     steps = 0.01 + rng.random((n, d))
     if n > 1:
         mask = rng.random((n - 1, d)) < 0.5
         for row in np.flatnonzero(mask.all(axis=1)):
             mask[row, rng.integers(d)] = False
         steps[1:][mask] = 0.0
-    X = np.cumsum(steps, axis=0)
-    y = np.cumsum(0.05 + rng.random(n))
-    return MonotoneDataset(X, y)
+    return np.cumsum(steps, axis=0), np.cumsum(0.05 + rng.random(n))
 
 
 def _random_depth2_stack(
@@ -596,65 +620,174 @@ def run_depth2_campaign(d: int, samples: int, seed: int) -> AuditReport:
     )
 
 
+class _ReluStack(NamedTuple):
+    """Random 1-dimensional monotone ReLU networks and their probe points side by side.
+
+    Network k's layer i has weights ``weights[k, i]`` and biases
+    ``biases[k, i]``, zero-padded to ``CONVEXITY_MAX_WIDTH`` units; the first
+    layer has fan-in 1 and reads column 0 only.  A padding unit has weight
+    0, bias 0 and output weight 0, and a network shallower than
+    ``CONVEXITY_MAX_DEPTH`` gets identity layers of bias 0.  ``inputs[k]``
+    holds its probe points: ``triples`` rows U, ``triples`` rows V, their
+    midpoints, then the coarse grid of the square-root gap bound.
+    """
+
+    inputs: np.ndarray  # (networks, 3 * triples + coarse points, 1)
+    weights: np.ndarray  # (networks, CONVEXITY_MAX_DEPTH, CONVEXITY_MAX_WIDTH, CONVEXITY_MAX_WIDTH)
+    biases: np.ndarray  # (networks, CONVEXITY_MAX_DEPTH, CONVEXITY_MAX_WIDTH)
+    output_weights: np.ndarray  # (networks, CONVEXITY_MAX_WIDTH)
+    output_biases: np.ndarray  # (networks,)
+    draws: list[np.ndarray]  # each network's _network_draw
+    widths: list[tuple[int, ...]]
+    seeds: list[int]  # each network's probe seed
+
+    def values(self) -> np.ndarray:
+        """Every network's value on each of its input rows, (networks, rows), in one pass."""
+        # fan-in 1: one product per unit, the bits of np.dot on the network alone
+        A = self.inputs * self.weights[:, None, 0, :, 0]
+        A += self.biases[:, None, 0]
+        np.maximum(A, 0.0, out=A)
+        for i in range(1, CONVEXITY_MAX_DEPTH):
+            A = np.matmul(A, self.weights[:, i].transpose(0, 2, 1))
+            A += self.biases[:, None, i]
+            np.maximum(A, 0.0, out=A)
+        return np.matmul(A, self.output_weights[:, :, None])[:, :, 0] + self.output_biases[:, None]
+
+    def network(self, k: int) -> ThresholdNetwork:
+        """Network k on its own, as ``random_monotone_network`` built it."""
+        return _network_from_draw(self.draws[k], 1, self.widths[k], RELU, 1.0, 1.0)
+
+
+def _relu_stack_doubles(rows: int) -> int:
+    """A network's planned doubles in a stack of ``rows`` input rows each.
+
+    Its parameters; its inputs and values; the input and the output of a
+    matmul, both live during it; and the output stage's product.
+    """
+    width = CONVEXITY_MAX_WIDTH
+    return CONVEXITY_MAX_DEPTH * width * (width + 1) + width + 1 + rows * (2 * width + 3)
+
+
+def _random_relu_stack(
+    rng: np.random.Generator, count: int, triples: int, grid: np.ndarray
+) -> _ReluStack:
+    """``count`` networks drawn as ``run_convexity_campaign`` draws them, and their probe points.
+
+    Each sample draws, in order, its depth, its widths, its network's
+    parameters (one :func:`_network_draw`) and its probe seed.  Its probe
+    points U and V are those of ``relu_convexity_probe(net, triples, seed)``,
+    and ``grid`` follows them.
+    """
+    width = CONVEXITY_MAX_WIDTH
+    inputs = np.empty((count, 3 * triples + len(grid), 1))
+    weights = np.zeros((count, CONVEXITY_MAX_DEPTH, width, width))
+    biases = np.zeros((count, CONVEXITY_MAX_DEPTH, width))
+    output_weights = np.zeros((count, width))
+    output_biases = np.empty(count)
+    depths = np.empty(count, np.intp)
+    draws, widths, seeds = [], [], []
+    for s in range(count):
+        depths[s] = depth = int(rng.integers(1, CONVEXITY_MAX_DEPTH + 1))
+        shape = tuple(int(rng.integers(1, width + 1)) for _ in range(depth))
+        u = _network_draw(rng, 1, shape)
+        seed = int(rng.integers(2**32))
+        layers, out_w, output_biases[s] = _network_parts(u, 1, shape, 1.0, 1.0)
+        for i, (w, b) in enumerate(layers):
+            weights[s, i, : w.shape[0], : w.shape[1]] = w
+            biases[s, i, : len(b)] = b
+        output_weights[s, : len(out_w)] = out_w
+        # U then V, drawn as the probe draws them, (triples, 1) each
+        inputs[s, : 2 * triples, 0] = np.random.default_rng(seed).random(2 * triples)
+        draws.append(u)
+        widths.append(shape)
+        seeds.append(seed)
+    weights[depths[:, None] <= np.arange(CONVEXITY_MAX_DEPTH)] = np.eye(width)  # identity layers, bias 0
+    inputs[:, 2 * triples : 3 * triples] = (inputs[:, :triples] + inputs[:, triples : 2 * triples]) / 2.0
+    inputs[:, 3 * triples :, 0] = grid
+    return _ReluStack(inputs, weights, biases, output_weights, output_biases, draws, widths, seeds)
+
+
 def run_convexity_campaign(samples: int, seed: int) -> AuditReport:
     """Probe midpoint convexity on random 1-dimensional monotone ReLU networks.
 
     Each network is also checked for the square-root approximation gap of
     at least ``SQRT_GAP_BOUND`` (1/8), and the report gives the least gap.
 
-    The search is branch and bound.  Every ``SQRT_BOUND_STRIDE``-th point of
-    the grid of :func:`sqrt_gap_witness` (101 exact grid points) gives
-    ``bound``, a lower bound on a network's grid gap.  The full search runs
-    only when ``bound <= min_gap + _REL_TOL * (1 + min_gap)``; otherwise the
-    network's gap exceeds the least gap so far, which is at least 1/8, so it
-    can neither set the minimum nor fail.  The minimum and every failure
-    therefore come from the same ``sqrt_gap_witness`` calls on the same
-    networks as a search of every network.
+    The networks run in stacks of at most ``STACK_BYTES`` of planned
+    arrays, one batched forward pass per stack (:class:`_ReluStack`) over
+    each network's probe points and coarse grid.  Only the networks that
+    need a result of their own are built and run alone, in sample order:
 
-    The margin covers rounding: BLAS sums a row in an order that depends on
-    the number of rows, so a network's value at a grid point may differ
-    between the short and the full batch.  The first layer has fan-in 1, one
-    product per sum, so its values agree.  A later sum has at most 16 terms
-    with weights in [0, 1) and inputs below 2, 33 and 529, the largest
-    activations of layers 1 to 3 (biases lie in (-1, 1)); two orders of
-    such a sum differ by at most 2 * 15 * 2**-53 times the sum of its
-    terms, plus the differences its inputs carry.  Through three hidden
-    layers and the output stage, with an ulp for each bias add, that is
-    below 1e-10, a tenth of the margin at its least, 1e-9.
+    * The probe's test on the stacked values, with a margin of
+      ``5e-10 * (1 + |N(u)| + |N(v)|)``, flags every network whose probe
+      can fail; ``relu_convexity_probe`` on a flagged network decides, so a
+      witness holds its bits.
+    * The square-root gap is branch and bound.  Every
+      ``SQRT_BOUND_STRIDE``-th point of the grid of :func:`sqrt_gap_witness`
+      (101 exact grid points) gives ``bound``, a lower bound on a network's
+      grid gap.  The full search runs only when
+      ``bound <= min_gap + _REL_TOL * (1 + min_gap)``; otherwise the
+      network's gap exceeds the least gap so far, which is at least 1/8, so
+      it can neither set the minimum nor fail.  The minimum and every
+      failure therefore come from the same ``sqrt_gap_witness`` calls on
+      the same networks as a search of every network.
+
+    The margins cover rounding: BLAS sums a row in an order that depends on
+    the shape of the batch, so a network's value at a point may differ
+    between the stack, its own probe batch and its full grid batch.  The
+    first layer has fan-in 1, one product per sum, so its values agree.  A
+    later sum has at most 16 terms with weights in [0, 1) and inputs below
+    2, 33 and 529, the largest activations of layers 1 to 3 (biases lie in
+    (-1, 1)); two orders of such a sum differ by at most 2 * 15 * 2**-53
+    times the sum of its terms, plus the differences its inputs carry.
+    Through three hidden layers and the output stage, with an ulp for each
+    bias add, that is below 1e-10.  The padding adds no rounding: a padding
+    unit's activation is an exact 0, each of its terms in a later sum is
+    an exact 0, and an identity layer gives each activation, which is
+    >= 0, times 1 plus exact zeros.  So a stacked value lies within 1e-10 of
+    the network's own: a tenth of the bound's margin at its least, 1e-9,
+    and a fifth of the probe's, which covers the midpoint value and the
+    endpoint mean with 3e-10 to spare.
     """
     require_positive(samples, "samples")
     rng = np.random.default_rng(seed)
+    triples = CONVEXITY_TRIPLES
     xs, roots = _sqrt_grid(10000)  # the grid of sqrt_gap_witness at its default resolution
-    coarse_xs, coarse_roots = xs[::SQRT_BOUND_STRIDE, None], roots[::SQRT_BOUND_STRIDE]
+    coarse_xs, coarse_roots = xs[::SQRT_BOUND_STRIDE], roots[::SQRT_BOUND_STRIDE]
+    stack = max(1, STACK_BYTES // (8 * _relu_stack_doubles(3 * triples + len(coarse_xs))))
     min_gap = np.inf
-    for k in range(samples):
-        depth = int(rng.integers(1, 4))
-        widths = tuple(int(rng.integers(1, CONVEXITY_MAX_WIDTH + 1)) for _ in range(depth))
-        net = random_monotone_network(rng, 1, widths, activation=RELU, bias_scale=1.0)
-        report = relu_convexity_probe(
-            net, triples=CONVEXITY_TRIPLES, seed=int(rng.integers(2**32))
-        )
-        if not report.passed:
-            return AuditReport(
-                "convexity",
-                passed=False,
-                witness={"sample_index": k, **(report.witness or {})},
-                samples=samples,
-                seed=seed,
-            )
-        bound = np.abs(net.evaluate_batch(coarse_xs) - coarse_roots).max()
-        if bound > min_gap + _REL_TOL * (1.0 + min_gap):
-            continue
-        x, gap = sqrt_gap_witness(net)
-        min_gap = min(min_gap, gap)
-        if gap < SQRT_GAP_BOUND - _REL_TOL:
-            return AuditReport(
-                "convexity",
-                passed=False,
-                witness={"sample_index": k, "x": x, "gap": gap},
-                samples=samples,
-                seed=seed,
-            )
+    for first in range(0, samples, stack):
+        nets = _random_relu_stack(rng, min(stack, samples - first), triples, coarse_xs)
+        values = nets.values()
+        fu, fv, fm = (values[:, i * triples : (i + 1) * triples] for i in range(3))
+        slack = (_REL_TOL - 5e-10) * (1.0 + np.abs(fu) + np.abs(fv))
+        flagged = (fm > (fu + fv) / 2.0 + slack).any(axis=1)
+        bounds = np.abs(values[:, 3 * triples :] - coarse_roots).max(axis=1)
+        # the least gap only falls, so a network past both tests now stays past them
+        for k in np.flatnonzero(flagged | (bounds <= min_gap + _REL_TOL * (1.0 + min_gap))).tolist():
+            net = nets.network(k)
+            if flagged[k]:
+                report = relu_convexity_probe(net, triples, nets.seeds[k])
+                if not report.passed:
+                    return AuditReport(
+                        "convexity",
+                        passed=False,
+                        witness={"sample_index": first + k, **(report.witness or {})},
+                        samples=samples,
+                        seed=seed,
+                    )
+            if bounds[k] > min_gap + _REL_TOL * (1.0 + min_gap):
+                continue
+            x, gap = sqrt_gap_witness(net)
+            min_gap = min(min_gap, gap)
+            if gap < SQRT_GAP_BOUND - _REL_TOL:
+                return AuditReport(
+                    "convexity",
+                    passed=False,
+                    witness={"sample_index": first + k, "x": x, "gap": gap},
+                    samples=samples,
+                    seed=seed,
+                )
     details = {"min_sqrt_gap": float(min_gap)}
     return AuditReport("convexity", passed=True, samples=samples, seed=seed, details=details)
 
@@ -707,23 +840,22 @@ def _random_chain_stack(rng: np.random.Generator, count: int) -> _ChainStack:
     output_biases = np.empty(count)
     lengths = np.empty(count, np.intp)
     widths = np.empty(count, np.intp)
-    scales = np.empty(count)
+    dims = np.empty(count)
     for s in range(count):
         n = int(rng.integers(3, CHAIN_MAX_POINTS + 1))
         d = int(rng.integers(1, CHAIN_MAX_DIM + 1))
-        ds = random_chain_dataset(rng, n, d)
+        points[s, :n, :d], labels[s, :n] = _random_chain(rng, n, d)
         width = int(rng.integers(1, n - 1))
         # width * d weights, width biases, width output weights and one output bias
         u = _network_draw(rng, d, (width,))
         a, b = width * d, width * (d + 1)
-        points[s, :n, :d] = ds.points
-        labels[s, :n] = ds.labels
         weights[s, :width, :d] = u[:a].reshape(width, d)
         biases[s, :width] = u[a:b]
         output_weights[s, :width] = u[b:-1]
         output_biases[s] = u[-1]
-        lengths[s], widths[s] = n, width
-        scales[s] = np.abs(ds.points).max() * d + 1.0
+        lengths[s], widths[s], dims[s] = n, width, d
+    # a chain's largest coordinate: its padding is 0 and its points are positive
+    scales = np.abs(points).max(axis=(1, 2)) * dims + 1.0
     # a padding unit's draw is 0, so its bias is -scale <= -1
     biases = _symmetric(biases, scales[:, None])
     return _ChainStack(

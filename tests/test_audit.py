@@ -586,20 +586,30 @@ def test_convexity_campaign_matches_the_full_search(samples):
         assert json.dumps(report.to_dict()) == json.dumps(convexity_campaign_oracle(samples, seed).to_dict())
 
 
+def convexity_stack_size(triples: int) -> int:
+    """Networks per stack of ``run_convexity_campaign`` at ``triples`` triples per network."""
+    rows = 3 * triples + len(audit._sqrt_grid(10000)[0][:: audit.SQRT_BOUND_STRIDE])
+    return max(1, audit.STACK_BYTES // (8 * audit._relu_stack_doubles(rows)))
+
+
 def test_falsified_convexity_probe_reports_the_same_network(monkeypatch):
     # a negative tolerance fails a triple whose midpoint lies on a linear piece; with
     # one triple per network that happens only now and then
     monkeypatch.setattr(audit, "_REL_TOL", -1e-12)
     monkeypatch.setattr(audit, "CONVEXITY_TRIPLES", 1)
-    indices = []
-    for seed in range(12):
-        report = run_convexity_campaign(300, seed)
-        want = convexity_campaign_oracle(300, seed)
-        assert not report.passed
-        assert json.dumps(report.to_dict()) == json.dumps(want.to_dict())
-        assert report.witness.keys() == {"sample_index", "u", "v", "midpoint_value", "endpoint_mean"}
-        indices.append(want.witness["sample_index"])
-    assert max(indices) >= 1  # some failure lies past the first network
+    # the default stacks, then stacks of 2 networks, so that the early failures fall past the first stack
+    for stack_bytes in (audit.STACK_BYTES, 8 * audit._relu_stack_doubles(3 + 101) * 2):
+        monkeypatch.setattr(audit, "STACK_BYTES", stack_bytes)
+        indices = []
+        for seed in range(12):
+            report = run_convexity_campaign(300, seed)
+            want = convexity_campaign_oracle(300, seed)
+            assert not report.passed
+            assert json.dumps(report.to_dict()) == json.dumps(want.to_dict())
+            assert report.witness.keys() == {"sample_index", "u", "v", "midpoint_value", "endpoint_mean"}
+            indices.append(want.witness["sample_index"])
+        assert max(indices) >= 1  # some failure lies past the first network
+    assert convexity_stack_size(1) == 2 and max(indices) >= 2  # and past the first stack of 2
 
 
 def test_falsified_sqrt_gap_reports_the_same_network(monkeypatch):
@@ -615,6 +625,40 @@ def test_falsified_sqrt_gap_reports_the_same_network(monkeypatch):
             assert report.witness["gap"] < 0.3
             indices.append(want.witness["sample_index"])
     assert len(indices) >= 4 and max(indices) >= 50  # failures far past the first full search
+    assert max(indices) >= convexity_stack_size(audit.CONVEXITY_TRIPLES)  # and past the first stack
+
+
+def test_relu_stack_holds_the_drawn_networks_and_their_values():
+    # the campaign's margins rest on stacked values within 1e-10 of each network's own
+    coarse = audit._sqrt_grid(10000)[0][:: audit.SQRT_BOUND_STRIDE]
+    triples, depths, worst = audit.CONVEXITY_TRIPLES, set(), 0.0
+    for seed in range(20):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        nets = audit._random_relu_stack(ours, 300, triples, coarse)
+        values = nets.values()
+        for k in range(300):
+            depth = int(theirs.integers(1, 4))
+            widths = tuple(int(theirs.integers(1, audit.CONVEXITY_MAX_WIDTH + 1)) for _ in range(depth))
+            net = random_monotone_network(theirs, 1, widths, activation=RELU, bias_scale=1.0)
+            probe_seed = int(theirs.integers(2**32))
+            assert (nets.widths[k], nets.seeds[k]) == (widths, probe_seed)
+            built = nets.network(k)
+            for layer, want in zip(built.layers, net.layers, strict=True):
+                assert layer.activation == want.activation
+                assert layer.weights.tobytes() == want.weights.tobytes()
+                assert layer.biases.tobytes() == want.biases.tobytes()
+            assert built.output_weights.tobytes() == net.output_weights.tobytes()
+            assert built.output_bias == net.output_bias
+            probe = np.random.default_rng(probe_seed)
+            U, V = probe.random((triples, 1)), probe.random((triples, 1))
+            rows = np.concatenate((U, V, (U + V) / 2.0, coarse[:, None]))
+            assert nets.inputs[k].tobytes() == rows.tobytes()
+            own = np.concatenate([net.evaluate_batch(X) for X in (U, V, (U + V) / 2.0, coarse[:, None])])
+            worst = max(worst, float(np.abs(values[k] - own).max()))
+            depths.add(depth)
+        assert ours.random() == theirs.random()
+    assert depths == {1, 2, 3}
+    assert worst <= 1e-10
 
 
 def chain_width_audit_oracle(net: ThresholdNetwork, ds) -> audit.AuditReport:
@@ -809,6 +853,20 @@ def test_chain_width_campaign_memory_is_bounded():
     tracemalloc.start()
     try:
         report = run_chain_width_campaign(20_000, seed=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 4 * STACK_BYTES
+
+
+def test_convexity_campaign_memory_is_bounded():
+    # the networks are drawn and probed stack by stack, so the peak does not grow with the
+    # samples; a full search's 10,001-row batch takes more than a stack
+    audit._sqrt_grid(10000)  # cached: the grid is not the campaign's to count
+    tracemalloc.start()
+    try:
+        report = run_convexity_campaign(3000, seed=4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
