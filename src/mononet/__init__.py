@@ -3,7 +3,6 @@ the perfect-matching probability function."""
 
 from .approx import GridSpec, build_approximator, plan_grid
 from .audit import (
-    ActivitySets,
     AuditReport,
     certify_monotone_structure,
     chain_width_audit,
@@ -47,7 +46,6 @@ from .matching import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActivitySets",
     "AuditReport",
     "BipartiteGraph",
     "ConstructionTrace",

@@ -25,7 +25,7 @@ import numpy as np
 
 from .construct import build_interpolator
 from .core import ThresholdNetwork, validate_dataset
-from .errors import GridTooLarge, InvalidArgument
+from .errors import GridTooLarge, InvalidArgument, InvalidNumber
 from .io import parse_float
 
 DEFAULT_GRID_BUDGET = 10_000_000
@@ -56,28 +56,6 @@ class GridSpec:
     def iter_points(self):
         """Grid points in row-major order (last axis varies fastest)."""
         return product(self.axis_points, repeat=self.dimension)
-
-    def lower_neighbor(self, x: Sequence[float]) -> tuple[float, ...]:
-        """Largest grid point <= x coordinatewise (x must lie in [0,1]^d)."""
-        return tuple(self._axis_below(float(c)) for c in x)
-
-    def upper_neighbor(self, x: Sequence[float]) -> tuple[float, ...]:
-        """Smallest grid point >= x coordinatewise."""
-        return tuple(self._axis_above(float(c)) for c in x)
-
-    def _axis_below(self, c: float) -> float:
-        pts = self.axis_points
-        k = int(np.searchsorted(pts, c, side="right")) - 1
-        if k < 0:
-            raise InvalidArgument(f"coordinate {c} below the grid")
-        return pts[k]
-
-    def _axis_above(self, c: float) -> float:
-        pts = self.axis_points
-        k = int(np.searchsorted(pts, c, side="left"))
-        if k >= len(pts):
-            raise InvalidArgument(f"coordinate {c} above the grid")
-        return pts[k]
 
 
 def plan_grid(
@@ -149,6 +127,8 @@ def build_approximator(
     grid = plan_grid(d, lipschitz, eps, budget)
     points = list(grid.iter_points())
     values = np.array([float(f(p)) for p in points])
+    if not np.isfinite(values).all():  # before the slope check, whose differences would warn
+        raise InvalidNumber("labels must be finite")
     observed = empirical_lipschitz(values, grid)
     if observed > lipschitz * (1 + 1e-9):
         warnings.warn(

@@ -25,6 +25,7 @@ exit code):
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -45,6 +46,7 @@ from .errors import (
     DimensionMismatch,
     DimensionTooSmall,
     InvalidArgument,
+    InvalidNumber,
     PreconditionViolated,
     TooLarge,
 )
@@ -63,6 +65,7 @@ CHAIN_MAX_DIM = 6  # chain dimension, drawn from 1..this
 CHAIN_MAX_WIDTH = CHAIN_MAX_POINTS - 2  # first-layer width, drawn from 1..n-2 for n points
 STACK_BYTES = 1 << 20  # the planned arrays of one stack of networks or of chains
 DEPTH2_MAX_DOUBLES = 2**20  # the spread dataset holds (d+1)*d doubles, so d <= 1023
+MONOTONE_MAX_DOUBLES = 2**25  # the monotone probe's pairs U, V hold 2 * samples * d doubles (256 MiB)
 
 
 def require_positive(count: int, name: str) -> None:
@@ -92,40 +95,6 @@ class AuditReport:
         }
 
 
-@dataclass(frozen=True, eq=False)
-class ActivitySets:
-    """Per input point, which first-layer units have nonzero output.
-
-    ``active`` is an (n, width) boolean matrix; row i is the activity set
-    of point i, and one set contains another where its row does.
-    """
-
-    active: np.ndarray
-
-    @classmethod
-    def from_network(cls, net: ThresholdNetwork, points) -> "ActivitySets":
-        if not net.layers:
-            raise ArchitectureMismatch("activity sets need at least one hidden layer")
-        # only the first layer: the later ones would be run and thrown away
-        return cls(net.layers[0].forward(net._check_batch(points)) != 0)
-
-    def first_loss(self) -> int | None:
-        """Index i of the first consecutive pair whose set i is not within set i+1, if any."""
-        lost = np.flatnonzero((self.active[:-1] & ~self.active[1:]).any(axis=1))
-        return int(lost[0]) if len(lost) else None
-
-    def is_ascending(self) -> bool:
-        return self.first_loss() is None
-
-    def is_strictly_ascending(self) -> bool:
-        return self.is_ascending() and bool((self.active[:-1] != self.active[1:]).any(axis=1).all())
-
-    def first_repeat(self) -> int | None:
-        """Index i of the first consecutive pair with equal sets, if any."""
-        equal = np.flatnonzero((self.active[:-1] == self.active[1:]).all(axis=1))
-        return int(equal[0]) if len(equal) else None
-
-
 def certify_monotone_structure(net: ThresholdNetwork) -> AuditReport:
     """Pass iff every hidden weight and every output weight is >= 0.
 
@@ -152,12 +121,23 @@ def probe_monotonicity(
     samples: int = 256,
     seed: int = 0,
 ) -> AuditReport:
-    """Sample comparable pairs u <= v in the box and check N(u) <= N(v)."""
+    """Sample comparable pairs u <= v in the box and check N(u) <= N(v).
+
+    Raises :class:`TooLarge`, before drawing, when the pairs would hold
+    more than ``MONOTONE_MAX_DOUBLES`` coordinates.
+    """
     require_positive(samples, "samples")
     lo, hi = float(box[0]), float(box[1])
     if not lo <= hi:
         raise InvalidArgument(f"box needs lo <= hi, got ({lo}, {hi})")
+    if not math.isfinite(hi - lo):  # an infinite side would put inf - inf in the draws
+        raise InvalidNumber(f"box needs finite bounds and width, got ({lo}, {hi})")
     d = net.input_dimension
+    if 2 * samples * d > MONOTONE_MAX_DOUBLES:
+        raise TooLarge(
+            f"the monotone probe draws 2 * {samples} samples * {d} coordinates, "
+            f"above the limit of {MONOTONE_MAX_DOUBLES} doubles"
+        )
     rng = np.random.default_rng(seed)
     U = lo + (hi - lo) * rng.random((samples, d))
     V = U + (hi - U) * rng.random((samples, d))
@@ -386,7 +366,8 @@ def chain_width_audit(net: ThresholdNetwork, ds: MonotoneDataset) -> AuditReport
     if ds.n > 1 and not np.all(np.diff(ds.labels) > 0):
         raise PreconditionViolated("chain labels must be strictly increasing")
 
-    active = ActivitySets.from_network(net, ds.points).active
+    # only the first layer: a threshold layer's bool batch is its activity sets
+    active = net.layers[0].forward(net._check_batch(ds.points))
     loss, repeat = _chain_width_analysis(active[None], np.array([ds.n]))
     i = int(repeat[0])
     outputs = net.evaluate_batch(ds.points[i : i + 2]) if i >= 0 else None
@@ -506,15 +487,20 @@ def random_monotone_network(
 
 
 def _network_parts(
-    u: np.ndarray, input_dim: int, widths: tuple[int, ...], bias_scale: float, output_bias_scale: float
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray, float]:
-    """Each layer's (weights, biases), the output weights and the output bias of draw ``u``."""
+    u: np.ndarray, input_dim: int, widths: tuple[int, ...]
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray, np.float64]:
+    """Views of draw ``u``: each layer's (weights, bias draws), the output weights, the output bias draw.
+
+    The bias draws are still U[0, 1) doubles.  :func:`_symmetric` works
+    elementwise, so a stack may scale its networks' draws in one call with
+    the bits of scaling each network's own.
+    """
     layers, at, fan_in = [], 0, input_dim
     for width in widths:
         end = at + width * fan_in
-        layers.append((u[at:end].reshape(width, fan_in), _symmetric(u[end : end + width], bias_scale)))
+        layers.append((u[at:end].reshape(width, fan_in), u[end : end + width]))
         at, fan_in = end + width, width
-    return layers, u[at:-1], float(_symmetric(u[-1], output_bias_scale))
+    return layers, u[at:-1], u[-1]
 
 
 def _network_from_draw(
@@ -526,9 +512,11 @@ def _network_from_draw(
     output_bias_scale: float,
 ) -> ThresholdNetwork:
     """The network of :func:`random_monotone_network` from its :func:`_network_draw` ``u``."""
-    layers, output_weights, output_bias = _network_parts(u, input_dim, widths, bias_scale, output_bias_scale)
+    layers, output_weights, output_bias = _network_parts(u, input_dim, widths)
     return ThresholdNetwork(
-        tuple(ThresholdLayer(w, b, activation) for w, b in layers), output_weights, output_bias
+        tuple(ThresholdLayer(w, _symmetric(b, bias_scale), activation) for w, b in layers),
+        output_weights,
+        float(_symmetric(output_bias, output_bias_scale)),
     )
 
 
@@ -565,17 +553,13 @@ def _random_depth2_stack(
     widths, weights, biases, out_weights, out_biases = [], [], [], [], []
     for _ in range(count):
         width = int(rng.integers(1, DEPTH2_MAX_WIDTH + 1))
-        # width * d weights, width biases, width output weights and one output bias
-        u = _network_draw(rng, d, (width,))
-        a, b = width * d, width * (d + 1)
+        [(w, b)], out_w, out_b = _network_parts(_network_draw(rng, d, (width,)), d, (width,))
         widths.append(width)
-        weights.append(u[:a])
-        biases.append(u[a:b])
-        out_weights.append(u[b:-1])
-        out_biases.append(u[-1])
-    layer = ThresholdLayer(
-        np.concatenate(weights).reshape(-1, d), _symmetric(np.concatenate(biases), float(d * d))
-    )
+        weights.append(w)
+        biases.append(b)
+        out_weights.append(out_w)
+        out_biases.append(out_b)
+    layer = ThresholdLayer(np.concatenate(weights), _symmetric(np.concatenate(biases), float(d * d)))
     stack = ThresholdNetwork((layer,), np.concatenate(out_weights))
     w = np.array(widths)
     return stack, np.cumsum(w) - w, _symmetric(np.array(out_biases), 1.0)
@@ -683,7 +667,7 @@ def _random_relu_stack(
     weights = np.zeros((count, CONVEXITY_MAX_DEPTH, width, width))
     biases = np.zeros((count, CONVEXITY_MAX_DEPTH, width))
     output_weights = np.zeros((count, width))
-    output_biases = np.empty(count)
+    output_biases = np.empty(count)  # the U[0, 1) draws, scaled after the loop
     depths = np.empty(count, np.intp)
     draws, widths, seeds = [], [], []
     for s in range(count):
@@ -691,10 +675,10 @@ def _random_relu_stack(
         shape = tuple(int(rng.integers(1, width + 1)) for _ in range(depth))
         u = _network_draw(rng, 1, shape)
         seed = int(rng.integers(2**32))
-        layers, out_w, output_biases[s] = _network_parts(u, 1, shape, 1.0, 1.0)
+        layers, out_w, output_biases[s] = _network_parts(u, 1, shape)
         for i, (w, b) in enumerate(layers):
             weights[s, i, : w.shape[0], : w.shape[1]] = w
-            biases[s, i, : len(b)] = b
+            biases[s, i, : len(b)] = _symmetric(b, 1.0)
         output_weights[s, : len(out_w)] = out_w
         # U then V, drawn as the probe draws them, (triples, 1) each
         inputs[s, : 2 * triples, 0] = np.random.default_rng(seed).random(2 * triples)
@@ -704,7 +688,9 @@ def _random_relu_stack(
     weights[depths[:, None] <= np.arange(CONVEXITY_MAX_DEPTH)] = np.eye(width)  # identity layers, bias 0
     inputs[:, 2 * triples : 3 * triples] = (inputs[:, :triples] + inputs[:, triples : 2 * triples]) / 2.0
     inputs[:, 3 * triples :, 0] = grid
-    return _ReluStack(inputs, weights, biases, output_weights, output_biases, draws, widths, seeds)
+    return _ReluStack(
+        inputs, weights, biases, output_weights, _symmetric(output_biases, 1.0), draws, widths, seeds
+    )
 
 
 def run_convexity_campaign(samples: int, seed: int) -> AuditReport:
@@ -837,7 +823,7 @@ def _random_chain_stack(rng: np.random.Generator, count: int) -> _ChainStack:
     weights = np.zeros((count, CHAIN_MAX_WIDTH, CHAIN_MAX_DIM))
     biases = np.zeros((count, CHAIN_MAX_WIDTH))  # the U[0, 1) draws, scaled after the loop
     output_weights = np.zeros((count, CHAIN_MAX_WIDTH))
-    output_biases = np.empty(count)
+    output_biases = np.empty(count)  # the U[0, 1) draws, scaled after the loop
     lengths = np.empty(count, np.intp)
     widths = np.empty(count, np.intp)
     dims = np.empty(count)
@@ -846,13 +832,10 @@ def _random_chain_stack(rng: np.random.Generator, count: int) -> _ChainStack:
         d = int(rng.integers(1, CHAIN_MAX_DIM + 1))
         points[s, :n, :d], labels[s, :n] = _random_chain(rng, n, d)
         width = int(rng.integers(1, n - 1))
-        # width * d weights, width biases, width output weights and one output bias
-        u = _network_draw(rng, d, (width,))
-        a, b = width * d, width * (d + 1)
-        weights[s, :width, :d] = u[:a].reshape(width, d)
-        biases[s, :width] = u[a:b]
-        output_weights[s, :width] = u[b:-1]
-        output_biases[s] = u[-1]
+        [(w, b)], out_w, output_biases[s] = _network_parts(_network_draw(rng, d, (width,)), d, (width,))
+        weights[s, :width, :d] = w
+        biases[s, :width] = b
+        output_weights[s, :width] = out_w
         lengths[s], widths[s], dims[s] = n, width, d
     # a chain's largest coordinate: its padding is 0 and its points are positive
     scales = np.abs(points).max(axis=(1, 2)) * dims + 1.0

@@ -157,7 +157,9 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--L", type=float, required=True, help="declared Lipschitz bound")
     p.add_argument("--eps", type=float, required=True, help="target uniform accuracy")
-    p.add_argument("--probes", type=int, default=0, help="report sup error over this many random probes")
+    p.add_argument(
+        "--probes", type=nonnegative_int, default=0, help="report sup error over this many random probes"
+    )
     p.add_argument("--budget", type=int, default=approx.DEFAULT_GRID_BUDGET)
     p.add_argument("--seed", type=nonnegative_int, default=DEFAULT_SEED)
     p.add_argument("-o", "--output", help="where to write the network JSON")

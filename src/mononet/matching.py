@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -130,9 +130,6 @@ class EstimatorConfig:
             raise InvalidArgument("samples must be >= 1")
         if not 0 < self.delta < 1:
             raise InvalidArgument("delta must lie in (0, 1)")
-
-    def with_seed(self, seed: int) -> "EstimatorConfig":
-        return replace(self, seed=seed)
 
 
 def has_perfect_matching(g: BipartiteGraph) -> bool:
@@ -450,11 +447,17 @@ def default_parameters(
         raise InvalidArgument("eps must lie in (0, 1)")
     if not 0 < fail_prob < 1:
         raise InvalidArgument("fail_prob must lie in (0, 1)")
-    bits = math.ceil(math.log2(64.0 * n * n / eps))
-    delta = eps - n * n * 2.0**-bits
-    # the 1e-9 backoff keeps the ceil stable when fail_prob was itself
-    # produced by the bound for an integer sample count
-    samples = math.ceil(math.log(2.0 / fail_prob) / (2.0 * delta**2) - 1e-9)
+    try:
+        bits = math.ceil(math.log2(64.0 * n * n / eps))
+        delta = eps - n * n * 2.0**-bits
+        # the 1e-9 backoff keeps the ceil stable when fail_prob was itself
+        # produced by the bound for an integer sample count
+        samples = math.ceil(math.log(2.0 / fail_prob) / (2.0 * delta**2) - 1e-9)
+    except (OverflowError, ZeroDivisionError):  # a count past the float range, or delta**2 == 0
+        raise TooLarge(
+            f"the estimate at n = {n} and eps = {eps} needs a bit or sample count "
+            "past the float range; raise eps"
+        ) from None
     return EstimatorConfig(bits=bits, samples=samples, seed=seed, delta=delta)
 
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,15 @@ from mononet.approx import (
     plan_grid,
     resolve_function,
 )
-from mononet.errors import GridTooLarge, InvalidArgument, MonotoneViolation
+from mononet.errors import GridTooLarge, InvalidArgument, InvalidNumber, MonotoneViolation
+
+
+def grid_neighbors(grid, x) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The largest grid point <= x and the least grid point >= x, for x in [0,1]^d."""
+    axis = np.asarray(grid.axis_points)
+    lo = axis[np.searchsorted(axis, x, side="right") - 1]
+    hi = axis[np.searchsorted(axis, x, side="left")]
+    return tuple(lo.tolist()), tuple(hi.tolist())
 
 
 class TestPlanGrid:
@@ -89,8 +98,7 @@ class TestPlanGrid:
 
     def test_neighbors(self):
         grid = plan_grid(2, 1.0, 0.5)
-        lo = grid.lower_neighbor((0.4, 0.9))
-        hi = grid.upper_neighbor((0.4, 0.9))
+        lo, hi = grid_neighbors(grid, (0.4, 0.9))
         assert all(a <= b for a, b in zip(lo, (0.4, 0.9)))
         assert all(a >= b for a, b in zip(hi, (0.4, 0.9)))
         assert lo in set(grid.iter_points())
@@ -142,10 +150,17 @@ class TestBuildApproximator:
         net = build_approximator(f, 2, 1.0, 0.4)
         rng = np.random.default_rng(4)
         for x in rng.random((200, 2)):
-            lo = grid.lower_neighbor(x)
-            hi = grid.upper_neighbor(x)
+            lo, hi = grid_neighbors(grid, x)
             v = net.evaluate(x)
             assert f(lo) <= v <= f(hi)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_samples_refused_before_the_slope_check(self, value):
+        # the slope check's differences of inf would warn on stderr ahead of the diagnostic
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidNumber, match="labels must be finite"):
+                build_approximator(lambda x: value, 1, 1.0, 0.1)
 
     def test_non_monotone_rejected(self):
         with pytest.raises(MonotoneViolation):

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,8 +9,8 @@ import pytest
 from mononet import audit
 from mononet.audit import (
     DEPTH2_MAX_WIDTH,
+    MONOTONE_MAX_DOUBLES,
     STACK_BYTES,
-    ActivitySets,
     certify_monotone_structure,
     chain_width_audit,
     depth2_counterexample,
@@ -32,6 +33,7 @@ from mononet.errors import (
     DimensionMismatch,
     DimensionTooSmall,
     InvalidArgument,
+    InvalidNumber,
     PreconditionViolated,
     TooLarge,
 )
@@ -116,6 +118,28 @@ class TestMonotonicityProbe:
         net, _ = build_interpolator(depth2_counterexample(2))
         with pytest.raises(InvalidArgument):
             probe_monotonicity(net, box=(3.0, 0.0), samples=10)
+
+    @pytest.mark.parametrize("box", [(0.0, np.inf), (-np.inf, 1.0), (-1e308, 1e308)])
+    def test_infinite_box_refused_without_a_warning(self, box):
+        # inf - inf in the draws would warn on stderr ahead of the diagnostic
+        net, _ = build_interpolator(depth2_counterexample(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidNumber, match="finite"):
+                probe_monotonicity(net, box=box, samples=10)
+
+    def test_large_samples_refused_before_drawing(self):
+        net, _ = build_interpolator(depth2_counterexample(2))
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge, match="monotone probe"):
+                probe_monotonicity(net, samples=2_000_000_000)
+            with pytest.raises(TooLarge):
+                probe_monotonicity(net, samples=MONOTONE_MAX_DOUBLES // 4 + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestConvexityProbe:
@@ -323,8 +347,8 @@ class TestChainWidthAudit:
         rng = np.random.default_rng(15)
         ds = random_chain_dataset(rng, 6, 2)
         net, _ = build_interpolator(ds)
-        sets = ActivitySets.from_network(net, ds.points)
-        assert sets.is_strictly_ascending()
+        sets = activity_sets(net, ds.points)
+        assert all(a < b for a, b in zip(sets, sets[1:]))
 
     def test_narrow_net_pigeonhole(self):
         rng = np.random.default_rng(16)
@@ -661,21 +685,26 @@ def test_relu_stack_holds_the_drawn_networks_and_their_values():
     assert worst <= 1e-10
 
 
+def activity_sets(net: ThresholdNetwork, points) -> list[frozenset]:
+    """Per point, the set of first-layer units that fire there."""
+    return [frozenset(np.flatnonzero(row).tolist()) for row in net.hidden_activations(points)[0]]
+
+
 def chain_width_audit_oracle(net: ThresholdNetwork, ds) -> audit.AuditReport:
-    """``chain_width_audit`` one chain at a time through ``ActivitySets``, without its precondition checks."""
-    activity = ActivitySets(net.hidden_activations(ds.points)[0] != 0)
+    """``chain_width_audit`` one chain at a time on per-point sets, without its precondition checks."""
+    sets = activity_sets(net, ds.points)
+    pairs = list(zip(sets, sets[1:]))
     k, n = net.layers[0].width, ds.n
-    bad = activity.first_loss()
+    bad = next((i for i, (a, b) in enumerate(pairs) if not a <= b), None)
     details = {"first_layer_width": k, "chain_length": n, "ascending": bad is None,
-               "strictly_ascending": activity.is_strictly_ascending()}
-    active = activity.active
+               "strictly_ascending": all(a < b for a, b in pairs)}
     if bad is not None:
-        witness = {"index": bad, "lost_units": np.flatnonzero(active[bad] & ~active[bad + 1]).tolist()}
+        witness = {"index": bad, "lost_units": sorted(sets[bad] - sets[bad + 1])}
         return audit.AuditReport("chain-width", passed=False, witness=witness, details=details)
     if k >= n:
         details["width_obstruction"] = "not-applicable"
         return audit.AuditReport("chain-width", passed=True, details=details)
-    i = activity.first_repeat()
+    i = next((i for i, (a, b) in enumerate(pairs) if a == b), None)
     if i is None:
         details["width_obstruction"] = "vacuous-boundary"
         return audit.AuditReport("chain-width", passed=True, details=details)
@@ -683,7 +712,7 @@ def chain_width_audit_oracle(net: ThresholdNetwork, ds) -> audit.AuditReport:
     passed = bool(outputs[0] == outputs[1])
     details["pigeonhole_index"] = i
     details["width_obstruction"] = "witnessed" if passed else "inconsistent"
-    witness = {"index": i, "activity_set": np.flatnonzero(active[i]).tolist(),
+    witness = {"index": i, "activity_set": sorted(sets[i]),
                "outputs": outputs.tolist(), "labels": ds.labels[i : i + 2].tolist()}
     return audit.AuditReport("chain-width", passed=passed, witness=witness, details=details)
 
@@ -734,7 +763,7 @@ def test_chain_stack_holds_the_drawn_chains_and_their_activity_sets():
             assert chains.biases[k, :width].tobytes() == net.layers[0].biases.tobytes()
             assert chains.output_weights[k, :width].tobytes() == net.output_weights.tobytes()
             assert chains.output_biases[k] == net.output_bias
-            assert np.array_equal(active[k, :n, :width], ActivitySets.from_network(net, ds.points).active)
+            assert np.array_equal(active[k, :n, :width], net.hidden_activations(ds.points)[0])
             assert not active[k, :, width:].any()  # padding units never fire
         assert ours.random() == theirs.random()
 
@@ -766,7 +795,7 @@ def test_chain_width_audit_reports_a_lost_unit_as_the_oracle_does():
     # unit 0 reads the first coordinate with a negative weight: active at x1 = 0 only
     layer = ThresholdLayer([[-1.0, 0.0], [1.0, 1.0]], [0.5, -2.5])
     net = ThresholdNetwork((layer,), [1.0, 1.0], 0.0)
-    active = ActivitySets.from_network(net, ds.points).active
+    active = net.hidden_activations(ds.points)[0]
     loss, repeat = audit._chain_width_analysis(active[None], np.array([ds.n]))
     report = audit._chain_width_report(active, int(loss[0]), int(repeat[0]), None, ds.labels)
     assert json.dumps(report.to_dict()) == json.dumps(chain_width_audit_oracle(net, ds).to_dict())
@@ -794,20 +823,22 @@ def test_falsified_chain_width_campaign_reports_the_same_network(monkeypatch, st
 
 
 def test_activity_sets_run_only_the_first_layer(monkeypatch):
+    # chain_width_audit runs the whole network only on the pair at a repeat
     rng = np.random.default_rng(19)
-    dense = random_monotone_network(rng, 3, (5, 4, 3))
-    built, _ = build_interpolator(random_chain_dataset(rng, 6, 3))
-    points = rng.random((40, 3)) * 3
-    nets = (dense, built)
-    before = [net.hidden_activations(points)[0] != 0 for net in nets]
+    ds = random_chain_dataset(rng, 40, 3)
+    dense = random_monotone_network(rng, 3, (5, 4, 3), bias_scale=float(ds.points.max() * 3 + 1.0))
+    chain = random_chain_dataset(rng, 6, 3)
+    built, _ = build_interpolator(chain)
     calls = []
     forward = ThresholdLayer.forward
     monkeypatch.setattr(ThresholdLayer, "forward", lambda self, A: calls.append(self) or forward(self, A))
-    for net, want in zip(nets, before):
+    repeats = []
+    for net, data in ((dense, ds), (built, chain)):
         assert len(net.layers) == 3
-        active = ActivitySets.from_network(net, points).active
-        assert active.dtype == bool and np.array_equal(active, want)
-        assert len(calls) == 1 and calls.pop() is net.layers[0]
+        repeats.append("pigeonhole_index" in chain_width_audit(net, data).details)
+        assert calls == [net.layers[0], *(net.layers if repeats[-1] else ())]
+        calls.clear()
+    assert repeats == [True, False]
 
 
 def test_random_chain_dataset_is_validated_and_canonical():
@@ -827,11 +858,11 @@ def test_activity_sets_match_per_point_sets():
             active = np.logical_or.accumulate(active, axis=0)
         sets = [frozenset(np.flatnonzero(row).tolist()) for row in active]
         pairs = list(zip(sets, sets[1:]))
-        activity = ActivitySets(active)
-        assert activity.is_ascending() == all(a <= b for a, b in pairs)
-        assert activity.is_strictly_ascending() == all(a < b for a, b in pairs)
-        assert activity.first_repeat() == next((i for i, (a, b) in enumerate(pairs) if a == b), None)
-        assert activity.first_loss() == next((i for i, (a, b) in enumerate(pairs) if not a <= b), None)
+        # padding rows past the chain's length must not count
+        padded = np.vstack((active, rng.random((int(rng.integers(0, 4)), width)) < 0.5))
+        loss, repeat = audit._chain_width_analysis(padded[None], np.array([n]))
+        assert loss[0] == next((i for i, (a, b) in enumerate(pairs) if not a <= b), -1)
+        assert repeat[0] == next((i for i, (a, b) in enumerate(pairs) if a == b), -1)
 
 
 def test_depth2_campaign_memory_is_bounded_at_the_largest_d():

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -598,10 +599,19 @@ class TestInvalidInput:
         "audit --check bogus",
         "approx --fn mean --d 1 --L 1 --eps 0.5 --probes=--",
         "approx --fn mean --d 1 --L=-- --eps 0.5",
+        "approx --fn mean --d 1 --L 1 --eps 0.5 --probes -5",
+        "approx --fn constant:inf --d 1 --L 1 --eps 0.1",
+        "matchprob --n 2 --p 0.5 --mode estimate --eps 1e-155",
+        "matchprob --n 2 --p 0.5 --mode estimate --eps 1e-300",
+        "audit --check monotone --net {data}/v2_network.json --box 0 inf",
+        "audit --check monotone --net {data}/v2_network.json --samples 2000000000",
         "",
     ])
     def test_exit_2_with_one_json_line(self, argv, capsys):
-        assert main(argv.split()) == 2
+        # a warning would print on stderr ahead of the diagnostic; here it raises instead
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv.format(data=Path(__file__).parent / "data").split()) == 2
         diagnostic(capsys.readouterr().err)
 
     @pytest.mark.parametrize("argv", [
@@ -671,6 +681,7 @@ BAD_VALUES = {
         "--d": bad_int(0),
         "--L": bad_float(lambda x: x > 0),
         "--eps": bad_float(lambda x: x > 0),
+        "--probes": bad_int(-1),
         "--budget": bad_int(0),
         "--seed": bad_int(-1),
     },

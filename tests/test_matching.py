@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -408,7 +409,7 @@ class TestEstimator:
         p = EdgeProbabilityMatrix.uniform(3, 0.4)
         cfg = EstimatorConfig(bits=12, samples=2000, seed=9)
         assert estimate_matching_probability(p, cfg) == estimate_matching_probability(p, cfg)
-        other = estimate_matching_probability(p, cfg.with_seed(10))
+        other = estimate_matching_probability(p, dataclasses.replace(cfg, seed=10))
         assert other != estimate_matching_probability(p, cfg)
 
     def test_truncation_is_applied(self):
@@ -500,6 +501,14 @@ class TestDefaultParameters:
                 # bits is the least with n**2 * 2**-bits <= eps/64
                 assert n * n * 2.0**-cfg.bits <= eps / 64 < n * n * 2.0 ** (1 - cfg.bits)
                 assert cfg.delta == eps - n * n * 2.0**-cfg.bits
+
+    @pytest.mark.parametrize("n, eps", [(2, 1e-155), (2, 1e-300), (2, 5e-324), (10**400, 0.1)],
+                             ids=["eps-1e-155", "eps-1e-300", "eps-5e-324", "n-1e400"])
+    def test_count_past_the_float_range_refused(self, n, eps):
+        # delta**2 is subnormal (1e-155) or 0 (1e-300), 64 * n**2 / eps overflows (5e-324),
+        # or n is past the float range: no finite count exists
+        with pytest.raises(TooLarge, match="float range"):
+            default_parameters(n, eps, 1e-6)
 
     def test_bits_clamped(self):
         cfg = default_parameters(1, 0.999, 0.5)
