@@ -101,10 +101,10 @@ def empirical_lipschitz(values: Sequence[float], grid: GridSpec) -> float:
     gaps = np.diff(np.asarray(grid.axis_points))
     worst = 0.0
     for ax in range(grid.dimension):
-        dv = np.abs(np.diff(V, axis=ax))
         gap_shape = [1] * grid.dimension
         gap_shape[ax] = len(gaps)
-        rate = dv / gaps.reshape(gap_shape)
+        with np.errstate(over="ignore"):  # a rate past the float range is inf
+            rate = np.abs(np.diff(V, axis=ax)) / gaps.reshape(gap_shape)
         if rate.size:
             worst = max(worst, float(rate.max()))
     return worst

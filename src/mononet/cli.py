@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 
 import numpy as np
@@ -84,7 +85,16 @@ def _diagnostic(kind: str, message: str, **extra) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises usage errors as :class:`InvalidArgument` instead of exiting."""
+    """Raises usage errors as :class:`InvalidArgument` instead of exiting.
+
+    A negative number in exponent notation, such as ``-1e-3``, is a value,
+    not a flag; argparse on Python 3.10-3.12 reads only ``-1`` and ``-.5``
+    forms as numbers.  Subparsers are built from this class too.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         raise InvalidArgument(message)
@@ -181,7 +191,8 @@ def _config_argv(parser: argparse.ArgumentParser, config: dict, argv: list[str])
     """``argv`` with the config's values as flags right after the subcommand.
 
     A scalar becomes ``--flag=value``, so a value that starts with ``-`` stays
-    a value.  A list is accepted only for a fixed-``nargs`` flag at its length.
+    a value.  A list is accepted only for a fixed-``nargs`` flag at its length,
+    and its numbers follow the flag as separate tokens.
     """
     flags = {
         name: {a.dest: a for a in sp._actions if a.option_strings and a.dest != "help"}
@@ -209,9 +220,8 @@ def _config_argv(parser: argparse.ArgumentParser, config: dict, argv: list[str])
                 raise InvalidArgument(f"config argument {flag}: expected a string or a number, got {v!r}")
         if action.nargs is None:
             tokens.append(f"{flag}={value}")
-        else:  # positional notation, so that argparse reads -1e-07 as a number, not a flag
-            tokens += [flag, *(np.format_float_positional(v, trim="-") if isinstance(v, float)
-                               else str(v) for v in values)]
+        else:
+            tokens += [flag, *map(str, values)]
     i = argv.index(command) + 1
     return argv[:i] + tokens + argv[i:]
 

@@ -305,19 +305,11 @@ class ThresholdLayer:
         dtype = np.min_scalar_type(fan_in + 1)
         return _readonly(np.clip(np.ceil(-self.biases), 0, fan_in + 1).astype(dtype))
 
-    def _counts(self, A: np.ndarray, dtype) -> np.ndarray:
-        """Each unit's count of set inputs, for a bool batch ``A``, in ``dtype``."""
-        U = A.view(np.uint8)
-        if self.kind == SELECT:
-            return U.take(self.weights.index, axis=1)
-        if self.kind == BLOCKS:
-            return np.einsum("rnk->rn", U.reshape(len(U), self.width, self.weights.size), dtype=dtype)
-        S = np.empty(U.shape, dtype)
-        np.cumsum(U[:, ::-1], axis=1, dtype=dtype, out=S[:, ::-1])
-        return S
+    def _sums(self, A: np.ndarray, W=None, dtype=None) -> np.ndarray:
+        """``A @ W.T`` as a new C-ordered array; a pattern sums in ``dtype``, by default ``A``'s.
 
-    def _sums(self, A: np.ndarray, W) -> np.ndarray:
-        """``A @ W.T`` as a new C-ordered array, for ``W`` the weights or the ints of ``_integers``."""
+        ``W`` is the weights, the ints of ``_integers``, or ``None`` for a pattern's plain counts.
+        """
         if self.kind == DENSE:
             # with one input each sum is one product, so np.dot, several times faster than @
             # on an inner dimension of 1, gives the same bits
@@ -327,10 +319,10 @@ class ThresholdLayer:
         elif self.kind == BLOCKS:
             S = A.reshape(len(A), self.width, self.weights.size)
             # np.einsum takes object arrays only from numpy 1.25 on
-            S = S.sum(axis=2) if A.dtype == object else np.einsum("rnk->rn", S)
+            S = S.sum(axis=2) if A.dtype == object else np.einsum("rnk->rn", S, dtype=dtype)
         else:
-            S = np.empty(A.shape, A.dtype)
-            np.cumsum(A[:, ::-1], axis=1, out=S[:, ::-1])
+            S = np.empty_like(A, dtype=dtype, order="C")
+            np.cumsum(A[:, ::-1], axis=1, dtype=dtype, out=S[:, ::-1])
         return S * W if isinstance(W, int) else S
 
     def forward(self, A: np.ndarray) -> np.ndarray:
@@ -366,7 +358,7 @@ class ThresholdLayer:
         if self.activation == THRESHOLD and self.kind != DENSE:
             if A.dtype == bool:
                 cuts = self._count_cuts
-                return self._counts(A, cuts.dtype) >= cuts
+                return self._sums(A.view(np.uint8), dtype=cuts.dtype) >= cuts
             if self.kind == SELECT:
                 return A.take(self.weights.index, axis=1) >= self._cuts
         if A.dtype == bool:

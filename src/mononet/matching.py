@@ -333,10 +333,9 @@ def estimate_matching_probability(p: EdgeProbabilityMatrix, cfg: EstimatorConfig
     graphs are drawn (edge present iff its uniform draw is < the truncated
     probability), and the perfect-matching fraction is returned.  Samples
     are drawn replica-major, so distinct replicas use independent stream
-    sections.  Each block of draws is deduplicated as it is drawn.  With more
-    than one block, the distinct graphs and their counts are merged at the
-    end and whenever they outgrow twice a block and the last merge, so
-    memory follows the distinct graphs.  Raises :class:`TooLarge` above
+    sections.  Each block of draws is deduplicated and its distinct graphs
+    are checked as it is drawn, so memory follows one block and only the
+    count of hits carries over.  Raises :class:`TooLarge` above
     ``ESTIMATE_MAX_DRAWS`` draws.
     """
     n = p.n
@@ -346,21 +345,13 @@ def estimate_matching_probability(p: EdgeProbabilityMatrix, cfg: EstimatorConfig
     max_rows = max(1, (1 << _CHUNK_BITS) // (n * n))
     width = (n + 7) // 8  # bytes per packed row
     graph = np.dtype((np.void, n * width))  # one packed graph as one opaque item
-    keys, counts = [], []
+    hits = 0
     for start in range(0, cfg.samples, max_rows):
         draws = rng.random((min(max_rows, cfg.samples - start), n, n))
         # bit j of row i (little-endian bytes) is edge (i, j)
         block = np.packbits(draws < trunc, axis=2, bitorder="little")
         uniq, count = np.unique(block.reshape(len(block), -1).view(graph), return_counts=True)
-        keys.append(uniq)
-        counts.append(count)
-        if len(keys) > 1 and (
-            start + max_rows >= cfg.samples or sum(map(len, keys)) > 2 * max(max_rows, len(keys[0]))
-        ):
-            uniq, inverse = np.unique(np.concatenate(keys), return_inverse=True)
-            keys, counts = [uniq], [np.bincount(inverse.ravel(), np.concatenate(counts))]
-    found = _perfect_matchings(keys[0], n, width)
-    hits = int(counts[0][found].sum())  # integer or float counts, exact below 2**53
+        hits += int(count[_perfect_matchings(uniq, n, width)].sum())
     return hits / cfg.samples
 
 

@@ -343,6 +343,14 @@ class TestApprox:
         table = write(tmp_path / "table.csv", "0,0\n0.5,0.5\n1,1\n")
         assert main(["approx", "--table", table, "--d", "1", "--L", "1", "--eps", "0.5"]) == 0
 
+    def test_slope_past_the_float_range_warns_only_of_lipschitz(self, tmp_path, capsys):
+        table = write(tmp_path / "table.csv", "0,-1e308\n0.5,0\n1,1e308\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["approx", "--table", table, "--d", "1", "--L", "1", "--eps", "0.5"]) == 0
+        assert [w.category for w in caught] == [UserWarning]
+        assert "slope inf" in str(caught[0].message)
+
     @pytest.mark.parametrize("table", ["0,0,0,0\n1,1,1,1\n", "0,0\n1,1\n"])
     def test_table_dimension_must_match_d(self, tmp_path, table, capsys):
         path = write(tmp_path / "table.csv", table)
@@ -613,6 +621,20 @@ class TestInvalidInput:
             warnings.simplefilter("error")
             assert main(argv.format(data=Path(__file__).parent / "data").split()) == 2
         diagnostic(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("argv, message", [
+        ("audit --check monotone --net {data}/v2_network.json --box -1e-3 1 --samples 20", None),
+        ("approx --fn mean --d 1 --L -1e-3 --eps 0.5", "Lipschitz bound must be positive and finite"),
+        ("approx --fn mean --d 1 --L 1 --eps -1e-3", "accuracy must be positive and finite"),
+    ])
+    def test_negative_exponent_numbers_are_values(self, argv, message, capsys):
+        code = main(argv.format(data=Path(__file__).parent / "data").split())
+        if message is None:
+            assert code == 0
+            assert "verdict: pass" in capsys.readouterr().out
+        else:
+            assert code == 2
+            assert diagnostic(capsys.readouterr().err)["message"].startswith(message)
 
     @pytest.mark.parametrize("argv", [
         "eval {deep} {points}",

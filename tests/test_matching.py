@@ -619,12 +619,23 @@ class TestStructuralProbes:
             monotone_probe_m(1, 7, seed=0)
 
 
-def test_estimator_memory_follows_distinct_graphs(monkeypatch):
-    # p = 1 gives the same graph in every sample; at one sample per block of
-    # draws, holding each block's key until the end would grow with the samples
-    monkeypatch.setattr(matching, "_CHUNK_BITS", 10)  # 2**10 uniforms: one 32 x 32 sample
-    p = EdgeProbabilityMatrix.uniform(32, 1.0)
-    cfg = EstimatorConfig(bits=8, samples=6000, seed=3)
+@pytest.mark.parametrize(
+    "n, prob, chunk_bits, samples, bound",
+    [
+        # p = 1 gives the same graph in every sample; at one sample per block
+        # of draws, holding each block's key until the end would grow with the
+        # samples (4.7 MB)
+        (32, 1.0, 10, 6000, 500_000),
+        # random p gives distinct graphs in every block; holding them until the
+        # end would grow as samples * n**2 / 8 bytes plus decoded rows (13.7 MB)
+        (64, 0.5, 14, 4000, 1_000_000),
+    ],
+    ids=["p=1", "p=0.5"],
+)
+def test_estimator_memory_follows_one_block(monkeypatch, n, prob, chunk_bits, samples, bound):
+    monkeypatch.setattr(matching, "_CHUNK_BITS", chunk_bits)
+    p = EdgeProbabilityMatrix.uniform(n, prob)
+    cfg = EstimatorConfig(bits=8, samples=samples, seed=3)
     estimate_matching_probability(p, EstimatorConfig(bits=8, samples=2))  # first calls import
     tracemalloc.start()
     try:
@@ -633,7 +644,7 @@ def test_estimator_memory_follows_distinct_graphs(monkeypatch):
     finally:
         tracemalloc.stop()
     assert estimate == 1.0
-    assert peak < 500_000, peak  # 4.7 MB when every block's key is kept
+    assert peak < bound, peak
 
 
 def test_hall_check_memory_is_planned_per_slice(monkeypatch):
