@@ -25,7 +25,7 @@ import numpy as np
 
 from .construct import build_interpolator
 from .core import ThresholdNetwork, validate_dataset
-from .errors import GridTooLarge, InvalidArgument, InvalidNumber
+from .errors import GridTooLarge, InvalidArgument
 from .io import parse_float
 
 DEFAULT_GRID_BUDGET = 10_000_000
@@ -36,14 +36,12 @@ class GridSpec:
     """A uniform sampling grid over [0,1]^d.
 
     ``axis_points`` are shared by every axis: multiples of ``spacing``
-    starting at 0, plus the endpoint 1.0.  ``count_bound`` is the nominal
-    ``(L*sqrt(d)/eps)**d`` size estimate reported alongside the exact count.
+    starting at 0, plus the endpoint 1.0.
     """
 
     dimension: int
     spacing: float
     axis_points: tuple[float, ...]
-    count_bound: float
 
     @property
     def points_per_axis(self) -> int:
@@ -90,8 +88,7 @@ def plan_grid(
     axis = [k * spacing for k in range(last + 1)]
     if axis[-1] < 1.0:
         axis.append(1.0)
-    bound = (lipschitz * math.sqrt(d) / eps) ** d
-    return GridSpec(dimension=d, spacing=spacing, axis_points=tuple(axis), count_bound=bound)
+    return GridSpec(dimension=d, spacing=spacing, axis_points=tuple(axis))
 
 
 def empirical_lipschitz(values: Sequence[float], grid: GridSpec) -> float:
@@ -127,8 +124,8 @@ def build_approximator(
     grid = plan_grid(d, lipschitz, eps, budget)
     points = list(grid.iter_points())
     values = np.array([float(f(p)) for p in points])
-    if not np.isfinite(values).all():  # before the slope check, whose differences would warn
-        raise InvalidNumber("labels must be finite")
+    # build first: samples that cannot be built (a label not finite, say) are refused with no warning
+    net, _ = build_interpolator(validate_dataset(np.array(points), values))
     observed = empirical_lipschitz(values, grid)
     if observed > lipschitz * (1 + 1e-9):
         warnings.warn(
@@ -136,8 +133,6 @@ def build_approximator(
             f"Lipschitz bound {lipschitz:.6g}; the error guarantee may not hold",
             stacklevel=2,
         )
-    ds = validate_dataset(np.array(points), values)
-    net, _ = build_interpolator(ds)
     return net
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -85,14 +85,14 @@ class AuditReport:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "passed": self.passed,
-            "witness": self.witness,
-            "samples": self.samples,
-            "seed": self.seed,
-            "details": self.details,
-        }
+        return asdict(self)
+
+
+def _sample_failure(check: str, index: int, witness: dict, samples: int, seed: int) -> AuditReport:
+    """The failed report of a campaign whose sample ``index`` failed with ``witness``."""
+    return AuditReport(
+        check, passed=False, witness={"sample_index": index, **witness}, samples=samples, seed=seed
+    )
 
 
 def certify_monotone_structure(net: ThresholdNetwork) -> AuditReport:
@@ -469,23 +469,6 @@ def _symmetric(u, scale: float):
     return -scale + (scale + scale) * u
 
 
-def random_monotone_network(
-    rng: np.random.Generator,
-    input_dim: int,
-    widths: tuple[int, ...],
-    activation: str = THRESHOLD,
-    bias_scale: float = 1.0,
-    output_bias_scale: float = 1.0,
-) -> ThresholdNetwork:
-    """Random network with U[0,1] weights and symmetric uniform biases.
-
-    The bias range should roughly cover the input scale times fan-in so that
-    units land on both sides of their thresholds.
-    """
-    u = _network_draw(rng, input_dim, widths)
-    return _network_from_draw(u, input_dim, widths, activation, bias_scale, output_bias_scale)
-
-
 def _network_parts(
     u: np.ndarray, input_dim: int, widths: tuple[int, ...]
 ) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray, np.float64]:
@@ -503,36 +486,14 @@ def _network_parts(
     return layers, u[at:-1], u[-1]
 
 
-def _network_from_draw(
-    u: np.ndarray,
-    input_dim: int,
-    widths: tuple[int, ...],
-    activation: str,
-    bias_scale: float,
-    output_bias_scale: float,
-) -> ThresholdNetwork:
-    """The network of :func:`random_monotone_network` from its :func:`_network_draw` ``u``."""
-    layers, output_weights, output_bias = _network_parts(u, input_dim, widths)
-    return ThresholdNetwork(
-        tuple(ThresholdLayer(w, _symmetric(b, bias_scale), activation) for w, b in layers),
-        output_weights,
-        float(_symmetric(output_bias, output_bias_scale)),
-    )
-
-
-def random_chain_dataset(rng: np.random.Generator, n: int, d: int) -> MonotoneDataset:
-    """Random coordinatewise chain with strictly increasing labels.
+def _random_chain(rng: np.random.Generator, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The points (n, d) and labels (n,) of a random coordinatewise chain.
 
     Consecutive points differ by a nonnegative increment that is zero in a
     random subset of coordinates (never all of them), exercising the
     separating-coordinate selection.  The points increase and so do the
-    labels, so the pairs are already a valid dataset in canonical order.
+    labels, so the arrays are already a valid dataset in canonical order.
     """
-    return MonotoneDataset(*_random_chain(rng, n, d))
-
-
-def _random_chain(rng: np.random.Generator, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The points (n, d) and labels (n,) of :func:`random_chain_dataset`, as plain arrays."""
     steps = 0.01 + rng.random((n, d))
     if n > 1:
         mask = rng.random((n - 1, d)) < 0.5
@@ -587,13 +548,7 @@ def run_depth2_campaign(d: int, samples: int, seed: int) -> AuditReport:
         failed = np.flatnonzero(~audits.passed)
         if len(failed):
             k = int(failed[0])
-            return AuditReport(
-                "depth2",
-                passed=False,
-                witness={"sample_index": first + k, **audits.report(k).witness},
-                samples=samples,
-                seed=seed,
-            )
+            return _sample_failure("depth2", first + k, audits.report(k).witness, samples, seed)
         interpolated += int(np.count_nonzero(audits.interpolates))
     return AuditReport(
         "depth2",
@@ -621,7 +576,6 @@ class _ReluStack(NamedTuple):
     biases: np.ndarray  # (networks, CONVEXITY_MAX_DEPTH, CONVEXITY_MAX_WIDTH)
     output_weights: np.ndarray  # (networks, CONVEXITY_MAX_WIDTH)
     output_biases: np.ndarray  # (networks,)
-    draws: list[np.ndarray]  # each network's _network_draw
     widths: list[tuple[int, ...]]
     seeds: list[int]  # each network's probe seed
 
@@ -638,8 +592,13 @@ class _ReluStack(NamedTuple):
         return np.matmul(A, self.output_weights[:, :, None])[:, :, 0] + self.output_biases[:, None]
 
     def network(self, k: int) -> ThresholdNetwork:
-        """Network k on its own, as ``random_monotone_network`` built it."""
-        return _network_from_draw(self.draws[k], 1, self.widths[k], RELU, 1.0, 1.0)
+        """Network k on its own, from its rows of the stack, which hold the bits of its draw."""
+        fan_ins = (1, *self.widths[k])
+        layers = tuple(
+            ThresholdLayer(self.weights[k, i, :w, :f], self.biases[k, i, :w], RELU)
+            for i, (w, f) in enumerate(zip(self.widths[k], fan_ins))
+        )
+        return ThresholdNetwork(layers, self.output_weights[k, : fan_ins[-1]], float(self.output_biases[k]))
 
 
 def _relu_stack_doubles(rows: int) -> int:
@@ -669,7 +628,7 @@ def _random_relu_stack(
     output_weights = np.zeros((count, width))
     output_biases = np.empty(count)  # the U[0, 1) draws, scaled after the loop
     depths = np.empty(count, np.intp)
-    draws, widths, seeds = [], [], []
+    widths, seeds = [], []
     for s in range(count):
         depths[s] = depth = int(rng.integers(1, CONVEXITY_MAX_DEPTH + 1))
         shape = tuple(int(rng.integers(1, width + 1)) for _ in range(depth))
@@ -682,15 +641,12 @@ def _random_relu_stack(
         output_weights[s, : len(out_w)] = out_w
         # U then V, drawn as the probe draws them, (triples, 1) each
         inputs[s, : 2 * triples, 0] = np.random.default_rng(seed).random(2 * triples)
-        draws.append(u)
         widths.append(shape)
         seeds.append(seed)
     weights[depths[:, None] <= np.arange(CONVEXITY_MAX_DEPTH)] = np.eye(width)  # identity layers, bias 0
     inputs[:, 2 * triples : 3 * triples] = (inputs[:, :triples] + inputs[:, triples : 2 * triples]) / 2.0
     inputs[:, 3 * triples :, 0] = grid
-    return _ReluStack(
-        inputs, weights, biases, output_weights, _symmetric(output_biases, 1.0), draws, widths, seeds
-    )
+    return _ReluStack(inputs, weights, biases, output_weights, _symmetric(output_biases, 1.0), widths, seeds)
 
 
 def run_convexity_campaign(samples: int, seed: int) -> AuditReport:
@@ -755,25 +711,13 @@ def run_convexity_campaign(samples: int, seed: int) -> AuditReport:
             if flagged[k]:
                 report = relu_convexity_probe(net, triples, nets.seeds[k])
                 if not report.passed:
-                    return AuditReport(
-                        "convexity",
-                        passed=False,
-                        witness={"sample_index": first + k, **(report.witness or {})},
-                        samples=samples,
-                        seed=seed,
-                    )
+                    return _sample_failure("convexity", first + k, report.witness, samples, seed)
             if bounds[k] > min_gap + _REL_TOL * (1.0 + min_gap):
                 continue
             x, gap = sqrt_gap_witness(net)
             min_gap = min(min_gap, gap)
             if gap < SQRT_GAP_BOUND - _REL_TOL:
-                return AuditReport(
-                    "convexity",
-                    passed=False,
-                    witness={"sample_index": first + k, "x": x, "gap": gap},
-                    samples=samples,
-                    seed=seed,
-                )
+                return _sample_failure("convexity", first + k, {"x": x, "gap": gap}, samples, seed)
     details = {"min_sqrt_gap": float(min_gap)}
     return AuditReport("convexity", passed=True, samples=samples, seed=seed, details=details)
 
@@ -814,9 +758,9 @@ _CHAIN_DOUBLES = (
 def _random_chain_stack(rng: np.random.Generator, count: int) -> _ChainStack:
     """``count`` chains and networks drawn as ``run_chain_width_campaign`` draws them.
 
-    Each sample draws, in order, its length n, its dimension d, its chain,
-    its width and its network's parameters (one :func:`_network_draw`), as
-    a loop of ``random_chain_dataset`` and ``random_monotone_network`` does.
+    Each sample draws, in order, its length n, its dimension d, its chain
+    (one :func:`_random_chain`), its width and its network's parameters
+    (one :func:`_network_draw`).
     """
     points = np.zeros((count, CHAIN_MAX_POINTS, CHAIN_MAX_DIM))
     labels = np.zeros((count, CHAIN_MAX_POINTS))
@@ -879,13 +823,7 @@ def run_chain_width_campaign(samples: int, seed: int) -> AuditReport:
             report = _chain_width_report(
                 active[k, :n, :width], int(loss[k]), int(repeat[k]), outputs[k], chains.labels[k, :n]
             )
-            return AuditReport(
-                "chain-width",
-                passed=False,
-                witness={"sample_index": first + k, **(report.witness or {})},
-                samples=samples,
-                seed=seed,
-            )
+            return _sample_failure("chain-width", first + k, report.witness or {}, samples, seed)
     return AuditReport(
         "chain-width", passed=True, samples=samples, seed=seed, details={"witnessed": samples}
     )

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import csv
 import json
-import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -43,18 +42,13 @@ from .errors import SchemaError
 
 SCHEMA_VERSION = 3
 
-# Exactly the strings float() accepts, so that parsing never has to catch
-# its ValueError (digits may carry single underscores, as in 1_000).
-_DIGITS = r"\d+(?:_\d+)*"
-_FLOAT_TEXT = re.compile(
-    rf"\s*[+-]?(?:(?:(?:{_DIGITS})?\.{_DIGITS}|{_DIGITS}\.?)(?:[eE][+-]?{_DIGITS})?"
-    r"|(?i:inf|infinity|nan))\s*"
-)
-
 
 def parse_float(text: str) -> float | None:
     """``float(text)``, or None when ``text`` does not spell a number."""
-    return float(text) if _FLOAT_TEXT.fullmatch(text) else None
+    try:
+        return float(text)
+    except ValueError:
+        return None
 
 
 # -- CSV ----------------------------------------------------------------------
@@ -65,9 +59,10 @@ def _parse_rows(path) -> np.ndarray:
 
     Cells are stripped and blank ones dropped; a line of only blank cells is
     skipped, and a first line that is not numeric is a header.  Each line is
-    converted by one comprehension of ``float``, which accepts exactly the
-    strings :func:`parse_float` does, so a line is not numeric when it
-    raises ``ValueError``.
+    converted by one comprehension of ``float`` on the stripped cells, so a
+    line is not numeric when it raises ``ValueError``.  ``str.strip`` drops
+    more than ``float`` does (``\\x1c`` to ``\\x1f``, for one), so a cell
+    ``"\\x1c1"`` reads as 1.0 here, where :func:`parse_float` refuses it.
     """
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:

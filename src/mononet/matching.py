@@ -33,8 +33,8 @@ from .audit import AuditReport, require_positive
 from .errors import InvalidArgument, TooLarge
 
 # Largest n the exact oracle accepts.  The DP costs (families per row) *
-# 2**n steps per row, as array operations: about 1.1 ms at n = 5 and 23 ms
-# at n = 6 on a 2-vCPU host.  Its uint64 families hold n <= 6.
+# 2**n steps per row, as array operations: about 0.6 ms at n = 5 and 12 ms
+# at n = 6 on a 2-vCPU host with one BLAS thread.  Its uint64 families hold n <= 6.
 EXACT_MAX_N = 5
 # Most edge uniforms one estimate may draw (samples * n**2): n <= 1697 at
 # eps = 0.05 and n <= 680 at eps = 0.02 (fail_prob 1e-6).  A run at the cap

@@ -13,13 +13,19 @@ stored as weight patterns; it is the oracle for the pattern layers, and
 ``pairs_validate_oracle`` is the validator that took a list of
 (point, label) pairs, point by point, before ``validate_dataset`` took the
 two arrays; it is the oracle for the array checks.
+
+``random_monotone_network`` and ``random_chain_dataset`` draw one network
+or one chain as the audit campaigns draw theirs, from the campaigns' own
+draw helpers; they are the oracles for the campaigns' stacks.
 """
 
 from fractions import Fraction
 
 import numpy as np
 
+from mononet import audit
 from mononet.core import (
+    THRESHOLD,
     MonotoneDataset,
     ThresholdLayer,
     ThresholdNetwork,
@@ -29,6 +35,35 @@ from mononet.core import (
     validate_dataset,
 )
 from mononet.errors import DimensionMismatch, EmptyDataset, InvalidNumber, MonotoneViolation
+
+
+def random_monotone_network(
+    rng: np.random.Generator,
+    input_dim: int,
+    widths: tuple[int, ...],
+    activation: str = THRESHOLD,
+    bias_scale: float = 1.0,
+    output_bias_scale: float = 1.0,
+) -> ThresholdNetwork:
+    """Random network with U[0,1] weights and symmetric uniform biases, from one draw.
+
+    The bias range should roughly cover the input scale times fan-in so that
+    units land on both sides of their thresholds.  The helpers are looked up
+    on ``audit`` at each call, so a test that patches ``audit._network_draw``
+    patches this generator too.
+    """
+    u = audit._network_draw(rng, input_dim, widths)
+    layers, output_weights, output_bias = audit._network_parts(u, input_dim, widths)
+    return ThresholdNetwork(
+        tuple(ThresholdLayer(w, audit._symmetric(b, bias_scale), activation) for w, b in layers),
+        output_weights,
+        float(audit._symmetric(output_bias, output_bias_scale)),
+    )
+
+
+def random_chain_dataset(rng: np.random.Generator, n: int, d: int) -> MonotoneDataset:
+    """Random coordinatewise chain with strictly increasing labels, in canonical order."""
+    return MonotoneDataset(*audit._random_chain(rng, n, d))
 
 
 def random_monotone_score(rng: np.random.Generator, X: np.ndarray) -> np.ndarray:

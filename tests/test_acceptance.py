@@ -11,13 +11,17 @@ from itertools import product
 
 import numpy as np
 
-from conftest import dense_interpolator, densify, random_monotone_dataset
+from conftest import (
+    dense_interpolator,
+    densify,
+    random_chain_dataset,
+    random_monotone_dataset,
+    random_monotone_network,
+)
 from mononet.approx import build_approximator, plan_grid
 from mononet.audit import (
     certify_monotone_structure,
     chain_width_audit,
-    random_chain_dataset,
-    random_monotone_network,
     relu_convexity_probe,
     run_depth2_campaign,
     sqrt_gap_witness,

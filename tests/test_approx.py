@@ -44,10 +44,6 @@ class TestPlanGrid:
         grid = plan_grid(1, 1.0, 2.0)
         assert grid.axis_points == (0.0, 1.0)
 
-    def test_count_bound_reported(self):
-        grid = plan_grid(2, 1.0, 0.5)
-        assert math.isclose(grid.count_bound, (math.sqrt(2) / 0.5) ** 2)
-
     def test_budget(self):
         with pytest.raises(GridTooLarge):
             plan_grid(3, 1.0, 0.01, budget=10_000)

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import random_chain_dataset, random_monotone_network
 from mononet import audit
 from mononet.audit import (
     DEPTH2_MAX_WIDTH,
@@ -16,8 +17,6 @@ from mononet.audit import (
     depth2_counterexample,
     depth2_inequality_audit,
     probe_monotonicity,
-    random_chain_dataset,
-    random_monotone_network,
     relu_convexity_probe,
     run_chain_width_campaign,
     run_convexity_campaign,

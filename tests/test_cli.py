@@ -20,8 +20,9 @@ import mononet
 from mononet import cli
 from mononet.approx import BUILTIN_FUNCTIONS
 from mononet.cli import main
-from mononet.core import ThresholdLayer, ThresholdNetwork
-from mononet.io import load_network, save_network
+from mononet.construct import build_interpolator
+from mononet.core import ThresholdLayer, ThresholdNetwork, validate_dataset
+from mononet.io import load_network, network_to_dict, save_network
 
 
 def write(path, text):
@@ -351,6 +352,15 @@ class TestApprox:
         assert [w.category for w in caught] == [UserWarning]
         assert "slope inf" in str(caught[0].message)
 
+    def test_table_that_cannot_be_built_is_refused_without_a_warning(self, tmp_path, capsys):
+        # the two labels' step overflows the float range, so the network cannot be built
+        table = write(tmp_path / "table.csv", "0,-1e308\n1,1e308\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["approx", "--table", table, "--d", "1", "--L", "1", "--eps", "0.5"]) == 2
+        assert caught == []
+        assert diagnostic(capsys.readouterr().err)["error"] == "InvalidNumber"
+
     @pytest.mark.parametrize("table", ["0,0,0,0\n1,1,1,1\n", "0,0\n1,1\n"])
     def test_table_dimension_must_match_d(self, tmp_path, table, capsys):
         path = write(tmp_path / "table.csv", table)
@@ -636,6 +646,17 @@ class TestInvalidInput:
             assert code == 2
             assert diagnostic(capsys.readouterr().err)["message"].startswith(message)
 
+    def test_p_that_float_refuses_names_a_file(self, tmp_path, monkeypatch, capsys):
+        # str.split would drop the leading \x1c, but float() does not strip it
+        monkeypatch.chdir(tmp_path)
+        assert main(["matchprob", "--n", "2", "--p", "\x1c0.5"]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+    def test_constant_that_float_refuses_is_unknown(self, capsys):
+        assert main(["approx", "--fn", "constant:\x1f0.5", "--d", "1", "--L", "1", "--eps", "0.5"]) == 2
+        assert diagnostic(capsys.readouterr().err)["message"].startswith("unknown function")
+
     @pytest.mark.parametrize("argv", [
         "eval {deep} {points}",
         "audit --check structure --net {deep}",
@@ -806,3 +827,64 @@ def test_any_config_file_exits_cleanly(tmp_path_factory, case):
         assert "error" in json.loads(lines[0])
     else:  # an I/O error: a drawn path to a network, table or matrix that does not exist
         assert lines[0].startswith("error: ")
+
+
+def json_paths(doc, path=()):
+    """The path of every key and list entry under ``doc``, at any depth."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield (*path, key)
+        yield from json_paths(value, (*path, key))
+
+
+def valid_network_docs() -> list[dict]:
+    """Two valid version-3 documents: a built (exact, weight-pattern) network and a dense float one."""
+    built, _ = build_interpolator(validate_dataset([[2.0, 0.0], [0.0, 2.0], [1.0, 1.0]], [0.0, 0.0, 1.0]))
+    first = ThresholdLayer([[1.0, 0.5], [0.25, 0.0]], [-0.5, -0.125])
+    dense = ThresholdNetwork((first, ThresholdLayer([[1.0, 1.0]], [0.0], "relu")), [2.0], 0.5)
+    return [network_to_dict(built), network_to_dict(dense)]
+
+
+NETWORK_DOCS = valid_network_docs()
+NETWORK_FIELDS = [
+    (k, path)
+    for k, doc in enumerate(NETWORK_DOCS)
+    for path in json_paths({key: doc[key] for key in ("layers", "output", "version", "dimension", "exact")})
+]
+HOSTILE_VALUES = [None, True, False, 2**70, float("nan"), "abc", "", "1/0", [],
+                  [[0.0], [0.0, 1.0]], [1.0, [2.0]]]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(NETWORK_FIELDS), st.sampled_from(HOSTILE_VALUES))
+def test_hostile_network_json_exits_cleanly(tmp_path_factory, field, value):
+    k, path = field
+    doc = json.loads(json.dumps(NETWORK_DOCS[k]))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    base = tmp_path_factory.getbasetemp()
+    net = base / "hostile.json"
+    net.write_text(json.dumps(doc))
+    points = write(base / "hostile_points.csv", "0.5,1.5\n2,2\n")
+    for argv in (["eval", str(net), points],
+                 ["audit", "--check", "structure", "--net", str(net)],
+                 ["audit", "--check", "monotone", "--net", str(net), "--samples", "16"]):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            code = main(argv)
+        err = stderr.getvalue()
+        assert code in (0, 1, 2), (path, value, argv, code, err)
+        assert "Traceback" not in err
+        if code == 0:
+            continue
+        # a warning prints a line of its own on stderr ahead of the diagnostic
+        lines = err.splitlines() + [str(w.message) for w in caught]
+        assert len(lines) == 1, (path, value, argv, lines)
+        if code == 2:
+            assert "error" in json.loads(lines[0])
+        else:
+            assert lines[0].startswith("error: ")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_monotone_dataset
+from conftest import random_chain_dataset, random_monotone_dataset
 from mononet.construct import (
     build_chain_interpolator,
     build_interpolator,
@@ -15,7 +15,6 @@ from mononet.construct import (
 )
 from mononet import core
 from mononet.approx import build_approximator
-from mononet.audit import random_chain_dataset
 from mononet.core import ThresholdNetwork, is_totally_ordered, pairwise_leq, validate_dataset
 from mononet.errors import DuplicatePoint, InvalidArgument, InvalidNumber, NotTotallyOrdered
 
@@ -185,8 +184,6 @@ class TestChainInterpolator:
 
     def test_embedding_on_training_points(self):
         rng = np.random.default_rng(31)
-        from mononet.audit import random_chain_dataset
-
         for _ in range(10):
             ds = random_chain_dataset(rng, int(rng.integers(1, 12)), int(rng.integers(1, 4)))
             net, trace = build_chain_interpolator(ds)
@@ -197,8 +194,6 @@ class TestChainInterpolator:
 
     def test_agrees_with_general_builder_on_chain(self):
         rng = np.random.default_rng(32)
-        from mononet.audit import random_chain_dataset
-
         for _ in range(10):
             ds = random_chain_dataset(rng, int(rng.integers(1, 10)), int(rng.integers(1, 4)))
             chain_net, _ = build_chain_interpolator(ds)
@@ -244,8 +239,6 @@ class TestSeparatingCoordinate:
 
     def test_separates_all_smaller_points(self):
         rng = np.random.default_rng(41)
-        from mononet.audit import random_chain_dataset
-
         ds = random_chain_dataset(rng, 10, 4)
         for i in range(2, ds.n + 1):
             r, t = separating_coordinate(ds, i)

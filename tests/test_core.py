@@ -13,11 +13,11 @@ from conftest import (
     dense_weights,
     densify,
     pairs_validate_oracle,
+    random_chain_dataset,
     random_monotone_dataset,
     random_monotone_score,
 )
 from mononet import core
-from mononet.audit import random_chain_dataset
 from mononet.construct import build_chain_interpolator
 from mononet.core import (
     MonotoneDataset,
