@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .construct import build_interpolator
-from .core import ThresholdNetwork, validate_dataset
+from .core import ThresholdNetwork, canonical_dataset, validate_dataset
 from .errors import GridTooLarge, InvalidArgument
 from .io import parse_float
 
@@ -120,12 +120,23 @@ def build_approximator(
     (a violation on the samples raises :class:`MonotoneViolation`) and
     ``lipschitz`` must genuinely bound its slope for the error guarantee to
     hold; a steeper slope between samples triggers a warning.
+
+    The samples are checked by comparing neighbours along each axis, in
+    O(points * d): a step between comparable grid points is a sum of steps
+    along the axes, so by transitivity these pairs order every comparable
+    pair.  Samples that fail this check, or that are not finite, go through
+    :func:`validate_dataset` for its error.
     """
     grid = plan_grid(d, lipschitz, eps, budget)
     points = list(grid.iter_points())
     values = np.array([float(f(p)) for p in points])
+    points = np.array(points)
     # build first: samples that cannot be built (a label not finite, say) are refused with no warning
-    net, _ = build_interpolator(validate_dataset(np.array(points), values))
+    if np.isfinite(values).all() and _axis_monotone(values, grid):
+        ds = canonical_dataset(points, values)
+    else:
+        ds = validate_dataset(points, values)  # raises, naming the pair or the number
+    net, _ = build_interpolator(ds)
     observed = empirical_lipschitz(values, grid)
     if observed > lipschitz * (1 + 1e-9):
         warnings.warn(
@@ -134,6 +145,12 @@ def build_approximator(
             stacklevel=2,
         )
     return net
+
+
+def _axis_monotone(values: np.ndarray, grid: GridSpec) -> bool:
+    """Whether grid samples never fall along an axis, by comparison: a difference may overflow."""
+    V = values.reshape((grid.points_per_axis,) * grid.dimension)
+    return all((W[:-1] <= W[1:]).all() for W in (np.moveaxis(V, ax, 0) for ax in range(grid.dimension)))
 
 
 def constant_function(c: float) -> Callable[[tuple[float, ...]], float]:

@@ -38,6 +38,7 @@ from .core import (
     ThresholdLayer,
     ThresholdNetwork,
     is_totally_ordered,
+    row_blocks,
 )
 from .io import fraction_text
 from .errors import (
@@ -526,6 +527,11 @@ def _random_depth2_stack(
     return stack, np.cumsum(w) - w, _symmetric(np.array(out_biases), 1.0)
 
 
+def _depth2_sample_bytes(d: int) -> int:
+    """A network's planned bytes: its draw, weights, biases and activations, each at most this many doubles."""
+    return 4 * 8 * DEPTH2_MAX_WIDTH * (d + 2)
+
+
 def run_depth2_campaign(d: int, samples: int, seed: int) -> AuditReport:
     """Audit ``samples`` random monotone one-hidden-layer networks.
 
@@ -538,17 +544,14 @@ def run_depth2_campaign(d: int, samples: int, seed: int) -> AuditReport:
     require_positive(samples, "samples")
     depth2_counterexample(d)  # refuses a d too small or too large before the first network
     rng = np.random.default_rng(seed)
-    # a network's draw, weights, biases and activations take at most this many doubles each
-    doubles = DEPTH2_MAX_WIDTH * (d + 2)
-    stack = max(1, STACK_BYTES // (4 * 8 * doubles))
     interpolated = 0
-    for first in range(0, samples, stack):
-        net, starts, output_biases = _random_depth2_stack(rng, d, min(stack, samples - first))
+    for s in row_blocks(samples, _depth2_sample_bytes(d), STACK_BYTES):
+        net, starts, output_biases = _random_depth2_stack(rng, d, s.stop - s.start)
         audits = _depth2_audits(net, d, starts, output_biases)
         failed = np.flatnonzero(~audits.passed)
         if len(failed):
             k = int(failed[0])
-            return _sample_failure("depth2", first + k, audits.report(k).witness, samples, seed)
+            return _sample_failure("depth2", s.start + k, audits.report(k).witness, samples, seed)
         interpolated += int(np.count_nonzero(audits.interpolates))
     return AuditReport(
         "depth2",
@@ -601,14 +604,14 @@ class _ReluStack(NamedTuple):
         return ThresholdNetwork(layers, self.output_weights[k, : fan_ins[-1]], float(self.output_biases[k]))
 
 
-def _relu_stack_doubles(rows: int) -> int:
-    """A network's planned doubles in a stack of ``rows`` input rows each.
+def _relu_sample_bytes(rows: int) -> int:
+    """A network's planned bytes in a stack of ``rows`` input rows each.
 
     Its parameters; its inputs and values; the input and the output of a
     matmul, both live during it; and the output stage's product.
     """
     width = CONVEXITY_MAX_WIDTH
-    return CONVEXITY_MAX_DEPTH * width * (width + 1) + width + 1 + rows * (2 * width + 3)
+    return 8 * (CONVEXITY_MAX_DEPTH * width * (width + 1) + width + 1 + rows * (2 * width + 3))
 
 
 def _random_relu_stack(
@@ -696,10 +699,9 @@ def run_convexity_campaign(samples: int, seed: int) -> AuditReport:
     triples = CONVEXITY_TRIPLES
     xs, roots = _sqrt_grid(10000)  # the grid of sqrt_gap_witness at its default resolution
     coarse_xs, coarse_roots = xs[::SQRT_BOUND_STRIDE], roots[::SQRT_BOUND_STRIDE]
-    stack = max(1, STACK_BYTES // (8 * _relu_stack_doubles(3 * triples + len(coarse_xs))))
     min_gap = np.inf
-    for first in range(0, samples, stack):
-        nets = _random_relu_stack(rng, min(stack, samples - first), triples, coarse_xs)
+    for s in row_blocks(samples, _relu_sample_bytes(3 * triples + len(coarse_xs)), STACK_BYTES):
+        nets = _random_relu_stack(rng, s.stop - s.start, triples, coarse_xs)
         values = nets.values()
         fu, fv, fm = (values[:, i * triples : (i + 1) * triples] for i in range(3))
         slack = (_REL_TOL - 5e-10) * (1.0 + np.abs(fu) + np.abs(fv))
@@ -711,13 +713,13 @@ def run_convexity_campaign(samples: int, seed: int) -> AuditReport:
             if flagged[k]:
                 report = relu_convexity_probe(net, triples, nets.seeds[k])
                 if not report.passed:
-                    return _sample_failure("convexity", first + k, report.witness, samples, seed)
+                    return _sample_failure("convexity", s.start + k, report.witness, samples, seed)
             if bounds[k] > min_gap + _REL_TOL * (1.0 + min_gap):
                 continue
             x, gap = sqrt_gap_witness(net)
             min_gap = min(min_gap, gap)
             if gap < SQRT_GAP_BOUND - _REL_TOL:
-                return _sample_failure("convexity", first + k, {"x": x, "gap": gap}, samples, seed)
+                return _sample_failure("convexity", s.start + k, {"x": x, "gap": gap}, samples, seed)
     details = {"min_sqrt_gap": float(min_gap)}
     return AuditReport("convexity", passed=True, samples=samples, seed=seed, details=details)
 
@@ -747,8 +749,8 @@ class _ChainStack(NamedTuple):
         return Z >= 0.0
 
 
-# a chain's points and labels, its network's parameters and its pre-activations, in doubles
-_CHAIN_DOUBLES = (
+# twice the bytes of a chain's points and labels, its network's parameters and its pre-activations
+_CHAIN_SAMPLE_BYTES = 2 * 8 * (
     CHAIN_MAX_POINTS * (CHAIN_MAX_DIM + 1 + CHAIN_MAX_WIDTH)
     + CHAIN_MAX_WIDTH * (CHAIN_MAX_DIM + 2)
     + 1
@@ -804,10 +806,8 @@ def run_chain_width_campaign(samples: int, seed: int) -> AuditReport:
     """
     require_positive(samples, "samples")
     rng = np.random.default_rng(seed)
-    # twice a chain's doubles: its bool activity sets, masks and pairs take less than the rest
-    stack = max(1, STACK_BYTES // (2 * 8 * _CHAIN_DOUBLES))
-    for first in range(0, samples, stack):
-        chains = _random_chain_stack(rng, min(stack, samples - first))
+    for s in row_blocks(samples, _CHAIN_SAMPLE_BYTES, STACK_BYTES):
+        chains = _random_chain_stack(rng, s.stop - s.start)
         active = chains.activity()
         loss, repeat = _chain_width_analysis(active, chains.lengths)
         # the activity sets at each repeat and the one after it, through the output stage
@@ -823,7 +823,7 @@ def run_chain_width_campaign(samples: int, seed: int) -> AuditReport:
             report = _chain_width_report(
                 active[k, :n, :width], int(loss[k]), int(repeat[k]), outputs[k], chains.labels[k, :n]
             )
-            return _sample_failure("chain-width", first + k, report.witness or {}, samples, seed)
+            return _sample_failure("chain-width", s.start + k, report.witness or {}, samples, seed)
     return AuditReport(
         "chain-width", passed=True, samples=samples, seed=seed, details={"witnessed": samples}
     )

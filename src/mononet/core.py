@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -74,16 +74,25 @@ def threshold(z) -> int:
     return 1 if z >= 0 else 0
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
+def frozen(values, dtype=float) -> np.ndarray:
+    """A read-only C-ordered copy of ``values`` as ``dtype``.
+
+    It is always a copy: freezing the caller's own array in place would make
+    a later write to it raise, and a write through a view would change the
+    object that holds it.
+    """
+    a = np.array(values, dtype=dtype, order="C")
     a.flags.writeable = False
     return a
 
 
-def row_blocks(rows: int, row_bytes: int) -> list[slice]:
-    """Slices over ``rows`` rows, about ``CHUNK_BYTES`` of work each; at least one."""
-    step = max(1, CHUNK_BYTES // max(row_bytes, 1))
-    return [slice(s, s + step) for s in range(0, max(rows, 1), step)]
+def row_blocks(rows: int, row_bytes: int, budget: int | None = None) -> Iterator[slice]:
+    """Slices that partition ``range(rows)``, in order, into blocks of ``budget`` bytes (default
+    ``CHUNK_BYTES``) at ``row_bytes`` a row.  A larger row gets a slice of its own, and ``rows = 0``
+    one empty slice.  The slices are made as they are taken: a plan of many blocks holds none."""
+    budget = CHUNK_BYTES if budget is None else budget
+    step = max(1, budget // max(row_bytes, 1))
+    return (slice(s, min(s + step, rows)) for s in range(0, max(rows, 1), step))
 
 
 def pairwise_leq(points: np.ndarray, others: np.ndarray | None = None) -> np.ndarray:
@@ -112,8 +121,8 @@ class MonotoneDataset:
     labels: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "points", _readonly(np.asarray(self.points, float)))
-        object.__setattr__(self, "labels", _readonly(np.asarray(self.labels, float)))
+        object.__setattr__(self, "points", frozen(self.points))
+        object.__setattr__(self, "labels", frozen(self.labels))
         if self.points.ndim != 2 or self.labels.ndim != 1:
             raise DimensionMismatch("points must be (n, d), labels (n,)")
         if len(self.points) != len(self.labels):
@@ -174,7 +183,16 @@ def validate_dataset(points, labels) -> MonotoneDataset:
                 f"vs x={tuple(map(float, points[j]))} y={float(labels[j])}",
             )
 
-    # by label, then lexicographically by point, which extends the coordinatewise order
+    return canonical_dataset(points, labels)
+
+
+def canonical_dataset(points: np.ndarray, labels: np.ndarray) -> MonotoneDataset:
+    """The dataset of monotone, finite, distinct ``points`` and ``labels`` in canonical order.
+
+    The order is by label, then lexicographically by point, which extends the
+    coordinatewise order.  It checks nothing: :func:`validate_dataset` checks,
+    then calls it.
+    """
     order = np.lexsort((*points.T[::-1], labels))
     return MonotoneDataset(points[order], labels[order])
 
@@ -234,12 +252,12 @@ class ThresholdLayer:
     activation: str = THRESHOLD
 
     def __post_init__(self):
-        w, b = self.weights, np.asarray(self.biases, dtype=float)
+        w, b = self.weights, frozen(self.biases)
         if isinstance(w, WeightPattern):
             w, shape = _checked_pattern(w, b.size)
             kind = w.kind
         else:
-            w = _readonly(np.asarray(w, dtype=float))
+            w = frozen(w)
             kind, shape = DENSE, w.shape
         if len(shape) != 2 or b.ndim != 1 or shape[0] != b.shape[0]:
             raise DimensionMismatch(f"layer shapes disagree: weights {shape}, biases {b.shape}")
@@ -248,7 +266,7 @@ class ThresholdLayer:
         if self.activation not in _ACTIVATIONS:
             raise InvalidArgument(f"unknown activation {self.activation!r}")
         width, input_width = shape  # the class is frozen: set its fields in __dict__
-        vars(self).update(weights=w, biases=_readonly(b), kind=kind, width=width, input_width=input_width)
+        vars(self).update(weights=w, biases=b, kind=kind, width=width, input_width=input_width)
 
     def first_negative_weight(self) -> tuple[int, int] | None:
         """``(unit, input_index)`` of the first negative weight, if any."""
@@ -258,27 +276,28 @@ class ThresholdLayer:
     def float_exact(self, zero_one_input: bool) -> bool:
         """Can this layer be evaluated in float64 with provably exact results?
 
-        Two airtight cases:
+        Three airtight cases, for threshold activations only (they
+        re-quantize to 0/1):
 
         * every row holds at most one nonzero weight, equal to 1.0: each
           pre-activation is a single ``a + b`` whose sign (and zeroness) is
           exact in IEEE-754 arithmetic;
-        * the incoming activations are exactly 0/1 and weights and biases
-          are integers small enough that all sums stay below 2**53.
-
-        Only threshold activations qualify (they re-quantize to 0/1).
+        * a weight pattern on 0/1 input: :meth:`forward` counts the set
+          inputs exactly and compares the count with ``ceil(-b)``, which is
+          exact for any bias;
+        * dense weights on 0/1 input, with weights and biases integers small
+          enough that all sums stay below 2**53.
         """
         if self.activation != THRESHOLD:
             return False
         w, b = self.weights, self.biases
         if self.kind == SELECT:  # one weight 1.0 per row, the first case
             return True
-        if self.kind != DENSE:  # 0/1 weights, at most input_width of them per row
-            w, sums = 1.0, self.input_width
-        elif np.all(np.count_nonzero(w, axis=1) <= 1) and np.all(w[w != 0] == 1.0):
+        if self.kind != DENSE:
+            return zero_one_input
+        if np.all(np.count_nonzero(w, axis=1) <= 1) and np.all(w[w != 0] == 1.0):
             return True
-        else:
-            sums = np.abs(w).sum(axis=1)
+        sums = np.abs(w).sum(axis=1)
         integers = np.all(w == np.rint(w)) and np.all(b == np.rint(b))
         return bool(zero_one_input and integers and np.all(sums + np.abs(b) < _EXACT_INT_LIMIT))
 
@@ -292,7 +311,7 @@ class ThresholdLayer:
     @cached_property
     def _cuts(self) -> np.ndarray:
         """``-biases``: a select unit on a float input ``x`` fires iff ``x >= -b``."""
-        return _readonly(-self.biases)
+        return frozen(-self.biases)
 
     @cached_property
     def _count_cuts(self) -> np.ndarray:
@@ -303,7 +322,7 @@ class ThresholdLayer:
         """
         fan_in = {SELECT: 1, BLOCKS: self.weights.size}.get(self.kind, self.input_width)
         dtype = np.min_scalar_type(fan_in + 1)
-        return _readonly(np.clip(np.ceil(-self.biases), 0, fan_in + 1).astype(dtype))
+        return frozen(np.clip(np.ceil(-self.biases), 0, fan_in + 1), dtype)
 
     def _sums(self, A: np.ndarray, W=None, dtype=None) -> np.ndarray:
         """``A @ W.T`` as a new C-ordered array; a pattern sums in ``dtype``, by default ``A``'s.
@@ -379,7 +398,7 @@ def _checked_pattern(w: WeightPattern, width: int) -> tuple[WeightPattern, tuple
         if index.ndim == 1 and index.dtype.kind in "iu" and (
             index.size == 0 or (index.min() >= 0 and index.max() < w.size)
         ):
-            return w._replace(index=_readonly(index.astype(np.intp))), (index.size, w.size)
+            return w._replace(index=frozen(index, np.intp)), (index.size, w.size)
     elif sized and w.index is None and (w.kind == BLOCKS or (w.kind, w.size) == (SUFFIX, 1)):
         return w, (width, width * w.size)
     raise InvalidArgument(f"invalid weight pattern {(w.kind, w.size)!r}")
@@ -425,7 +444,7 @@ def _coerce_output(weights, bias):
         raise DimensionMismatch(f"output weights must be a vector, got shape {w.shape}")
     if not (np.isfinite(w).all() and math.isfinite(b)):
         raise InvalidNumber("output weights and bias must be finite")
-    w = _readonly(w)
+    w = frozen(w)
     if not exact:
         weights, bias = w, b
     return weights, bias, exact, (w, b)

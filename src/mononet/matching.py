@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audit import AuditReport, require_positive
+from .core import frozen, row_blocks
 from .errors import InvalidArgument, TooLarge
 
 # Largest n the exact oracle accepts.  The DP costs (families per row) *
@@ -40,8 +41,8 @@ EXACT_MAX_N = 5
 # eps = 0.05 and n <= 680 at eps = 0.02 (fail_prob 1e-6).  A run at the cap
 # (n = 351, 69,642 samples, p = 1) took 17 s and 561 MB peak RSS on a 2-vCPU host.
 ESTIMATE_MAX_DRAWS = 2**33
-_CHUNK_BITS = 20  # the estimator draws at most 2**20 edge uniforms per block
-_HALL_BYTES = 1 << 22  # the Hall check plans at most this many bytes per slice of graphs
+_DRAW_BYTES = 1 << 23  # the estimator draws at most this many bytes of edge uniforms per block
+_HALL_BYTES = 1 << 22  # at n <= 8, a block's draws or Hall table take at most this many bytes
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,13 +52,11 @@ class EdgeProbabilityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        e = np.asarray(self.entries, dtype=float)
+        e = frozen(self.entries)
         if e.ndim != 2 or e.shape[0] != e.shape[1] or e.shape[0] < 1:
             raise InvalidArgument(f"entries must be a square matrix, got shape {e.shape}")
         if not np.isfinite(e).all() or e.min() < 0 or e.max() > 1:
             raise InvalidArgument("edge probabilities must lie in [0, 1]")
-        e = np.ascontiguousarray(e)
-        e.flags.writeable = False
         object.__setattr__(self, "entries", e)
 
     @property
@@ -333,23 +332,27 @@ def estimate_matching_probability(p: EdgeProbabilityMatrix, cfg: EstimatorConfig
     graphs are drawn (edge present iff its uniform draw is < the truncated
     probability), and the perfect-matching fraction is returned.  Samples
     are drawn replica-major, so distinct replicas use independent stream
-    sections.  Each block of draws is deduplicated and its distinct graphs
-    are checked as it is drawn, so memory follows one block and only the
-    count of hits carries over.  Raises :class:`TooLarge` above
-    ``ESTIMATE_MAX_DRAWS`` draws.
+    sections.  Each block of :func:`core.row_blocks` is drawn, packed,
+    deduplicated and checked before the next, so memory follows one block
+    and only the count of hits carries over.  Its draws take at most
+    ``_DRAW_BYTES``; at n <= 8 its draws or its Hall table take at most
+    ``_HALL_BYTES``.  The estimate does not depend on the blocks.  Raises
+    :class:`TooLarge` above ``ESTIMATE_MAX_DRAWS`` draws.
     """
     n = p.n
     require_estimate_size(n, cfg.samples)
     trunc = truncate_probabilities(p, cfg.bits).entries
     rng = np.random.default_rng(cfg.seed)
-    max_rows = max(1, (1 << _CHUNK_BITS) // (n * n))
     width = (n + 7) // 8  # bytes per packed row
     graph = np.dtype((np.void, n * width))  # one packed graph as one opaque item
+    if width == 1:  # a sample's draws, or its Hall table (see _perfect_matchings)
+        blocks = row_blocks(cfg.samples, max(8 * n * n, (2 << n) + n), _HALL_BYTES)
+    else:
+        blocks = row_blocks(cfg.samples, 8 * n * n, _DRAW_BYTES)
     hits = 0
-    for start in range(0, cfg.samples, max_rows):
-        draws = rng.random((min(max_rows, cfg.samples - start), n, n))
+    for s in blocks:
         # bit j of row i (little-endian bytes) is edge (i, j)
-        block = np.packbits(draws < trunc, axis=2, bitorder="little")
+        block = np.packbits(rng.random((s.stop - s.start, n, n)) < trunc, axis=2, bitorder="little")
         uniq, count = np.unique(block.reshape(len(block), -1).view(graph), return_counts=True)
         hits += int(count[_perfect_matchings(uniq, n, width)].sum())
     return hits / cfg.samples
@@ -362,31 +365,22 @@ def _perfect_matchings(graphs: np.ndarray, n: int, width: int) -> np.ndarray:
     perfect matching exists iff every set S of rows sees at least |S|
     columns.  The neighbourhoods of all 2**n row sets of all graphs are one
     (2**n, graphs) ``uint8`` table, built by doubling: N[S] = N[S without
-    its top row] | that row.  The table grows as 2**n per graph, so wider
-    rows go to :func:`_matches` one graph at a time, which is faster there.
-    The table is built over slices of graphs planned to at most
-    ``_HALL_BYTES`` each.
+    its top row] | that row, in one pass: ``2**(n+1) + n`` bytes per graph
+    with a scratch table and the rows.  The table grows as 2**n per graph, so
+    wider rows go to :func:`_matches` one graph at a time, faster there.
     """
     if width > 1:
         return np.fromiter(map(_matches, _decode_rows(graphs, n, width)), bool, len(graphs))
-    rows = graphs.view("<u1").reshape(-1, n)
+    cols = np.ascontiguousarray(graphs.view("<u1").reshape(-1, n).T)  # cols[i]: row i of every graph
     sets = np.arange(1 << n, dtype=np.uint8)
     slack = (np.uint8(n) - _popcount8(sets, np.empty_like(sets)))[:, None]  # n - |S|
-    per_graph = (2 << n) + n  # the table, one scratch table and the graph's rows
-    step = max(1, _HALL_BYTES // per_graph)
-    found = np.empty(len(rows), dtype=bool)
-    hoods = np.empty((1 << n, min(step, len(rows))), dtype=np.uint8)
-    scratch = np.empty_like(hoods)
-    for start in range(0, len(rows), step):
-        cols = np.ascontiguousarray(rows[start : start + step].T)  # cols[i]: row i of every graph
-        table = hoods[:, : cols.shape[1]]
-        table[0] = 0
-        for i in range(n):
-            np.bitwise_or(table[: 1 << i], cols[i], out=table[1 << i : 2 << i])
-        _popcount8(table, scratch[:, : cols.shape[1]])
-        table += slack  # |N(S)| + n - |S| <= 2n, and >= n iff |N(S)| >= |S|
-        found[start : start + step] = table.min(axis=0) >= n
-    return found
+    table = np.empty((1 << n, len(graphs)), dtype=np.uint8)
+    table[0] = 0
+    for i in range(n):
+        np.bitwise_or(table[: 1 << i], cols[i], out=table[1 << i : 2 << i])
+    _popcount8(table, np.empty_like(table))
+    table += slack  # |N(S)| + n - |S| <= 2n, and >= n iff |N(S)| >= |S|
+    return table.min(axis=0) >= n
 
 
 def _popcount8(x: np.ndarray, t: np.ndarray) -> np.ndarray:

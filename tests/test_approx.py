@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mononet import approx
 from mononet.approx import (
     BUILTIN_FUNCTIONS,
     build_approximator,
@@ -14,6 +15,8 @@ from mononet.approx import (
     plan_grid,
     resolve_function,
 )
+from mononet.construct import build_interpolator
+from mononet.core import validate_dataset
 from mononet.errors import GridTooLarge, InvalidArgument, InvalidNumber, MonotoneViolation
 
 
@@ -161,6 +164,39 @@ class TestBuildApproximator:
     def test_non_monotone_rejected(self):
         with pytest.raises(MonotoneViolation):
             build_approximator(lambda x: -x[0], 1, 1.0, 0.25)
+
+    def test_a_monotone_grid_is_built_without_the_pairwise_check(self, monkeypatch):
+        monkeypatch.setattr(approx, "validate_dataset", lambda *args: pytest.fail("checked pairwise"))
+        targets = [(min, 2), (max, 3), (lambda x: 0.5, 2), (lambda x: sum(x) / len(x), 2), (lambda x: x[0], 1)]
+        for f, d in targets:
+            net = build_approximator(f, d, 1.0, 0.3)
+            points = np.array(list(plan_grid(d, 1.0, 0.3).iter_points()))
+            want, _ = build_interpolator(validate_dataset(points, [f(tuple(p)) for p in points.tolist()]))
+            assert [l.biases.tobytes() for l in net.layers] == [l.biases.tobytes() for l in want.layers]
+            assert (net.output_weights, net.output_bias) == (want.output_weights, want.output_bias)
+
+    def test_a_falling_grid_names_the_pair_validate_dataset_names(self):
+        rng = np.random.default_rng(6)
+        falling = 0
+        for _ in range(40):
+            d = int(rng.integers(1, 4))
+            points = list(plan_grid(d, 1.0, 0.6).iter_points())
+            values = np.array([sum(p) for p in points])
+            values[rng.integers(len(values), size=int(rng.integers(1, 3)))] += rng.choice([-2.0, 2.0])
+            f = dict(zip(points, values.tolist())).__getitem__
+            try:
+                validate_dataset(np.array(points), values)
+            except MonotoneViolation as err:
+                want = err
+            else:  # a raised top or a lowered bottom: monotone, and steeper than L
+                with pytest.warns(UserWarning, match="Lipschitz"):
+                    build_approximator(f, d, 1.0, 0.6)
+                continue
+            falling += 1
+            with pytest.raises(MonotoneViolation) as got:
+                build_approximator(f, d, 1.0, 0.6)
+            assert (got.value.first, got.value.second, str(got.value)) == (want.first, want.second, str(want))
+        assert falling > 25
 
     def test_lipschitz_warning(self):
         with pytest.warns(UserWarning, match="Lipschitz"):

@@ -553,7 +553,7 @@ def test_stacked_depth2_audits_match_each_network(d):
 @pytest.mark.parametrize("stack", [None, 7])
 def test_depth2_campaign_matches_network_by_network(monkeypatch, d, stack):
     if stack:  # stacks of 7 networks, so that stack boundaries fall all through the samples
-        monkeypatch.setattr(audit, "STACK_BYTES", 4 * 8 * DEPTH2_MAX_WIDTH * (d + 2) * stack)
+        monkeypatch.setattr(audit, "STACK_BYTES", audit._depth2_sample_bytes(d) * stack)
     for seed in range(4):
         report = run_depth2_campaign(d, 450, seed)
         want = depth2_campaign_by_network(d, 450, seed)
@@ -565,7 +565,7 @@ def test_depth2_campaign_matches_network_by_network(monkeypatch, d, stack):
 def test_falsified_depth2_campaign_reports_the_same_network(monkeypatch, d):
     # a negative tolerance fails every network with lhs == rhs, such as one that never fires
     monkeypatch.setattr(audit, "_REL_TOL", -1e-12)
-    monkeypatch.setattr(audit, "STACK_BYTES", 4 * 8 * DEPTH2_MAX_WIDTH * (d + 2) * 7)
+    monkeypatch.setattr(audit, "STACK_BYTES", audit._depth2_sample_bytes(d) * 7)
     indices = []
     for seed in range(6):
         report = run_depth2_campaign(d, 3000, seed)
@@ -612,7 +612,7 @@ def test_convexity_campaign_matches_the_full_search(samples):
 def convexity_stack_size(triples: int) -> int:
     """Networks per stack of ``run_convexity_campaign`` at ``triples`` triples per network."""
     rows = 3 * triples + len(audit._sqrt_grid(10000)[0][:: audit.SQRT_BOUND_STRIDE])
-    return max(1, audit.STACK_BYTES // (8 * audit._relu_stack_doubles(rows)))
+    return max(1, audit.STACK_BYTES // audit._relu_sample_bytes(rows))
 
 
 def test_falsified_convexity_probe_reports_the_same_network(monkeypatch):
@@ -621,7 +621,7 @@ def test_falsified_convexity_probe_reports_the_same_network(monkeypatch):
     monkeypatch.setattr(audit, "_REL_TOL", -1e-12)
     monkeypatch.setattr(audit, "CONVEXITY_TRIPLES", 1)
     # the default stacks, then stacks of 2 networks, so that the early failures fall past the first stack
-    for stack_bytes in (audit.STACK_BYTES, 8 * audit._relu_stack_doubles(3 + 101) * 2):
+    for stack_bytes in (audit.STACK_BYTES, audit._relu_sample_bytes(3 + 101) * 2):
         monkeypatch.setattr(audit, "STACK_BYTES", stack_bytes)
         indices = []
         for seed in range(12):
@@ -807,7 +807,7 @@ def test_falsified_chain_width_campaign_reports_the_same_network(monkeypatch, st
     network_draw = audit._network_draw
     monkeypatch.setattr(audit, "_network_draw", lambda *args: network_draw(*args) - 0.1)
     if stack:  # stacks of 7 chains, so that stack boundaries fall all through the samples
-        monkeypatch.setattr(audit, "STACK_BYTES", 2 * 8 * audit._CHAIN_DOUBLES * stack)
+        monkeypatch.setattr(audit, "STACK_BYTES", audit._CHAIN_SAMPLE_BYTES * stack)
     indices = []
     for seed in range(8):
         report = run_chain_width_campaign(3000, seed)
@@ -818,7 +818,7 @@ def test_falsified_chain_width_campaign_reports_the_same_network(monkeypatch, st
         assert_close(report.witness, want.witness)
         indices.append(want.witness["sample_index"])
     # some failure lies past the first stack
-    assert max(indices) >= (stack or audit.STACK_BYTES // (2 * 8 * audit._CHAIN_DOUBLES))
+    assert max(indices) >= (stack or audit.STACK_BYTES // audit._CHAIN_SAMPLE_BYTES)
 
 
 def test_activity_sets_run_only_the_first_layer(monkeypatch):

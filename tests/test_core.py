@@ -27,6 +27,7 @@ from mononet.core import (
     affine_network,
     is_totally_ordered,
     pairwise_leq,
+    row_blocks,
     threshold,
     validate_dataset,
 )
@@ -407,6 +408,62 @@ class TestPairwiseLeq:
         assert pairwise_leq(P[:0]).shape == (0, 0)
 
 
+class TestRowBlocks:
+    def test_slices_partition_the_rows(self, monkeypatch):
+        monkeypatch.setattr(core, "CHUNK_BYTES", 40)  # the default budget is read at each call
+        for rows in (0, 1, 5, 64, 1001):
+            for row_bytes in (0, 1, 8, 13, 41):
+                for budget in (None, 1, 40, 4096):
+                    slices = list(row_blocks(rows, row_bytes, budget))
+                    assert [i for s in slices for i in range(s.start, s.stop)] == list(range(rows))
+                    assert all(s.step is None and s.start < s.stop for s in slices) or rows == 0
+                    # each block within the budget, or one row on its own
+                    step = slices[0].stop - slices[0].start
+                    assert step * row_bytes <= (budget or 40) or step == 1 or rows == 0
+
+    def test_no_rows_give_one_empty_slice(self):
+        assert list(row_blocks(0, 8)) == list(row_blocks(0, 8, 1)) == [slice(0, 0)]
+
+    def test_a_row_past_the_budget_gets_a_slice_of_its_own(self):
+        assert list(row_blocks(3, 100, 99)) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+        assert list(row_blocks(5, 100, 250)) == [slice(0, 2), slice(2, 4), slice(4, 5)]
+
+
+class TestConstructorsCopy:
+    """A constructor copies the caller's arrays, so they stay writeable and the object stays as built."""
+
+    def test_layer(self):
+        W, b = np.array([[1.0, 2.0]]), np.array([-1.0])
+        layer = ThresholdLayer(W, b)
+        W *= 2
+        b += 5
+        assert layer.weights.tolist() == [[1.0, 2.0]] and layer.biases.tolist() == [-1.0]
+        assert not layer.weights.flags.writeable and not layer.biases.flags.writeable
+        index = np.array([1, 0])
+        select = ThresholdLayer(WeightPattern("select", 2, index), np.zeros(2))
+        index[0] = 0
+        assert select.weights.index.tolist() == [1, 0]
+
+    def test_network_output(self):
+        layer = ThresholdLayer(np.ones((2, 1)), np.zeros(2))
+        w = np.array([0.5, 0.25])
+        net = ThresholdNetwork((layer,), w, 0.0)
+        w[:] = 9.0
+        assert net.output_weights.tolist() == [0.5, 0.25] and net.evaluate([1.0]) == 0.75
+
+    def test_dataset(self):
+        X, y = np.array([[0.0, 1.0], [1.0, 2.0]]), np.array([0.0, 1.0])
+        ds = MonotoneDataset(X, y)
+        X *= 2
+        y[0] = 7.0
+        assert ds.points.tolist() == [[0.0, 1.0], [1.0, 2.0]] and ds.labels.tolist() == [0.0, 1.0]
+        assert not ds.points.flags.writeable and not ds.labels.flags.writeable
+        view = X[:, :1]  # a view of a caller's array is the caller's too
+        column = MonotoneDataset(view, y)
+        X[0, 0] = 3.0
+        assert column.points.tolist() == [[0.0], [2.0]]
+
+
 def single_unit_net():
     # one threshold unit firing when x >= 0.5
     layer = ThresholdLayer([[1.0]], [-0.5])
@@ -623,6 +680,29 @@ class TestWeightPatterns:
         assert net.evaluate_batch_exact(X) == want
         assert net.evaluate_batch(X).tolist() == [float(v) for v in want]
 
+    @pytest.mark.parametrize("kind", ["blocks", "suffix"])
+    def test_fractional_biases_take_the_count_path_in_exact_evaluation(self, kind, monkeypatch):
+        rng = np.random.default_rng(["blocks", "suffix"].index(kind) + 40)
+        for fan_in in (1, 3, 7):
+            width = 5 if kind == "blocks" else fan_in
+            pattern = WeightPattern("blocks", fan_in) if kind == "blocks" else SUFFIX
+            biases = odd_biases(rng, width, fan_in)
+            halves = rng.random(width) < 0.5
+            biases[halves] = 0.5 - rng.integers(0, fan_in + 2, np.count_nonzero(halves))
+            layer = ThresholdLayer(pattern, biases)
+            assert layer.float_exact(True)
+            inputs = layer.input_width
+            ones = ThresholdLayer(WeightPattern("select", inputs, np.arange(inputs)), np.full(inputs, -0.5))
+            net = ThresholdNetwork((ones, layer), tuple(Fraction(1, 2**i) for i in range(width)), Fraction(-1, 3))
+            X = rng.random((30, inputs)) * rng.random((30, 1)) * 2
+            batches = []
+            forward = ThresholdLayer.forward
+            monkeypatch.setattr(ThresholdLayer, "forward", lambda self, A: batches.append(A.dtype) or forward(self, A))
+            got = net.evaluate_batch_exact(X)
+            monkeypatch.undo()
+            assert batches == [np.dtype(float), np.dtype(bool)]  # no layer ran on Fractions
+            assert got == fraction_oracle(densify(net), X)
+
     def test_first_negative_weight(self):
         assert ThresholdLayer(SUFFIX, [-5.0]).first_negative_weight() is None
         assert ThresholdLayer(SELECT, [-5.0] * 4).first_negative_weight() is None
@@ -632,8 +712,10 @@ class TestWeightPatterns:
     def test_float_exact(self):
         assert ThresholdLayer(BLOCKS3, [-3.0]).float_exact(True)
         assert not ThresholdLayer(BLOCKS3, [-3.0]).float_exact(False)
-        assert not ThresholdLayer(BLOCKS3, [-2.5]).float_exact(True)
-        assert not ThresholdLayer(SUFFIX, [-(2.0**53)]).float_exact(True)
+        # a pattern on 0/1 input compares its count with ceil(-b), exact for any bias
+        assert ThresholdLayer(BLOCKS3, [-2.5]).float_exact(True)
+        assert ThresholdLayer(SUFFIX, [-(2.0**53)]).float_exact(True)
+        assert not ThresholdLayer(SUFFIX, [-0.5]).float_exact(False)
         assert not ThresholdLayer(SUFFIX, [-1.0], "relu").float_exact(True)
         # a select layer is one unit weight per row
         assert ThresholdLayer(SELECT, [-0.1, 2.5, -(2.0**60), 0.3]).float_exact(False)

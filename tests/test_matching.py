@@ -352,6 +352,12 @@ class TestExactProbability:
         with pytest.raises(InvalidArgument):
             EdgeProbabilityMatrix([[0.1, 0.2]])
 
+    def test_the_callers_matrix_is_copied(self):
+        P = np.full((2, 2), 0.5)
+        p = EdgeProbabilityMatrix(P)
+        P *= 2  # the caller's array stays writeable
+        assert p.entries.tolist() == [[0.5, 0.5], [0.5, 0.5]] and not p.entries.flags.writeable
+
 
 class TestTruncate:
     def test_one_stays_one(self):
@@ -620,20 +626,20 @@ class TestStructuralProbes:
 
 
 @pytest.mark.parametrize(
-    "n, prob, chunk_bits, samples, bound",
+    "n, prob, draw_bytes, samples, bound",
     [
         # p = 1 gives the same graph in every sample; at one sample per block
         # of draws, holding each block's key until the end would grow with the
         # samples (4.7 MB)
-        (32, 1.0, 10, 6000, 500_000),
+        (32, 1.0, 8 << 10, 6000, 500_000),
         # random p gives distinct graphs in every block; holding them until the
         # end would grow as samples * n**2 / 8 bytes plus decoded rows (13.7 MB)
-        (64, 0.5, 14, 4000, 1_000_000),
+        (64, 0.5, 8 << 14, 4000, 1_000_000),
     ],
     ids=["p=1", "p=0.5"],
 )
-def test_estimator_memory_follows_one_block(monkeypatch, n, prob, chunk_bits, samples, bound):
-    monkeypatch.setattr(matching, "_CHUNK_BITS", chunk_bits)
+def test_estimator_memory_follows_one_block(monkeypatch, n, prob, draw_bytes, samples, bound):
+    monkeypatch.setattr(matching, "_DRAW_BYTES", draw_bytes)
     p = EdgeProbabilityMatrix.uniform(n, prob)
     cfg = EstimatorConfig(bits=8, samples=samples, seed=3)
     estimate_matching_probability(p, EstimatorConfig(bits=8, samples=2))  # first calls import
@@ -647,25 +653,29 @@ def test_estimator_memory_follows_one_block(monkeypatch, n, prob, chunk_bits, sa
     assert peak < bound, peak
 
 
-def test_hall_check_memory_is_planned_per_slice(monkeypatch):
-    # 60,000 distinct graphs at n = 8: one table over all of them would take
-    # 60,000 * 2**8 bytes, twice over with the scratch table (31 MB)
-    rng = np.random.default_rng(8)
-    graphs = np.unique(rng.integers(0, 256, (60_000, 8), dtype=np.uint8).view((np.void, 8)))
-    want = [matching._matches(rows) for rows in graphs.view("<u1").reshape(-1, 8).tolist()]
-    matching._perfect_matchings(graphs[:10], 8, 1)  # first calls import
+def test_hall_check_memory_follows_one_block(monkeypatch):
+    # n = 8, eps 0.02: 18,587 samples of mostly distinct graphs.  One Hall table
+    # over a whole block of 2**20 / 64 samples, with its scratch table, would take
+    # 8 MiB; a block is planned so that its draws or its table take at most _HALL_BYTES
+    p = EdgeProbabilityMatrix(np.random.default_rng(8).random((8, 8)))
+    cfg = default_parameters(8, 0.02, 1e-6, seed=4)
+    estimate_matching_probability(p, EstimatorConfig(bits=8, samples=2))  # first calls import
     tracemalloc.start()
     try:
-        found = matching._perfect_matchings(graphs, 8, 1)
+        got = estimate_matching_probability(p, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert found.tolist() == want
-    # the planned slice, the answers and a few vectors of one slice
-    assert peak < matching._HALL_BYTES + len(graphs) + 250_000, peak
-    # one graph per slice gives the same answers
+    trunc = truncate_probabilities(p, cfg.bits).entries
+    draws = np.random.default_rng(cfg.seed).random((cfg.samples, 8, 8)) < trunc
+    assert got == sum(hopcroft_karp(BipartiteGraph.from_matrix(g)) for g in draws) / cfg.samples
+    # the draws of one block, their bools and a few vectors of one block
+    assert peak < matching._HALL_BYTES * 5 // 4, peak
+    # one sample per block gives the same estimate
+    few = EstimatorConfig(bits=cfg.bits, samples=300, seed=5)
+    want = estimate_matching_probability(p, few)
     monkeypatch.setattr(matching, "_HALL_BYTES", 1)
-    assert matching._perfect_matchings(graphs[:500], 8, 1).tolist() == want[:500]
+    assert estimate_matching_probability(p, few) == want
 
 
 PINNED_EXACT = json.loads((Path(__file__).parent / "data" / "matchprob_exact_stdout.json").read_text())
