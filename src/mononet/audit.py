@@ -453,16 +453,84 @@ def _chain_width_report(
 # -- randomized campaigns ----------------------------------------------------
 
 
-def _network_draw(rng: np.random.Generator, input_dim: int, widths: tuple[int, ...]) -> np.ndarray:
-    """The U[0, 1) doubles of one random network, from one ``rng.random`` call.
+class _RawWalk:
+    """A PCG64 stream read ahead as raw words and walked as numpy's scalar draws take them.
 
-    Layer by layer, ``width * fan_in`` weights and then ``width`` bias draws;
-    last, ``fan_in`` output weights and one output bias draw.  Drawing each
-    array in turn (``random((width, fan_in))``, ``uniform(-s, s, width)``,
-    ..., ``uniform(-o, o)``) takes the same doubles, one per entry.
+    A ``Generator`` on PCG64 makes a ``random()`` double from one 64-bit
+    word, as ``(word >> 11) * 2**-53``.  A scalar ``integers(low, high)``
+    with ``high - low <= 2**32`` takes 32-bit halves of words, low half
+    first, through a one-half buffer kept in the bit generator's state
+    (``has_uint32``, ``uinteger``) that ``random()`` leaves alone.  The walk
+    replays such calls on a block of ``random_raw`` words: the integers one
+    by one in Python, the doubles as word positions for :func:`_draws` to
+    read.  :meth:`close` leaves the generator where the same calls would
+    have left it.  NEP 19 does not promise these streams across numpy
+    versions, so the tests check the walk against numpy's own calls.
     """
-    fan_ins = (input_dim, *widths)
-    return rng.random(sum(w * (f + 1) for w, f in zip(widths, fan_ins)) + fan_ins[-1] + 1)
+
+    def __init__(self, rng: np.random.Generator, words: int):
+        """Read ``words`` ahead: enough for the walk when no integer draw is rejected."""
+        self._bits = rng.bit_generator
+        self._state = self._bits.state
+        self._buffered, self._half = self._state["has_uint32"], self._state["uinteger"]
+        self.raw = self._bits.random_raw(words)
+        self.used = 0
+
+    def _reserve(self, words: int) -> None:
+        # rejected integer draws may use up the block; the stream goes on in a new one
+        short = self.used + words - len(self.raw)
+        if short > 0:
+            self.raw = np.concatenate((self.raw, self._bits.random_raw(max(short, len(self.raw)))))
+
+    def _uint32(self) -> int:
+        if self._buffered:
+            self._buffered = 0
+            return self._half
+        self._reserve(1)
+        word = self.raw.item(self.used)
+        self.used += 1
+        self._buffered, self._half = 1, word >> 32
+        return word & 0xFFFFFFFF
+
+    def integers(self, low: int, high: int) -> int:
+        """``rng.integers(low, high)`` for ``1 <= high - low <= 2**32``, by Lemire's multiply-shift."""
+        span = high - low
+        if span == 1:  # one value: numpy draws nothing
+            return low
+        if span == 1 << 32:
+            return low + self._uint32()
+        m = self._uint32() * span
+        if (m & 0xFFFFFFFF) < span:
+            threshold = ((1 << 32) - span) % span
+            while (m & 0xFFFFFFFF) < threshold:
+                m = self._uint32() * span
+        return low + (m >> 32)
+
+    def doubles(self, count: int) -> int:
+        """Take ``count`` ``random()`` doubles; returns the position of the first one's word."""
+        self._reserve(count)
+        at = self.used
+        self.used += count
+        return at
+
+    def close(self) -> None:
+        """Put the generator where the walked calls would have put it."""
+        self._bits.state = self._state
+        self._bits.advance(self.used)  # advancing empties the half buffer
+        state = self._bits.state
+        state["has_uint32"], state["uinteger"] = self._buffered, self._half
+        self._bits.state = state
+
+
+def _doubles(words: np.ndarray) -> np.ndarray:
+    """The ``random()`` double of each raw word."""
+    return (words >> np.uint64(11)) * 2.0**-53
+
+
+def _draws(raw: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The doubles of words ``starts[k]`` to ``starts[k] + sizes[k] - 1`` of ``raw``, run after run."""
+    ends = np.cumsum(sizes)
+    return _doubles(raw[np.repeat(starts - ends + sizes, sizes) + np.arange(ends[-1])])
 
 
 def _symmetric(u, scale: float):
@@ -470,38 +538,23 @@ def _symmetric(u, scale: float):
     return -scale + (scale + scale) * u
 
 
-def _network_parts(
-    u: np.ndarray, input_dim: int, widths: tuple[int, ...]
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray, np.float64]:
-    """Views of draw ``u``: each layer's (weights, bias draws), the output weights, the output bias draw.
+def _one_layer_draws(
+    raw: np.ndarray, starts: np.ndarray, fan_ins, widths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The U[0, 1) draws of one-hidden-layer networks, each part run after run over the networks.
 
-    The bias draws are still U[0, 1) doubles.  :func:`_symmetric` works
-    elementwise, so a stack may scale its networks' draws in one call with
-    the bits of scaling each network's own.
+    Network k's draws are one run of words from ``starts[k]``: its
+    ``widths[k] * fan_ins[k]`` weights, row by row, its ``widths[k]`` bias
+    draws, its ``widths[k]`` output weights and its output bias draw, as one
+    ``rng.random`` call would take them.
     """
-    layers, at, fan_in = [], 0, input_dim
-    for width in widths:
-        end = at + width * fan_in
-        layers.append((u[at:end].reshape(width, fan_in), u[end : end + width]))
-        at, fan_in = end + width, width
-    return layers, u[at:-1], u[-1]
-
-
-def _random_chain(rng: np.random.Generator, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The points (n, d) and labels (n,) of a random coordinatewise chain.
-
-    Consecutive points differ by a nonnegative increment that is zero in a
-    random subset of coordinates (never all of them), exercising the
-    separating-coordinate selection.  The points increase and so do the
-    labels, so the arrays are already a valid dataset in canonical order.
-    """
-    steps = 0.01 + rng.random((n, d))
-    if n > 1:
-        mask = rng.random((n - 1, d)) < 0.5
-        for row in np.flatnonzero(mask.all(axis=1)):
-            mask[row, rng.integers(d)] = False
-        steps[1:][mask] = 0.0
-    return np.cumsum(steps, axis=0), np.cumsum(0.05 + rng.random(n))
+    weights = widths * fan_ins
+    return (
+        _draws(raw, starts, weights),
+        _draws(raw, starts + weights, widths),
+        _draws(raw, starts + weights + widths, widths),
+        _doubles(raw[starts + weights + 2 * widths]),
+    )
 
 
 def _random_depth2_stack(
@@ -509,26 +562,25 @@ def _random_depth2_stack(
 ) -> tuple[ThresholdNetwork, np.ndarray, np.ndarray]:
     """``count`` networks drawn as ``run_depth2_campaign`` draws them, side by side.
 
-    Returns the arguments of :func:`_depth2_audits` after ``d``: the stack,
-    each network's first unit and each network's output bias.
+    Each network draws its width, then its parameters.  Returns the
+    arguments of :func:`_depth2_audits` after ``d``: the stack, each
+    network's first unit and each network's output bias.
     """
-    widths, weights, biases, out_weights, out_biases = [], [], [], [], []
+    walk = _RawWalk(rng, count * (DEPTH2_MAX_WIDTH * (d + 2) + 2))
+    widths, starts = [], []
     for _ in range(count):
-        width = int(rng.integers(1, DEPTH2_MAX_WIDTH + 1))
-        [(w, b)], out_w, out_b = _network_parts(_network_draw(rng, d, (width,)), d, (width,))
+        width = walk.integers(1, DEPTH2_MAX_WIDTH + 1)
         widths.append(width)
-        weights.append(w)
-        biases.append(b)
-        out_weights.append(out_w)
-        out_biases.append(out_b)
-    layer = ThresholdLayer(np.concatenate(weights), _symmetric(np.concatenate(biases), float(d * d)))
-    stack = ThresholdNetwork((layer,), np.concatenate(out_weights))
+        starts.append(walk.doubles(width * (d + 2) + 1))
+    walk.close()
     w = np.array(widths)
-    return stack, np.cumsum(w) - w, _symmetric(np.array(out_biases), 1.0)
+    weights, biases, output_weights, output_biases = _one_layer_draws(walk.raw, np.array(starts), d, w)
+    layer = ThresholdLayer(weights.reshape(-1, d), _symmetric(biases, float(d * d)))
+    return ThresholdNetwork((layer,), output_weights), np.cumsum(w) - w, _symmetric(output_biases, 1.0)
 
 
 def _depth2_sample_bytes(d: int) -> int:
-    """A network's planned bytes: its draw, weights, biases and activations, each at most this many doubles."""
+    """A network's planned bytes: its raw words, weights, biases and activations, each about this many."""
     return 4 * 8 * DEPTH2_MAX_WIDTH * (d + 2)
 
 
@@ -620,36 +672,48 @@ def _random_relu_stack(
     """``count`` networks drawn as ``run_convexity_campaign`` draws them, and their probe points.
 
     Each sample draws, in order, its depth, its widths, its network's
-    parameters (one :func:`_network_draw`) and its probe seed.  Its probe
-    points U and V are those of ``relu_convexity_probe(net, triples, seed)``,
-    and ``grid`` follows them.
+    parameters (layer by layer weights and bias draws, then output weights
+    and an output bias draw) and its probe seed.  Its probe points U and V
+    are those of ``relu_convexity_probe(net, triples, seed)``, and ``grid``
+    follows them.
     """
-    width = CONVEXITY_MAX_WIDTH
-    inputs = np.empty((count, 3 * triples + len(grid), 1))
-    weights = np.zeros((count, CONVEXITY_MAX_DEPTH, width, width))
-    biases = np.zeros((count, CONVEXITY_MAX_DEPTH, width))
-    output_weights = np.zeros((count, width))
-    output_biases = np.empty(count)  # the U[0, 1) draws, scaled after the loop
-    depths = np.empty(count, np.intp)
-    widths, seeds = [], []
-    for s in range(count):
-        depths[s] = depth = int(rng.integers(1, CONVEXITY_MAX_DEPTH + 1))
-        shape = tuple(int(rng.integers(1, width + 1)) for _ in range(depth))
-        u = _network_draw(rng, 1, shape)
-        seed = int(rng.integers(2**32))
-        layers, out_w, output_biases[s] = _network_parts(u, 1, shape)
-        for i, (w, b) in enumerate(layers):
-            weights[s, i, : w.shape[0], : w.shape[1]] = w
-            biases[s, i, : len(b)] = _symmetric(b, 1.0)
-        output_weights[s, : len(out_w)] = out_w
-        # U then V, drawn as the probe draws them, (triples, 1) each
-        inputs[s, : 2 * triples, 0] = np.random.default_rng(seed).random(2 * triples)
+    depth_max, width = CONVEXITY_MAX_DEPTH, CONVEXITY_MAX_WIDTH
+    # at most one word per integer, and every layer at full width
+    walk = _RawWalk(rng, count * (depth_max + 2 + width * (2 + (depth_max - 1) * (width + 1)) + width + 1))
+    widths, seeds, starts = [], [], []
+    for _ in range(count):
+        depth = walk.integers(1, depth_max + 1)
+        shape = tuple(walk.integers(1, width + 1) for _ in range(depth))
+        starts.append(walk.doubles(sum(w * (f + 1) for w, f in zip(shape, (1, *shape))) + shape[-1] + 1))
+        seeds.append(walk.integers(0, 1 << 32))
         widths.append(shape)
-        seeds.append(seed)
-    weights[depths[:, None] <= np.arange(CONVEXITY_MAX_DEPTH)] = np.eye(width)  # identity layers, bias 0
+    walk.close()
+    # (networks, depth_max): each layer's width and fan-in, 0 for a layer the network lacks
+    units = np.array([shape + (0,) * (depth_max - len(shape)) for shape in widths])
+    fan_ins = np.hstack((np.ones((count, 1), np.intp), units[:, :-1]))
+    sizes = units * (fan_ins + 1)
+    at = np.array(starts)[:, None] + np.cumsum(sizes, axis=1) - sizes  # each layer's first word
+    unit = np.arange(width)
+    rows = unit < units[:, :, None]
+    weights = np.zeros((count, depth_max, width, width))
+    weights[rows[:, :, :, None] & (unit < fan_ins[:, :, None])[:, :, None, :]] = _draws(
+        walk.raw, at.ravel(), (units * fan_ins).ravel()
+    )
+    biases = np.zeros((count, depth_max, width))
+    biases[rows] = _symmetric(_draws(walk.raw, (at + units * fan_ins).ravel(), units.ravel()), 1.0)
+    depths = np.count_nonzero(units, axis=1)
+    last = units[np.arange(count), depths - 1]
+    output_at = at[:, 0] + sizes.sum(axis=1)
+    output_weights = np.zeros((count, width))
+    output_weights[unit < last[:, None]] = _draws(walk.raw, output_at, last)
+    output_biases = _symmetric(_doubles(walk.raw[output_at + last]), 1.0)
+    weights[depths[:, None] <= np.arange(depth_max)] = np.eye(width)  # identity layers, bias 0
+    inputs = np.empty((count, 3 * triples + len(grid), 1))
+    for k, seed in enumerate(seeds):  # U then V, drawn as the probe draws them, (triples, 1) each
+        inputs[k, : 2 * triples, 0] = np.random.default_rng(seed).random(2 * triples)
     inputs[:, 2 * triples : 3 * triples] = (inputs[:, :triples] + inputs[:, triples : 2 * triples]) / 2.0
     inputs[:, 3 * triples :, 0] = grid
-    return _ReluStack(inputs, weights, biases, output_weights, _symmetric(output_biases, 1.0), widths, seeds)
+    return _ReluStack(inputs, weights, biases, output_weights, output_biases, widths, seeds)
 
 
 def run_convexity_campaign(samples: int, seed: int) -> AuditReport:
@@ -749,7 +813,8 @@ class _ChainStack(NamedTuple):
         return Z >= 0.0
 
 
-# twice the bytes of a chain's points and labels, its network's parameters and its pre-activations
+# the bytes of a chain's points and labels, its network's parameters and its pre-activations,
+# and as many again for its raw words (at most 333) and their doubles
 _CHAIN_SAMPLE_BYTES = 2 * 8 * (
     CHAIN_MAX_POINTS * (CHAIN_MAX_DIM + 1 + CHAIN_MAX_WIDTH)
     + CHAIN_MAX_WIDTH * (CHAIN_MAX_DIM + 2)
@@ -760,35 +825,70 @@ _CHAIN_SAMPLE_BYTES = 2 * 8 * (
 def _random_chain_stack(rng: np.random.Generator, count: int) -> _ChainStack:
     """``count`` chains and networks drawn as ``run_chain_width_campaign`` draws them.
 
-    Each sample draws, in order, its length n, its dimension d, its chain
-    (one :func:`_random_chain`), its width and its network's parameters
-    (one :func:`_network_draw`).
+    Each sample draws, in order, its length n and dimension d; its chain:
+    n x d steps, (n-1) x d mask draws, a drawn coordinate for each mask row
+    that is masked throughout, which that row then leaves unmasked, and n
+    label steps; its width; and its network's parameters.  A step is 0.01
+    plus its draw, or 0 where a mask draw below 0.5 masks it (never the
+    first step nor a whole row); the points and labels are the sums of
+    their steps (the labels' steps are 0.05 plus their draws), so they
+    increase and the chain is already a valid dataset in canonical order.
     """
-    points = np.zeros((count, CHAIN_MAX_POINTS, CHAIN_MAX_DIM))
-    labels = np.zeros((count, CHAIN_MAX_POINTS))
-    weights = np.zeros((count, CHAIN_MAX_WIDTH, CHAIN_MAX_DIM))
-    biases = np.zeros((count, CHAIN_MAX_WIDTH))  # the U[0, 1) draws, scaled after the loop
-    output_weights = np.zeros((count, CHAIN_MAX_WIDTH))
-    output_biases = np.empty(count)  # the U[0, 1) draws, scaled after the loop
-    lengths = np.empty(count, np.intp)
-    widths = np.empty(count, np.intp)
-    dims = np.empty(count)
-    for s in range(count):
-        n = int(rng.integers(3, CHAIN_MAX_POINTS + 1))
-        d = int(rng.integers(1, CHAIN_MAX_DIM + 1))
-        points[s, :n, :d], labels[s, :n] = _random_chain(rng, n, d)
-        width = int(rng.integers(1, n - 1))
-        [(w, b)], out_w, output_biases[s] = _network_parts(_network_draw(rng, d, (width,)), d, (width,))
-        weights[s, :width, :d] = w
-        biases[s, :width] = b
-        output_weights[s, :width] = out_w
-        lengths[s], widths[s], dims[s] = n, width, d
+    points_max, dim_max, width_max = CHAIN_MAX_POINTS, CHAIN_MAX_DIM, CHAIN_MAX_WIDTH
+    half = np.uint64(1 << 63)  # a draw is below 0.5 iff its word is below 2**63
+    # at most one word per integer, and every draw at its largest
+    walk = _RawWalk(rng, count * (
+        points_max * (dim_max + 1) + (points_max - 1) * (dim_max + 1) + width_max * (dim_max + 2) + 4
+    ))
+    lengths, dims, widths, steps_at, labels_at, network_at, unmasked = [], [], [], [], [], [], []
+    for k in range(count):
+        n = walk.integers(3, points_max + 1)
+        d = walk.integers(1, dim_max + 1)
+        steps_at.append(walk.doubles(n * d))
+        mask_at = walk.doubles((n - 1) * d)
+        # mask row i masks step i + 1
+        rows = walk.raw[mask_at : mask_at + (n - 1) * d].reshape(n - 1, d).max(axis=1) < half
+        for i, masked_throughout in enumerate(rows.tolist()):
+            if masked_throughout:
+                unmasked.append((k, i + 1, walk.integers(0, d)))
+        labels_at.append(walk.doubles(n))
+        width = walk.integers(1, n - 1)
+        network_at.append(walk.doubles(width * (d + 2) + 1))
+        lengths.append(n)
+        dims.append(d)
+        widths.append(width)
+    walk.close()
+    raw = walk.raw
+    lengths, dims, widths, steps_at = np.array(lengths), np.array(dims), np.array(widths), np.array(steps_at)
+    own = np.arange(points_max) < lengths[:, None]
+    inside = own[:, :, None] & (np.arange(dim_max) < dims[:, None])[:, None, :]
+    steps = np.zeros((count, points_max, dim_max))
+    steps[inside] = 0.01 + _draws(raw, steps_at, lengths * dims)
+    masked = np.zeros((count, points_max, dim_max), bool)
+    masked[:, 1:][inside[:, 1:]] = _draws(raw, steps_at + lengths * dims, (lengths - 1) * dims) < 0.5
+    if unmasked:
+        masked[tuple(np.array(unmasked).T)] = False
+    steps[masked] = 0.0
+    points = np.cumsum(steps, axis=1)
+    points[~own] = 0.0
+    label_steps = np.zeros((count, points_max))
+    label_steps[own] = 0.05 + _draws(raw, np.array(labels_at), lengths)
+    labels = np.cumsum(label_steps, axis=1)
+    labels[~own] = 0.0
+    units = np.arange(width_max) < widths[:, None]
+    w, b, out_w, out_b = _one_layer_draws(raw, np.array(network_at), dims, widths)
+    weights = np.zeros((count, width_max, dim_max))
+    weights[units[:, :, None] & (np.arange(dim_max) < dims[:, None])[:, None, :]] = w
+    biases = np.zeros((count, width_max))
+    biases[units] = b
+    output_weights = np.zeros((count, width_max))
+    output_weights[units] = out_w
     # a chain's largest coordinate: its padding is 0 and its points are positive
     scales = np.abs(points).max(axis=(1, 2)) * dims + 1.0
     # a padding unit's draw is 0, so its bias is -scale <= -1
     biases = _symmetric(biases, scales[:, None])
     return _ChainStack(
-        points, labels, lengths, weights, biases, widths, output_weights, _symmetric(output_biases, 1.0)
+        points, labels, lengths, weights, biases, widths, output_weights, _symmetric(out_b, 1.0)
     )
 
 

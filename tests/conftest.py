@@ -15,8 +15,9 @@ stored as weight patterns; it is the oracle for the pattern layers, and
 two arrays; it is the oracle for the array checks.
 
 ``random_monotone_network`` and ``random_chain_dataset`` draw one network
-or one chain as the audit campaigns draw theirs, from the campaigns' own
-draw helpers; they are the oracles for the campaigns' stacks.
+or one chain with the generator's own calls, as the audit campaigns drew
+them one sample at a time before their stacks read the draws from raw
+words; they are the oracles for the campaigns' stacks.
 """
 
 from fractions import Fraction
@@ -37,6 +38,47 @@ from mononet.core import (
 from mononet.errors import DimensionMismatch, EmptyDataset, InvalidNumber, MonotoneViolation
 
 
+def _network_draw(rng: np.random.Generator, input_dim: int, widths: tuple[int, ...]) -> np.ndarray:
+    """The U[0, 1) doubles of one random network, from one ``rng.random`` call.
+
+    Layer by layer, ``width * fan_in`` weights and then ``width`` bias draws;
+    last, ``fan_in`` output weights and one output bias draw.  Drawing each
+    array in turn (``random((width, fan_in))``, ``uniform(-s, s, width)``,
+    ..., ``uniform(-o, o)``) takes the same doubles, one per entry.
+    """
+    fan_ins = (input_dim, *widths)
+    return rng.random(sum(w * (f + 1) for w, f in zip(widths, fan_ins)) + fan_ins[-1] + 1)
+
+
+def _network_parts(
+    u: np.ndarray, input_dim: int, widths: tuple[int, ...]
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray, np.float64]:
+    """Views of draw ``u``: each layer's (weights, bias draws), the output weights, the output bias draw."""
+    layers, at, fan_in = [], 0, input_dim
+    for width in widths:
+        end = at + width * fan_in
+        layers.append((u[at:end].reshape(width, fan_in), u[end : end + width]))
+        at, fan_in = end + width, width
+    return layers, u[at:-1], u[-1]
+
+
+def _random_chain(rng: np.random.Generator, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The points (n, d) and labels (n,) of a random coordinatewise chain.
+
+    Consecutive points differ by a nonnegative increment that is zero in a
+    random subset of coordinates (never all of them), exercising the
+    separating-coordinate selection.  The points increase and so do the
+    labels, so the arrays are already a valid dataset in canonical order.
+    """
+    steps = 0.01 + rng.random((n, d))
+    if n > 1:
+        mask = rng.random((n - 1, d)) < 0.5
+        for row in np.flatnonzero(mask.all(axis=1)):
+            mask[row, rng.integers(d)] = False
+        steps[1:][mask] = 0.0
+    return np.cumsum(steps, axis=0), np.cumsum(0.05 + rng.random(n))
+
+
 def random_monotone_network(
     rng: np.random.Generator,
     input_dim: int,
@@ -48,12 +90,12 @@ def random_monotone_network(
     """Random network with U[0,1] weights and symmetric uniform biases, from one draw.
 
     The bias range should roughly cover the input scale times fan-in so that
-    units land on both sides of their thresholds.  The helpers are looked up
-    on ``audit`` at each call, so a test that patches ``audit._network_draw``
-    patches this generator too.
+    units land on both sides of their thresholds.  ``_network_draw`` is
+    looked up at each call, so a test that patches it patches this
+    generator too.
     """
-    u = audit._network_draw(rng, input_dim, widths)
-    layers, output_weights, output_bias = audit._network_parts(u, input_dim, widths)
+    u = _network_draw(rng, input_dim, widths)
+    layers, output_weights, output_bias = _network_parts(u, input_dim, widths)
     return ThresholdNetwork(
         tuple(ThresholdLayer(w, audit._symmetric(b, bias_scale), activation) for w, b in layers),
         output_weights,
@@ -63,7 +105,7 @@ def random_monotone_network(
 
 def random_chain_dataset(rng: np.random.Generator, n: int, d: int) -> MonotoneDataset:
     """Random coordinatewise chain with strictly increasing labels, in canonical order."""
-    return MonotoneDataset(*audit._random_chain(rng, n, d))
+    return MonotoneDataset(*_random_chain(rng, n, d))
 
 
 def random_monotone_score(rng: np.random.Generator, X: np.ndarray) -> np.ndarray:

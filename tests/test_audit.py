@@ -6,7 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_chain_dataset, random_monotone_network
+import conftest
+from conftest import (
+    _network_draw,
+    _network_parts,
+    _random_chain,
+    random_chain_dataset,
+    random_monotone_network,
+)
 from mononet import audit
 from mononet.audit import (
     DEPTH2_MAX_WIDTH,
@@ -460,21 +467,83 @@ def test_network_draw_matches_array_by_array_draws(d):
                 assert ours.random() == theirs.random()  # both streams go on alike
 
 
+# scalar integers(low, high) spans: one value (numpy draws nothing), about half of the
+# draws rejected, a whole 32-bit half, and a span that rejects now and then
+WALK_SPANS = (1, 2**31 + 1, 2**32, 14, 3, 32)
+
+
+@pytest.mark.parametrize("block", [1, 4096])
+def test_raw_walk_takes_the_draws_that_numpy_takes(block):
+    # a one-word first block makes the walk draw more words again and again
+    for seed in range(300):
+        calls = np.random.default_rng(10_000 + seed)
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):  # walks in a row, so that a walk can start on a buffered half
+            walk = audit._RawWalk(ours, block)
+            for _ in range(20):
+                if calls.random() < 0.6:
+                    span = WALK_SPANS[int(calls.integers(len(WALK_SPANS)))]
+                    low = int(calls.integers(-5, 5))
+                    assert walk.integers(low, low + span) == int(theirs.integers(low, low + span))
+                else:
+                    count = int(calls.integers(0, 4))
+                    at = walk.doubles(count)
+                    want = theirs.random(count) if count != 1 else np.array([theirs.random()])
+                    assert audit._doubles(walk.raw[at : at + count]).tobytes() == want.tobytes()
+            walk.close()
+            assert ours.bit_generator.state == theirs.bit_generator.state
+        assert ours.random() == theirs.random()
+
+
+def test_raw_walk_rejects_as_numpy_does():
+    # span 2**31 + 1 rejects about half of its halves (a product's low word below
+    # 2**31 - 1): the walk must redraw as numpy does, and draw more words past its block
+    ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
+    walk = audit._RawWalk(ours, 4)
+    values = [walk.integers(0, 2**31 + 1) for _ in range(200)]
+    assert walk.used > 100 + 4  # each value took at least one half, some more, past the block
+    walk.close()
+    assert values == [int(theirs.integers(0, 2**31 + 1)) for _ in range(200)]
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def depth2_stack_oracle(rng, d: int, count: int):
+    """``_random_depth2_stack`` one network at a time, with the generator's own calls."""
+    widths, weights, biases, out_weights, out_biases = [], [], [], [], []
+    for _ in range(count):
+        width = int(rng.integers(1, DEPTH2_MAX_WIDTH + 1))
+        [(w, b)], out_w, out_b = _network_parts(_network_draw(rng, d, (width,)), d, (width,))
+        widths.append(width)
+        weights.append(w)
+        biases.append(b)
+        out_weights.append(out_w)
+        out_biases.append(out_b)
+    layer = ThresholdLayer(np.concatenate(weights), audit._symmetric(np.concatenate(biases), float(d * d)))
+    stack = ThresholdNetwork((layer,), np.concatenate(out_weights))
+    w = np.array(widths)
+    return stack, np.cumsum(w) - w, audit._symmetric(np.array(out_biases), 1.0)
+
+
+def assert_same_arrays(ours, theirs):
+    assert len(ours) == len(theirs)
+    for a, b in zip(ours, theirs):
+        a, b = np.asarray(a), np.asarray(b)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.tobytes() == b.tobytes()
+
+
 def test_depth2_stack_holds_the_drawn_networks():
     for d in (2, 3, 5, 40):
         for seed in range(5):
             ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-            stack, starts, biases = audit._random_depth2_stack(ours, d, 50)
-            nets = [random_monotone_network(theirs, d, (int(theirs.integers(1, DEPTH2_MAX_WIDTH + 1)),),
-                                            bias_scale=float(d * d))
-                    for _ in range(50)]
-            layer = stack.layers[0]
-            assert layer.weights.tobytes() == np.vstack([n.layers[0].weights for n in nets]).tobytes()
-            assert layer.biases.tobytes() == np.concatenate([n.layers[0].biases for n in nets]).tobytes()
-            assert stack.output_weights.tobytes() == np.concatenate([n.output_weights for n in nets]).tobytes()
-            assert biases.tolist() == [n.output_bias for n in nets]
-            assert starts.tolist() == np.cumsum([0] + [n.layers[0].width for n in nets])[:-1].tolist()
-            assert ours.random() == theirs.random()
+            for count in (50, 1, 7):  # stacks in a row, so that a stack can start on a buffered half
+                stack, starts, biases = audit._random_depth2_stack(ours, d, count)
+                want, want_starts, want_biases = depth2_stack_oracle(theirs, d, count)
+                assert_same_arrays((stack.layers[0].weights, stack.layers[0].biases, stack.output_weights,
+                                    starts, biases),
+                                   (want.layers[0].weights, want.layers[0].biases, want.output_weights,
+                                    want_starts, want_biases))
+                assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 def depth2_by_network(net: ThresholdNetwork, d: int, tol: float = 1e-9) -> dict:
@@ -651,35 +720,66 @@ def test_falsified_sqrt_gap_reports_the_same_network(monkeypatch):
     assert max(indices) >= convexity_stack_size(audit.CONVEXITY_TRIPLES)  # and past the first stack
 
 
+def relu_stack_oracle(rng, count: int, triples: int, grid: np.ndarray) -> audit._ReluStack:
+    """``_random_relu_stack`` one network at a time, with the generator's own calls."""
+    width = audit.CONVEXITY_MAX_WIDTH
+    inputs = np.empty((count, 3 * triples + len(grid), 1))
+    weights = np.zeros((count, audit.CONVEXITY_MAX_DEPTH, width, width))
+    biases = np.zeros((count, audit.CONVEXITY_MAX_DEPTH, width))
+    output_weights = np.zeros((count, width))
+    output_biases = np.empty(count)
+    depths = np.empty(count, np.intp)
+    widths, seeds = [], []
+    for s in range(count):
+        depths[s] = depth = int(rng.integers(1, audit.CONVEXITY_MAX_DEPTH + 1))
+        shape = tuple(int(rng.integers(1, width + 1)) for _ in range(depth))
+        u = _network_draw(rng, 1, shape)
+        seed = int(rng.integers(2**32))
+        layers, out_w, output_biases[s] = _network_parts(u, 1, shape)
+        for i, (w, b) in enumerate(layers):
+            weights[s, i, : w.shape[0], : w.shape[1]] = w
+            biases[s, i, : len(b)] = audit._symmetric(b, 1.0)
+        output_weights[s, : len(out_w)] = out_w
+        inputs[s, : 2 * triples, 0] = np.random.default_rng(seed).random(2 * triples)
+        widths.append(shape)
+        seeds.append(seed)
+    weights[depths[:, None] <= np.arange(audit.CONVEXITY_MAX_DEPTH)] = np.eye(width)
+    inputs[:, 2 * triples : 3 * triples] = (inputs[:, :triples] + inputs[:, triples : 2 * triples]) / 2.0
+    inputs[:, 3 * triples :, 0] = grid
+    return audit._ReluStack(inputs, weights, biases, output_weights, audit._symmetric(output_biases, 1.0),
+                            widths, seeds)
+
+
 def test_relu_stack_holds_the_drawn_networks_and_their_values():
     # the campaign's margins rest on stacked values within 1e-10 of each network's own
     coarse = audit._sqrt_grid(10000)[0][:: audit.SQRT_BOUND_STRIDE]
     triples, depths, worst = audit.CONVEXITY_TRIPLES, set(), 0.0
     for seed in range(20):
-        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-        nets = audit._random_relu_stack(ours, 300, triples, coarse)
-        values = nets.values()
-        for k in range(300):
-            depth = int(theirs.integers(1, 4))
-            widths = tuple(int(theirs.integers(1, audit.CONVEXITY_MAX_WIDTH + 1)) for _ in range(depth))
-            net = random_monotone_network(theirs, 1, widths, activation=RELU, bias_scale=1.0)
-            probe_seed = int(theirs.integers(2**32))
-            assert (nets.widths[k], nets.seeds[k]) == (widths, probe_seed)
-            built = nets.network(k)
-            for layer, want in zip(built.layers, net.layers, strict=True):
-                assert layer.activation == want.activation
-                assert layer.weights.tobytes() == want.weights.tobytes()
-                assert layer.biases.tobytes() == want.biases.tobytes()
-            assert built.output_weights.tobytes() == net.output_weights.tobytes()
-            assert built.output_bias == net.output_bias
-            probe = np.random.default_rng(probe_seed)
-            U, V = probe.random((triples, 1)), probe.random((triples, 1))
-            rows = np.concatenate((U, V, (U + V) / 2.0, coarse[:, None]))
-            assert nets.inputs[k].tobytes() == rows.tobytes()
-            own = np.concatenate([net.evaluate_batch(X) for X in (U, V, (U + V) / 2.0, coarse[:, None])])
-            worst = max(worst, float(np.abs(values[k] - own).max()))
-            depths.add(depth)
-        assert ours.random() == theirs.random()
+        ours, theirs, each = (np.random.default_rng(seed) for _ in range(3))
+        for count in (300, 11, 1):
+            nets = audit._random_relu_stack(ours, count, triples, coarse)
+            want = relu_stack_oracle(theirs, count, triples, coarse)
+            assert_same_arrays(nets[:5], want[:5])
+            assert (nets.widths, nets.seeds) == (want.widths, want.seeds)
+            assert ours.bit_generator.state == theirs.bit_generator.state
+            values = nets.values()
+            for k in range(count):
+                depth = int(each.integers(1, 4))
+                widths = tuple(int(each.integers(1, audit.CONVEXITY_MAX_WIDTH + 1)) for _ in range(depth))
+                net = random_monotone_network(each, 1, widths, activation=RELU, bias_scale=1.0)
+                probe_seed = int(each.integers(2**32))
+                built = nets.network(k)
+                for layer, want_layer in zip(built.layers, net.layers, strict=True):
+                    assert layer.activation == want_layer.activation
+                    assert layer.weights.tobytes() == want_layer.weights.tobytes()
+                    assert layer.biases.tobytes() == want_layer.biases.tobytes()
+                assert built.output_weights.tobytes() == net.output_weights.tobytes()
+                assert built.output_bias == net.output_bias
+                probe = np.random.default_rng(probe_seed)
+                U, V = probe.random((triples, 1)), probe.random((triples, 1))
+                own = np.concatenate([net.evaluate_batch(X) for X in (U, V, (U + V) / 2.0, coarse[:, None])])
+                worst = max(worst, float(np.abs(values[k] - own).max()))
+                depths.add(depth)
     assert depths == {1, 2, 3}
     assert worst <= 1e-10
 
@@ -747,24 +847,46 @@ def test_chain_width_campaign_matches_the_oracle(samples):
         assert json.dumps(report.to_dict()) == json.dumps(chain_width_campaign_oracle(samples, seed).to_dict())
 
 
+def chain_stack_oracle(rng, count: int) -> audit._ChainStack:
+    """``_random_chain_stack`` one chain at a time, with the generator's own calls."""
+    points = np.zeros((count, audit.CHAIN_MAX_POINTS, audit.CHAIN_MAX_DIM))
+    labels = np.zeros((count, audit.CHAIN_MAX_POINTS))
+    weights = np.zeros((count, audit.CHAIN_MAX_WIDTH, audit.CHAIN_MAX_DIM))
+    biases = np.zeros((count, audit.CHAIN_MAX_WIDTH))
+    output_weights = np.zeros((count, audit.CHAIN_MAX_WIDTH))
+    output_biases = np.empty(count)
+    lengths = np.empty(count, np.intp)
+    widths = np.empty(count, np.intp)
+    dims = np.empty(count)
+    for s in range(count):
+        n = int(rng.integers(3, audit.CHAIN_MAX_POINTS + 1))
+        d = int(rng.integers(1, audit.CHAIN_MAX_DIM + 1))
+        points[s, :n, :d], labels[s, :n] = _random_chain(rng, n, d)
+        width = int(rng.integers(1, n - 1))
+        [(w, b)], out_w, output_biases[s] = _network_parts(_network_draw(rng, d, (width,)), d, (width,))
+        weights[s, :width, :d] = w
+        biases[s, :width] = b
+        output_weights[s, :width] = out_w
+        lengths[s], widths[s], dims[s] = n, width, d
+    scales = np.abs(points).max(axis=(1, 2)) * dims + 1.0
+    biases = audit._symmetric(biases, scales[:, None])
+    return audit._ChainStack(points, labels, lengths, weights, biases, widths, output_weights,
+                             audit._symmetric(output_biases, 1.0))
+
+
 def test_chain_stack_holds_the_drawn_chains_and_their_activity_sets():
     for seed in range(20):
-        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-        chains = audit._random_chain_stack(ours, 500)
-        active = chains.activity()
-        for k in range(500):
-            ds, net = random_chain_sample(theirs)
-            (n, d), width = ds.points.shape, net.layers[0].width
-            assert (chains.lengths[k], chains.widths[k]) == (n, width)
-            assert chains.points[k, :n, :d].tobytes() == ds.points.tobytes()
-            assert chains.labels[k, :n].tobytes() == ds.labels.tobytes()
-            assert chains.weights[k, :width, :d].tobytes() == net.layers[0].weights.tobytes()
-            assert chains.biases[k, :width].tobytes() == net.layers[0].biases.tobytes()
-            assert chains.output_weights[k, :width].tobytes() == net.output_weights.tobytes()
-            assert chains.output_biases[k] == net.output_bias
-            assert np.array_equal(active[k, :n, :width], net.hidden_activations(ds.points)[0])
-            assert not active[k, :, width:].any()  # padding units never fire
-        assert ours.random() == theirs.random()
+        ours, theirs, each = (np.random.default_rng(seed) for _ in range(3))
+        for count in (500, 1, 7):
+            chains = audit._random_chain_stack(ours, count)
+            assert_same_arrays(chains, chain_stack_oracle(theirs, count))
+            assert ours.bit_generator.state == theirs.bit_generator.state
+            active = chains.activity()
+            for k in range(count):
+                ds, net = random_chain_sample(each)
+                n, width = ds.n, net.layers[0].width
+                assert np.array_equal(active[k, :n, :width], net.hidden_activations(ds.points)[0])
+                assert not active[k, :, width:].any()  # padding units never fire
 
 
 def test_chain_width_audit_matches_the_oracle_on_each_outcome():
@@ -803,9 +925,12 @@ def test_chain_width_audit_reports_a_lost_unit_as_the_oracle_does():
 
 @pytest.mark.parametrize("stack", [None, 7])
 def test_falsified_chain_width_campaign_reports_the_same_network(monkeypatch, stack):
-    # draws shifted below zero give negative weights, and now and then a lost unit
-    network_draw = audit._network_draw
-    monkeypatch.setattr(audit, "_network_draw", lambda *args: network_draw(*args) - 0.1)
+    # network draws shifted below zero give negative weights, and now and then a lost unit:
+    # the same doubles in the stack (its one-layer draws) and in the oracle (its network draw)
+    one_layer_draws, network_draw = audit._one_layer_draws, conftest._network_draw
+    monkeypatch.setattr(audit, "_one_layer_draws",
+                        lambda *args: tuple(u - 0.1 for u in one_layer_draws(*args)))
+    monkeypatch.setattr(conftest, "_network_draw", lambda *args: network_draw(*args) - 0.1)
     if stack:  # stacks of 7 chains, so that stack boundaries fall all through the samples
         monkeypatch.setattr(audit, "STACK_BYTES", audit._CHAIN_SAMPLE_BYTES * stack)
     indices = []

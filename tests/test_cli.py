@@ -23,6 +23,7 @@ from mononet.cli import main
 from mononet.construct import build_interpolator
 from mononet.core import ThresholdLayer, ThresholdNetwork, validate_dataset
 from mononet.io import load_network, network_to_dict, save_network
+from test_io import csv_bytes
 
 
 def write(path, text):
@@ -884,6 +885,41 @@ def test_hostile_network_json_exits_cleanly(tmp_path_factory, field, value):
         # a warning prints a line of its own on stderr ahead of the diagnostic
         lines = err.splitlines() + [str(w.message) for w in caught]
         assert len(lines) == 1, (path, value, argv, lines)
+        if code == 2:
+            assert "error" in json.loads(lines[0])
+        else:
+            assert lines[0].startswith("error: ")
+
+
+@pytest.fixture(scope="module")
+def net_2d(tmp_path_factory) -> str:
+    """A network built by ``synth`` on two input coordinates, for ``eval`` on drawn points."""
+    base = tmp_path_factory.mktemp("net_2d")
+    data = write(base / "data.csv", "0,1,0\n1,0,0\n1,1,1\n")
+    assert main(["synth", data, "-o", str(base / "net.json")]) == 0
+    return str(base / "net.json")
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_bytes())
+def test_hostile_csv_exits_cleanly(tmp_path_factory, net_2d, data):
+    base = tmp_path_factory.getbasetemp()
+    path = base / "hostile.csv"
+    path.write_bytes(data)
+    for argv in (["synth", str(path), "-o", str(base / "hostile_net.json")], ["eval", net_2d, str(path)]):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            code = main(argv)
+        err = stderr.getvalue()
+        event(f"{argv[0]} exit {code}")
+        assert code in (0, 1, 2), (data, argv, code, err)
+        assert "Traceback" not in err
+        if code == 0:
+            continue
+        lines = err.splitlines() + [str(w.message) for w in caught]
+        assert len(lines) == 1, (data, argv, lines)
         if code == 2:
             assert "error" in json.loads(lines[0])
         else:
