@@ -15,9 +15,9 @@ stored as weight patterns; it is the oracle for the pattern layers, and
 two arrays; it is the oracle for the array checks.
 
 ``random_monotone_network`` and ``random_chain_dataset`` draw one network
-or one chain with the generator's own calls, as the audit campaigns drew
-them one sample at a time before their stacks read the draws from raw
-words; they are the oracles for the campaigns' stacks.
+or one chain with the generator's own calls, one sample at a time; they
+are the oracles for the campaigns' stacks, which read the same draws
+from raw words.
 """
 
 from fractions import Fraction

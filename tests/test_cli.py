@@ -872,23 +872,29 @@ def test_hostile_network_json_exits_cleanly(tmp_path_factory, field, value):
     for argv in (["eval", str(net), points],
                  ["audit", "--check", "structure", "--net", str(net)],
                  ["audit", "--check", "monotone", "--net", str(net), "--samples", "16"]):
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(stdout), \
-                contextlib.redirect_stderr(stderr):
-            warnings.simplefilter("always")
-            code = main(argv)
-        err = stderr.getvalue()
-        assert code in (0, 1, 2), (path, value, argv, code, err)
-        assert "Traceback" not in err
-        if code == 0:
-            continue
-        # a warning prints a line of its own on stderr ahead of the diagnostic
-        lines = err.splitlines() + [str(w.message) for w in caught]
-        assert len(lines) == 1, (path, value, argv, lines)
-        if code == 2:
-            assert "error" in json.loads(lines[0])
-        else:
-            assert lines[0].startswith("error: ")
+        exits_cleanly(argv, (path, value))
+
+
+def exits_cleanly(argv: list[str], case) -> int:
+    """Run ``main(argv)`` in process: exit 0, or 1 or 2 with one line on stderr and no traceback."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("always")
+        code = main(argv)
+    err = stderr.getvalue()
+    assert code in (0, 1, 2), (case, argv, code, err)
+    assert "Traceback" not in err
+    if code == 0:
+        return code
+    # a warning prints a line of its own on stderr ahead of the diagnostic
+    lines = err.splitlines() + [str(w.message) for w in caught]
+    assert len(lines) == 1, (case, argv, lines)
+    if code == 2:
+        assert "error" in json.loads(lines[0])
+    else:
+        assert lines[0].startswith("error: ")
+    return code
 
 
 @pytest.fixture(scope="module")
@@ -907,20 +913,4 @@ def test_hostile_csv_exits_cleanly(tmp_path_factory, net_2d, data):
     path = base / "hostile.csv"
     path.write_bytes(data)
     for argv in (["synth", str(path), "-o", str(base / "hostile_net.json")], ["eval", net_2d, str(path)]):
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(stdout), \
-                contextlib.redirect_stderr(stderr):
-            warnings.simplefilter("always")
-            code = main(argv)
-        err = stderr.getvalue()
-        event(f"{argv[0]} exit {code}")
-        assert code in (0, 1, 2), (data, argv, code, err)
-        assert "Traceback" not in err
-        if code == 0:
-            continue
-        lines = err.splitlines() + [str(w.message) for w in caught]
-        assert len(lines) == 1, (data, argv, lines)
-        if code == 2:
-            assert "error" in json.loads(lines[0])
-        else:
-            assert lines[0].startswith("error: ")
+        event(f"{argv[0]} exit {exits_cleanly(argv, data)}")
