@@ -21,6 +21,7 @@ from .construct import (
 from .core import (
     RELU,
     THRESHOLD,
+    ExactStage,
     MonotoneDataset,
     ThresholdLayer,
     ThresholdNetwork,
@@ -51,6 +52,7 @@ __all__ = [
     "ConstructionTrace",
     "EdgeProbabilityMatrix",
     "EstimatorConfig",
+    "ExactStage",
     "GridSpec",
     "MonotoneDataset",
     "RELU",

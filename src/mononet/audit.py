@@ -108,9 +108,10 @@ def certify_monotone_structure(net: ThresholdNetwork) -> AuditReport:
             witness = {"location": "hidden", "layer": li, "unit": bad[0], "input_index": bad[1]}
             witness["value"] = float(layer.weights[bad])
             return AuditReport("structure", passed=False, witness=witness)
-    for idx, w in enumerate(net.output_weights):
+    stage = net.exact_stage  # an exact weight's sign is its numerator's: -1/10**400 rounds to -0.0
+    for idx, w in enumerate(net.output_weights if stage is None else stage.numerators):
         if w < 0:
-            value = fraction_text(w) if net.is_exact else float(w)
+            value = float(w) if stage is None else fraction_text(w, stage.scale)
             witness = {"location": "output", "input_index": idx, "value": value}
             return AuditReport("structure", passed=False, witness=witness)
     return AuditReport("structure", passed=True)

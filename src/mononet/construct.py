@@ -25,19 +25,18 @@ matrix, each holds a :class:`~mononet.core.WeightPattern`.
 Labels may be negative: the output bias absorbs ``min(0, y[0])`` so the
 telescoping weights stay nonnegative.
 
-The output stage is always built from Fractions, so ``evaluate_batch_exact``
-reproduces every training label with zero error.  Float evaluation loses
-nothing by it: for finite floats ``float(Fraction(a) - Fraction(b))`` is
-``a - b``, since both are correctly rounded, so the float stage holds the
-same label differences as float subtraction would give (the float path is
-within a few ulps of the labels).
+The output stage is exact: the labels are integers over one power of two,
+so the weights are differences of ints over that scale (a
+:class:`~mononet.core.ExactStage`), and ``evaluate_batch_exact`` reproduces
+every training label with zero error.  Its float stage rounds each exact
+difference once, which is what float subtraction does; float evaluation
+adds up to n of them, so it can be off a label by the order of n ulps.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -47,10 +46,12 @@ from .core import (
     SELECT,
     SUFFIX,
     THRESHOLD,
+    ExactStage,
     MonotoneDataset,
     ThresholdLayer,
     ThresholdNetwork,
     WeightPattern,
+    _as_integers,
     is_totally_ordered,
     row_blocks,
 )
@@ -77,7 +78,7 @@ class ConstructionTrace:
 
     @property
     def output_weights(self) -> tuple[float, ...]:
-        return tuple(float(w) for w in self.network.output_weights)
+        return tuple(self.network.output_weights.tolist())
 
     @cached_property
     def embedding_matrix(self) -> np.ndarray:
@@ -110,35 +111,30 @@ class ConstructionTrace:
         fh.write(f'], "output_weights": {json.dumps(list(self.output_weights))}}}\n')
 
 
-def _telescoping_output(labels: np.ndarray) -> tuple[tuple[Fraction, ...], Fraction]:
-    """Output weights y_i - y_{i-1} (nonnegative) plus the label-shift bias.
-
-    The virtual y_0 is 0 for nonnegative labels; for a negative smallest
-    label the bias shifts the baseline down to y_1 instead, so the first
-    weight becomes 0 and all weights stay nonnegative.
-    """
-    steps = [Fraction(min(0.0, float(labels[0])))]
-    steps += [Fraction(v) for v in labels.tolist()]
-    return tuple(b - a for a, b in zip(steps, steps[1:])), steps[0]
-
-
 def _finish(
     layers: tuple[ThresholdLayer, ...], ds: MonotoneDataset, embedding_layer: int
 ) -> tuple[ThresholdNetwork, ConstructionTrace]:
     """Add the telescoping output stage to ``layers`` and trace the build.
 
-    ``embedding_layer`` indexes the layer whose units indicate the training
-    points dominated by the input.
+    The stage's weights are y_i - y_{i-1} (nonnegative) and its bias y_0, as
+    ints over one scale.  The virtual y_0 is 0 for nonnegative labels; for a
+    negative smallest label it is y_1 instead, so the first weight becomes 0
+    and all weights stay nonnegative.  ``embedding_layer`` indexes the layer
+    whose units indicate the training points dominated by the input.
     """
-    net = ThresholdNetwork(layers, *_telescoping_output(ds.labels))
+    steps, scale = _as_integers(np.concatenate(([min(0.0, ds.labels[0])], ds.labels)))
+    stage = ExactStage(tuple(np.diff(steps).tolist()), steps[0], scale)
+    net = ThresholdNetwork(layers, stage)
     return net, ConstructionTrace(net, ds.points, embedding_layer)
 
 
 def build_interpolator(ds: MonotoneDataset) -> tuple[ThresholdNetwork, ConstructionTrace]:
     """Build the general interpolating monotone network, widths (d*n, n, n).
 
-    The returned network evaluates to ``y_i`` on every training point
-    (exactly on the rational path; within ~n ulps on the float path).
+    The returned network evaluates to ``y_i`` on every training point,
+    exactly on the rational path.  The float path adds up to n label
+    differences, each rounded to float64, so its error is of the order of
+    n ulps of the labels.
     """
     n, d = ds.n, ds.dimension
     index = np.arange(n * d) % d  # unit i*d + c reads coordinate c

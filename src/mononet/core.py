@@ -10,7 +10,9 @@ Conventions used throughout the package:
   is either the unit step (1 for arguments >= 0, else 0) or ReLU.  Note the
   bias is *added*; a unit that should fire when a coordinate reaches a
   stored value ``c`` therefore carries bias ``-c``.
-* The final stage is affine: ``output_weights @ a + output_bias``.
+* The final stage is affine: ``output_weights @ a + output_bias``.  An exact
+  stage also keeps its exact values, as Python ints over one scale
+  (:class:`ExactStage`).
 * A network is *monotone* when every hidden weight and every output weight
   is nonnegative (biases are unrestricted).  With monotone activations this
   is a sufficient structural certificate for the network computing a
@@ -49,6 +51,7 @@ from .errors import (
     InvalidArgument,
     InvalidNumber,
     MonotoneViolation,
+    TooLarge,
 )
 
 THRESHOLD = "threshold"
@@ -61,6 +64,9 @@ DENSE, BLOCKS, SUFFIX, SELECT = "dense", "blocks", "suffix", "select"  # the kin
 _EXACT_INT_LIMIT = 2.0**53
 
 CHUNK_BYTES = 1 << 25  # the working size of one block of rows (see row_blocks)
+
+EXACT_SCALE_BITS = 2048  # an exact output stage's largest scale; a float's denominator has <= 1,075 bits
+EVALUATE_MAX_BYTES = 1 << 29  # what evaluate_batch may keep: the last layer's bools and their float64 cast
 
 
 def threshold(z) -> int:
@@ -404,61 +410,81 @@ def _checked_pattern(w: WeightPattern, width: int) -> tuple[WeightPattern, tuple
     raise InvalidArgument(f"invalid weight pattern {(w.kind, w.size)!r}")
 
 
-def _as_integers(values: np.ndarray) -> tuple[np.ndarray, int]:
+def _as_integers(values: np.ndarray, max_bits: int | None = None) -> tuple[np.ndarray, int]:
     """``(values * scale, scale)`` as Python ints, for the least such ``scale``.
 
-    For floats, which are integers over powers of two, ``scale`` is the
-    largest of those powers.
+    ``values`` holds floats, ints or Fractions.  For floats, which are
+    integers over powers of two, ``scale`` is the largest of those powers.
+    The lcm grows one distinct denominator at a time, and past ``max_bits``
+    bits raises :class:`TooLarge` before any product is made.
     """
     ratios = [v.as_integer_ratio() for v in values.ravel().tolist()]
-    scale = math.lcm(*(q for _, q in ratios))
+    scale = 1
+    for q in {q for _, q in ratios}:
+        scale = math.lcm(scale, q)
+        if max_bits is not None and scale.bit_length() > max_bits:
+            raise TooLarge(f"the exact output stage needs a scale of more than {max_bits} bits")
     ints = np.array([p * (scale // q) for p, q in ratios], dtype=object)
     return ints.reshape(values.shape), scale
 
 
-def _coerce_output(weights, bias):
-    """Normalize an output stage to ``(weights, bias, exact, float_stage)``.
+class ExactStage(NamedTuple):
+    """An exact output stage: weights ``numerators[i] / scale`` and bias ``bias / scale``, all Python ints."""
 
-    Any Fraction among the weights or the bias makes the stage exact: it is
-    kept as a tuple of Fractions and a Fraction bias.  Otherwise it is a
-    float64 vector and a float.  ``float_stage`` is the (vector, float) pair
-    that float evaluation uses; an exact value beyond the float range raises
-    :class:`InvalidNumber`.
+    numerators: tuple[int, ...]
+    bias: int
+    scale: int
+
+    @classmethod
+    def of(cls, values: np.ndarray, max_bits: int | None = None) -> ExactStage:
+        """The stage whose weights are ``values[:-1]`` and whose bias is ``values[-1]``."""
+        ints, scale = _as_integers(values, max_bits)
+        *numerators, bias = ints.tolist()
+        return cls(tuple(numerators), bias, scale)
+
+
+def _coerce_output(weights, bias) -> tuple[np.ndarray, float, ExactStage | None]:
+    """The float64 weights, the float bias and the exact stage, or None, of an output stage.
+
+    Any Fraction among the weights or the bias makes the stage exact, ints
+    over one scale of at most ``EXACT_SCALE_BITS`` bits.  Its floats are
+    ``numerator / scale``, Python's correctly rounded int division; a value
+    beyond the float range raises :class:`InvalidNumber`.
     """
-    if isinstance(weights, np.ndarray) and weights.dtype == object:
-        weights = tuple(weights)
-    exact = isinstance(bias, Fraction) or (
-        isinstance(weights, (tuple, list)) and any(isinstance(w, Fraction) for w in weights)
-    )
-    if exact:
-        # a Fraction is immutable, so one already built is kept as it is
-        weights = tuple(v if type(v) is Fraction else Fraction(v) for v in weights)
-        bias = bias if type(bias) is Fraction else Fraction(bias)
+    stage = None
+    if isinstance(weights, ExactStage):
+        if bias != 0:
+            raise InvalidArgument("an ExactStage holds its own bias")
+        stage = weights
+    elif isinstance(bias, Fraction) or (
+        np.asarray(weights).dtype == object and any(isinstance(w, Fraction) for w in weights)
+    ):
+        # a numpy integer has no as_integer_ratio: take numpy scalars at their Python value
+        values = [v.item() if isinstance(v, np.generic) else v for v in (*weights, bias)]
+        stage = ExactStage.of(np.array(values, dtype=object), EXACT_SCALE_BITS)
+    if stage is None:
+        w, b = np.asarray(weights, dtype=float), float(bias)
+    else:
         try:
-            w, b = np.array([float(v) for v in weights]), float(bias)
+            w, b = np.array([p / stage.scale for p in stage.numerators]), stage.bias / stage.scale
         except OverflowError as exc:
             raise InvalidNumber("output weights and bias must fit in a float") from exc
-    else:
-        w, b = np.asarray(weights, dtype=float), float(bias)
     if w.ndim != 1:
         raise DimensionMismatch(f"output weights must be a vector, got shape {w.shape}")
     if not (np.isfinite(w).all() and math.isfinite(b)):
         raise InvalidNumber("output weights and bias must be finite")
-    w = frozen(w)
-    if not exact:
-        weights, bias = w, b
-    return weights, bias, exact, (w, b)
+    return frozen(w), b, stage
 
 
 @dataclass(frozen=True, eq=False)
 class ThresholdNetwork:
     """Hidden threshold/ReLU layers followed by one affine output stage.
 
-    ``output_weights`` is a float64 vector and ``output_bias`` a float, or,
-    for an exact stage such as every built interpolator carries, a tuple of
-    Fractions and a Fraction, so that :meth:`evaluate_batch_exact`
-    reproduces labels with zero error.  Float evaluation uses the stage
-    rounded to float64 once, at construction.
+    ``output_weights`` is a float64 vector and ``output_bias`` a float.  An
+    exact stage, such as every built interpolator carries, is also kept as
+    ``exact_stage`` (None for a float one), so that :meth:`evaluate_batch_exact`
+    reproduces labels with zero error.  Pass it as an :class:`ExactStage` in
+    place of the weights, or as weights and a bias that hold a Fraction.
     """
 
     layers: tuple[ThresholdLayer, ...]
@@ -467,12 +493,8 @@ class ThresholdNetwork:
 
     def __post_init__(self):
         layers = tuple(self.layers)
-        w, b, exact, float_stage = _coerce_output(self.output_weights, self.output_bias)
-        object.__setattr__(self, "layers", layers)
-        object.__setattr__(self, "output_weights", w)
-        object.__setattr__(self, "output_bias", b)
-        object.__setattr__(self, "_exact", exact)
-        object.__setattr__(self, "_output_float", float_stage)
+        w, b, stage = _coerce_output(self.output_weights, self.output_bias)
+        vars(self).update(layers=layers, output_weights=w, output_bias=b, exact_stage=stage)
         widths = [l.input_width for l in layers] + [len(w)]
         for i, layer in enumerate(layers):
             if layer.width != widths[i + 1]:
@@ -496,13 +518,19 @@ class ThresholdNetwork:
 
     @property
     def is_exact(self) -> bool:
-        return self._exact
+        return self.exact_stage is not None
 
     @cached_property
     def monotone_flag(self) -> bool:
-        """True iff all hidden and output weights are nonnegative."""
-        hidden = not any(layer.first_negative_weight() for layer in self.layers)
-        return hidden and not (np.asarray(self.output_weights) < 0).any()
+        """True iff all hidden and output weights are nonnegative.
+
+        An exact weight's sign is its numerator's: ``-1/10**400`` rounds to ``-0.0``.
+        """
+        if any(layer.first_negative_weight() for layer in self.layers):
+            return False
+        if self.exact_stage is not None:
+            return min(self.exact_stage.numerators, default=0) >= 0
+        return not (self.output_weights < 0).any()
 
     # -- float evaluation ------------------------------------------------
 
@@ -528,9 +556,16 @@ class ThresholdNetwork:
         return out
 
     def evaluate_batch(self, X) -> np.ndarray:
-        """Forward pass for a batch of points, returning an (m,) float array."""
+        """Forward pass for a batch of points, returning an (m,) float array.
+
+        Raises :class:`TooLarge`, before the forward pass, when it would keep
+        more than ``EVALUATE_MAX_BYTES``.
+        """
         A = X = self._check_batch(X)
         if self.layers:
+            planned = 9 * len(X) * self.layers[-1].width  # the last layer's bools and their float64 cast
+            if planned > EVALUATE_MAX_BYTES:
+                raise TooLarge(f"{len(X)} points would keep {planned} bytes, more than {EVALUATE_MAX_BYTES}")
             # hidden layers by row blocks; the output stage runs once, as BLAS
             # sums a row in an order that depends on the number of rows
             parts = []
@@ -541,8 +576,7 @@ class ThresholdNetwork:
                 parts.append(A)
             A = parts[0] if len(parts) == 1 else np.concatenate(parts)
             A = A.astype(float, copy=False)  # a threshold layer's bools, cast once for BLAS
-        w, b = self._output_float
-        return A @ w + b
+        return A @ self.output_weights + self.output_bias
 
     def evaluate(self, x) -> float:
         """Forward pass for one point."""
@@ -555,9 +589,10 @@ class ThresholdNetwork:
 
         A layer runs in float64 when its input batch is float and that is
         provably exact (see ``ThresholdLayer.float_exact``); otherwise it
-        runs on Fractions.  The output stage is always rational and sums only
-        the active units, so exact networks reproduce their construction
-        labels with zero error.
+        runs on Fractions.  The output stage runs on ints: after a threshold
+        layer it sums the numerators of the active units, otherwise it scales
+        the batch to ints as ``ThresholdLayer.forward`` does.  Each row makes
+        one Fraction, and exact networks reproduce their labels exactly.
         """
         A = self._check_batch(X)
         zero_one = False  # is A a threshold layer's bool batch?
@@ -566,15 +601,15 @@ class ThresholdNetwork:
                 A = A.astype(object)
             A = layer.forward(A)
             zero_one = layer.activation == THRESHOLD
-        w_out = [Fraction(v) for v in self.output_weights]
-        b_out = Fraction(self.output_bias)
-        results = []
-        for row in A:
-            s = b_out
-            for j in np.flatnonzero(row).tolist():
-                s += w_out[j] if zero_one else w_out[j] * Fraction(row[j])
-            results.append(s)
-        return results
+        # a float stage's ints are made here, as only this pass needs them
+        stage = self.exact_stage or ExactStage.of(np.append(self.output_weights, self.output_bias))
+        W, b, scale = np.array(stage.numerators, dtype=object), stage.bias, stage.scale
+        if zero_one:
+            den, Z = 1, [sum(W[row].tolist(), b) for row in A]
+        else:
+            N, den = _as_integers(A)
+            Z = (N @ W + b * den).tolist()  # the outputs times den * scale
+        return [Fraction(z, den * scale) for z in Z]
 
     def evaluate_exact(self, x) -> Fraction:
         """Exact rational forward pass for one point."""

@@ -20,8 +20,9 @@ matrix) still load; the version is an int, so ``true`` and ``2.0`` are refused.
 
 Floats round-trip bit-exactly: Python's shortest-repr float encoding is
 what ``json`` emits and parses.  An exact output stage, which every built
-interpolator has, is stored as "numerator/denominator" strings with
-``"exact": true``.
+interpolator has, is stored as reduced "numerator/denominator" strings with
+``"exact": true``; one whose denominators have an lcm of more than
+``core.EXACT_SCALE_BITS`` bits is refused with :class:`~mononet.errors.TooLarge`.
 
 Every JSON input, a network or a ``--config`` file, goes through
 :func:`read_json`.  A JSON or CSV file that is not UTF-8, not JSON or nested
@@ -32,13 +33,14 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from .core import BLOCKS, DENSE, SELECT, SUFFIX, ThresholdLayer, ThresholdNetwork, WeightPattern
-from .errors import SchemaError
+from .errors import SchemaError, TooLarge
 
 SCHEMA_VERSION = 3
 
@@ -104,9 +106,10 @@ def read_points_csv(path) -> np.ndarray:
 # -- network JSON -------------------------------------------------------------
 
 
-def fraction_text(f: Fraction) -> str:
-    """``f`` as the "numerator/denominator" text that network JSON holds."""
-    return f"{f.numerator}/{f.denominator}"
+def fraction_text(numerator: int, scale: int) -> str:
+    """``numerator / scale`` in lowest terms, as the "numerator/denominator" text that network JSON holds."""
+    g = math.gcd(numerator, scale)
+    return f"{numerator // g}/{scale // g}"
 
 
 def _parse_fraction(s) -> Fraction:
@@ -118,12 +121,12 @@ def _parse_fraction(s) -> Fraction:
 
 
 def network_to_dict(net: ThresholdNetwork) -> dict:
-    if net.is_exact:
-        out_w = [fraction_text(w) for w in net.output_weights]
-        out_b = fraction_text(net.output_bias)
+    stage = net.exact_stage
+    if stage is not None:
+        out_w = [fraction_text(p, stage.scale) for p in stage.numerators]
+        out_b = fraction_text(stage.bias, stage.scale)
     else:
-        out_w = [float(w) for w in net.output_weights]
-        out_b = float(net.output_bias)
+        out_w, out_b = net.output_weights.tolist(), net.output_bias
     return {
         "version": SCHEMA_VERSION,
         "dimension": net.input_dimension,
@@ -173,7 +176,7 @@ def network_from_dict(doc: dict) -> ThresholdNetwork:
             raise SchemaError(
                 f"declared dimension {doc['dimension']} but layers expect {net.input_dimension}"
             )
-    except SchemaError:
+    except (SchemaError, TooLarge):
         raise
     except Exception as exc:
         raise SchemaError(f"malformed network document: {exc}") from exc

@@ -10,6 +10,11 @@ matrix written out, the way the library built it before its layers were
 stored as weight patterns; it is the oracle for the pattern layers, and
 ``densify`` writes out the patterns of any network the same way.
 
+``telescoping_output`` is the output stage the builders made as a tuple of
+Fractions before they made it as ints over one scale; it is the oracle for
+``ExactStage``, and ``output_fractions`` reads any network's stage back as
+Fractions.
+
 ``pairs_validate_oracle`` is the validator that took a list of
 (point, label) pairs, point by point, before ``validate_dataset`` took the
 two arrays; it is the oracle for the array checks.
@@ -212,7 +217,29 @@ def dense_weights(layer: ThresholdLayer) -> np.ndarray:
 def densify(net: ThresholdNetwork) -> ThresholdNetwork:
     """``net`` with every weight pattern replaced by its dense matrix."""
     layers = tuple(ThresholdLayer(dense_weights(l), l.biases, l.activation) for l in net.layers)
+    if net.exact_stage is not None:
+        return ThresholdNetwork(layers, net.exact_stage)
     return ThresholdNetwork(layers, net.output_weights, net.output_bias)
+
+
+def telescoping_output(labels: np.ndarray) -> tuple[tuple[Fraction, ...], Fraction]:
+    """Output weights y_i - y_{i-1} (nonnegative) plus the label-shift bias, as Fractions.
+
+    The virtual y_0 is 0 for nonnegative labels; for a negative smallest
+    label the bias shifts the baseline down to y_1 instead, so the first
+    weight becomes 0 and all weights stay nonnegative.
+    """
+    steps = [Fraction(min(0.0, float(labels[0])))]
+    steps += [Fraction(v) for v in labels.tolist()]
+    return tuple(b - a for a, b in zip(steps, steps[1:])), steps[0]
+
+
+def output_fractions(net: ThresholdNetwork) -> tuple[list[Fraction], Fraction]:
+    """The output weights and bias of ``net`` as Fractions, from its exact stage if it has one."""
+    stage = net.exact_stage
+    if stage is None:
+        return [Fraction(w) for w in net.output_weights.tolist()], Fraction(net.output_bias)
+    return [Fraction(p, stage.scale) for p in stage.numerators], Fraction(stage.bias, stage.scale)
 
 
 def dense_interpolator(ds: MonotoneDataset) -> ThresholdNetwork:
@@ -223,5 +250,4 @@ def dense_interpolator(ds: MonotoneDataset) -> ThresholdNetwork:
         ThresholdLayer(blocks_matrix(n, d), np.full(n, -float(d))),
         ThresholdLayer(suffix_matrix(n), np.full(n, -1.0)),
     )
-    steps = [Fraction(min(0.0, float(ds.labels[0])))] + [Fraction(v) for v in ds.labels.tolist()]
-    return ThresholdNetwork(layers, [b - a for a, b in zip(steps, steps[1:])], steps[0])
+    return ThresholdNetwork(layers, *telescoping_output(ds.labels))

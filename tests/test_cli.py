@@ -319,6 +319,27 @@ class TestAudit:
         assert captured.out == ""
         assert diagnostic(captured.err)["error"] == "TooLarge"
 
+    def test_exact_stage_past_the_scale_cap_refused_before_allocating(self, tmp_path, capsys):
+        # 1/p over distinct primes: the lcm of 50,000 seven-digit ones would take about 1 M bits
+        primes = [p for p in range(2, 20_000) if all(p % q for q in range(2, int(p**0.5) + 1))]
+        layer = {"activation": "threshold", "weights": [[1.0]] * len(primes), "biases": [0.0] * len(primes)}
+        doc = {"version": 3, "dimension": 1, "monotone_flag": True, "exact": True, "layers": [layer],
+               "output": {"weights": [f"1/{p}" for p in primes], "bias": "0/1"}}
+        net = write(tmp_path / "net.json", json.dumps(doc))
+        pts = write(tmp_path / "pts.csv", "1\n")
+        tracemalloc.start()
+        try:
+            code = main(["audit", "--check", "structure", "--net", net])
+            assert main(["eval", net, pts]) == code == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 23, peak
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()  # one diagnostic from each command
+        assert len(lines) == 2 and all(diagnostic(line)["error"] == "TooLarge" for line in lines)
+
     def test_structure_requires_net(self, capsys):
         assert main(["audit", "--check", "structure"]) == 2
 
@@ -389,6 +410,20 @@ class TestApprox:
 
     def test_budget_exit_2(self, capsys):
         assert main(["approx", "--fn", "mean", "--d", "3", "--L", "1", "--eps", "0.001"]) == 2
+
+    def test_probes_past_the_evaluation_limit_refused_before_allocating(self, capsys):
+        # 100,000 probes of 46,656 output units would keep about 42 GB of bools and their float64 cast
+        tracemalloc.start()
+        try:
+            code = main("approx --fn min --d 3 --L 1 --eps 0.05 --probes 100000".split())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 1 << 25, peak  # the build of the 46,656-point grid, not the evaluation
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert diagnostic(captured.err)["error"] == "TooLarge"
 
     @pytest.mark.parametrize("eps", ["1e-8", "1e-320"])
     def test_fine_grid_refused_quickly(self, eps, capsys):

@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_chain_dataset, random_monotone_dataset
+from conftest import output_fractions, random_chain_dataset, random_monotone_dataset, telescoping_output
 from mononet.construct import (
     build_chain_interpolator,
     build_interpolator,
@@ -306,7 +306,37 @@ def test_float_stage_is_float_label_differences(labels):
                 build(ds)
             continue
         net, trace = build(ds)
-        weights, bias = net._output_float
-        assert weights.tobytes() == want.tobytes()
-        assert bias == baseline
+        assert net.output_weights.tobytes() == want.tobytes()
+        assert net.output_bias == baseline
         assert trace.output_weights == tuple(want.tolist())
+
+
+# signed zeros, subnormals and magnitudes whose differences overflow the float range
+ODD_LABELS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0, 1e308, -1e308,
+              1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@given(st.lists(st.one_of(st.sampled_from(ODD_LABELS), st.floats(allow_nan=False, allow_infinity=False)),
+                min_size=1, max_size=12))
+@example([-1e308, 1e308])
+@example([-5e-324, 5e-324, 5e-324])
+@example([-3.0, -3.0, 0.5, 1e308])
+@settings(max_examples=200, deadline=None)
+def test_integer_stage_matches_fraction_oracle(labels):
+    # sorted labels on a chain: ties, a negative first label, and both builders
+    labels = sorted(labels)
+    ds = validate_dataset(np.arange(len(labels), dtype=float)[:, None], labels)
+    weights, bias = telescoping_output(ds.labels)
+    try:
+        want = np.array([float(w) for w in weights] + [float(bias)])
+    except OverflowError:
+        want = None
+    for build in (build_interpolator, build_chain_interpolator):
+        if want is None:
+            with pytest.raises(InvalidNumber):
+                build(ds)
+            continue
+        net, _ = build(ds)
+        assert output_fractions(net) == (list(weights), bias)
+        assert np.append(net.output_weights, net.output_bias).tobytes() == want.tobytes()
+        assert net.evaluate_batch_exact(ds.points) == [Fraction(y) for y in ds.labels.tolist()]

@@ -12,6 +12,7 @@ from conftest import (
     dense_interpolator,
     dense_weights,
     densify,
+    output_fractions,
     pairs_validate_oracle,
     random_chain_dataset,
     random_monotone_dataset,
@@ -20,6 +21,7 @@ from conftest import (
 from mononet import core
 from mononet.construct import build_chain_interpolator
 from mononet.core import (
+    ExactStage,
     MonotoneDataset,
     ThresholdLayer,
     ThresholdNetwork,
@@ -40,6 +42,7 @@ from mononet.errors import (
     InvalidNumber,
     MonotoneViolation,
     NotTotallyOrdered,
+    TooLarge,
 )
 
 
@@ -768,8 +771,8 @@ def fraction_oracle(net: ThresholdNetwork, X) -> list[Fraction]:
                 a = [Fraction(int(v >= 0)) for v in z]
             else:
                 a = [max(v, Fraction(0)) for v in z]
-        weights = [Fraction(w) for w in net.output_weights]
-        out.append(sum((w * v for w, v in zip(weights, a)), Fraction(net.output_bias)))
+        weights, bias = output_fractions(net)
+        out.append(sum((w * v for w, v in zip(weights, a)), bias))
     return out
 
 
@@ -812,6 +815,27 @@ def random_stack(rng, kind: str) -> ThresholdNetwork:
     if rng.random() < 0.5:
         out_w = tuple(Fraction(int(v), 3) for v in rng.integers(0, 9, widths[-1]))
     return ThresholdNetwork(tuple(layers), out_w, Fraction(int(rng.integers(-3, 3)), 7))
+
+
+class TestEvaluationLimit:
+    def test_refused_before_the_forward_pass(self, monkeypatch):
+        # 7,000 rows of 10,000 units: 630 MB of bools and their float64 cast
+        layer = ThresholdLayer(WeightPattern("select", 1, np.zeros(10_000, np.intp)), -np.arange(10_000.0))
+        net = ThresholdNetwork((layer,), np.ones(10_000))
+        X = np.zeros((7_000, 1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge):
+                net.evaluate_batch(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+        # the bound is inclusive: 9 bytes a unit for exactly the rows that fit
+        monkeypatch.setattr(core, "EVALUATE_MAX_BYTES", 9 * 10 * 10_000)
+        assert net.evaluate_batch(X[:10]).tolist() == [1.0] * 10
+        with pytest.raises(TooLarge):
+            net.evaluate_batch(X[:11])
 
 
 class TestExactEvaluation:
@@ -914,11 +938,13 @@ class TestExactEvaluation:
         assert net.evaluate_exact([0.75]) == Fraction(1)
         assert net.evaluate_exact([0.0]) == Fraction(0)
 
-    def test_output_fractions_are_kept_and_the_rest_converted(self):
-        weights = (Fraction(1, 3), 0.5, 2, Fraction(7, 2))
+    def test_output_fractions_become_ints_over_one_scale(self):
+        weights = (Fraction(1, 3), 0.5, np.int64(2), Fraction(7, 2))  # a numpy int as well as floats
         bias = Fraction(-1, 5)
         net = ThresholdNetwork((ThresholdLayer(np.ones((4, 1)), np.zeros(4)),), weights, bias)
-        assert net.output_weights[0] is weights[0] and net.output_weights[3] is weights[3]
-        assert net.output_bias is bias
-        assert net.output_weights[1:3] == (Fraction(1, 2), Fraction(2))
-        assert all(type(w) is Fraction for w in net.output_weights)
+        assert net.exact_stage == ExactStage((10, 15, 60, 105), -6, 30)
+        assert output_fractions(net) == (list(weights), bias)
+        assert net.output_weights.tolist() == [1 / 3, 0.5, 2.0, 3.5] and net.output_bias == -0.2
+        assert ThresholdNetwork(net.layers, net.exact_stage).exact_stage == net.exact_stage
+        with pytest.raises(InvalidArgument):
+            ThresholdNetwork(net.layers, net.exact_stage, 0.5)  # the stage holds its bias

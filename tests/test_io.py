@@ -13,7 +13,8 @@ from pathlib import Path
 from conftest import densify, random_monotone_dataset
 from mononet.construct import build_chain_interpolator, build_interpolator
 from mononet.core import ThresholdLayer, ThresholdNetwork, WeightPattern, validate_dataset
-from mononet.errors import SchemaError
+from mononet.core import EXACT_SCALE_BITS
+from mononet.errors import SchemaError, TooLarge
 from mononet.io import (
     _parse_rows,
     load_network,
@@ -210,7 +211,7 @@ class TestNetworkJson:
         save_network(net, path)
         back = load_network(path)
         assert back.is_exact
-        assert back.output_weights == net.output_weights
+        assert back.exact_stage == net.exact_stage
         assert back.evaluate_batch_exact(ds.points) == [
             Fraction(float(y)) for y in ds.labels
         ]
@@ -382,6 +383,21 @@ class TestNetworkJson:
         }
         with pytest.raises(SchemaError):
             network_from_dict(doc)
+
+    def test_exact_stage_at_the_scale_cap_loads_and_past_it_is_refused(self):
+        def doc(k):  # the least scale is 3 * 2**k, of k + 2 bits
+            return {"version": 3, "dimension": 1, "monotone_flag": True, "exact": True,
+                    "layers": [{"activation": "threshold", "weights": [[1.0]] * 2, "biases": [0.0, -1.0]}],
+                    "output": {"weights": ["3/4", f"1/{2**k}"], "bias": f"-1/{3 * 2**(k - 3)}"}}
+
+        k = EXACT_SCALE_BITS - 2
+        net = network_from_dict(doc(k))
+        assert net.exact_stage.scale == 3 * 2**k and (3 * 2**k).bit_length() == EXACT_SCALE_BITS
+        assert network_to_dict(net)["output"] == doc(k)["output"]
+        want = Fraction(3, 4) + Fraction(1, 2**k) - Fraction(1, 3 * 2**(k - 3))
+        assert net.evaluate_batch_exact([[1.0]]) == [want]
+        with pytest.raises(TooLarge):
+            network_from_dict(doc(k + 1))
 
     def test_version_1_file_loads_and_evaluates_identically(self):
         # written by `mononet synth` before layers could be weight patterns
