@@ -303,14 +303,13 @@ def _cmd_approx(args) -> int:
         f = _tabulated_function(args.table, args.d)
     grid = approx.plan_grid(args.d, args.L, args.eps, args.budget)
     net = approx.build_approximator(f, args.d, args.L, args.eps, args.budget)
-    if args.probes > 0:  # before any output, as the evaluation may be refused
-        rng = np.random.default_rng(args.seed)
-        probes = rng.random((args.probes, args.d))
-        errors = np.abs(net.evaluate_batch(probes) - np.asarray([f(tuple(x)) for x in probes]))
     print(f"d: {args.d}  L: {args.L}  eps: {args.eps}  seed: {args.seed}", file=sys.stderr)
     print(f"grid: {grid.points_per_axis} points per axis, {grid.point_count} total")
     print(f"hidden units: {net.hidden_unit_count}")
     if args.probes > 0:
+        rng = np.random.default_rng(args.seed)
+        probes = rng.random((args.probes, args.d))
+        errors = np.abs(net.evaluate_batch(probes) - np.asarray([f(tuple(x)) for x in probes]))
         print(f"sup error over {args.probes} probes: {float(errors.max()):.6g}")
     if args.output:
         io.save_network(net, args.output)

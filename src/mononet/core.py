@@ -10,9 +10,9 @@ Conventions used throughout the package:
   is either the unit step (1 for arguments >= 0, else 0) or ReLU.  Note the
   bias is *added*; a unit that should fire when a coordinate reaches a
   stored value ``c`` therefore carries bias ``-c``.
-* The final stage is affine: ``output_weights @ a + output_bias``.  An exact
-  stage also keeps its exact values, as Python ints over one scale
-  (:class:`ExactStage`).
+* The final stage is affine: ``output_weights @ a + output_bias``, in float
+  summed row by row, one block of rows at a time.  An exact stage also keeps
+  its exact values, as Python ints over one scale (:class:`ExactStage`).
 * A network is *monotone* when every hidden weight and every output weight
   is nonnegative (biases are unrestricted).  With monotone activations this
   is a sufficient structural certificate for the network computing a
@@ -66,7 +66,6 @@ _EXACT_INT_LIMIT = 2.0**53
 CHUNK_BYTES = 1 << 25  # the working size of one block of rows (see row_blocks)
 
 EXACT_SCALE_BITS = 2048  # an exact output stage's largest scale; a float's denominator has <= 1,075 bits
-EVALUATE_MAX_BYTES = 1 << 29  # what evaluate_batch may keep: the last layer's bools and their float64 cast
 
 
 def threshold(z) -> int:
@@ -410,22 +409,26 @@ def _checked_pattern(w: WeightPattern, width: int) -> tuple[WeightPattern, tuple
     raise InvalidArgument(f"invalid weight pattern {(w.kind, w.size)!r}")
 
 
-def _as_integers(values: np.ndarray, max_bits: int | None = None) -> tuple[np.ndarray, int]:
-    """``(values * scale, scale)`` as Python ints, for the least such ``scale``.
-
-    ``values`` holds floats, ints or Fractions.  For floats, which are
-    integers over powers of two, ``scale`` is the largest of those powers.
-    The lcm grows one distinct denominator at a time, and past ``max_bits``
-    bits raises :class:`TooLarge` before any product is made.
-    """
-    ratios = [v.as_integer_ratio() for v in values.ravel().tolist()]
+def _over_one_scale(ratios: list[tuple[int, int]], max_bits: int | None = None) -> tuple[list[int], int]:
+    """``([p * scale // q, ...], scale)`` for reduced ratios ``(p, q)``, ``q != 0``, and the least ``scale``.
+    The lcm, of magnitudes, grows one distinct denominator at a time, and past ``max_bits`` bits
+    raises :class:`TooLarge` before any product is made."""
     scale = 1
     for q in {q for _, q in ratios}:
         scale = math.lcm(scale, q)
         if max_bits is not None and scale.bit_length() > max_bits:
             raise TooLarge(f"the exact output stage needs a scale of more than {max_bits} bits")
-    ints = np.array([p * (scale // q) for p, q in ratios], dtype=object)
-    return ints.reshape(values.shape), scale
+    return [p * (scale // q) for p, q in ratios], scale
+
+
+def _as_integers(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(values * scale, scale)`` as Python ints, for the least such ``scale``.
+
+    ``values`` holds floats, ints or Fractions.  For floats, which are
+    integers over powers of two, ``scale`` is the largest of those powers.
+    """
+    ints, scale = _over_one_scale([v.as_integer_ratio() for v in values.ravel().tolist()])
+    return np.array(ints, dtype=object).reshape(values.shape), scale
 
 
 class ExactStage(NamedTuple):
@@ -436,10 +439,10 @@ class ExactStage(NamedTuple):
     scale: int
 
     @classmethod
-    def of(cls, values: np.ndarray, max_bits: int | None = None) -> ExactStage:
-        """The stage whose weights are ``values[:-1]`` and whose bias is ``values[-1]``."""
-        ints, scale = _as_integers(values, max_bits)
-        *numerators, bias = ints.tolist()
+    def of(cls, ratios: list[tuple[int, int]]) -> ExactStage:
+        """The stage of reduced ratios ``(p, q)``, ``q != 0``: weights ``ratios[:-1]``, bias ``ratios[-1]``.
+        A scale of more than ``EXACT_SCALE_BITS`` bits raises :class:`TooLarge`."""
+        (*numerators, bias), scale = _over_one_scale(ratios, EXACT_SCALE_BITS)
         return cls(tuple(numerators), bias, scale)
 
 
@@ -461,7 +464,7 @@ def _coerce_output(weights, bias) -> tuple[np.ndarray, float, ExactStage | None]
     ):
         # a numpy integer has no as_integer_ratio: take numpy scalars at their Python value
         values = [v.item() if isinstance(v, np.generic) else v for v in (*weights, bias)]
-        stage = ExactStage.of(np.array(values, dtype=object), EXACT_SCALE_BITS)
+        stage = ExactStage.of([v.as_integer_ratio() for v in values])
     if stage is None:
         w, b = np.asarray(weights, dtype=float), float(bias)
     else:
@@ -558,25 +561,21 @@ class ThresholdNetwork:
     def evaluate_batch(self, X) -> np.ndarray:
         """Forward pass for a batch of points, returning an (m,) float array.
 
-        Raises :class:`TooLarge`, before the forward pass, when it would keep
-        more than ``EVALUATE_MAX_BYTES``.
+        Each block of rows runs through the hidden layers and the output stage
+        before the next, so memory follows one block.  ``np.einsum`` sums each
+        output row on its own: only a dense layer's matrix product can make a
+        point's value depend on its batch or block.
         """
-        A = X = self._check_batch(X)
-        if self.layers:
-            planned = 9 * len(X) * self.layers[-1].width  # the last layer's bools and their float64 cast
-            if planned > EVALUATE_MAX_BYTES:
-                raise TooLarge(f"{len(X)} points would keep {planned} bytes, more than {EVALUATE_MAX_BYTES}")
-            # hidden layers by row blocks; the output stage runs once, as BLAS
-            # sums a row in an order that depends on the number of rows
-            parts = []
-            for s in row_blocks(len(X), 8 * max(self.hidden_widths)):
-                A = X[s]
-                for layer in self.layers:
-                    A = layer.forward(A)
-                parts.append(A)
-            A = parts[0] if len(parts) == 1 else np.concatenate(parts)
-            A = A.astype(float, copy=False)  # a threshold layer's bools, cast once for BLAS
-        return A @ self.output_weights + self.output_bias
+        X = self._check_batch(X)
+        out = np.empty(len(X))
+        for s in row_blocks(len(X), 8 * max(self.hidden_widths, default=X.shape[1])):
+            A = X[s]
+            for layer in self.layers:
+                A = layer.forward(A)
+            A = np.ascontiguousarray(A, dtype=float)  # bools cast per block; in C order einsum sums a row alone
+            np.einsum("ij,j->i", A, self.output_weights, out=out[s])
+        out += self.output_bias
+        return out
 
     def evaluate(self, x) -> float:
         """Forward pass for one point."""
@@ -601,8 +600,8 @@ class ThresholdNetwork:
                 A = A.astype(object)
             A = layer.forward(A)
             zero_one = layer.activation == THRESHOLD
-        # a float stage's ints are made here, as only this pass needs them
-        stage = self.exact_stage or ExactStage.of(np.append(self.output_weights, self.output_bias))
+        stage = self.exact_stage  # a float stage's ints are made here, as only this pass needs them
+        stage = stage or ExactStage.of([v.as_integer_ratio() for v in (*self.output_weights, self.output_bias)])
         W, b, scale = np.array(stage.numerators, dtype=object), stage.bias, stage.scale
         if zero_one:
             den, Z = 1, [sum(W[row].tolist(), b) for row in A]

@@ -34,12 +34,11 @@ from __future__ import annotations
 import csv
 import json
 import math
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from .core import BLOCKS, DENSE, SELECT, SUFFIX, ThresholdLayer, ThresholdNetwork, WeightPattern
+from .core import BLOCKS, DENSE, SELECT, SUFFIX, ExactStage, ThresholdLayer, ThresholdNetwork, WeightPattern
 from .errors import SchemaError, TooLarge
 
 SCHEMA_VERSION = 3
@@ -112,12 +111,16 @@ def fraction_text(numerator: int, scale: int) -> str:
     return f"{numerator // g}/{scale // g}"
 
 
-def _parse_fraction(s) -> Fraction:
+def _parse_fraction(s) -> tuple[int, int]:
+    """The "numerator/denominator" text ``s`` as ``(p, q)`` in lowest terms; ``q`` may be negative."""
     try:
-        num, den = str(s).split("/")
-        return Fraction(int(num), int(den))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"bad fraction literal {s!r}") from exc
+        p, q = map(int, str(s).split("/"))
+    except ValueError:
+        q = 0  # refused below, with a zero denominator
+    if q == 0:
+        raise SchemaError(f"bad fraction literal {s!r}")
+    g = math.gcd(p, q)
+    return p // g, q // g
 
 
 def network_to_dict(net: ThresholdNetwork) -> dict:
@@ -166,12 +169,10 @@ def network_from_dict(doc: dict) -> ThresholdNetwork:
         layers = tuple(_layer_from_dict(spec) for spec in doc["layers"])
         out = doc["output"]
         if doc.get("exact", False):
-            weights = tuple(_parse_fraction(w) for w in out["weights"])
-            bias = _parse_fraction(out["bias"])
+            ratios = [_parse_fraction(t) for t in (*out["weights"], out["bias"])]
+            net = ThresholdNetwork(layers, ExactStage.of(ratios))
         else:
-            weights = np.asarray(out["weights"], dtype=float)
-            bias = float(out["bias"])
-        net = ThresholdNetwork(layers, weights, bias)
+            net = ThresholdNetwork(layers, np.asarray(out["weights"], dtype=float), float(out["bias"]))
         if net.input_dimension != doc["dimension"]:
             raise SchemaError(
                 f"declared dimension {doc['dimension']} but layers expect {net.input_dimension}"

@@ -411,19 +411,18 @@ class TestApprox:
     def test_budget_exit_2(self, capsys):
         assert main(["approx", "--fn", "mean", "--d", "3", "--L", "1", "--eps", "0.001"]) == 2
 
-    def test_probes_past_the_evaluation_limit_refused_before_allocating(self, capsys):
-        # 100,000 probes of 46,656 output units would keep about 42 GB of bools and their float64 cast
+    def test_many_probes_run_within_one_block(self, capsys):
+        # 2,000 probes of 46,656 output units: 840 MB of bools and their float64 cast if kept whole
         tracemalloc.start()
         try:
-            code = main("approx --fn min --d 3 --L 1 --eps 0.05 --probes 100000".split())
+            code = main("approx --fn min --d 3 --L 1 --eps 0.05 --probes 2000".split())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert code == 2
-        assert peak < 1 << 25, peak  # the build of the 46,656-point grid, not the evaluation
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert diagnostic(captured.err)["error"] == "TooLarge"
+        assert code == 0
+        assert peak < 1 << 26, peak
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last.startswith("sup error over 2000 probes: ") and float(last.split()[-1]) <= 0.05
 
     @pytest.mark.parametrize("eps", ["1e-8", "1e-320"])
     def test_fine_grid_refused_quickly(self, eps, capsys):

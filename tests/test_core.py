@@ -19,7 +19,7 @@ from conftest import (
     random_monotone_score,
 )
 from mononet import core
-from mononet.construct import build_chain_interpolator
+from mononet.construct import build_chain_interpolator, build_interpolator
 from mononet.core import (
     ExactStage,
     MonotoneDataset,
@@ -42,7 +42,6 @@ from mononet.errors import (
     InvalidNumber,
     MonotoneViolation,
     NotTotallyOrdered,
-    TooLarge,
 )
 
 
@@ -817,31 +816,71 @@ def random_stack(rng, kind: str) -> ThresholdNetwork:
     return ThresholdNetwork(tuple(layers), out_w, Fraction(int(rng.integers(-3, 3)), 7))
 
 
-class TestEvaluationLimit:
-    def test_refused_before_the_forward_pass(self, monkeypatch):
-        # 7,000 rows of 10,000 units: 630 MB of bools and their float64 cast
+class TestLargeBatches:
+    def test_memory_follows_one_block(self):
+        # 7,000 rows of 10,000 units: 630 MB of bools and their float64 cast if kept whole
         layer = ThresholdLayer(WeightPattern("select", 1, np.zeros(10_000, np.intp)), -np.arange(10_000.0))
         net = ThresholdNetwork((layer,), np.ones(10_000))
-        X = np.zeros((7_000, 1))
+        X = 2.0 * np.arange(7_000)[:, None]  # unit u fires iff x >= u
         tracemalloc.start()
         try:
-            with pytest.raises(TooLarge):
-                net.evaluate_batch(X)
+            got = net.evaluate_batch(X)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1 << 20, peak
-        # the bound is inclusive: 9 bytes a unit for exactly the rows that fit
-        monkeypatch.setattr(core, "EVALUATE_MAX_BYTES", 9 * 10 * 10_000)
-        assert net.evaluate_batch(X[:10]).tolist() == [1.0] * 10
-        with pytest.raises(TooLarge):
-            net.evaluate_batch(X[:11])
+        assert peak < 1 << 26, peak
+        assert got.tolist() == np.minimum(X[:, 0] + 1, 10_000).tolist()
+
+
+@st.composite
+def batch_cases(draw):
+    """A dataset with labels that are not dyadic, so that the output sums round, and queries around it.
+
+    Half the datasets are chains, which both builders take.
+    """
+    d, n = draw(st.integers(1, 3)), draw(st.integers(1, 30))
+    steps = draw(st.lists(st.tuples(*[st.integers(0, 3)] * d), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        points = np.cumsum(steps, axis=0) + np.arange(n)[:, None]
+    else:
+        points = np.unique(np.array(steps, dtype=float), axis=0)
+    w = np.array(draw(st.lists(st.floats(0.1, 2.0), min_size=d, max_size=d)))
+    ds = validate_dataset(points, np.round(points @ w / w.sum(), 3))
+    X = np.vstack([ds.points, ds.points - 0.5, ds.points + 0.25])
+    return ds, w, X
+
+
+class TestBatchInvariance:
+    def test_training_points_alone_equal_their_rows_of_the_batch(self):
+        rng = np.random.default_rng(1)
+        X = rng.random((700, 4))
+        w = rng.uniform(0.5, 1.5, 4)
+        ds = validate_dataset(X, np.round(X @ w / w.sum(), 3))
+        net, _ = build_interpolator(ds)
+        alone = np.array([net.evaluate(x) for x in ds.points])
+        assert alone.tobytes() == net.evaluate_batch(ds.points).tobytes()
+
+    @given(batch_cases(), st.lists(st.integers(0, 90), max_size=4), st.integers(1, 4096))
+    @settings(max_examples=60, deadline=None)
+    def test_values_do_not_depend_on_the_batch_property(self, case, cuts, budget):
+        ds, w, X = case
+        nets = [build_interpolator(ds)[0], affine_network(w / 3, 0.1)]
+        if is_totally_ordered(ds):
+            nets.append(build_chain_interpolator(ds)[0])
+        edges = sorted({0, len(X), *(c % (len(X) + 1) for c in cuts)})
+        for net in nets:
+            whole = net.evaluate_batch(X)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(core, "CHUNK_BYTES", budget)  # blocks of a few rows
+                parts = [net.evaluate_batch(X[a:b]) for a, b in zip(edges, edges[1:])]
+                assert np.concatenate(parts).tobytes() == whole.tobytes()
+                assert net.evaluate_batch(X).tobytes() == whole.tobytes()
+                assert net.evaluate_batch(np.asfortranarray(X)).tobytes() == whole.tobytes()
+                assert np.array([net.evaluate(x) for x in X]).tobytes() == whole.tobytes()
 
 
 class TestExactEvaluation:
     def test_fast_path_matches_rational(self):
-        from mononet.construct import build_chain_interpolator, build_interpolator
-
         rng = np.random.default_rng(11)
         for k in range(20):
             if k % 2:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from conftest import densify, random_monotone_dataset
 from mononet.construct import build_chain_interpolator, build_interpolator
-from mononet.core import ThresholdLayer, ThresholdNetwork, WeightPattern, validate_dataset
+from mononet.core import ExactStage, ThresholdLayer, ThresholdNetwork, WeightPattern, validate_dataset
 from mononet.core import EXACT_SCALE_BITS
 from mononet.errors import SchemaError, TooLarge
 from mononet.io import (
@@ -20,6 +20,7 @@ from mononet.io import (
     load_network,
     network_from_dict,
     parse_float,
+    read_json,
     network_to_dict,
     read_dataset_csv,
     read_points_csv,
@@ -176,6 +177,13 @@ class TestDatasetCsv:
         assert read_points_csv(path).tolist() == [[0.25, 0.5], [1.0, 2.0]]
 
 
+def fraction_stage(doc: dict) -> ExactStage:
+    """The exact stage of a network document, read through one ``Fraction`` a text."""
+    out = doc["output"]
+    fractions = [Fraction(*map(int, text.split("/"))) for text in (*out["weights"], out["bias"])]
+    return ThresholdNetwork((), fractions[:-1], fractions[-1]).exact_stage
+
+
 class TestNetworkJson:
     def test_round_trip_bit_exact(self, tmp_path):
         weights = np.array([[5e-324, 1e300], [math.nextafter(1.0, 2.0), 0.1]])
@@ -262,6 +270,31 @@ class TestNetworkJson:
         }
         with pytest.raises(SchemaError):
             network_from_dict(doc)
+
+    @pytest.mark.parametrize("text", ["1/0", "-0/0", "1/-0", "1/x", "1/2/3", "1", "1.5/2", ""])
+    def test_fraction_text_that_is_not_p_over_q_refused(self, text):
+        doc = {"version": 3, "dimension": 1, "monotone_flag": True, "exact": True, "layers": [],
+               "output": {"weights": ["1/2"], "bias": text}}
+        with pytest.raises(SchemaError, match="bad fraction literal"):
+            network_from_dict(doc)
+
+    @pytest.mark.parametrize("name", ["v1_network.json", "v2_network.json"])
+    def test_fixture_stage_loads_as_the_fractions_give_it(self, name):
+        doc = read_json(Path(__file__).parent / "data" / name)
+        assert network_from_dict(doc).exact_stage == fraction_stage(doc)
+
+    @given(st.lists(st.tuples(st.one_of(st.integers(-10**300, 10**300).map(str), st.sampled_from(["-0", "+0", "+7"])),
+                              st.integers(-10**6, 10**6).filter(bool).map(str)), min_size=1, max_size=8))
+    @example([("-0", "3")])
+    @example([("6", "-4"), ("-10", "-15"), ("0", "-1"), ("12", "8")])
+    @settings(max_examples=200, deadline=None)
+    def test_exact_stage_loads_as_the_fractions_give_it_property(self, pairs):
+        texts = [f"{p}/{q}" for p, q in pairs]
+        doc = {"version": 3, "dimension": len(texts) - 1, "monotone_flag": True, "exact": True, "layers": [],
+               "output": {"weights": texts[:-1], "bias": texts[-1]}}
+        net, want = network_from_dict(doc), fraction_stage(doc)
+        assert net.exact_stage == want
+        assert net.output_weights.tolist() == [p / want.scale for p in want.numerators]
 
     def test_exact_weight_beyond_float_range_refused_at_load(self):
         # every network carries its float output stage, so an exact value
