@@ -11,21 +11,27 @@ the uniform error is at most ``eps``.
 
 The last axis point 1.0 is appended when the uniform sweep does not land on
 it, so an upper neighbor always exists.
+
+A *target* maps an (m, d) float64 array of points to their (m,) values.
+The network is built from the grid points strictly above every lower axis
+neighbour: ``max{y_i : x_i <= x}`` loses nothing, as by induction each
+dropped point has a kept point below it with its value, and the least grid
+point (the baseline's ``y_1``) is kept; so it is the full grid's on all R^d.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import product
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .construct import build_interpolator
-from .core import ThresholdNetwork, canonical_dataset, validate_dataset
-from .errors import GridTooLarge, InvalidArgument
+from .core import ThresholdNetwork, canonical_dataset, pairwise_leq, row_blocks, validate_dataset
+from .errors import DimensionMismatch, GridTooLarge, InvalidArgument, InvalidNumber
 from .io import parse_float
 
 DEFAULT_GRID_BUDGET = 10_000_000
@@ -51,9 +57,12 @@ class GridSpec:
     def point_count(self) -> int:
         return self.points_per_axis**self.dimension
 
-    def iter_points(self):
-        """Grid points in row-major order (last axis varies fastest)."""
-        return product(self.axis_points, repeat=self.dimension)
+    def points(self) -> np.ndarray:
+        """The read-only (point_count, d) array of grid points in row-major order (last axis varies fastest)."""
+        axes = [np.array(self.axis_points)] * self.dimension
+        points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.dimension)
+        points.flags.writeable = False
+        return points
 
 
 def plan_grid(
@@ -91,90 +100,100 @@ def plan_grid(
     return GridSpec(dimension=d, spacing=spacing, axis_points=tuple(axis))
 
 
-def empirical_lipschitz(values: Sequence[float], grid: GridSpec) -> float:
-    """Largest |delta f| / |delta x| over axis-adjacent grid points."""
-    shape = (grid.points_per_axis,) * grid.dimension
-    V = np.asarray(values, dtype=float).reshape(shape)
-    gaps = np.diff(np.asarray(grid.axis_points))
-    worst = 0.0
-    for ax in range(grid.dimension):
-        gap_shape = [1] * grid.dimension
-        gap_shape[ax] = len(gaps)
-        with np.errstate(over="ignore"):  # a rate past the float range is inf
-            rate = np.abs(np.diff(V, axis=ax)) / gaps.reshape(gap_shape)
-        if rate.size:
-            worst = max(worst, float(rate.max()))
-    return worst
-
-
 def build_approximator(
-    f: Callable[[tuple[float, ...]], float],
-    d: int,
-    lipschitz: float,
-    eps: float,
+    f: Callable[[np.ndarray], np.ndarray], d: int, lipschitz: float, eps: float,
     budget: int = DEFAULT_GRID_BUDGET,
 ) -> ThresholdNetwork:
-    """Monotone network within ``eps`` of ``f`` uniformly on [0,1]^d.
+    """Monotone network within ``eps`` of the target ``f`` uniformly on [0,1]^d.
 
-    ``f`` is sampled on every grid point (row-major).  It must be monotone
-    (a violation on the samples raises :class:`MonotoneViolation`) and
-    ``lipschitz`` must genuinely bound its slope for the error guarantee to
+    ``f`` is called once, on the read-only array of :meth:`GridSpec.points`;
+    a result not of shape (point_count,) raises :class:`DimensionMismatch`.  It
+    must be monotone (a violation on the samples raises :class:`MonotoneViolation`)
+    and ``lipschitz`` must genuinely bound its slope for the error guarantee to
     hold; a steeper slope between samples triggers a warning.
 
-    The samples are checked by comparing neighbours along each axis, in
-    O(points * d): a step between comparable grid points is a sum of steps
-    along the axes, so by transitivity these pairs order every comparable
-    pair.  Samples that fail this check, or that are not finite, go through
-    :func:`validate_dataset` for its error.
+    One pass over the axes compares each sample with its lower neighbours, in
+    O(points * d): a step between comparable grid points is a sum of axis steps,
+    so by transitivity these pairs order every comparable pair.  Samples that fail,
+    or are not finite, go through :func:`validate_dataset` for its error.  The
+    network is built from the points the pass keeps (see the module docstring).
     """
     grid = plan_grid(d, lipschitz, eps, budget)
-    points = list(grid.iter_points())
-    values = np.array([float(f(p)) for p in points])
-    points = np.array(points)
-    # build first: samples that cannot be built (a label not finite, say) are refused with no warning
-    if np.isfinite(values).all() and _axis_monotone(values, grid):
-        ds = canonical_dataset(points, values)
-    else:
-        ds = validate_dataset(points, values)  # raises, naming the pair or the number
-    net, _ = build_interpolator(ds)
-    observed = empirical_lipschitz(values, grid)
-    if observed > lipschitz * (1 + 1e-9):
+    points = grid.points()
+    values = np.asarray(f(points), dtype=float)
+    if values.shape != points.shape[:1]:
+        raise DimensionMismatch(f"the target returned shape {values.shape} for {len(points)} points")
+    falls, keep, slope = _axis_pass(values, grid)
+    if falls:
+        validate_dataset(points, values)  # raises, naming the number or the pair
+    # build first: samples that cannot be built (a label step past the float range) are refused with no warning
+    net, _ = build_interpolator(canonical_dataset(points[keep], values[keep]))
+    if slope > lipschitz * (1 + 1e-9):
         warnings.warn(
-            f"grid samples show slope {observed:.6g} exceeding the declared "
+            f"grid samples show slope {slope:.6g} exceeding the declared "
             f"Lipschitz bound {lipschitz:.6g}; the error guarantee may not hold",
             stacklevel=2,
         )
     return net
 
 
-def _axis_monotone(values: np.ndarray, grid: GridSpec) -> bool:
-    """Whether grid samples never fall along an axis, by comparison: a difference may overflow."""
+def _axis_pass(values: np.ndarray, grid: GridSpec) -> tuple[bool, np.ndarray, float]:
+    """Whether grid samples are not finite or fall along an axis, the mask of points strictly
+    above every lower axis neighbour, and the steepest |delta f| / |delta x| between axis neighbours."""
     V = values.reshape((grid.points_per_axis,) * grid.dimension)
-    return all((W[:-1] <= W[1:]).all() for W in (np.moveaxis(V, ax, 0) for ax in range(grid.dimension)))
+    gaps = np.diff(grid.axis_points)
+    keep = np.ones(V.shape, dtype=bool)
+    falls, steepest = not np.isfinite(values).all(), 0.0
+    for ax in range(grid.dimension):
+        # a finite step or rate past the float range is inf, of the step's sign; inf - inf is refused anyway
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = np.moveaxis(np.diff(V, axis=ax), ax, -1)
+            rate = np.abs(step) / gaps
+        falls |= bool((step < 0).any())
+        np.moveaxis(keep, ax, -1)[..., 1:] &= step > 0
+        steepest = max(steepest, float(rate.max()))
+    return falls, keep.reshape(-1), steepest
 
 
-def constant_function(c: float) -> Callable[[tuple[float, ...]], float]:
-    return lambda x: float(c)
+def tabulated_function(points: np.ndarray, values: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The target ``x -> max{values[i] : points[i] <= x}``, else ``min(values)``: monotone for any
+    (n, d) ``points`` and (n,) ``values``.  A NaN value raises :class:`InvalidNumber`.  Each block
+    of queries is compared with the whole table at once."""
+    points, values = np.asarray(points, dtype=float), np.asarray(values, dtype=float)
+    if np.isnan(values).any():
+        raise InvalidNumber("table values must not be NaN")
+    floor = values.min()
+
+    def f(X: np.ndarray) -> np.ndarray:
+        if X.shape[1:] != points.shape[1:]:
+            raise DimensionMismatch(f"queries of shape {X.shape} for table points of {points.shape[1]} coordinates")
+        out = np.empty(len(X))
+        for s in row_blocks(len(X), 3 * len(points)):  # bytes a table point: leq matrix, comparison, mask
+            below = pairwise_leq(points, X[s])  # floor, the least value, changes no maximum over a nonempty set
+            out[s] = np.max(np.broadcast_to(values[:, None], below.shape), axis=0, where=below, initial=floor)
+        return out
+
+    return f
 
 
-BUILTIN_FUNCTIONS: dict[str, Callable[[tuple[float, ...]], float]] = {
+BUILTIN_FUNCTIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     # All monotone on [0,1]^d; suitable Lipschitz bounds (Euclidean) are
     # 1 for linear/min/max, 1/sqrt(d) for mean, and unbounded near 0 for
     # sqrt (callers must supply their own L for a restricted domain).
-    "linear": lambda x: float(x[0]),
-    "mean": lambda x: float(sum(x) / len(x)),
-    "min": lambda x: float(min(x)),
-    "max": lambda x: float(max(x)),
-    "sqrt": lambda x: float(math.sqrt(x[0])),
+    "linear": lambda X: X[:, 0],
+    "mean": lambda X: functools.reduce(np.add, X.T) / X.shape[1],  # left to right: one result on every Python
+    "min": lambda X: X.min(axis=1),
+    "max": lambda X: X.max(axis=1),
+    "sqrt": lambda X: np.sqrt(X[:, 0]),
 }
 
 
-def resolve_function(name: str) -> Callable[[tuple[float, ...]], float]:
+def resolve_function(name: str) -> Callable[[np.ndarray], np.ndarray]:
     """Look up a builtin target by name; ``constant:c`` builds a constant."""
     if name.startswith("constant:"):
         c = parse_float(name.split(":", 1)[1])
         if c is not None:
-            return constant_function(c)
+            return lambda X: np.full(len(X), c)
     elif name in BUILTIN_FUNCTIONS:
         return BUILTIN_FUNCTIONS[name]
     known = ", ".join(sorted(BUILTIN_FUNCTIONS) + ["constant:c"])

@@ -300,7 +300,7 @@ def _cmd_approx(args) -> int:
     if args.fn is not None:
         f = approx.resolve_function(args.fn)
     else:
-        f = _tabulated_function(args.table, args.d)
+        f = approx.tabulated_function(*io.read_dataset_csv(args.table))
     grid = approx.plan_grid(args.d, args.L, args.eps, args.budget)
     net = approx.build_approximator(f, args.d, args.L, args.eps, args.budget)
     print(f"d: {args.d}  L: {args.L}  eps: {args.eps}  seed: {args.seed}", file=sys.stderr)
@@ -309,33 +309,12 @@ def _cmd_approx(args) -> int:
     if args.probes > 0:
         rng = np.random.default_rng(args.seed)
         probes = rng.random((args.probes, args.d))
-        errors = np.abs(net.evaluate_batch(probes) - np.asarray([f(tuple(x)) for x in probes]))
+        errors = np.abs(net.evaluate_batch(probes) - f(probes))
         print(f"sup error over {args.probes} probes: {float(errors.max()):.6g}")
     if args.output:
         io.save_network(net, args.output)
         print(f"wrote {args.output}")
     return EXIT_OK
-
-
-def _tabulated_function(path, d: int):
-    """Monotone lower extension of tabulated samples in ``d`` coordinates.
-
-    The value at x is the largest sample value among table points <= x,
-    defaulting to the smallest sample value; this is monotone for any table.
-    """
-    points, values = io.read_dataset_csv(path)
-    if points.shape[1] != d:
-        raise DimensionMismatch(f"{path}: table points have {points.shape[1]} coordinates, --d is {d}")
-    floor_value = float(values.min())
-
-    def f(x):
-        x = np.asarray(x, dtype=float)
-        below = np.all(points <= x, axis=1)
-        if below.any():
-            return float(values[below].max())
-        return floor_value
-
-    return f
 
 
 def _cmd_matchprob(args) -> int:

@@ -16,7 +16,8 @@ A :class:`~mononet.core.WeightPattern` layer holds ``"kind": "select", "size": d
 "index": [...]``, ``"kind": "blocks", "size": k`` or ``"kind": "suffix"`` (whose
 ``"size"``, if given, is 1) in place of ``"weights"``.  Version 1 files
 (matrices only) and version 2 files (blocks and suffix patterns, layer 1 a
-matrix) still load; the version is an int, so ``true`` and ``2.0`` are refused.
+matrix) still load.  The version and the dimension are ints, so ``true`` and
+``2.0`` are refused, and ``"exact"``, when present, is ``true`` or ``false``.
 
 Floats round-trip bit-exactly: Python's shortest-repr float encoding is
 what ``json`` emits and parses.  An exact output stage, which every built
@@ -166,9 +167,14 @@ def network_from_dict(doc: dict) -> ThresholdNetwork:
     try:
         if type(doc["version"]) is not int or doc["version"] not in (1, 2, SCHEMA_VERSION):
             raise SchemaError(f"unsupported network version {doc['version']!r}")
+        if type(doc["dimension"]) is not int:
+            raise SchemaError(f"network dimension must be an int, got {doc['dimension']!r}")
+        exact = doc.get("exact", False)
+        if type(exact) is not bool:
+            raise SchemaError(f'network "exact" must be true or false, got {exact!r}')
         layers = tuple(_layer_from_dict(spec) for spec in doc["layers"])
         out = doc["output"]
-        if doc.get("exact", False):
+        if exact:
             ratios = [_parse_fraction(t) for t in (*out["weights"], out["bias"])]
             net = ThresholdNetwork(layers, ExactStage.of(ratios))
         else:

@@ -23,6 +23,13 @@ two arrays; it is the oracle for the array checks.
 or one chain with the generator's own calls, one sample at a time; they
 are the oracles for the campaigns' stacks, which read the same draws
 from raw words.
+
+``full_grid_approximator`` builds the grid approximator from every grid
+point, as ``build_approximator`` did before it kept only the points above
+their lower axis neighbours; it is the oracle for that prune, and
+``axis_minimal`` finds those points one at a time.
+``tabulated_oracle`` is the ``--table`` target one point per call, as the
+CLI evaluated it before ``approx.tabulated_function`` took arrays.
 """
 
 from fractions import Fraction
@@ -30,6 +37,8 @@ from fractions import Fraction
 import numpy as np
 
 from mononet import audit
+from mononet.approx import plan_grid
+from mononet.construct import build_interpolator
 from mononet.core import (
     THRESHOLD,
     MonotoneDataset,
@@ -251,3 +260,37 @@ def dense_interpolator(ds: MonotoneDataset) -> ThresholdNetwork:
         ThresholdLayer(suffix_matrix(n), np.full(n, -1.0)),
     )
     return ThresholdNetwork(layers, *telescoping_output(ds.labels))
+
+
+def full_grid_approximator(f, d: int, lipschitz: float, eps: float) -> ThresholdNetwork:
+    """The interpolator of target ``f`` on every point of the grid for (d, lipschitz, eps)."""
+    points = plan_grid(d, lipschitz, eps).points()
+    net, _ = build_interpolator(validate_dataset(points, f(points)))
+    return net
+
+
+def axis_minimal(grid, values) -> np.ndarray:
+    """Mask of the grid points whose sample is above that of every lower axis neighbour, point by point."""
+    V = np.asarray(values).reshape((grid.points_per_axis,) * grid.dimension)
+    keep = np.ones(V.shape, dtype=bool)
+    for index in np.ndindex(V.shape):
+        for ax, i in enumerate(index):
+            lower = index[:ax] + (i - 1,) + index[ax + 1 :]
+            if i > 0 and not V[index] > V[lower]:
+                keep[index] = False
+    return keep.reshape(-1)
+
+
+def tabulated_oracle(points: np.ndarray, values: np.ndarray):
+    """The table's target at one point ``x``: the largest value among table points <= x, else the least value."""
+    if np.isnan(values).any():
+        raise InvalidNumber("table values must not be NaN")
+    floor_value = float(values.min())
+
+    def f(x):
+        below = np.all(points <= np.asarray(x, dtype=float), axis=1)
+        if below.any():
+            return float(values[below].max())
+        return floor_value
+
+    return f

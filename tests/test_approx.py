@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -7,17 +8,25 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mononet import approx
+from conftest import axis_minimal, full_grid_approximator, tabulated_oracle
+from mononet import approx, core
 from mononet.approx import (
     BUILTIN_FUNCTIONS,
+    _axis_pass,
     build_approximator,
-    empirical_lipschitz,
     plan_grid,
     resolve_function,
+    tabulated_function,
 )
 from mononet.construct import build_interpolator
 from mononet.core import validate_dataset
-from mononet.errors import GridTooLarge, InvalidArgument, InvalidNumber, MonotoneViolation
+from mononet.errors import (
+    DimensionMismatch,
+    GridTooLarge,
+    InvalidArgument,
+    InvalidNumber,
+    MonotoneViolation,
+)
 
 
 def grid_neighbors(grid, x) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -100,26 +109,35 @@ class TestPlanGrid:
         lo, hi = grid_neighbors(grid, (0.4, 0.9))
         assert all(a <= b for a, b in zip(lo, (0.4, 0.9)))
         assert all(a >= b for a, b in zip(hi, (0.4, 0.9)))
-        assert lo in set(grid.iter_points())
-        assert hi in set(grid.iter_points())
+        points = set(map(tuple, grid.points().tolist()))
+        assert lo in points
+        assert hi in points
+
+    @pytest.mark.parametrize("d, eps", [(1, 0.25), (2, 1.0), (3, 0.5)])
+    def test_points_in_row_major_order(self, d, eps):
+        grid = plan_grid(d, 1.0, eps)
+        points = grid.points()
+        assert points.shape == (grid.point_count, d) and points.dtype == np.float64
+        assert not points.flags.writeable
+        assert points.tolist() == [list(p) for p in itertools.product(grid.axis_points, repeat=d)]
 
 
 class TestBuildApproximator:
     def test_identity_staircase(self):
-        net = build_approximator(lambda x: x[0], 1, 1.0, 0.25)
+        net = build_approximator(lambda X: X[:, 0], 1, 1.0, 0.25)
         rng = np.random.default_rng(0)
         probes = rng.random((1000, 1))
         errors = np.abs(net.evaluate_batch(probes) - probes[:, 0])
         assert errors.max() <= 0.25
 
     def test_constant_is_exact(self):
-        net = build_approximator(lambda x: 0.7, 1, 1.0, 0.25)
+        net = build_approximator(lambda X: np.full(len(X), 0.7), 1, 1.0, 0.25)
         rng = np.random.default_rng(1)
         probes = rng.random((500, 1))
         assert np.all(net.evaluate_batch(probes) == 0.7)
 
     def test_mean_two_dimensional(self):
-        net = build_approximator(lambda x: (x[0] + x[1]) / 2, 2, 1.0, 0.2)
+        net = build_approximator(lambda X: (X[:, 0] + X[:, 1]) / 2, 2, 1.0, 0.2)
         rng = np.random.default_rng(2)
         probes = rng.random((2000, 2))
         errors = np.abs(net.evaluate_batch(probes) - probes.mean(axis=1))
@@ -129,7 +147,7 @@ class TestBuildApproximator:
         # sqrt(eta + (1-eta)x) is monotone with Lipschitz bound (1-eta)/(2*sqrt(eta))
         eta = 0.09
         lip = (1 - eta) / (2 * math.sqrt(eta))
-        f = lambda x: math.sqrt(eta + (1 - eta) * x[0])
+        f = lambda X: np.sqrt(eta + (1 - eta) * X[:, 0])
         net = build_approximator(f, 1, lip, 0.1)
         rng = np.random.default_rng(3)
         probes = rng.random((1000, 1))
@@ -137,21 +155,24 @@ class TestBuildApproximator:
         assert errors.max() <= 0.1
 
     def test_size_formula(self):
-        for d, eps in [(1, 0.25), (2, 0.5)]:
+        # (d + 2) units per kept point; min keeps the points on the grid's diagonal
+        for d, eps in [(1, 0.25), (2, 0.5), (3, 0.5)]:
             grid = plan_grid(d, 1.0, eps)
-            net = build_approximator(lambda x: min(x), d, 1.0, eps)
-            assert net.hidden_unit_count == (d + 2) * grid.point_count
+            net = build_approximator(BUILTIN_FUNCTIONS["min"], d, 1.0, eps)
+            kept = axis_minimal(grid, grid.points().min(axis=1)).sum()
+            assert kept == grid.points_per_axis
+            assert net.hidden_unit_count == (d + 2) * kept
             assert net.monotone_flag
 
     def test_sandwich_property(self):
         grid = plan_grid(2, 1.0, 0.4)
-        f = lambda x: max(x)
+        f = lambda X: X.max(axis=1)
         net = build_approximator(f, 2, 1.0, 0.4)
         rng = np.random.default_rng(4)
         for x in rng.random((200, 2)):
             lo, hi = grid_neighbors(grid, x)
             v = net.evaluate(x)
-            assert f(lo) <= v <= f(hi)
+            assert f(np.array([lo]))[0] <= v <= f(np.array([hi]))[0]
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_samples_refused_before_the_slope_check(self, value):
@@ -159,19 +180,27 @@ class TestBuildApproximator:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidNumber, match="labels must be finite"):
-                build_approximator(lambda x: value, 1, 1.0, 0.1)
+                build_approximator(lambda X: np.full(len(X), value), 1, 1.0, 0.1)
 
     def test_non_monotone_rejected(self):
         with pytest.raises(MonotoneViolation):
-            build_approximator(lambda x: -x[0], 1, 1.0, 0.25)
+            build_approximator(lambda X: -X[:, 0], 1, 1.0, 0.25)
 
     def test_a_monotone_grid_is_built_without_the_pairwise_check(self, monkeypatch):
         monkeypatch.setattr(approx, "validate_dataset", lambda *args: pytest.fail("checked pairwise"))
-        targets = [(min, 2), (max, 3), (lambda x: 0.5, 2), (lambda x: sum(x) / len(x), 2), (lambda x: x[0], 1)]
+        targets = [
+            (lambda X: X.min(axis=1), 2),
+            (lambda X: X.max(axis=1), 3),
+            (lambda X: np.full(len(X), 0.5), 2),
+            (lambda X: X.sum(axis=1) / X.shape[1], 2),
+            (lambda X: X[:, 0], 1),
+        ]
         for f, d in targets:
             net = build_approximator(f, d, 1.0, 0.3)
-            points = np.array(list(plan_grid(d, 1.0, 0.3).iter_points()))
-            want, _ = build_interpolator(validate_dataset(points, [f(tuple(p)) for p in points.tolist()]))
+            grid = plan_grid(d, 1.0, 0.3)
+            points, values = grid.points(), f(grid.points())
+            keep = axis_minimal(grid, values)
+            want, _ = build_interpolator(validate_dataset(points[keep], values[keep]))
             assert [l.biases.tobytes() for l in net.layers] == [l.biases.tobytes() for l in want.layers]
             assert net.exact_stage == want.exact_stage
 
@@ -180,12 +209,13 @@ class TestBuildApproximator:
         falling = 0
         for _ in range(40):
             d = int(rng.integers(1, 4))
-            points = list(plan_grid(d, 1.0, 0.6).iter_points())
-            values = np.array([sum(p) for p in points])
+            points = plan_grid(d, 1.0, 0.6).points()
+            values = points.sum(axis=1)
             values[rng.integers(len(values), size=int(rng.integers(1, 3)))] += rng.choice([-2.0, 2.0])
-            f = dict(zip(points, values.tolist())).__getitem__
+            table = dict(zip(map(tuple, points.tolist()), values.tolist()))
+            f = lambda X: np.array([table[p] for p in map(tuple, X.tolist())])
             try:
-                validate_dataset(np.array(points), values)
+                validate_dataset(points, values)
             except MonotoneViolation as err:
                 want = err
             else:  # a raised top or a lowered bottom: monotone, and steeper than L
@@ -200,31 +230,175 @@ class TestBuildApproximator:
 
     def test_lipschitz_warning(self):
         with pytest.warns(UserWarning, match="Lipschitz"):
-            build_approximator(lambda x: 5.0 * x[0], 1, 1.0, 0.5)
+            build_approximator(lambda X: 5.0 * X[:, 0], 1, 1.0, 0.5)
 
 
 class TestHelpers:
     def test_sample_grid_matches_function(self):
         # The identity interpolated on the 1-D grid reproduces every grid point.
         grid = plan_grid(1, 1.0, 0.5)
-        net = build_approximator(lambda x: x[0], 1, 1.0, 0.5)
+        net = build_approximator(lambda X: X[:, 0], 1, 1.0, 0.5)
         assert net.hidden_widths == (grid.point_count, grid.point_count, grid.point_count)
-        pts = np.asarray(list(grid.iter_points()))
+        pts = grid.points()
         assert net.evaluate_batch(pts).tolist() == pts[:, 0].tolist()
 
-    def test_empirical_lipschitz(self):
+    def test_steepest_slope(self):
         grid = plan_grid(1, 1.0, 0.25)
-        values = [3.0 * x for (x,) in grid.iter_points()]
-        est = empirical_lipschitz(values, grid)
-        assert math.isclose(est, 3.0, rel_tol=1e-9)
+        values = 3.0 * grid.points()[:, 0]
+        falls, keep, slope = _axis_pass(values, grid)
+        assert not falls and keep.all()
+        assert math.isclose(slope, 3.0, rel_tol=1e-9)
 
     def test_resolve_builtins(self):
-        assert resolve_function("mean")((0.2, 0.4)) == pytest.approx(0.3)
-        assert resolve_function("min")((0.2, 0.4)) == 0.2
-        assert resolve_function("max")((0.2, 0.4)) == 0.4
-        assert resolve_function("linear")((0.2, 0.4)) == 0.2
-        assert resolve_function("sqrt")((0.25,)) == 0.5
-        assert resolve_function("constant:0.7")((0.0,)) == 0.7
+        X = np.array([[0.2, 0.4], [0.6, 0.1]])
+        assert resolve_function("mean")(X).tolist() == [0.30000000000000004, 0.35]
+        assert resolve_function("min")(X).tolist() == [0.2, 0.1]
+        assert resolve_function("max")(X).tolist() == [0.4, 0.6]
+        assert resolve_function("linear")(X).tolist() == [0.2, 0.6]
+        assert resolve_function("sqrt")(np.array([[0.25], [0.0]])).tolist() == [0.5, 0.0]
+        assert resolve_function("constant:0.7")(X).tolist() == [0.7, 0.7]
         with pytest.raises(InvalidArgument):
             resolve_function("nope")
         assert set(BUILTIN_FUNCTIONS) == {"linear", "mean", "min", "max", "sqrt"}
+
+
+def probe_points(grid, rng) -> np.ndarray:
+    """The grid points, the points just below them, and random points around the cube."""
+    points = grid.points()
+    below = np.nextafter(points, -np.inf)
+    return np.concatenate([points, below, rng.uniform(-0.1, 1.1, (200, grid.dimension))])
+
+
+DUPLICATE_TABLE = (
+    np.array([[0.1, 0.2], [0.25, 0.5], [0.6, 0.1], [0.25, 0.5], [0.7, 0.8], [0.0, 0.95], [0.5, 0.5]]),
+    np.array([-0.03, 0.01, 0.0, 0.02, 0.04, 0.015, -0.01]),
+)
+
+
+class TestPrune:
+    """The network built from the kept grid points is the one built from every grid point."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("name", [*sorted(BUILTIN_FUNCTIONS), "constant:0.5", "constant:-2.5"])
+    def test_pruned_equals_full(self, name, d):
+        eps = {1: 0.05, 2: 0.2, 3: 0.4}[d]
+        f = resolve_function(name)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # sqrt is steeper than L near 0
+            net = build_approximator(f, d, 1.0, eps)
+            full = full_grid_approximator(f, d, 1.0, eps)
+        grid = plan_grid(d, 1.0, eps)
+        kept = axis_minimal(grid, f(grid.points())).sum()
+        assert net.hidden_unit_count == (d + 2) * kept
+        X = probe_points(grid, np.random.default_rng(d))
+        assert net.evaluate_batch_exact(X) == full.evaluate_batch_exact(X)
+
+    def test_table_with_duplicate_points(self):
+        f = tabulated_function(*DUPLICATE_TABLE)
+        net = build_approximator(f, 2, 1.0, 0.1)
+        full = full_grid_approximator(f, 2, 1.0, 0.1)
+        grid = plan_grid(2, 1.0, 0.1)
+        assert net.hidden_unit_count < full.hidden_unit_count
+        assert net.hidden_unit_count == 4 * axis_minimal(grid, f(grid.points())).sum()
+        X = probe_points(grid, np.random.default_rng(5))
+        assert net.evaluate_batch_exact(X) == full.evaluate_batch_exact(X)
+
+    def test_mean_keeps_every_point(self):
+        grid = plan_grid(2, 1.0, 0.1)
+        net = build_approximator(BUILTIN_FUNCTIONS["mean"], 2, 1.0, 0.1)
+        assert net.hidden_unit_count == 4 * grid.point_count
+
+    def test_mean_adds_the_columns_left_to_right(self):
+        # Python 3.12's sum() is compensated, so the reference is an explicit loop
+        points = plan_grid(3, 1.0, 0.1).points()
+        want = []
+        for row in points.tolist():
+            total = 0.0
+            for v in row:
+                total += v
+            want.append(total / 3)
+        got = BUILTIN_FUNCTIONS["mean"](points)
+        assert got.tobytes() == np.array(want).tobytes()
+
+
+class TestTargetContract:
+    @pytest.mark.parametrize(
+        "f",
+        [lambda X: 0.5, lambda X: X[:, :1], lambda X: X[1:, 0], lambda X: np.zeros((len(X), 2)), lambda X: []],
+        ids=["scalar", "column", "short", "matrix", "empty"],
+    )
+    def test_wrong_shape_raises(self, f):
+        with pytest.raises(DimensionMismatch, match="target returned shape"):
+            build_approximator(f, 2, 1.0, 0.5)
+
+    def test_a_target_cannot_write_to_the_grid(self):
+        seen = []
+
+        def writes(X):
+            seen.append(X)
+            X[0, 0] = 7.0
+            return X[:, 0]
+
+        with pytest.raises(ValueError, match="read-only"):
+            build_approximator(writes, 2, 1.0, 0.5)
+        grid = plan_grid(2, 1.0, 0.5)
+        assert len(seen) == 1 and not seen[0].flags.writeable
+        assert np.array_equal(seen[0], grid.points())
+
+    def test_called_once_on_the_whole_grid(self):
+        calls = []
+
+        def counted(X):
+            calls.append(X.shape)
+            return X.max(axis=1)
+
+        build_approximator(counted, 3, 1.0, 0.5)
+        assert calls == [(plan_grid(3, 1.0, 0.5).point_count, 3)]
+
+
+table_points = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=12)
+
+
+class TestTabulatedFunction:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        points=table_points,
+        values=st.lists(st.sampled_from([-1.0, 0.0, 0.5, 0.5, 2.0, 1e300]), min_size=12, max_size=12),
+        queries=st.lists(st.tuples(st.integers(-1, 4), st.integers(-1, 4)), min_size=0, max_size=30),
+        chunk=st.integers(1, 200),
+    )
+    def test_equals_the_per_point_oracle(self, points, values, queries, chunk):
+        # small integer grids give ties and duplicate points with different values; -1 lies below every point
+        P = np.array(points, dtype=float) / 2
+        y = np.array(values[: len(points)])
+        Q = np.array(queries, dtype=float).reshape(-1, 2) / 2
+        oracle = tabulated_oracle(P, y)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "CHUNK_BYTES", chunk)  # a block of one to a few queries
+            got = tabulated_function(P, y)(Q)
+        assert got.shape == (len(Q),)
+        assert got.tolist() == [oracle(q) for q in Q]
+
+    def test_several_blocks(self, monkeypatch):
+        P, y = DUPLICATE_TABLE
+        Q = np.random.default_rng(8).uniform(-0.2, 1.2, (500, 2))
+        want = tabulated_function(P, y)(Q)
+        monkeypatch.setattr(core, "CHUNK_BYTES", 3 * len(P) * 7)  # blocks of seven queries
+        blocks = []
+        leq = approx.pairwise_leq
+        monkeypatch.setattr(approx, "pairwise_leq", lambda A, B: blocks.append(len(B)) or leq(A, B))
+        assert tabulated_function(P, y)(Q).tolist() == want.tolist()
+        assert blocks == [7] * 71 + [3]
+        assert want.tolist() == [tabulated_oracle(P, y)(q) for q in Q]
+
+    def test_nan_value_refused(self):
+        P, y = DUPLICATE_TABLE[0], DUPLICATE_TABLE[1].copy()
+        y[3] = np.nan
+        with pytest.raises(InvalidNumber):
+            tabulated_function(P, y)
+        with pytest.raises(InvalidNumber):
+            tabulated_oracle(P, y)
+
+    def test_query_dimension_checked(self):
+        with pytest.raises(DimensionMismatch):
+            tabulated_function(*DUPLICATE_TABLE)(np.zeros((3, 3)))

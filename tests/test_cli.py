@@ -383,6 +383,12 @@ class TestApprox:
         assert caught == []
         assert diagnostic(capsys.readouterr().err)["error"] == "InvalidNumber"
 
+    def test_table_with_a_nan_value_refused(self, tmp_path, capsys):
+        table = write(tmp_path / "table.csv", "0,0\n0.5,nan\n1,1\n")
+        assert main(["approx", "--table", table, "--d", "1", "--L", "1", "--eps", "0.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and diagnostic(captured.err)["error"] == "InvalidNumber"
+
     @pytest.mark.parametrize("table", ["0,0,0,0\n1,1,1,1\n", "0,0\n1,1\n"])
     def test_table_dimension_must_match_d(self, tmp_path, table, capsys):
         path = write(tmp_path / "table.csv", table)
@@ -412,10 +418,11 @@ class TestApprox:
         assert main(["approx", "--fn", "mean", "--d", "3", "--L", "1", "--eps", "0.001"]) == 2
 
     def test_many_probes_run_within_one_block(self, capsys):
-        # 2,000 probes of 46,656 output units: 840 MB of bools and their float64 cast if kept whole
+        # mean keeps all 46,656 grid points: 2,000 probes of 46,656 output units
+        # are 840 MB of bools and their float64 cast if kept whole
         tracemalloc.start()
         try:
-            code = main("approx --fn min --d 3 --L 1 --eps 0.05 --probes 2000".split())
+            code = main("approx --fn mean --d 3 --L 1 --eps 0.05 --probes 2000".split())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

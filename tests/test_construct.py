@@ -95,7 +95,7 @@ class TestBuildInterpolator:
         monkeypatch.setattr(ThresholdNetwork, "hidden_activations", counted)
         ds = random_monotone_dataset(np.random.default_rng(27), max_n=40, max_d=3)
         net, trace = build_interpolator(ds)
-        build_approximator(lambda x: sum(x), d=2, lipschitz=2.0, eps=0.5)
+        build_approximator(lambda X: X.sum(axis=1), d=2, lipschitz=2.0, eps=0.5)
         assert calls == []
         want = pairwise_leq(ds.points).T
         monkeypatch.setattr(core, "CHUNK_BYTES", 8 * (ds.dimension + 1) * ds.n * 7)

@@ -240,12 +240,32 @@ class TestNetworkJson:
             with pytest.raises(SchemaError, match="unsupported network version"):
                 network_from_dict(doc)
 
-    def test_declared_dimension_checked(self):
+    @pytest.mark.parametrize("dimension", [7, True, 1.0, "1"])
+    def test_declared_dimension_checked(self, dimension):
+        # a bool or a float equal to 1 is not the int 1
         net = ThresholdNetwork((ThresholdLayer([[1.0]], [0.0]),), [1.0], 0.0)
         doc = network_to_dict(net)
-        doc["dimension"] = 7
+        doc["dimension"] = dimension
         with pytest.raises(SchemaError):
             network_from_dict(doc)
+
+    @pytest.mark.parametrize("exact", ["no", "false", 1, 0, None, [], 1.0])
+    def test_exact_must_be_a_bool(self, exact):
+        net = ThresholdNetwork((ThresholdLayer([[1.0]], [0.0]),), [Fraction(1, 3)], 0.0)
+        doc = network_to_dict(net)
+        doc["exact"] = exact
+        with pytest.raises(SchemaError, match="exact"):
+            network_from_dict(doc)
+
+    @pytest.mark.parametrize("weight, exact", [(Fraction(1, 3), True), (0.5, False), (0.5, "absent")])
+    def test_exact_flag_read(self, weight, exact):
+        net = ThresholdNetwork((ThresholdLayer([[1.0]], [0.0]),), [weight], 0.0)
+        doc = network_to_dict(net)
+        if exact == "absent":
+            del doc["exact"]
+        else:
+            assert doc["exact"] is exact
+        assert network_from_dict(doc).is_exact is (exact is True)
 
     def test_ragged_weights(self):
         doc = {
