@@ -108,9 +108,13 @@ def build_approximator(
 
     ``f`` is called once, on the read-only array of :meth:`GridSpec.points`;
     a result not of shape (point_count,) raises :class:`DimensionMismatch`.  It
-    must be monotone (a violation on the samples raises :class:`MonotoneViolation`)
-    and ``lipschitz`` must genuinely bound its slope for the error guarantee to
-    hold; a steeper slope between samples triggers a warning.
+    must be monotone (a violation on the samples raises :class:`MonotoneViolation`).
+
+    The sup error on [0,1]^d is at most G, the largest rise of the samples
+    across a grid cell, from its least corner a to its greatest b: for x in
+    the cell, f(a) <= N(x) <= f(x) <= f(b) by monotonicity alone.  When
+    ``lipschitz`` bounds the slope, G <= eps; a G above eps triggers a
+    warning that names it.
 
     One pass over the axes compares each sample with its lower neighbours, in
     O(points * d): a step between comparable grid points is a sum of axis steps,
@@ -123,15 +127,15 @@ def build_approximator(
     values = np.asarray(f(points), dtype=float)
     if values.shape != points.shape[:1]:
         raise DimensionMismatch(f"the target returned shape {values.shape} for {len(points)} points")
-    falls, keep, slope = _axis_pass(values, grid)
+    falls, keep, rise = _axis_pass(values, grid)
     if falls:
         validate_dataset(points, values)  # raises, naming the number or the pair
     # build first: samples that cannot be built (a label step past the float range) are refused with no warning
     net, _ = build_interpolator(canonical_dataset(points[keep], values[keep]))
-    if slope > lipschitz * (1 + 1e-9):
+    if rise > eps * (1 + 1e-9):
         warnings.warn(
-            f"grid samples show slope {slope:.6g} exceeding the declared "
-            f"Lipschitz bound {lipschitz:.6g}; the error guarantee may not hold",
+            f"the error bound G = {rise:.6g} exceeds eps {eps:.6g}: grid samples rise by more than eps "
+            f"across a grid cell, so the declared Lipschitz bound {lipschitz:.6g} does not hold",
             stacklevel=2,
         )
     return net
@@ -139,20 +143,18 @@ def build_approximator(
 
 def _axis_pass(values: np.ndarray, grid: GridSpec) -> tuple[bool, np.ndarray, float]:
     """Whether grid samples are not finite or fall along an axis, the mask of points strictly
-    above every lower axis neighbour, and the steepest |delta f| / |delta x| between axis neighbours."""
+    above every lower axis neighbour, and G, the largest rise of the samples across a grid cell."""
     V = values.reshape((grid.points_per_axis,) * grid.dimension)
-    gaps = np.diff(grid.axis_points)
     keep = np.ones(V.shape, dtype=bool)
-    falls, steepest = not np.isfinite(values).all(), 0.0
-    for ax in range(grid.dimension):
-        # a finite step or rate past the float range is inf, of the step's sign; inf - inf is refused anyway
-        with np.errstate(over="ignore", invalid="ignore"):
+    falls = not np.isfinite(values).all()
+    # a finite step or rise past the float range is inf, of its sign; inf - inf is refused anyway
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ax in range(grid.dimension):
             step = np.moveaxis(np.diff(V, axis=ax), ax, -1)
-            rate = np.abs(step) / gaps
-        falls |= bool((step < 0).any())
-        np.moveaxis(keep, ax, -1)[..., 1:] &= step > 0
-        steepest = max(steepest, float(rate.max()))
-    return falls, keep.reshape(-1), steepest
+            falls |= bool((step < 0).any())
+            np.moveaxis(keep, ax, -1)[..., 1:] &= step > 0
+        rise = V[(slice(1, None),) * grid.dimension] - V[(slice(None, -1),) * grid.dimension]
+    return falls, keep.reshape(-1), float(rise.max())
 
 
 def tabulated_function(points: np.ndarray, values: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:

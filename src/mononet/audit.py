@@ -183,28 +183,26 @@ def relu_convexity_probe(
     require_positive(triples, "triples")
     d = net.input_dimension
     rng = np.random.default_rng(seed)
-    U = rng.random((triples, d))
-    V = rng.random((triples, d))
+    witness = _midpoint_witness(net, rng.random((triples, d)), rng.random((triples, d)))
+    return AuditReport("convexity", passed=witness is None, witness=witness, samples=triples, seed=seed)
+
+
+def _midpoint_witness(net: ThresholdNetwork, U: np.ndarray, V: np.ndarray) -> dict | None:
+    """The first pair of rows of ``U`` and ``V`` whose midpoint value exceeds their mean value, or None."""
     fu = net.evaluate_batch(U)
     fv = net.evaluate_batch(V)
     fm = net.evaluate_batch((U + V) / 2.0)
     slack = _REL_TOL * (1.0 + np.abs(fu) + np.abs(fv))
     bad = np.flatnonzero(fm > (fu + fv) / 2.0 + slack)
-    if len(bad):
-        k = int(bad[0])
-        return AuditReport(
-            "convexity",
-            passed=False,
-            witness={
-                "u": U[k].tolist(),
-                "v": V[k].tolist(),
-                "midpoint_value": float(fm[k]),
-                "endpoint_mean": float((fu[k] + fv[k]) / 2.0),
-            },
-            samples=triples,
-            seed=seed,
-        )
-    return AuditReport("convexity", passed=True, samples=triples, seed=seed)
+    if not len(bad):
+        return None
+    k = int(bad[0])
+    return {
+        "u": U[k].tolist(),
+        "v": V[k].tolist(),
+        "midpoint_value": float(fm[k]),
+        "endpoint_mean": float((fu[k] + fv[k]) / 2.0),
+    }
 
 
 def sqrt_gap_witness(
@@ -454,84 +452,35 @@ def _chain_width_report(
 # -- randomized campaigns ----------------------------------------------------
 
 
-class _RawWalk:
-    """A PCG64 stream read ahead as raw words and walked as numpy's scalar draws take them.
+def _streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
+    """A campaign's shape stream and parameter stream, the two children of ``SeedSequence(seed)``.
 
-    A ``Generator`` on PCG64 makes a ``random()`` double from one 64-bit
-    word, as ``(word >> 11) * 2**-53``.  A scalar ``integers(low, high)``
-    with ``high - low <= 2**32`` takes 32-bit halves of words, low half
-    first, through a one-half buffer kept in the bit generator's state
-    (``has_uint32``, ``uinteger``) that ``random()`` leaves alone.  The walk
-    replays such calls on a block of ``random_raw`` words: the integers one
-    by one in Python, the doubles as word positions for :func:`_draws` to
-    read.  :meth:`close` leaves the generator where the same calls would
-    have left it.  NEP 19 does not promise these streams across numpy
-    versions, so the tests check the walk against numpy's own calls.
+    Each stack takes its samples' shapes (widths, depth, chain length and
+    dimension) in one call to the shape stream and their doubles in one
+    ``random`` call to the parameter stream, sample after sample.  A sample
+    takes a fixed number of shape draws, and its number of doubles follows
+    from its shape, so a stack boundary only splits a stream between samples:
+    sample k is the same at any ``STACK_BYTES`` and any sample count.
     """
-
-    def __init__(self, rng: np.random.Generator, words: int):
-        """Read ``words`` ahead: enough for the walk when no integer draw is rejected."""
-        self._bits = rng.bit_generator
-        self._state = self._bits.state
-        self._buffered, self._half = self._state["has_uint32"], self._state["uinteger"]
-        self.raw = self._bits.random_raw(words)
-        self.used = 0
-
-    def _reserve(self, words: int) -> None:
-        # rejected integer draws may use up the block; the stream goes on in a new one
-        short = self.used + words - len(self.raw)
-        if short > 0:
-            self.raw = np.concatenate((self.raw, self._bits.random_raw(max(short, len(self.raw)))))
-
-    def _uint32(self) -> int:
-        if self._buffered:
-            self._buffered = 0
-            return self._half
-        self._reserve(1)
-        word = self.raw.item(self.used)
-        self.used += 1
-        self._buffered, self._half = 1, word >> 32
-        return word & 0xFFFFFFFF
-
-    def integers(self, low: int, high: int) -> int:
-        """``rng.integers(low, high)`` for ``1 <= high - low <= 2**32``, by Lemire's multiply-shift."""
-        span = high - low
-        if span == 1:  # one value: numpy draws nothing
-            return low
-        if span == 1 << 32:
-            return low + self._uint32()
-        m = self._uint32() * span
-        if (m & 0xFFFFFFFF) < span:
-            threshold = ((1 << 32) - span) % span
-            while (m & 0xFFFFFFFF) < threshold:
-                m = self._uint32() * span
-        return low + (m >> 32)
-
-    def doubles(self, count: int) -> int:
-        """Take ``count`` ``random()`` doubles; returns the position of the first one's word."""
-        self._reserve(count)
-        at = self.used
-        self.used += count
-        return at
-
-    def close(self) -> None:
-        """Put the generator where the walked calls would have put it."""
-        self._bits.state = self._state
-        self._bits.advance(self.used)  # advancing empties the half buffer
-        state = self._bits.state
-        state["has_uint32"], state["uinteger"] = self._buffered, self._half
-        self._bits.state = state
+    shapes, params = np.random.SeedSequence(seed).spawn(2)
+    return np.random.default_rng(shapes), np.random.default_rng(params)
 
 
-def _doubles(words: np.ndarray) -> np.ndarray:
-    """The ``random()`` double of each raw word."""
-    return (words >> np.uint64(11)) * 2.0**-53
+def _draw_fields(params: np.random.Generator, sizes: np.ndarray) -> list[np.ndarray]:
+    """Draw samples' doubles in one run and cut it into fields.
+
+    Sample k's doubles are ``sizes[k, 0]`` of field 0, then ``sizes[k, 1]``
+    of field 1, and so on, one sample after another.  Field j comes back as
+    its doubles over every sample, in sample order.
+    """
+    u = params.random(int(sizes.sum()))
+    field = np.repeat(np.tile(np.arange(sizes.shape[1]), len(sizes)), sizes.ravel())
+    return [u[field == j] for j in range(sizes.shape[1])]
 
 
-def _draws(raw: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """The doubles of words ``starts[k]`` to ``starts[k] + sizes[k] - 1`` of ``raw``, run after run."""
-    ends = np.cumsum(sizes)
-    return _doubles(raw[np.repeat(starts - ends + sizes, sizes) + np.arange(ends[-1])])
+def _one_layer_sizes(fan_ins, widths: np.ndarray) -> np.ndarray:
+    """Per network, the sizes of its weights, bias draws, output weights and output bias draw."""
+    return np.column_stack((widths * fan_ins, widths, widths, np.ones_like(widths)))
 
 
 def _symmetric(u, scale: float):
@@ -539,49 +488,27 @@ def _symmetric(u, scale: float):
     return -scale + (scale + scale) * u
 
 
-def _one_layer_draws(
-    raw: np.ndarray, starts: np.ndarray, fan_ins, widths: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The U[0, 1) draws of one-hidden-layer networks, each part run after run over the networks.
-
-    Network k's draws are one run of words from ``starts[k]``: its
-    ``widths[k] * fan_ins[k]`` weights, row by row, its ``widths[k]`` bias
-    draws, its ``widths[k]`` output weights and its output bias draw, as one
-    ``rng.random`` call would take them.
-    """
-    weights = widths * fan_ins
-    return (
-        _draws(raw, starts, weights),
-        _draws(raw, starts + weights, widths),
-        _draws(raw, starts + weights + widths, widths),
-        _doubles(raw[starts + weights + 2 * widths]),
-    )
-
-
 def _random_depth2_stack(
-    rng: np.random.Generator, d: int, count: int
+    shapes: np.random.Generator, params: np.random.Generator, d: int, count: int
 ) -> tuple[ThresholdNetwork, np.ndarray, np.ndarray]:
     """``count`` networks drawn as ``run_depth2_campaign`` draws them, side by side.
 
-    Each network draws its width, then its parameters.  Returns the
-    arguments of :func:`_depth2_audits` after ``d``: the stack, each
-    network's first unit and each network's output bias.
+    Each network takes its width from ``shapes``, then from ``params`` its
+    ``width * d`` weights row by row, its ``width`` bias draws, its ``width``
+    output weights and its output bias draw.  Returns the arguments of
+    :func:`_depth2_audits` after ``d``: the stack, each network's first unit
+    and each network's output bias.
     """
-    walk = _RawWalk(rng, count * (DEPTH2_MAX_WIDTH * (d + 2) + 2))
-    widths, starts = [], []
-    for _ in range(count):
-        width = walk.integers(1, DEPTH2_MAX_WIDTH + 1)
-        widths.append(width)
-        starts.append(walk.doubles(width * (d + 2) + 1))
-    walk.close()
-    w = np.array(widths)
-    weights, biases, output_weights, output_biases = _one_layer_draws(walk.raw, np.array(starts), d, w)
+    widths = shapes.integers(1, DEPTH2_MAX_WIDTH + 1, size=count)
+    weights, biases, output_weights, output_biases = _draw_fields(params, _one_layer_sizes(d, widths))
     layer = ThresholdLayer(weights.reshape(-1, d), _symmetric(biases, float(d * d)))
-    return ThresholdNetwork((layer,), output_weights), np.cumsum(w) - w, _symmetric(output_biases, 1.0)
+    starts = np.cumsum(widths) - widths
+    return ThresholdNetwork((layer,), output_weights), starts, _symmetric(output_biases, 1.0)
 
 
 def _depth2_sample_bytes(d: int) -> int:
-    """A network's planned bytes: its raw words, weights, biases and activations, each about this many."""
+    """A network's planned bytes: its draws, their field labels, its parameters and its activations,
+    each about this many."""
     return 4 * 8 * DEPTH2_MAX_WIDTH * (d + 2)
 
 
@@ -596,10 +523,10 @@ def run_depth2_campaign(d: int, samples: int, seed: int) -> AuditReport:
     """
     require_positive(samples, "samples")
     depth2_counterexample(d)  # refuses a d too small or too large before the first network
-    rng = np.random.default_rng(seed)
+    shapes, params = _streams(seed)
     interpolated = 0
     for s in row_blocks(samples, _depth2_sample_bytes(d), STACK_BYTES):
-        net, starts, output_biases = _random_depth2_stack(rng, d, s.stop - s.start)
+        net, starts, output_biases = _random_depth2_stack(shapes, params, d, s.stop - s.start)
         audits = _depth2_audits(net, d, starts, output_biases)
         failed = np.flatnonzero(~audits.passed)
         if len(failed):
@@ -618,13 +545,14 @@ def run_depth2_campaign(d: int, samples: int, seed: int) -> AuditReport:
 class _ReluStack(NamedTuple):
     """Random 1-dimensional monotone ReLU networks and their probe points side by side.
 
-    Network k's layer i has weights ``weights[k, i]`` and biases
-    ``biases[k, i]``, zero-padded to ``CONVEXITY_MAX_WIDTH`` units; the first
-    layer has fan-in 1 and reads column 0 only.  A padding unit has weight
-    0, bias 0 and output weight 0, and a network shallower than
-    ``CONVEXITY_MAX_DEPTH`` gets identity layers of bias 0.  ``inputs[k]``
-    holds its probe points: ``triples`` rows U, ``triples`` rows V, their
-    midpoints, then the coarse grid of the square-root gap bound.
+    Network k's layer i has ``units[k, i]`` units (0 for a layer it lacks),
+    weights ``weights[k, i]`` and biases ``biases[k, i]``, zero-padded to
+    ``CONVEXITY_MAX_WIDTH`` units; the first layer has fan-in 1 and reads
+    column 0 only.  A padding unit has weight 0, bias 0 and output weight 0,
+    and a network shallower than ``CONVEXITY_MAX_DEPTH`` gets identity layers
+    of bias 0.  ``inputs[k]`` holds its probe points: ``triples`` rows U,
+    ``triples`` rows V, their midpoints, then the coarse grid of the
+    square-root gap bound.
     """
 
     inputs: np.ndarray  # (networks, 3 * triples + coarse points, 1)
@@ -632,8 +560,7 @@ class _ReluStack(NamedTuple):
     biases: np.ndarray  # (networks, CONVEXITY_MAX_DEPTH, CONVEXITY_MAX_WIDTH)
     output_weights: np.ndarray  # (networks, CONVEXITY_MAX_WIDTH)
     output_biases: np.ndarray  # (networks,)
-    widths: list[tuple[int, ...]]
-    seeds: list[int]  # each network's probe seed
+    units: np.ndarray  # (networks, CONVEXITY_MAX_DEPTH)
 
     def values(self) -> np.ndarray:
         """Every network's value on each of its input rows, (networks, rows), in one pass."""
@@ -649,10 +576,11 @@ class _ReluStack(NamedTuple):
 
     def network(self, k: int) -> ThresholdNetwork:
         """Network k on its own, from its rows of the stack, which hold the bits of its draw."""
-        fan_ins = (1, *self.widths[k])
+        widths = self.units[k][self.units[k] > 0].tolist()
+        fan_ins = (1, *widths)
         layers = tuple(
             ThresholdLayer(self.weights[k, i, :w, :f], self.biases[k, i, :w], RELU)
-            for i, (w, f) in enumerate(zip(self.widths[k], fan_ins))
+            for i, (w, f) in enumerate(zip(widths, fan_ins))
         )
         return ThresholdNetwork(layers, self.output_weights[k, : fan_ins[-1]], float(self.output_biases[k]))
 
@@ -668,53 +596,41 @@ def _relu_sample_bytes(rows: int) -> int:
 
 
 def _random_relu_stack(
-    rng: np.random.Generator, count: int, triples: int, grid: np.ndarray
+    shapes: np.random.Generator, params: np.random.Generator, count: int, triples: int, grid: np.ndarray
 ) -> _ReluStack:
     """``count`` networks drawn as ``run_convexity_campaign`` draws them, and their probe points.
 
-    Each sample draws, in order, its depth, its widths, its network's
-    parameters (layer by layer weights and bias draws, then output weights
-    and an output bias draw) and its probe seed.  Its probe points U and V
-    are those of ``relu_convexity_probe(net, triples, seed)``, and ``grid``
-    follows them.
+    Each sample takes from ``shapes`` its depth and a width for each of
+    ``CONVEXITY_MAX_DEPTH`` layers, of which it keeps the first depth; then
+    from ``params`` its network's parameters (layer by layer weights and bias
+    draws, then output weights and an output bias draw) and its probe points
+    U and V, ``triples`` each.  ``grid`` follows them.
     """
     depth_max, width = CONVEXITY_MAX_DEPTH, CONVEXITY_MAX_WIDTH
-    # at most one word per integer, and every layer at full width
-    walk = _RawWalk(rng, count * (depth_max + 2 + width * (2 + (depth_max - 1) * (width + 1)) + width + 1))
-    widths, seeds, starts = [], [], []
-    for _ in range(count):
-        depth = walk.integers(1, depth_max + 1)
-        shape = tuple(walk.integers(1, width + 1) for _ in range(depth))
-        starts.append(walk.doubles(sum(w * (f + 1) for w, f in zip(shape, (1, *shape))) + shape[-1] + 1))
-        seeds.append(walk.integers(0, 1 << 32))
-        widths.append(shape)
-    walk.close()
-    # (networks, depth_max): each layer's width and fan-in, 0 for a layer the network lacks
-    units = np.array([shape + (0,) * (depth_max - len(shape)) for shape in widths])
+    drawn = shapes.integers(1, (depth_max + 1,) + (width + 1,) * depth_max, size=(count, depth_max + 1))
+    depths = drawn[:, 0]
+    units = np.where(np.arange(depth_max) < depths[:, None], drawn[:, 1:], 0)
     fan_ins = np.hstack((np.ones((count, 1), np.intp), units[:, :-1]))
-    sizes = units * (fan_ins + 1)
-    at = np.array(starts)[:, None] + np.cumsum(sizes, axis=1) - sizes  # each layer's first word
-    unit = np.arange(width)
-    rows = unit < units[:, :, None]
-    weights = np.zeros((count, depth_max, width, width))
-    weights[rows[:, :, :, None] & (unit < fan_ins[:, :, None])[:, :, None, :]] = _draws(
-        walk.raw, at.ravel(), (units * fan_ins).ravel()
-    )
-    biases = np.zeros((count, depth_max, width))
-    biases[rows] = _symmetric(_draws(walk.raw, (at + units * fan_ins).ravel(), units.ravel()), 1.0)
-    depths = np.count_nonzero(units, axis=1)
     last = units[np.arange(count), depths - 1]
-    output_at = at[:, 0] + sizes.sum(axis=1)
-    output_weights = np.zeros((count, width))
-    output_weights[unit < last[:, None]] = _draws(walk.raw, output_at, last)
-    output_biases = _symmetric(_doubles(walk.raw[output_at + last]), 1.0)
+    layer_sizes = np.stack((units * fan_ins, units), axis=2).reshape(count, -1)
+    *layer_draws, output_weights_u, output_biases_u, probes = _draw_fields(
+        params, np.column_stack((layer_sizes, last, np.ones_like(last), np.full_like(last, 2 * triples)))
+    )
+    unit = np.arange(width)
+    weights = np.zeros((count, depth_max, width, width))
+    biases = np.zeros((count, depth_max, width))
+    for i in range(depth_max):
+        rows = unit < units[:, i, None]
+        weights[:, i][rows[:, :, None] & (unit < fan_ins[:, i, None])[:, None, :]] = layer_draws[2 * i]
+        biases[:, i][rows] = _symmetric(layer_draws[2 * i + 1], 1.0)
     weights[depths[:, None] <= np.arange(depth_max)] = np.eye(width)  # identity layers, bias 0
+    output_weights = np.zeros((count, width))
+    output_weights[unit < last[:, None]] = output_weights_u
     inputs = np.empty((count, 3 * triples + len(grid), 1))
-    for k, seed in enumerate(seeds):  # U then V, drawn as the probe draws them, (triples, 1) each
-        inputs[k, : 2 * triples, 0] = np.random.default_rng(seed).random(2 * triples)
+    inputs[:, : 2 * triples, 0] = probes.reshape(count, 2 * triples)
     inputs[:, 2 * triples : 3 * triples] = (inputs[:, :triples] + inputs[:, triples : 2 * triples]) / 2.0
     inputs[:, 3 * triples :, 0] = grid
-    return _ReluStack(inputs, weights, biases, output_weights, output_biases, widths, seeds)
+    return _ReluStack(inputs, weights, biases, output_weights, _symmetric(output_biases_u, 1.0), units)
 
 
 def run_convexity_campaign(samples: int, seed: int) -> AuditReport:
@@ -730,8 +646,8 @@ def run_convexity_campaign(samples: int, seed: int) -> AuditReport:
 
     * The probe's test on the stacked values, with a margin of
       ``5e-10 * (1 + |N(u)| + |N(v)|)``, flags every network whose probe
-      can fail; ``relu_convexity_probe`` on a flagged network decides, so a
-      witness holds its bits.
+      can fail; the test of ``relu_convexity_probe`` on the flagged network
+      alone, at its own U and V, decides, so a witness holds its bits.
     * The square-root gap is branch and bound.  Every
       ``SQRT_BOUND_STRIDE``-th point of the grid of :func:`sqrt_gap_witness`
       (101 exact grid points) gives ``bound``, a lower bound on a network's
@@ -760,13 +676,13 @@ def run_convexity_campaign(samples: int, seed: int) -> AuditReport:
     endpoint mean with 3e-10 to spare.
     """
     require_positive(samples, "samples")
-    rng = np.random.default_rng(seed)
+    shapes, params = _streams(seed)
     triples = CONVEXITY_TRIPLES
     xs, roots = _sqrt_grid(10000)  # the grid of sqrt_gap_witness at its default resolution
     coarse_xs, coarse_roots = xs[::SQRT_BOUND_STRIDE], roots[::SQRT_BOUND_STRIDE]
     min_gap = np.inf
     for s in row_blocks(samples, _relu_sample_bytes(3 * triples + len(coarse_xs)), STACK_BYTES):
-        nets = _random_relu_stack(rng, s.stop - s.start, triples, coarse_xs)
+        nets = _random_relu_stack(shapes, params, s.stop - s.start, triples, coarse_xs)
         values = nets.values()
         fu, fv, fm = (values[:, i * triples : (i + 1) * triples] for i in range(3))
         slack = (_REL_TOL - 5e-10) * (1.0 + np.abs(fu) + np.abs(fv))
@@ -776,9 +692,10 @@ def run_convexity_campaign(samples: int, seed: int) -> AuditReport:
         for k in np.flatnonzero(flagged | (bounds <= min_gap + _REL_TOL * (1.0 + min_gap))).tolist():
             net = nets.network(k)
             if flagged[k]:
-                report = relu_convexity_probe(net, triples, nets.seeds[k])
-                if not report.passed:
-                    return _sample_failure("convexity", s.start + k, report.witness, samples, seed)
+                U, V = nets.inputs[k, :triples], nets.inputs[k, triples : 2 * triples]
+                witness = _midpoint_witness(net, U, V)
+                if witness is not None:
+                    return _sample_failure("convexity", s.start + k, witness, samples, seed)
             if bounds[k] > min_gap + _REL_TOL * (1.0 + min_gap):
                 continue
             x, gap = sqrt_gap_witness(net)
@@ -815,7 +732,7 @@ class _ChainStack(NamedTuple):
 
 
 # the bytes of a chain's points and labels, its network's parameters and its pre-activations,
-# and as many again for its raw words (at most 333) and their doubles
+# and as many again for its draws (at most 333 with its shape draws) and their field labels
 _CHAIN_SAMPLE_BYTES = 2 * 8 * (
     CHAIN_MAX_POINTS * (CHAIN_MAX_DIM + 1 + CHAIN_MAX_WIDTH)
     + CHAIN_MAX_WIDTH * (CHAIN_MAX_DIM + 2)
@@ -823,61 +740,46 @@ _CHAIN_SAMPLE_BYTES = 2 * 8 * (
 )
 
 
-def _random_chain_stack(rng: np.random.Generator, count: int) -> _ChainStack:
+def _random_chain_stack(shapes: np.random.Generator, params: np.random.Generator, count: int) -> _ChainStack:
     """``count`` chains and networks drawn as ``run_chain_width_campaign`` draws them.
 
-    Each sample draws, in order, its length n and dimension d; its chain:
-    n x d steps, (n-1) x d mask draws, a drawn coordinate for each mask row
-    that is masked throughout, which that row then leaves unmasked, and n
-    label steps; its width; and its network's parameters.  A step is 0.01
-    plus its draw, or 0 where a mask draw below 0.5 masks it (never the
-    first step nor a whole row); the points and labels are the sums of
-    their steps (the labels' steps are 0.05 plus their draws), so they
-    increase and the chain is already a valid dataset in canonical order.
+    Each sample takes ``CHAIN_MAX_POINTS + 2`` doubles from ``shapes``, each
+    the integer ``lo + floor(u * span)`` of its range: its length n in
+    3..CHAIN_MAX_POINTS, its dimension d in 1..CHAIN_MAX_DIM, its width in
+    1..n-2, and for each of the CHAIN_MAX_POINTS - 1 mask rows a chain can
+    have, a coordinate in 0..d-1.  From ``params`` it takes its chain, n x d
+    steps, (n-1) x d mask draws and n label steps, then its network's
+    parameters.  A step is 0.01 plus its draw, or 0 where a mask draw below
+    0.5 masks it (never the first step; a row masked throughout leaves its
+    drawn coordinate unmasked); the points and labels are the sums of their
+    steps (the labels' steps are 0.05 plus their draws), so they increase
+    and the chain is already a valid dataset in canonical order.
     """
     points_max, dim_max, width_max = CHAIN_MAX_POINTS, CHAIN_MAX_DIM, CHAIN_MAX_WIDTH
-    half = np.uint64(1 << 63)  # a draw is below 0.5 iff its word is below 2**63
-    # at most one word per integer, and every draw at its largest
-    walk = _RawWalk(rng, count * (
-        points_max * (dim_max + 1) + (points_max - 1) * (dim_max + 1) + width_max * (dim_max + 2) + 4
-    ))
-    lengths, dims, widths, steps_at, labels_at, network_at, unmasked = [], [], [], [], [], [], []
-    for k in range(count):
-        n = walk.integers(3, points_max + 1)
-        d = walk.integers(1, dim_max + 1)
-        steps_at.append(walk.doubles(n * d))
-        mask_at = walk.doubles((n - 1) * d)
-        # mask row i masks step i + 1
-        rows = walk.raw[mask_at : mask_at + (n - 1) * d].reshape(n - 1, d).max(axis=1) < half
-        for i, masked_throughout in enumerate(rows.tolist()):
-            if masked_throughout:
-                unmasked.append((k, i + 1, walk.integers(0, d)))
-        labels_at.append(walk.doubles(n))
-        width = walk.integers(1, n - 1)
-        network_at.append(walk.doubles(width * (d + 2) + 1))
-        lengths.append(n)
-        dims.append(d)
-        widths.append(width)
-    walk.close()
-    raw = walk.raw
-    lengths, dims, widths, steps_at = np.array(lengths), np.array(dims), np.array(widths), np.array(steps_at)
+    u = shapes.random((count, points_max + 2))
+    lengths = 3 + (u[:, 0] * (points_max - 2)).astype(np.intp)
+    dims = 1 + (u[:, 1] * dim_max).astype(np.intp)
+    widths = 1 + (u[:, 2] * (lengths - 2)).astype(np.intp)
+    coords = (u[:, 3:] * dims[:, None]).astype(np.intp)  # mask row i's coordinate, row i masking step i + 1
+    step_u, mask_u, label_u, w, b, out_w, out_b = _draw_fields(
+        params, np.column_stack((lengths * dims, (lengths - 1) * dims, lengths, _one_layer_sizes(dims, widths)))
+    )
     own = np.arange(points_max) < lengths[:, None]
     inside = own[:, :, None] & (np.arange(dim_max) < dims[:, None])[:, None, :]
     steps = np.zeros((count, points_max, dim_max))
-    steps[inside] = 0.01 + _draws(raw, steps_at, lengths * dims)
+    steps[inside] = 0.01 + step_u
     masked = np.zeros((count, points_max, dim_max), bool)
-    masked[:, 1:][inside[:, 1:]] = _draws(raw, steps_at + lengths * dims, (lengths - 1) * dims) < 0.5
-    if unmasked:
-        masked[tuple(np.array(unmasked).T)] = False
+    masked[:, 1:][inside[:, 1:]] = mask_u < 0.5
+    chain, row = np.nonzero((masked[:, 1:] | ~inside[:, 1:]).all(axis=2) & own[:, 1:])  # masked throughout
+    masked[chain, row + 1, coords[chain, row]] = False
     steps[masked] = 0.0
     points = np.cumsum(steps, axis=1)
     points[~own] = 0.0
     label_steps = np.zeros((count, points_max))
-    label_steps[own] = 0.05 + _draws(raw, np.array(labels_at), lengths)
+    label_steps[own] = 0.05 + label_u
     labels = np.cumsum(label_steps, axis=1)
     labels[~own] = 0.0
     units = np.arange(width_max) < widths[:, None]
-    w, b, out_w, out_b = _one_layer_draws(raw, np.array(network_at), dims, widths)
     weights = np.zeros((count, width_max, dim_max))
     weights[units[:, :, None] & (np.arange(dim_max) < dims[:, None])[:, None, :]] = w
     biases = np.zeros((count, width_max))
@@ -906,9 +808,9 @@ def run_chain_width_campaign(samples: int, seed: int) -> AuditReport:
     :func:`chain_width_audit` finds them for one chain.
     """
     require_positive(samples, "samples")
-    rng = np.random.default_rng(seed)
+    shapes, params = _streams(seed)
     for s in row_blocks(samples, _CHAIN_SAMPLE_BYTES, STACK_BYTES):
-        chains = _random_chain_stack(rng, s.stop - s.start)
+        chains = _random_chain_stack(shapes, params, s.stop - s.start)
         active = chains.activity()
         loss, repeat = _chain_width_analysis(active, chains.lengths)
         # the activity sets at each repeat and the one after it, through the output stage

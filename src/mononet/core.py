@@ -64,6 +64,7 @@ DENSE, BLOCKS, SUFFIX, SELECT = "dense", "blocks", "suffix", "select"  # the kin
 _EXACT_INT_LIMIT = 2.0**53
 
 CHUNK_BYTES = 1 << 25  # the working size of one block of rows (see row_blocks)
+LEQ_BLOCK_BYTES = 1 << 20  # the comparison buffer of pairwise_leq
 
 EXACT_SCALE_BITS = 2048  # an exact output stage's largest scale; a float's denominator has <= 1,075 bits
 
@@ -101,12 +102,21 @@ def row_blocks(rows: int, row_bytes: int, budget: int | None = None) -> Iterator
 
 
 def pairwise_leq(points: np.ndarray, others: np.ndarray | None = None) -> np.ndarray:
-    """Boolean M with M[i, j] = (points[i] <= others[j] coordinatewise); others defaults to points."""
+    """Boolean M with M[i, j] = (points[i] <= others[j] coordinatewise); others defaults to points.
+
+    Each coordinate's comparison of a block of rows goes through one reused buffer of at most
+    ``LEQ_BLOCK_BYTES`` (or one row), so the peak is M plus that buffer."""
     others = points if others is None else others
     M = np.ones((len(points), len(others)), dtype=bool)
-    for s in row_blocks(len(points), len(others)):
+    buffer = None
+    for s in row_blocks(len(points), len(others), LEQ_BLOCK_BYTES):
+        block = M[s]
+        if buffer is None:  # the first block is the largest
+            buffer = np.empty_like(block)
+        leq = buffer[: len(block)]
         for x, z in zip(points.T, others.T):  # one coordinate at a time
-            M[s] &= x[s, None] <= z
+            np.less_equal(x[s, None], z, out=leq)
+            block &= leq
     return M
 
 
@@ -563,8 +573,11 @@ class ThresholdNetwork:
 
         Each block of rows runs through the hidden layers and the output stage
         before the next, so memory follows one block.  ``np.einsum`` sums each
-        output row on its own: only a dense layer's matrix product can make a
-        point's value depend on its batch or block.
+        output row on its own, and so does every pattern layer.  A dense layer
+        runs a BLAS matrix product, which can sum a row in an order that
+        depends on the batch and the block: a dense float layer's values can
+        differ in their last bits between batches.  Small integer weights on
+        a threshold layer's 0/1 activations sum exactly in any order.
         """
         X = self._check_batch(X)
         out = np.empty(len(X))

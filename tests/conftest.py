@@ -21,8 +21,8 @@ two arrays; it is the oracle for the array checks.
 
 ``random_monotone_network`` and ``random_chain_dataset`` draw one network
 or one chain with the generator's own calls, one sample at a time; they
-are the oracles for the campaigns' stacks, which read the same draws
-from raw words.
+are the oracles for the campaigns' stacks, which take the same doubles
+from one ``random`` call per stack.
 
 ``full_grid_approximator`` builds the grid approximator from every grid
 point, as ``build_approximator`` did before it kept only the points above
@@ -76,19 +76,22 @@ def _network_parts(
     return layers, u[at:-1], u[-1]
 
 
-def _random_chain(rng: np.random.Generator, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+def _random_chain(rng: np.random.Generator, n: int, d: int, coords=None) -> tuple[np.ndarray, np.ndarray]:
     """The points (n, d) and labels (n,) of a random coordinatewise chain.
 
     Consecutive points differ by a nonnegative increment that is zero in a
     random subset of coordinates (never all of them), exercising the
-    separating-coordinate selection.  The points increase and so do the
-    labels, so the arrays are already a valid dataset in canonical order.
+    separating-coordinate selection: mask row i, if it masks every
+    coordinate of step i + 1, leaves ``coords[i]`` unmasked, or a coordinate
+    drawn from ``rng`` when ``coords`` is None.  The points increase and so
+    do the labels, so the arrays are already a valid dataset in canonical
+    order.
     """
     steps = 0.01 + rng.random((n, d))
     if n > 1:
         mask = rng.random((n - 1, d)) < 0.5
         for row in np.flatnonzero(mask.all(axis=1)):
-            mask[row, rng.integers(d)] = False
+            mask[row, rng.integers(d) if coords is None else coords[row]] = False
         steps[1:][mask] = 0.0
     return np.cumsum(steps, axis=0), np.cumsum(0.05 + rng.random(n))
 
@@ -117,9 +120,9 @@ def random_monotone_network(
     )
 
 
-def random_chain_dataset(rng: np.random.Generator, n: int, d: int) -> MonotoneDataset:
-    """Random coordinatewise chain with strictly increasing labels, in canonical order."""
-    return MonotoneDataset(*_random_chain(rng, n, d))
+def random_chain_dataset(rng: np.random.Generator, n: int, d: int, coords=None) -> MonotoneDataset:
+    """Random coordinatewise chain with strictly increasing labels, in canonical order (see ``_random_chain``)."""
+    return MonotoneDataset(*_random_chain(rng, n, d, coords))
 
 
 def random_monotone_score(rng: np.random.Generator, X: np.ndarray) -> np.ndarray:

@@ -233,6 +233,44 @@ class TestBuildApproximator:
             build_approximator(lambda X: 5.0 * X[:, 0], 1, 1.0, 0.5)
 
 
+TABLE = (np.random.default_rng(7).random((60, 2)), np.random.default_rng(8).random(60))
+
+
+class TestCertifiedError:
+    """G, the largest rise of the samples across a grid cell, bounds the sup error on [0,1]^d."""
+
+    @pytest.mark.parametrize("name, d", [*itertools.product(sorted(BUILTIN_FUNCTIONS), [1, 2]), ("table", 2)])
+    def test_rise_bounds_the_error(self, name, d):
+        f = tabulated_function(*TABLE) if name == "table" else resolve_function(name)
+        eps = {1: 0.01, 2: 0.05}[d]
+        grid = plan_grid(d, 1.0, eps)
+        _, _, rise = _axis_pass(f(grid.points()), grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # sqrt and the table rise past eps
+            net = build_approximator(f, d, 1.0, eps)
+        below = np.nextafter(grid.points(), -np.inf)  # each just below a grid point, in the cell under it
+        X = np.vstack((np.random.default_rng(d).random((2000, d)), below[(below >= 0).all(axis=1)]))
+        errors = np.abs(net.evaluate_batch(X) - f(X))
+        assert errors.max() <= rise
+        assert errors.max() >= rise / 2  # the points just below the grid points come near it
+
+    @pytest.mark.parametrize("name", ["mean", "min", "max", "linear"])
+    def test_rise_within_eps_under_the_lipschitz_bound(self, name):
+        grid = plan_grid(2, 1.0, 0.01)
+        f = BUILTIN_FUNCTIONS[name]
+        _, _, rise = _axis_pass(f(grid.points()), grid)
+        assert rise <= 0.01
+        assert math.isclose(rise, 0.01 / math.sqrt(2), rel_tol=1e-9)  # one axis step: eps / sqrt(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            build_approximator(f, 2, 1.0, 0.01)
+
+    def test_sqrt_warns_naming_g(self):
+        # sqrt is steeper than L = 1 near 0: its first cell rises by 0.1, ten times eps
+        with pytest.warns(UserWarning, match=r"the error bound G = 0\.1 exceeds eps 0\.01"):
+            build_approximator(BUILTIN_FUNCTIONS["sqrt"], 1, 1.0, 0.01)
+
+
 class TestHelpers:
     def test_sample_grid_matches_function(self):
         # The identity interpolated on the 1-D grid reproduces every grid point.
@@ -242,12 +280,15 @@ class TestHelpers:
         pts = grid.points()
         assert net.evaluate_batch(pts).tolist() == pts[:, 0].tolist()
 
-    def test_steepest_slope(self):
+    def test_rise_across_a_cell(self):
         grid = plan_grid(1, 1.0, 0.25)
-        values = 3.0 * grid.points()[:, 0]
-        falls, keep, slope = _axis_pass(values, grid)
+        falls, keep, rise = _axis_pass(3.0 * grid.points()[:, 0], grid)
         assert not falls and keep.all()
-        assert math.isclose(slope, 3.0, rel_tol=1e-9)
+        assert rise == 0.75
+        grid = plan_grid(2, 1.0, 0.5)  # axis points 0, 0.354, 0.707, 1: the last cell is the narrowest
+        falls, keep, rise = _axis_pass(grid.points().sum(axis=1), grid)
+        assert not falls and keep.all()
+        assert rise == 2 * grid.spacing
 
     def test_resolve_builtins(self):
         X = np.array([[0.2, 0.4], [0.6, 0.1]])

@@ -7,13 +7,7 @@ import numpy as np
 import pytest
 
 import conftest
-from conftest import (
-    _network_draw,
-    _network_parts,
-    _random_chain,
-    random_chain_dataset,
-    random_monotone_network,
-)
+from conftest import random_chain_dataset, random_monotone_network
 from mononet import audit
 from mononet.audit import (
     DEPTH2_MAX_WIDTH,
@@ -467,61 +461,41 @@ def test_network_draw_matches_array_by_array_draws(d):
                 assert ours.random() == theirs.random()  # both streams go on alike
 
 
-# scalar integers(low, high) spans: one value (numpy draws nothing), about half of the
-# draws rejected, a whole 32-bit half, and a span that rejects now and then
-WALK_SPANS = (1, 2**31 + 1, 2**32, 14, 3, 32)
+def campaign_streams(seed: int):
+    """A campaign's shape and parameter streams at ``seed``: the two children of its seed sequence."""
+    shapes, params = np.random.SeedSequence(seed).spawn(2)
+    return np.random.default_rng(shapes), np.random.default_rng(params)
 
 
-@pytest.mark.parametrize("block", [1, 4096])
-def test_raw_walk_takes_the_draws_that_numpy_takes(block):
-    # a one-word first block makes the walk draw more words again and again
-    for seed in range(300):
-        calls = np.random.default_rng(10_000 + seed)
-        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-        for _ in range(3):  # walks in a row, so that a walk can start on a buffered half
-            walk = audit._RawWalk(ours, block)
-            for _ in range(20):
-                if calls.random() < 0.6:
-                    span = WALK_SPANS[int(calls.integers(len(WALK_SPANS)))]
-                    low = int(calls.integers(-5, 5))
-                    assert walk.integers(low, low + span) == int(theirs.integers(low, low + span))
-                else:
-                    count = int(calls.integers(0, 4))
-                    at = walk.doubles(count)
-                    want = theirs.random(count) if count != 1 else np.array([theirs.random()])
-                    assert audit._doubles(walk.raw[at : at + count]).tobytes() == want.tobytes()
-            walk.close()
-            assert ours.bit_generator.state == theirs.bit_generator.state
-        assert ours.random() == theirs.random()
+def assert_streams_agree(ours, theirs):
+    assert [g.bit_generator.state for g in ours] == [g.bit_generator.state for g in theirs]
 
 
-def test_raw_walk_rejects_as_numpy_does():
-    # span 2**31 + 1 rejects about half of its halves (a product's low word below
-    # 2**31 - 1): the walk must redraw as numpy does, and draw more words past its block
-    ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
-    walk = audit._RawWalk(ours, 4)
-    values = [walk.integers(0, 2**31 + 1) for _ in range(200)]
-    assert walk.used > 100 + 4  # each value took at least one half, some more, past the block
-    walk.close()
-    assert values == [int(theirs.integers(0, 2**31 + 1)) for _ in range(200)]
-    assert ours.bit_generator.state == theirs.bit_generator.state
+def test_numpy_draws_do_not_depend_on_how_a_call_is_split():
+    # the campaigns rest on this, at every numpy version they run on: a stack boundary
+    # splits each stream's call between samples, and the report must not move
+    calls = np.random.default_rng(99)
+    high = [audit.CONVEXITY_MAX_DEPTH + 1] + [audit.CONVEXITY_MAX_WIDTH + 1] * audit.CONVEXITY_MAX_DEPTH
+    draws = [
+        lambda rng, k: rng.integers(1, DEPTH2_MAX_WIDTH + 1, size=k),
+        lambda rng, k: rng.integers(1, high, size=(k, len(high))),
+        lambda rng, k: rng.random((k, 3)),
+    ]
+    for seed in range(200):
+        draw = draws[seed % 3]
+        count = int(calls.integers(0, 60))
+        cuts = np.sort(calls.integers(0, count + 1, size=int(calls.integers(1, 4))))
+        whole_rng, split_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        whole = draw(whole_rng, count)
+        split = np.concatenate([draw(split_rng, b - a) for a, b in zip([0, *cuts], [*cuts, count])])
+        assert whole.tobytes() == split.tobytes()
+        assert whole_rng.bit_generator.state == split_rng.bit_generator.state
 
 
-def depth2_stack_oracle(rng, d: int, count: int):
-    """``_random_depth2_stack`` one network at a time, with the generator's own calls."""
-    widths, weights, biases, out_weights, out_biases = [], [], [], [], []
-    for _ in range(count):
-        width = int(rng.integers(1, DEPTH2_MAX_WIDTH + 1))
-        [(w, b)], out_w, out_b = _network_parts(_network_draw(rng, d, (width,)), d, (width,))
-        widths.append(width)
-        weights.append(w)
-        biases.append(b)
-        out_weights.append(out_w)
-        out_biases.append(out_b)
-    layer = ThresholdLayer(np.concatenate(weights), audit._symmetric(np.concatenate(biases), float(d * d)))
-    stack = ThresholdNetwork((layer,), np.concatenate(out_weights))
-    w = np.array(widths)
-    return stack, np.cumsum(w) - w, audit._symmetric(np.array(out_biases), 1.0)
+def depth2_network(shapes, params, d: int) -> ThresholdNetwork:
+    """One network of ``run_depth2_campaign``, drawn with the generators' own calls."""
+    width = int(shapes.integers(1, DEPTH2_MAX_WIDTH + 1))
+    return random_monotone_network(params, d, (width,), bias_scale=float(d * d))
 
 
 def assert_same_arrays(ours, theirs):
@@ -535,15 +509,15 @@ def assert_same_arrays(ours, theirs):
 def test_depth2_stack_holds_the_drawn_networks():
     for d in (2, 3, 5, 40):
         for seed in range(5):
-            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-            for count in (50, 1, 7):  # stacks in a row, so that a stack can start on a buffered half
-                stack, starts, biases = audit._random_depth2_stack(ours, d, count)
-                want, want_starts, want_biases = depth2_stack_oracle(theirs, d, count)
+            ours, theirs = campaign_streams(seed), campaign_streams(seed)
+            for count in (50, 1, 7):  # stacks in a row, each going on where the last left the streams
+                stack, starts, biases = audit._random_depth2_stack(*ours, d, count)
+                want, want_starts, want_biases = stack_of([depth2_network(*theirs, d) for _ in range(count)])
                 assert_same_arrays((stack.layers[0].weights, stack.layers[0].biases, stack.output_weights,
                                     starts, biases),
                                    (want.layers[0].weights, want.layers[0].biases, want.output_weights,
                                     want_starts, want_biases))
-                assert ours.bit_generator.state == theirs.bit_generator.state
+                assert_streams_agree(ours, theirs)
 
 
 def depth2_by_network(net: ThresholdNetwork, d: int, tol: float = 1e-9) -> dict:
@@ -563,11 +537,10 @@ def depth2_by_network(net: ThresholdNetwork, d: int, tol: float = 1e-9) -> dict:
 
 def depth2_campaign_by_network(d: int, samples: int, seed: int, tol: float = 1e-9) -> dict:
     """``run_depth2_campaign`` one network at a time: its verdict, count and first failure."""
-    rng = np.random.default_rng(seed)
+    shapes, params = campaign_streams(seed)
     interpolated = 0
     for k in range(samples):
-        width = int(rng.integers(1, DEPTH2_MAX_WIDTH + 1))
-        net = random_monotone_network(rng, d, (width,), bias_scale=float(d * d))
+        net = depth2_network(shapes, params, d)
         result = depth2_by_network(net, d, tol)
         if not result["passed"]:
             return {"passed": False, "sample_index": k, **result}
@@ -647,20 +620,24 @@ def test_falsified_depth2_campaign_reports_the_same_network(monkeypatch, d):
     assert max(indices) >= 7  # some failure lies past the first stack
 
 
+def convexity_network(shapes, params, triples: int):
+    """One network of ``run_convexity_campaign`` and its probe points U and V, with the generators' own calls."""
+    high = [audit.CONVEXITY_MAX_DEPTH + 1] + [audit.CONVEXITY_MAX_WIDTH + 1] * audit.CONVEXITY_MAX_DEPTH
+    depth, *widths = shapes.integers(1, high).tolist()
+    net = random_monotone_network(params, 1, tuple(widths[:depth]), activation=RELU, bias_scale=1.0)
+    return net, params.random((triples, 1)), params.random((triples, 1))
+
+
 def convexity_campaign_oracle(samples: int, seed: int) -> audit.AuditReport:
-    """``run_convexity_campaign`` with the full sqrt-gap search on every network."""
-    rng = np.random.default_rng(seed)
+    """``run_convexity_campaign`` one network at a time, with the full sqrt-gap search on every network."""
+    shapes, params = campaign_streams(seed)
     min_gap = np.inf
     for k in range(samples):
-        depth = int(rng.integers(1, 4))
-        widths = tuple(int(rng.integers(1, audit.CONVEXITY_MAX_WIDTH + 1)) for _ in range(depth))
-        net = random_monotone_network(rng, 1, widths, activation=RELU, bias_scale=1.0)
-        report = relu_convexity_probe(
-            net, triples=audit.CONVEXITY_TRIPLES, seed=int(rng.integers(2**32))
-        )
-        if not report.passed:
+        net, U, V = convexity_network(shapes, params, audit.CONVEXITY_TRIPLES)
+        witness = audit._midpoint_witness(net, U, V)
+        if witness is not None:
             return audit.AuditReport("convexity", passed=False, samples=samples, seed=seed,
-                                     witness={"sample_index": k, **report.witness})
+                                     witness={"sample_index": k, **witness})
         x, gap = sqrt_gap_witness(net)
         min_gap = min(min_gap, gap)
         if gap < audit.SQRT_GAP_BOUND - audit._REL_TOL:
@@ -678,10 +655,14 @@ def test_convexity_campaign_matches_the_full_search(samples):
         assert json.dumps(report.to_dict()) == json.dumps(convexity_campaign_oracle(samples, seed).to_dict())
 
 
+def convexity_sample_bytes(triples: int) -> int:
+    """A network's planned bytes in ``run_convexity_campaign`` at ``triples`` triples per network."""
+    return audit._relu_sample_bytes(3 * triples + len(audit._sqrt_grid(10000)[0][:: audit.SQRT_BOUND_STRIDE]))
+
+
 def convexity_stack_size(triples: int) -> int:
     """Networks per stack of ``run_convexity_campaign`` at ``triples`` triples per network."""
-    rows = 3 * triples + len(audit._sqrt_grid(10000)[0][:: audit.SQRT_BOUND_STRIDE])
-    return max(1, audit.STACK_BYTES // audit._relu_sample_bytes(rows))
+    return max(1, audit.STACK_BYTES // convexity_sample_bytes(triples))
 
 
 def test_falsified_convexity_probe_reports_the_same_network(monkeypatch):
@@ -720,34 +701,28 @@ def test_falsified_sqrt_gap_reports_the_same_network(monkeypatch):
     assert max(indices) >= convexity_stack_size(audit.CONVEXITY_TRIPLES)  # and past the first stack
 
 
-def relu_stack_oracle(rng, count: int, triples: int, grid: np.ndarray) -> audit._ReluStack:
-    """``_random_relu_stack`` one network at a time, with the generator's own calls."""
-    width = audit.CONVEXITY_MAX_WIDTH
+def relu_stack_oracle(shapes, params, count: int, triples: int, grid: np.ndarray):
+    """``_random_relu_stack`` one network at a time, with the generators' own calls, and its networks."""
+    depth_max, width = audit.CONVEXITY_MAX_DEPTH, audit.CONVEXITY_MAX_WIDTH
     inputs = np.empty((count, 3 * triples + len(grid), 1))
-    weights = np.zeros((count, audit.CONVEXITY_MAX_DEPTH, width, width))
-    biases = np.zeros((count, audit.CONVEXITY_MAX_DEPTH, width))
+    weights = np.zeros((count, depth_max, width, width))
+    biases = np.zeros((count, depth_max, width))
     output_weights = np.zeros((count, width))
     output_biases = np.empty(count)
-    depths = np.empty(count, np.intp)
-    widths, seeds = [], []
-    for s in range(count):
-        depths[s] = depth = int(rng.integers(1, audit.CONVEXITY_MAX_DEPTH + 1))
-        shape = tuple(int(rng.integers(1, width + 1)) for _ in range(depth))
-        u = _network_draw(rng, 1, shape)
-        seed = int(rng.integers(2**32))
-        layers, out_w, output_biases[s] = _network_parts(u, 1, shape)
-        for i, (w, b) in enumerate(layers):
-            weights[s, i, : w.shape[0], : w.shape[1]] = w
-            biases[s, i, : len(b)] = audit._symmetric(b, 1.0)
-        output_weights[s, : len(out_w)] = out_w
-        inputs[s, : 2 * triples, 0] = np.random.default_rng(seed).random(2 * triples)
-        widths.append(shape)
-        seeds.append(seed)
-    weights[depths[:, None] <= np.arange(audit.CONVEXITY_MAX_DEPTH)] = np.eye(width)
+    units = np.zeros((count, depth_max), np.int64)
+    nets = [convexity_network(shapes, params, triples) for _ in range(count)]
+    for s, (net, U, V) in enumerate(nets):
+        for i, layer in enumerate(net.layers):
+            weights[s, i, : layer.width, : layer.input_width] = layer.weights
+            biases[s, i, : layer.width] = layer.biases
+            units[s, i] = layer.width
+        weights[s, len(net.layers) :] = np.eye(width)  # identity layers, bias 0
+        output_weights[s, : len(net.output_weights)] = net.output_weights
+        output_biases[s] = net.output_bias
+        inputs[s, :triples], inputs[s, triples : 2 * triples] = U, V
     inputs[:, 2 * triples : 3 * triples] = (inputs[:, :triples] + inputs[:, triples : 2 * triples]) / 2.0
     inputs[:, 3 * triples :, 0] = grid
-    return audit._ReluStack(inputs, weights, biases, output_weights, audit._symmetric(output_biases, 1.0),
-                            widths, seeds)
+    return audit._ReluStack(inputs, weights, biases, output_weights, output_biases, units), nets
 
 
 def test_relu_stack_holds_the_drawn_networks_and_their_values():
@@ -755,31 +730,24 @@ def test_relu_stack_holds_the_drawn_networks_and_their_values():
     coarse = audit._sqrt_grid(10000)[0][:: audit.SQRT_BOUND_STRIDE]
     triples, depths, worst = audit.CONVEXITY_TRIPLES, set(), 0.0
     for seed in range(20):
-        ours, theirs, each = (np.random.default_rng(seed) for _ in range(3))
+        ours, theirs = campaign_streams(seed), campaign_streams(seed)
         for count in (300, 11, 1):
-            nets = audit._random_relu_stack(ours, count, triples, coarse)
-            want = relu_stack_oracle(theirs, count, triples, coarse)
-            assert_same_arrays(nets[:5], want[:5])
-            assert (nets.widths, nets.seeds) == (want.widths, want.seeds)
-            assert ours.bit_generator.state == theirs.bit_generator.state
-            values = nets.values()
-            for k in range(count):
-                depth = int(each.integers(1, 4))
-                widths = tuple(int(each.integers(1, audit.CONVEXITY_MAX_WIDTH + 1)) for _ in range(depth))
-                net = random_monotone_network(each, 1, widths, activation=RELU, bias_scale=1.0)
-                probe_seed = int(each.integers(2**32))
-                built = nets.network(k)
+            stack = audit._random_relu_stack(*ours, count, triples, coarse)
+            want, nets = relu_stack_oracle(*theirs, count, triples, coarse)
+            assert_same_arrays(stack, want)
+            assert_streams_agree(ours, theirs)
+            values = stack.values()
+            for k, (net, U, V) in enumerate(nets):
+                built = stack.network(k)
                 for layer, want_layer in zip(built.layers, net.layers, strict=True):
                     assert layer.activation == want_layer.activation
                     assert layer.weights.tobytes() == want_layer.weights.tobytes()
                     assert layer.biases.tobytes() == want_layer.biases.tobytes()
                 assert built.output_weights.tobytes() == net.output_weights.tobytes()
                 assert built.output_bias == net.output_bias
-                probe = np.random.default_rng(probe_seed)
-                U, V = probe.random((triples, 1)), probe.random((triples, 1))
                 own = np.concatenate([net.evaluate_batch(X) for X in (U, V, (U + V) / 2.0, coarse[:, None])])
                 worst = max(worst, float(np.abs(values[k] - own).max()))
-                depths.add(depth)
+                depths.add(len(net.layers))
     assert depths == {1, 2, 3}
     assert worst <= 1e-10
 
@@ -816,21 +784,26 @@ def chain_width_audit_oracle(net: ThresholdNetwork, ds) -> audit.AuditReport:
     return audit.AuditReport("chain-width", passed=passed, witness=witness, details=details)
 
 
-def random_chain_sample(rng):
-    """One chain and one narrow network, drawn as ``run_chain_width_campaign`` draws them."""
-    n = int(rng.integers(3, audit.CHAIN_MAX_POINTS + 1))
-    d = int(rng.integers(1, audit.CHAIN_MAX_DIM + 1))
-    ds = random_chain_dataset(rng, n, d)
-    width = int(rng.integers(1, n - 1))
+def random_chain_sample(shapes, params):
+    """One chain and one narrow network, drawn as ``run_chain_width_campaign`` draws them.
+
+    Each integer is ``lo + floor(u * span)`` of a double of ``shapes``: the
+    length n, the dimension d, the width in 1..n-2, and each mask row's
+    coordinate in 0..d-1.
+    """
+    n_u, d_u, width_u, *coords_u = shapes.random(audit.CHAIN_MAX_POINTS + 2).tolist()
+    n = 3 + int(n_u * (audit.CHAIN_MAX_POINTS - 2))
+    d = 1 + int(d_u * audit.CHAIN_MAX_DIM)
+    ds = random_chain_dataset(params, n, d, coords=[int(u * d) for u in coords_u])
     scale = float(np.abs(ds.points).max() * d + 1.0)
-    return ds, random_monotone_network(rng, d, (width,), bias_scale=scale)
+    return ds, random_monotone_network(params, d, (1 + int(width_u * (n - 2)),), bias_scale=scale)
 
 
 def chain_width_campaign_oracle(samples: int, seed: int) -> audit.AuditReport:
     """``run_chain_width_campaign`` one network at a time."""
-    rng = np.random.default_rng(seed)
+    streams = campaign_streams(seed)
     for k in range(samples):
-        ds, net = random_chain_sample(rng)
+        ds, net = random_chain_sample(*streams)
         report = chain_width_audit_oracle(net, ds)
         if not report.passed or report.details.get("width_obstruction") != "witnessed":
             return audit.AuditReport("chain-width", passed=False, samples=samples, seed=seed,
@@ -847,8 +820,8 @@ def test_chain_width_campaign_matches_the_oracle(samples):
         assert json.dumps(report.to_dict()) == json.dumps(chain_width_campaign_oracle(samples, seed).to_dict())
 
 
-def chain_stack_oracle(rng, count: int) -> audit._ChainStack:
-    """``_random_chain_stack`` one chain at a time, with the generator's own calls."""
+def chain_stack_oracle(shapes, params, count: int):
+    """``_random_chain_stack`` one chain at a time, with the generators' own calls, and its samples."""
     points = np.zeros((count, audit.CHAIN_MAX_POINTS, audit.CHAIN_MAX_DIM))
     labels = np.zeros((count, audit.CHAIN_MAX_POINTS))
     weights = np.zeros((count, audit.CHAIN_MAX_WIDTH, audit.CHAIN_MAX_DIM))
@@ -857,33 +830,30 @@ def chain_stack_oracle(rng, count: int) -> audit._ChainStack:
     output_biases = np.empty(count)
     lengths = np.empty(count, np.intp)
     widths = np.empty(count, np.intp)
-    dims = np.empty(count)
-    for s in range(count):
-        n = int(rng.integers(3, audit.CHAIN_MAX_POINTS + 1))
-        d = int(rng.integers(1, audit.CHAIN_MAX_DIM + 1))
-        points[s, :n, :d], labels[s, :n] = _random_chain(rng, n, d)
-        width = int(rng.integers(1, n - 1))
-        [(w, b)], out_w, output_biases[s] = _network_parts(_network_draw(rng, d, (width,)), d, (width,))
-        weights[s, :width, :d] = w
-        biases[s, :width] = b
-        output_weights[s, :width] = out_w
-        lengths[s], widths[s], dims[s] = n, width, d
-    scales = np.abs(points).max(axis=(1, 2)) * dims + 1.0
-    biases = audit._symmetric(biases, scales[:, None])
-    return audit._ChainStack(points, labels, lengths, weights, biases, widths, output_weights,
-                             audit._symmetric(output_biases, 1.0))
+    samples = [random_chain_sample(shapes, params) for _ in range(count)]
+    for s, (ds, net) in enumerate(samples):
+        (n, d), layer = ds.points.shape, net.layers[0]
+        points[s, :n, :d], labels[s, :n] = ds.points, ds.labels
+        weights[s, : layer.width, :d] = layer.weights
+        biases[s] = -(np.abs(ds.points).max() * d + 1.0)  # padding units: a draw of 0 at the chain's scale
+        biases[s, : layer.width] = layer.biases
+        output_weights[s, : layer.width] = net.output_weights
+        output_biases[s] = net.output_bias
+        lengths[s], widths[s] = n, layer.width
+    stack = audit._ChainStack(points, labels, lengths, weights, biases, widths, output_weights, output_biases)
+    return stack, samples
 
 
 def test_chain_stack_holds_the_drawn_chains_and_their_activity_sets():
     for seed in range(20):
-        ours, theirs, each = (np.random.default_rng(seed) for _ in range(3))
+        ours, theirs = campaign_streams(seed), campaign_streams(seed)
         for count in (500, 1, 7):
-            chains = audit._random_chain_stack(ours, count)
-            assert_same_arrays(chains, chain_stack_oracle(theirs, count))
-            assert ours.bit_generator.state == theirs.bit_generator.state
+            chains = audit._random_chain_stack(*ours, count)
+            want, samples = chain_stack_oracle(*theirs, count)
+            assert_same_arrays(chains, want)
+            assert_streams_agree(ours, theirs)
             active = chains.activity()
-            for k in range(count):
-                ds, net = random_chain_sample(each)
+            for k, (ds, net) in enumerate(samples):
                 n, width = ds.n, net.layers[0].width
                 assert np.array_equal(active[k, :n, :width], net.hidden_activations(ds.points)[0])
                 assert not active[k, :, width:].any()  # padding units never fire
@@ -891,7 +861,7 @@ def test_chain_stack_holds_the_drawn_chains_and_their_activity_sets():
 
 def test_chain_width_audit_matches_the_oracle_on_each_outcome():
     rng = np.random.default_rng(18)
-    cases = [random_chain_sample(rng) for _ in range(300)]
+    cases = [random_chain_sample(rng, rng) for _ in range(300)]
     for _ in range(100):  # wide networks: not-applicable, or repeat-free at width n-1
         n = int(rng.integers(1, 8))
         ds = random_chain_dataset(rng, n, int(rng.integers(1, 4)))
@@ -923,14 +893,19 @@ def test_chain_width_audit_reports_a_lost_unit_as_the_oracle_does():
     assert report.witness == {"index": 0, "lost_units": [0]}
 
 
+def shift_network_draws(monkeypatch):
+    """Shift the chain-width networks' draws by -0.1, in the campaign and in its oracle alike."""
+    draw_fields, network_draw = audit._draw_fields, conftest._network_draw
+    monkeypatch.setattr(audit, "_draw_fields",
+                        lambda rng, sizes: [u - 0.1 if j >= 3 else u for j, u in enumerate(draw_fields(rng, sizes))])
+    monkeypatch.setattr(conftest, "_network_draw", lambda *args: network_draw(*args) - 0.1)
+
+
 @pytest.mark.parametrize("stack", [None, 7])
 def test_falsified_chain_width_campaign_reports_the_same_network(monkeypatch, stack):
     # network draws shifted below zero give negative weights, and now and then a lost unit:
-    # the same doubles in the stack (its one-layer draws) and in the oracle (its network draw)
-    one_layer_draws, network_draw = audit._one_layer_draws, conftest._network_draw
-    monkeypatch.setattr(audit, "_one_layer_draws",
-                        lambda *args: tuple(u - 0.1 for u in one_layer_draws(*args)))
-    monkeypatch.setattr(conftest, "_network_draw", lambda *args: network_draw(*args) - 0.1)
+    # the same doubles in the stack (its fields from 3 on) and in the oracle (its network draw)
+    shift_network_draws(monkeypatch)
     if stack:  # stacks of 7 chains, so that stack boundaries fall all through the samples
         monkeypatch.setattr(audit, "STACK_BYTES", audit._CHAIN_SAMPLE_BYTES * stack)
     indices = []
@@ -944,6 +919,40 @@ def test_falsified_chain_width_campaign_reports_the_same_network(monkeypatch, st
         indices.append(want.witness["sample_index"])
     # some failure lies past the first stack
     assert max(indices) >= (stack or audit.STACK_BYTES // audit._CHAIN_SAMPLE_BYTES)
+
+
+CAMPAIGNS = {  # each campaign at d = 3 where it has one, and its planned bytes per sample
+    "depth2": (lambda samples, seed: run_depth2_campaign(3, samples, seed), lambda: audit._depth2_sample_bytes(3)),
+    "convexity": (run_convexity_campaign, lambda: convexity_sample_bytes(audit.CONVEXITY_TRIPLES)),
+    "chain-width": (run_chain_width_campaign, lambda: audit._CHAIN_SAMPLE_BYTES),
+}
+
+
+def falsify(monkeypatch, campaign: str):
+    """Make ``campaign`` fail now and then, as the falsified campaign tests above do."""
+    if campaign == "chain-width":
+        shift_network_draws(monkeypatch)
+    else:  # a negative tolerance fails a tie: lhs == rhs, or a midpoint on a linear piece
+        monkeypatch.setattr(audit, "_REL_TOL", -1e-12)
+        monkeypatch.setattr(audit, "CONVEXITY_TRIPLES", 1)
+
+
+@pytest.mark.parametrize("campaign", sorted(CAMPAIGNS))
+@pytest.mark.parametrize("falsified", [False, True])
+def test_reports_do_not_depend_on_the_stack_size(monkeypatch, campaign, falsified):
+    # the streams split only between samples, so stacks of one sample, of 7 and of the
+    # default size give the same report, to the sample index of a failure
+    run, sample_bytes = CAMPAIGNS[campaign]
+    if falsified:
+        falsify(monkeypatch, campaign)
+    reports = []
+    for stack in (None, 7, 1):
+        if stack:
+            monkeypatch.setattr(audit, "STACK_BYTES", sample_bytes() * stack)
+        reports.append([run(samples, seed).to_dict() for seed in range(4) for samples in (1, 150)])
+    assert json.dumps(reports[1]) == json.dumps(reports[0]) == json.dumps(reports[2])
+    failures = [r["witness"]["sample_index"] for r in reports[0] if not r["passed"]]
+    assert max(failures, default=0) >= 1 if falsified else not failures  # past the first stack of one
 
 
 def test_activity_sets_run_only_the_first_layer(monkeypatch):

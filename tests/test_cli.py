@@ -366,13 +366,14 @@ class TestApprox:
         table = write(tmp_path / "table.csv", "0,0\n0.5,0.5\n1,1\n")
         assert main(["approx", "--table", table, "--d", "1", "--L", "1", "--eps", "0.5"]) == 0
 
-    def test_slope_past_the_float_range_warns_only_of_lipschitz(self, tmp_path, capsys):
-        table = write(tmp_path / "table.csv", "0,-1e308\n0.5,0\n1,1e308\n")
+    def test_rise_past_the_float_range_warns_only_of_g(self, tmp_path, capsys):
+        # the grid at d = 2, eps 1 is 0, 0.707, 1 per axis: each axis step is 1e308, the cell's rise inf
+        table = write(tmp_path / "table.csv", "0,0,-1e308\n0.7,0,0\n0,0.7,0\n0.7,0.7,1e308\n")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert main(["approx", "--table", table, "--d", "1", "--L", "1", "--eps", "0.5"]) == 0
+            assert main(["approx", "--table", table, "--d", "2", "--L", "1", "--eps", "1"]) == 0
         assert [w.category for w in caught] == [UserWarning]
-        assert "slope inf" in str(caught[0].message)
+        assert "G = inf" in str(caught[0].message)
 
     def test_table_that_cannot_be_built_is_refused_without_a_warning(self, tmp_path, capsys):
         # the two labels' step overflows the float range, so the network cannot be built

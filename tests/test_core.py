@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from conftest import (
 from mononet import core
 from mononet.construct import build_chain_interpolator, build_interpolator
 from mononet.core import (
+    RELU,
+    THRESHOLD,
     ExactStage,
     MonotoneDataset,
     ThresholdLayer,
@@ -43,6 +46,7 @@ from mononet.errors import (
     MonotoneViolation,
     NotTotallyOrdered,
 )
+from mononet.io import load_network, read_dataset_csv
 
 
 def dict_duplicate_oracle(points: np.ndarray):
@@ -394,10 +398,10 @@ def every_pair_comparable(P: np.ndarray) -> bool:
 
 
 class TestPairwiseLeq:
-    @pytest.mark.parametrize("n", [5792, 5793])
+    @pytest.mark.parametrize("n", [1024, 1025])
     def test_both_sides_of_the_first_block_boundary(self, n):
-        # a row of the comparison takes n bytes: 5792 rows fit one block, 5793 do not
-        assert (core.CHUNK_BYTES // n >= n) == (n == 5792)
+        # a row of the comparison takes n bytes: 1024 rows fit one block, 1025 do not
+        assert (core.LEQ_BLOCK_BYTES // n >= n) == (n == 1024)
         P = np.random.default_rng(n).integers(0, 50, (n, 2)).astype(float)
         assert np.array_equal(pairwise_leq(P), one_shot_leq(P))
 
@@ -405,9 +409,21 @@ class TestPairwiseLeq:
         P = np.random.default_rng(23).integers(0, 3, (37, 3)).astype(float)
         want = one_shot_leq(P)
         for budget in (1, 37, 37 * 36, 37 * 37, 37 * 38):
-            monkeypatch.setattr(core, "CHUNK_BYTES", budget)
+            monkeypatch.setattr(core, "LEQ_BLOCK_BYTES", budget)
             assert np.array_equal(pairwise_leq(P), want)
         assert pairwise_leq(P[:0]).shape == (0, 0)
+
+    def test_peak_is_the_output_and_one_buffer(self):
+        rng = np.random.default_rng(24)
+        P, Q = rng.integers(0, 4, (4000, 4)).astype(float), rng.integers(0, 4, (2000, 4)).astype(float)
+        tracemalloc.start()
+        try:
+            M = pairwise_leq(P, Q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= M.nbytes + (2 << 20)
+        assert M.tobytes() == np.all(P[:, None, :] <= Q[None, :, :], axis=2).tobytes()
 
 
 class TestRowBlocks:
@@ -867,16 +883,48 @@ class TestBatchInvariance:
         nets = [build_interpolator(ds)[0], affine_network(w / 3, 0.1)]
         if is_totally_ordered(ds):
             nets.append(build_chain_interpolator(ds)[0])
-        edges = sorted({0, len(X), *(c % (len(X) + 1) for c in cuts)})
         for net in nets:
-            whole = net.evaluate_batch(X)
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(core, "CHUNK_BYTES", budget)  # blocks of a few rows
-                parts = [net.evaluate_batch(X[a:b]) for a, b in zip(edges, edges[1:])]
-                assert np.concatenate(parts).tobytes() == whole.tobytes()
-                assert net.evaluate_batch(X).tobytes() == whole.tobytes()
-                assert net.evaluate_batch(np.asfortranarray(X)).tobytes() == whole.tobytes()
-                assert np.array([net.evaluate(x) for x in X]).tobytes() == whole.tobytes()
+            assert_batch_invariant(net, X, cuts, budget)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_dense_integer_weights_on_bools(self, seed):
+        # small integer weights on 0/1 activations sum exactly in any order, so even a
+        # BLAS product gives each row the bits it has alone; one-hot rows read the floats
+        rng = np.random.default_rng(seed)
+        d, fan_in = int(rng.integers(1, 5)), int(rng.integers(1, 40))
+        layers = [ThresholdLayer(np.eye(d)[rng.integers(d, size=fan_in)], -rng.random(fan_in))]
+        for activation in (THRESHOLD, RELU):
+            width = int(rng.integers(1, 70))
+            weights = rng.integers(0, 4, (width, fan_in)).astype(float)
+            layers.append(ThresholdLayer(weights, -rng.integers(0, 2 * fan_in, width).astype(float), activation))
+            fan_in = width
+        net = ThresholdNetwork(tuple(layers), rng.random(fan_in), 0.1)
+        assert [layer.kind for layer in net.layers] == ["dense"] * 3
+        X = rng.random((300, d))
+        assert_batch_invariant(net, X, rng.integers(0, 300, 3).tolist(), int(rng.integers(64, 4096)))
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_version_1_and_2_networks(self, version):
+        data = Path(__file__).parent / "data"
+        net = load_network(data / f"v{version}_network.json")
+        points, _ = read_dataset_csv(data / f"v{version}_dataset.csv")
+        X = np.vstack([points, points - 0.5, points + 0.25])
+        for budget in (64, 4096):
+            assert_batch_invariant(net, X, [1, len(points), 2 * len(points) + 3], budget)
+
+
+def assert_batch_invariant(net: ThresholdNetwork, X: np.ndarray, cuts, budget: int):
+    """``net``'s values on ``X`` are the same bits split at ``cuts``, in row blocks of ``budget``
+    bytes, in Fortran order and one row at a time."""
+    edges = sorted({0, len(X), *(c % (len(X) + 1) for c in cuts)})
+    whole = net.evaluate_batch(X)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "CHUNK_BYTES", budget)  # blocks of a few rows
+        parts = [net.evaluate_batch(X[a:b]) for a, b in zip(edges, edges[1:])]
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
+        assert net.evaluate_batch(X).tobytes() == whole.tobytes()
+        assert net.evaluate_batch(np.asfortranarray(X)).tobytes() == whole.tobytes()
+        assert np.array([net.evaluate(x) for x in X]).tobytes() == whole.tobytes()
 
 
 class TestExactEvaluation:
