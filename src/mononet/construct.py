@@ -28,9 +28,13 @@ telescoping weights stay nonnegative.
 The output stage is exact: the labels are integers over one power of two,
 so the weights are differences of ints over that scale (a
 :class:`~mononet.core.ExactStage`), and ``evaluate_batch_exact`` reproduces
-every training label with zero error.  Its float stage rounds each exact
-difference once, which is what float subtraction does; float evaluation
-adds up to n of them, so it can be off a label by the order of n ulps.
+every training label with zero error.  The suffix-OR's active units are
+always a prefix {0, ..., k-1}, so float evaluation returns the exact output
+of that prefix rounded once (``ThresholdNetwork.evaluate_batch``), which is
+the label ``y[k-1]``, or the baseline ``min(0, y[0])`` when k = 0.  A
+:func:`build_interpolator` network thus returns exactly
+``max{y_i : x_i <= x}`` on any input x, or the baseline when no point lies
+below x.
 """
 
 from __future__ import annotations
@@ -85,11 +89,10 @@ class ConstructionTrace:
         return np.concatenate(list(self._embedding_blocks()))
 
     def _embedding_blocks(self):
-        """The rows of ``embedding_matrix``, one block of ``row_blocks`` at a time."""
-        layers = self.network.layers[: self.embedding_layer + 1]
-        upto = ThresholdNetwork(layers, np.zeros(layers[-1].width))
-        for s in row_blocks(len(self.points), 8 * upto.hidden_unit_count):
-            yield upto.hidden_activations(self.points[s])[-1]
+        """The rows of ``embedding_matrix``, one block of ``row_blocks`` at a time: the bools that
+        the suffix-OR reads, which for ``build_interpolator`` are one dominance comparison."""
+        for s in row_blocks(len(self.points), 8 * sum(self.layer_widths[: self.embedding_layer + 1])):
+            yield self.network._suffix_reads(self.points[s])[:, ::-1]
 
     def write_json(self, fh) -> None:
         """Write the trace as one line of JSON, the embedding matrix as 0/1 rows.
@@ -131,10 +134,9 @@ def _finish(
 def build_interpolator(ds: MonotoneDataset) -> tuple[ThresholdNetwork, ConstructionTrace]:
     """Build the general interpolating monotone network, widths (d*n, n, n).
 
-    The returned network evaluates to ``y_i`` on every training point,
-    exactly on the rational path.  The float path adds up to n label
-    differences, each rounded to float64, so its error is of the order of
-    n ulps of the labels.
+    The returned network evaluates to ``y_i`` on every training point, and
+    on any input ``x`` to ``max{y_i : x_i <= x}`` (``min(0, y[0])`` when no
+    point lies below ``x``), exactly on both the rational and the float path.
     """
     n, d = ds.n, ds.dimension
     index = np.arange(n * d) % d  # unit i*d + c reads coordinate c

@@ -36,6 +36,7 @@ in float64.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -188,7 +189,9 @@ def validate_dataset(points, labels) -> MonotoneDataset:
 
     # a violation is x_i <= x_j with y_i > y_j; the diagonal never is one
     for s in row_blocks(len(points), len(points)):
-        bad = pairwise_leq(points[s], points) & (labels[s, None] > labels)
+        bad = pairwise_leq(points[s], points)
+        for t in row_blocks(len(bad), len(points), LEQ_BLOCK_BYTES):  # masked in place, a buffer at a time
+            bad[t] &= labels[s][t, None] > labels
         if bad.any():
             i, j = np.argwhere(bad)[0] + (s.start, 0)
             raise MonotoneViolation(
@@ -547,6 +550,66 @@ class ThresholdNetwork:
 
     # -- float evaluation ------------------------------------------------
 
+    @cached_property
+    def _prefix_table(self) -> np.ndarray | None:
+        """``T`` when the output on any input is ``T[k]`` (see :meth:`_prefix_lengths`), else None.
+
+        The network needs an exact stage, and a last hidden layer that is a suffix-OR (a threshold
+        ``SUFFIX`` whose count cuts are all 1) of a threshold layer's bools.  The suffix units that
+        fire are then ``0 .. k-1``, so the output is ``T[k] = (bias + sum(numerators[:k])) / scale``,
+        the exact value rounded once by Python's int division.  A ``T`` past the float range is not
+        recognised.
+        """
+        if self.exact_stage is None or len(self.layers) < 2:
+            return None
+        head, suffix = self.layers[-2:]
+        if not (head.activation == suffix.activation == THRESHOLD and suffix.kind == SUFFIX
+                and suffix.width and (suffix._count_cuts == 1).all()):
+            return None
+        numerators, bias, scale = self.exact_stage
+        try:
+            return frozen([s / scale for s in itertools.accumulate(numerators, initial=bias)])
+        except OverflowError:
+            return None
+
+    @cached_property
+    def _dominance_lows(self) -> np.ndarray | None:
+        """``-x_i`` for the points ``x_i`` of a ``build_interpolator`` head, last point first, else None.
+
+        The head is three layers deep: a threshold select whose index is ``tile(arange(d), n)`` and
+        whose cuts are the points, then threshold blocks of d whose count cuts are all d, an AND.  Its
+        unit i fires on ``q`` iff ``x_i <= q`` coordinatewise, which is ``-q <= -x_i``: negation is exact.
+        """
+        if len(self.layers) != 3:
+            return None
+        select, blocks, _ = self.layers
+        d, n = select.input_width, blocks.width
+        if (select.activation == blocks.activation == THRESHOLD and select.kind == SELECT
+                and blocks.kind == BLOCKS and blocks.weights.size == d
+                and np.array_equal(select.weights.index, np.tile(np.arange(d), n))
+                and (blocks._count_cuts == d).all()):
+            return frozen(-select._cuts.reshape(n, d)[::-1])
+        return None
+
+    def _suffix_reads(self, X: np.ndarray) -> np.ndarray:
+        """The bools the last hidden layer reads on a checked block ``X``, its units in reverse order.
+
+        A ``build_interpolator`` head is one :func:`pairwise_leq`; any other runs its layers.
+        """
+        lows = self._dominance_lows
+        if lows is not None:
+            return pairwise_leq(-X, lows)
+        for layer in self.layers[:-1]:
+            X = layer.forward(X)
+        return X[:, ::-1]
+
+    def _prefix_lengths(self, X: np.ndarray) -> np.ndarray:
+        """For each row of a checked block ``X``, ``k``: one more than the last unit that fires in the
+        layer the suffix-OR reads, 0 when none does, which is the count of suffix units that fire."""
+        R = self._suffix_reads(X)
+        r = R.argmax(axis=1)  # the first set column: the last unit that fires
+        return np.where(R[np.arange(len(R)), r], R.shape[1] - r, 0)
+
     def _check_batch(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
@@ -571,23 +634,35 @@ class ThresholdNetwork:
     def evaluate_batch(self, X) -> np.ndarray:
         """Forward pass for a batch of points, returning an (m,) float array.
 
-        Each block of rows runs through the hidden layers and the output stage
-        before the next, so memory follows one block.  ``np.einsum`` sums each
-        output row on its own, and so does every pattern layer.  A dense layer
-        runs a BLAS matrix product, which can sum a row in an order that
-        depends on the batch and the block: a dense float layer's values can
-        differ in their last bits between batches.  Small integer weights on
-        a threshold layer's 0/1 activations sum exactly in any order.
+        Each block of rows is finished before the next, so memory follows one
+        block.  A network whose output is a prefix table (see ``_prefix_table``),
+        such as every built interpolator, returns ``T[k]`` for each row: the
+        exact value rounded once, so a built network returns exactly
+        ``max{y_i : x_i <= x}``, or its baseline.  The head of
+        ``build_interpolator`` is one dominance comparison of the points with
+        the block; any other head runs its layers.
+
+        Any other network runs the block through the hidden layers and the
+        output stage, which ``np.einsum`` sums row by row, as every pattern
+        layer does.  A dense layer runs a BLAS matrix product, which can sum a
+        row in an order that depends on the batch and the block: a dense float
+        layer's values can differ in their last bits between batches.  Small
+        integer weights on a threshold layer's 0/1 activations sum exactly in
+        any order.
         """
         X = self._check_batch(X)
         out = np.empty(len(X))
+        table = self._prefix_table
         for s in row_blocks(len(X), 8 * max(self.hidden_widths, default=X.shape[1])):
+            if table is not None:
+                np.take(table, self._prefix_lengths(X[s]), out=out[s])
+                continue
             A = X[s]
             for layer in self.layers:
                 A = layer.forward(A)
             A = np.ascontiguousarray(A, dtype=float)  # bools cast per block; in C order einsum sums a row alone
             np.einsum("ij,j->i", A, self.output_weights, out=out[s])
-        out += self.output_bias
+            out[s] += self.output_bias
         return out
 
     def evaluate(self, x) -> float:

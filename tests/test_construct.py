@@ -86,13 +86,13 @@ class TestBuildInterpolator:
 
     def test_trace_is_worked_out_when_read(self, monkeypatch):
         calls = []
-        forward = ThresholdNetwork.hidden_activations
+        reads = ThresholdNetwork._suffix_reads
 
         def counted(net, X):
             calls.append((net.hidden_widths, len(X)))
-            return forward(net, X)
+            return reads(net, X)
 
-        monkeypatch.setattr(ThresholdNetwork, "hidden_activations", counted)
+        monkeypatch.setattr(ThresholdNetwork, "_suffix_reads", counted)
         ds = random_monotone_dataset(np.random.default_rng(27), max_n=40, max_d=3)
         net, trace = build_interpolator(ds)
         build_approximator(lambda X: X.sum(axis=1), d=2, lipschitz=2.0, eps=0.5)
@@ -101,8 +101,8 @@ class TestBuildInterpolator:
         monkeypatch.setattr(core, "CHUNK_BYTES", 8 * (ds.dimension + 1) * ds.n * 7)
         assert np.array_equal(trace.embedding_matrix, want)
         assert trace.embedding_matrix is trace.embedding_matrix
-        # only the layers up to the embedding, seven rows at a time
-        blocks = [(net.hidden_widths[:2], len(ds.points[s : s + 7])) for s in range(0, ds.n, 7)]
+        # the bools the suffix-OR reads, seven rows at a time
+        blocks = [(net.hidden_widths, len(ds.points[s : s + 7])) for s in range(0, ds.n, 7)]
         assert calls == blocks
 
     @pytest.mark.parametrize("chain", [False, True])

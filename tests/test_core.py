@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -20,7 +21,8 @@ from conftest import (
     random_monotone_score,
 )
 from mononet import core
-from mononet.construct import build_chain_interpolator, build_interpolator
+from mononet.approx import build_approximator, plan_grid
+from mononet.construct import build_chain_interpolator, build_interpolator, separating_coordinate
 from mononet.core import (
     RELU,
     THRESHOLD,
@@ -46,7 +48,7 @@ from mononet.errors import (
     MonotoneViolation,
     NotTotallyOrdered,
 )
-from mononet.io import load_network, read_dataset_csv
+from mononet.io import load_network, network_from_dict, network_to_dict, read_dataset_csv
 
 
 def dict_duplicate_oracle(points: np.ndarray):
@@ -243,6 +245,39 @@ class TestValidateDataset:
                 validate_dataset(X, y)
             assert (err.value.first, err.value.second) == tuple(np.argwhere(bad)[0])
         assert violations > 40
+
+    @pytest.mark.parametrize("chunk, buffer", [(1 << 25, 1), (1 << 25, 50), (200, 1), (200, 50)])
+    def test_masking_by_buffers_reports_the_first_row_major_violation(self, monkeypatch, chunk, buffer):
+        rng = np.random.default_rng(chunk + buffer)
+        monkeypatch.setattr(core, "CHUNK_BYTES", chunk)
+        monkeypatch.setattr(core, "LEQ_BLOCK_BYTES", buffer)
+        violations = 0
+        for _ in range(60):
+            X = np.unique(rng.integers(0, 4, (int(rng.integers(2, 40)), 2)).astype(float), axis=0)
+            rng.shuffle(X)
+            y = rng.integers(0, 3, len(X)).astype(float)
+            bad = np.argwhere(one_shot_leq(X) & (y[:, None] > y[None, :]))
+            if not len(bad):
+                continue
+            violations += 1
+            with pytest.raises(MonotoneViolation) as err:
+                validate_dataset(X, y)
+            assert (err.value.first, err.value.second) == tuple(bad[0])
+        assert violations > 30
+
+    def test_a_block_is_masked_in_place(self):
+        # the one block of 4000 x 4000 bools is 15.26 MiB; the labels are compared a buffer at a time
+        X = np.random.default_rng(4004).random((4000, 4))
+        y = X @ [1.0, 2.0, 3.0, 4.0]
+        assert len(list(row_blocks(4000, 4000))) == 1
+        tracemalloc.start()
+        try:
+            ds = validate_dataset(X, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.n == 4000
+        assert peak <= 4000 * 4000 + (2 << 20), peak
 
     @pytest.mark.parametrize("budget", [64, 1])
     def test_row_blocks_keep_the_canonical_order(self, monkeypatch, budget):
@@ -925,6 +960,118 @@ def assert_batch_invariant(net: ThresholdNetwork, X: np.ndarray, cuts, budget: i
         assert net.evaluate_batch(X).tobytes() == whole.tobytes()
         assert net.evaluate_batch(np.asfortranarray(X)).tobytes() == whole.tobytes()
         assert np.array([net.evaluate(x) for x in X]).tobytes() == whole.tobytes()
+
+
+def closed_form(points: np.ndarray, labels: np.ndarray, X: np.ndarray) -> list[float]:
+    """Test oracle: ``max{y_i : x_i <= x}``, else ``min(0, least label)``, one query at a time."""
+    base = min(0.0, float(labels.min()))
+    pairs = list(zip(points.tolist(), labels.tolist()))
+    return [max((y for p, y in pairs if all(a <= b for a, b in zip(p, x))), default=base) for x in X.tolist()]
+
+
+def layered(net: ThresholdNetwork, X: np.ndarray) -> np.ndarray:
+    """Test oracle: the last hidden layer's bools through the float output stage, summed by ``np.einsum``."""
+    A = np.ascontiguousarray(net.hidden_activations(X)[-1], dtype=float)
+    return np.einsum("ij,j->i", A, net.output_weights) + net.output_bias
+
+
+def round_trip(net: ThresholdNetwork) -> ThresholdNetwork:
+    return network_from_dict(json.loads(json.dumps(network_to_dict(net))))
+
+
+def assert_prefix_path(net: ThresholdNetwork, X: np.ndarray, want: list[float] | None = None):
+    """``net`` is evaluated through its prefix table: the exact value rounded once, ``want`` when
+    given, and each row's k counts the suffix units that fire, which form a prefix."""
+    assert net._prefix_table is not None
+    got = net.evaluate_batch(X)
+    assert got.tolist() == [float(v) for v in net.evaluate_batch_exact(X)]
+    if want is not None:
+        assert got.tolist() == want
+    *_, reads, fired = net.hidden_activations(X)
+    k = net._prefix_lengths(X)
+    assert np.array_equal(fired, np.arange(fired.shape[1]) < k[:, None])
+    assert np.array_equal(net._suffix_reads(X)[:, ::-1], reads)
+
+
+class TestPrefixTable:
+    @given(batch_cases(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_built_networks_return_the_closed_form_property(self, case, seed):
+        ds, w, X = case
+        rng = np.random.default_rng(seed)
+        lo, hi = ds.points.min(axis=0) - 1, ds.points.max(axis=0) + 1
+        X = np.vstack([X, lo + (hi - lo) * rng.random((20, ds.dimension))])
+        net = build_interpolator(ds)[0]
+        assert net._dominance_lows is not None
+        for each in (net, round_trip(net)):
+            assert_prefix_path(each, X, closed_form(ds.points, ds.labels, X))
+        if is_totally_ordered(ds):
+            # the chain's unit i reads one coordinate r_i of x_i: a point with every other coordinate -inf
+            chain, lows = build_chain_interpolator(ds)[0], np.full_like(ds.points, -np.inf)
+            for i in range(ds.n):
+                r = separating_coordinate(ds, i + 1)[0] - 1
+                lows[i, r] = ds.points[i, r]
+            assert chain._dominance_lows is None  # its head runs its layer
+            for each in (chain, round_trip(chain)):
+                assert_prefix_path(each, X, closed_form(lows, ds.labels, X))
+            assert chain.evaluate_batch(ds.points).tolist() == ds.labels.tolist()
+
+        def f(P):
+            return np.round(P @ w / w.sum(), 3)
+
+        net = build_approximator(f, ds.dimension, lipschitz=1.0, eps=0.34)
+        grid = plan_grid(ds.dimension, 1.0, 0.34).points()
+        Q = np.vstack([grid, rng.uniform(-0.1, 1.1, (30, ds.dimension))])
+        for each in (net, round_trip(net)):
+            assert_prefix_path(each, Q, closed_form(grid, f(grid), Q))
+
+    def test_other_heads_run_their_layers(self):
+        rng = np.random.default_rng(32)
+        P = rng.random((30, 3))
+        ds = validate_dataset(P, np.round(P.sum(axis=1) / 3, 3))
+        net, _ = build_interpolator(ds)
+        X = np.vstack([ds.points, rng.uniform(-0.1, 1.1, (60, 3))])
+        select, blocks, suffix = net.layers
+        order = np.arange(select.width).reshape(ds.n, 3)[:, ::-1].reshape(-1)  # each block reversed
+        permuted = ThresholdLayer(WeightPattern("select", 3, select.weights.index[order]), select.biases[order])
+        heads = [
+            (permuted, blocks),  # the same function
+            (select, ThresholdLayer(WeightPattern("blocks", 3), np.full(ds.n, -2.0))),  # two of three, an OR
+        ]
+        others = [ThresholdNetwork((*head, suffix), net.exact_stage) for head in heads]
+        for other in others:
+            assert other._dominance_lows is None
+            assert_prefix_path(other, X)
+        assert others[0].evaluate_batch(X).tobytes() == net.evaluate_batch(X).tobytes()
+
+    def test_unrecognised_networks_keep_the_layered_pass(self):
+        rng = np.random.default_rng(33)
+        P = rng.random((30, 2))
+        ds = validate_dataset(P, np.round(P @ [0.3, 0.7], 3))
+        net, _ = build_interpolator(ds)
+        X = np.vstack([ds.points, rng.uniform(-0.1, 1.1, (60, 2))])
+        at_least_two = ThresholdLayer(WeightPattern("suffix"), np.full(ds.n, -2.0))
+        others = [
+            ThresholdNetwork(net.layers, net.output_weights, net.output_bias),  # a float stage
+            ThresholdNetwork((*net.layers[:2], at_least_two), net.exact_stage),
+        ]
+        for other in others:
+            assert other._prefix_table is None
+            assert other.evaluate_batch(X).tobytes() == layered(other, X).tobytes()
+
+    def test_a_table_past_the_float_range_keeps_the_layered_pass(self):
+        # each weight is a float, but the prefix sum of the first two is 2**1024
+        big = 2**1023
+        doc = {"version": 3, "dimension": 1, "monotone_flag": False, "exact": True,
+               "layers": [{"activation": "threshold", "kind": "select", "size": 1, "index": [0] * 3,
+                           "biases": [0.0, -1.0, -2.0]},
+                          {"activation": "threshold", "kind": "suffix", "size": 1, "biases": [-1.0] * 3}],
+               "output": {"weights": [f"{big}/1", f"{big}/1", f"-{big}/1"], "bias": "1/3"}}
+        net = network_from_dict(doc)
+        assert net.exact_stage is not None and net._prefix_table is None
+        X = np.array([[-1.0], [0.5], [1.5], [2.5]])
+        with np.errstate(over="ignore"):
+            assert net.evaluate_batch(X).tobytes() == layered(net, X).tobytes()
 
 
 class TestExactEvaluation:

@@ -462,8 +462,11 @@ class TestNetworkJson:
         assert [layer.kind for layer in old.layers] == ["dense"] * 3
         assert network_to_dict(old)["layers"] == network_to_dict(densify(net))["layers"]
         X = np.vstack([ds.points, np.random.default_rng(35).random((200, ds.dimension)) * 4 - 0.5])
-        assert old.evaluate_batch(X).tobytes() == net.evaluate_batch(X).tobytes()
-        assert old.evaluate_batch_exact(X) == net.evaluate_batch_exact(X)
+        exact = old.evaluate_batch_exact(X)
+        assert net.evaluate_batch_exact(X) == exact
+        assert net.evaluate_batch(X).tolist() == [float(v) for v in exact]
+        for a, b in zip(old.hidden_activations(X), net.hidden_activations(X), strict=True):
+            assert np.array_equal(a, b)
         assert old.monotone_flag and net.monotone_flag
 
     def test_version_2_file_loads_and_evaluates_identically(self):
