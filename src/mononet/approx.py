@@ -17,6 +17,9 @@ The network is built from the grid points strictly above every lower axis
 neighbour: ``max{y_i : x_i <= x}`` loses nothing, as by induction each
 dropped point has a kept point below it with its value, and the least grid
 point (the baseline's ``y_1``) is kept; so it is the full grid's on all R^d.
+
+The samples are checked by array passes over the grid, O(points * d); no
+pair of samples is compared (see :func:`build_approximator`).
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ from typing import Callable
 import numpy as np
 
 from .construct import build_interpolator
-from .core import ThresholdNetwork, canonical_dataset, pairwise_leq, row_blocks, validate_dataset
-from .errors import DimensionMismatch, GridTooLarge, InvalidArgument, InvalidNumber
+from .core import ThresholdNetwork, canonical_dataset, first_set, monotone_violation, pairwise_leq, row_blocks
+from .errors import DimensionMismatch, EmptyDataset, GridTooLarge, InvalidArgument, InvalidNumber
 from .io import parse_float
 
 DEFAULT_GRID_BUDGET = 10_000_000
@@ -107,8 +110,10 @@ def build_approximator(
     """Monotone network within ``eps`` of the target ``f`` uniformly on [0,1]^d.
 
     ``f`` is called once, on the read-only array of :meth:`GridSpec.points`;
-    a result not of shape (point_count,) raises :class:`DimensionMismatch`.  It
-    must be monotone (a violation on the samples raises :class:`MonotoneViolation`).
+    a result not of shape (point_count,) raises :class:`DimensionMismatch`, and
+    one not finite :class:`InvalidNumber`.  It must be monotone: a violation on
+    the samples raises :class:`MonotoneViolation`, naming the pair that
+    :func:`~mononet.core.validate_dataset` names, the first in row-major order.
 
     The sup error on [0,1]^d is at most G, the largest rise of the samples
     across a grid cell, from its least corner a to its greatest b: for x in
@@ -118,18 +123,20 @@ def build_approximator(
 
     One pass over the axes compares each sample with its lower neighbours, in
     O(points * d): a step between comparable grid points is a sum of axis steps,
-    so by transitivity these pairs order every comparable pair.  Samples that fail,
-    or are not finite, go through :func:`validate_dataset` for its error.  The
-    network is built from the points the pass keeps (see the module docstring).
+    so by transitivity these pairs order every comparable pair.  When a sample
+    falls, the minimum of each upper orthant names the pair (:func:`_falling_pair`).
+    The network is built from the points the pass keeps (see the module docstring).
     """
     grid = plan_grid(d, lipschitz, eps, budget)
     points = grid.points()
     values = np.asarray(f(points), dtype=float)
     if values.shape != points.shape[:1]:
         raise DimensionMismatch(f"the target returned shape {values.shape} for {len(points)} points")
+    if not np.isfinite(values).all():
+        raise InvalidNumber("labels must be finite")
     falls, keep, rise = _axis_pass(values, grid)
     if falls:
-        validate_dataset(points, values)  # raises, naming the number or the pair
+        raise monotone_violation(points, values, *_falling_pair(values, grid))
     # build first: samples that cannot be built (a label step past the float range) are refused with no warning
     net, _ = build_interpolator(canonical_dataset(points[keep], values[keep]))
     if rise > eps * (1 + 1e-9):
@@ -142,13 +149,13 @@ def build_approximator(
 
 
 def _axis_pass(values: np.ndarray, grid: GridSpec) -> tuple[bool, np.ndarray, float]:
-    """Whether grid samples are not finite or fall along an axis, the mask of points strictly
-    above every lower axis neighbour, and G, the largest rise of the samples across a grid cell."""
+    """Whether finite grid samples fall along an axis, the mask of points strictly above every
+    lower axis neighbour, and G, the largest rise of the samples across a grid cell."""
     V = values.reshape((grid.points_per_axis,) * grid.dimension)
     keep = np.ones(V.shape, dtype=bool)
-    falls = not np.isfinite(values).all()
-    # a finite step or rise past the float range is inf, of its sign; inf - inf is refused anyway
-    with np.errstate(over="ignore", invalid="ignore"):
+    falls = False
+    # a finite step or rise past the float range is inf, of its sign
+    with np.errstate(over="ignore"):
         for ax in range(grid.dimension):
             step = np.moveaxis(np.diff(V, axis=ax), ax, -1)
             falls |= bool((step < 0).any())
@@ -157,22 +164,53 @@ def _axis_pass(values: np.ndarray, grid: GridSpec) -> tuple[bool, np.ndarray, fl
     return falls, keep.reshape(-1), float(rise.max())
 
 
+def _falling_pair(values: np.ndarray, grid: GridSpec) -> tuple[int, int]:
+    """The first pair ``(i, j)`` in row-major order of grid points ``x_i <= x_j`` whose finite samples
+    fall, ``y_i > y_j``: the pair :func:`~mononet.core.validate_dataset` names.  Some pair must fall.
+
+    ``i`` is the first sample above the minimum of its upper orthant, a running minimum along each
+    axis from the top; ``j`` is the first sample below ``y_i`` in ``i``'s upper box, whose row-major
+    order is the grid's.
+    """
+    V = values.reshape((grid.points_per_axis,) * grid.dimension)
+    least = V
+    for ax in range(grid.dimension):
+        least = np.flip(np.minimum.accumulate(np.flip(least, ax), axis=ax), ax)
+    i = int(np.argmax(V > least))
+    at = np.unravel_index(i, V.shape)
+    box = V[tuple(slice(c, None) for c in at)]
+    below = np.unravel_index(int(np.argmax(box < V[at])), box.shape)
+    return i, int(np.ravel_multi_index(np.add(at, below), V.shape))
+
+
 def tabulated_function(points: np.ndarray, values: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """The target ``x -> max{values[i] : points[i] <= x}``, else ``min(values)``: monotone for any
-    (n, d) ``points`` and (n,) ``values``.  A NaN value raises :class:`InvalidNumber`.  Each block
-    of queries is compared with the whole table at once."""
+    (n, d) ``points`` and (n,) ``values``, n >= 1.  An empty table raises :class:`EmptyDataset`,
+    other shapes :class:`DimensionMismatch` and a NaN value :class:`InvalidNumber`.
+
+    The table is sorted by value once: ``table[k]`` is the k-th least value, ``table[0]`` the least.
+    Each block of queries is one :func:`~mononet.core.pairwise_leq` of the negated points, greatest
+    value first, as a built interpolator reads its head: the first point below x gives k.  Of tied
+    values the last table row's is returned, which matters only to the sign of a zero.
+    """
     points, values = np.asarray(points, dtype=float), np.asarray(values, dtype=float)
+    if not len(values):
+        raise EmptyDataset("a table needs at least one point")
+    if points.ndim != 2 or values.shape != points.shape[:1]:
+        raise DimensionMismatch(f"table points must be (n, d) and values (n,), got {points.shape}, {values.shape}")
     if np.isnan(values).any():
         raise InvalidNumber("table values must not be NaN")
-    floor = values.min()
+    order = np.argsort(values, kind="stable")
+    table = np.concatenate(([values.min()], values[order]))
+    lows = -points[order[::-1]]  # negation is exact: -x_i <= -q iff x_i <= q
 
     def f(X: np.ndarray) -> np.ndarray:
         if X.shape[1:] != points.shape[1:]:
             raise DimensionMismatch(f"queries of shape {X.shape} for table points of {points.shape[1]} coordinates")
         out = np.empty(len(X))
-        for s in row_blocks(len(X), 3 * len(points)):  # bytes a table point: leq matrix, comparison, mask
-            below = pairwise_leq(points, X[s])  # floor, the least value, changes no maximum over a nonempty set
-            out[s] = np.max(np.broadcast_to(values[:, None], below.shape), axis=0, where=below, initial=floor)
+        for s in row_blocks(len(X), len(points)):  # bytes a table point: the leq matrix
+            r = first_set(pairwise_leq(-X[s], lows))
+            np.take(table, np.where(r >= 0, len(points) - r, 0), out=out[s])
         return out
 
     return f

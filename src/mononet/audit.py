@@ -37,6 +37,7 @@ from .core import (
     MonotoneDataset,
     ThresholdLayer,
     ThresholdNetwork,
+    first_set,
     is_totally_ordered,
     row_blocks,
 )
@@ -102,19 +103,18 @@ def certify_monotone_structure(net: ThresholdNetwork) -> AuditReport:
     This is the structural sufficient condition for monotonicity; the
     witness pinpoints the first negative entry (an exact one as "p/q" text).
     """
-    for li, layer in enumerate(net.layers):
-        bad = layer.first_negative_weight()
-        if bad:
-            witness = {"location": "hidden", "layer": li, "unit": bad[0], "input_index": bad[1]}
-            witness["value"] = float(layer.weights[bad])
-            return AuditReport("structure", passed=False, witness=witness)
-    stage = net.exact_stage  # an exact weight's sign is its numerator's: -1/10**400 rounds to -0.0
-    for idx, w in enumerate(net.output_weights if stage is None else stage.numerators):
-        if w < 0:
-            value = float(w) if stage is None else fraction_text(w, stage.scale)
-            witness = {"location": "output", "input_index": idx, "value": value}
-            return AuditReport("structure", passed=False, witness=witness)
-    return AuditReport("structure", passed=True)
+    bad = net.first_negative_weight()
+    if bad is None:
+        return AuditReport("structure", passed=True)
+    li, unit, idx = bad
+    if li < len(net.layers):
+        value = float(net.layers[li].weights[unit, idx])
+        witness = {"location": "hidden", "layer": li, "unit": unit, "input_index": idx, "value": value}
+    else:
+        stage = net.exact_stage
+        value = float(net.output_weights[idx]) if stage is None else fraction_text(stage.numerators[idx], stage.scale)
+        witness = {"location": "output", "input_index": idx, "value": value}
+    return AuditReport("structure", passed=False, witness=witness)
 
 
 def probe_monotonicity(
@@ -374,12 +374,6 @@ def chain_width_audit(net: ThresholdNetwork, ds: MonotoneDataset) -> AuditReport
     return _chain_width_report(active, int(loss[0]), i, outputs, ds.labels)
 
 
-def _first_true(mask: np.ndarray) -> np.ndarray:
-    """Per row of ``mask``, the column of its first True, or -1 if it has none."""
-    first = np.argmax(np.pad(mask, ((0, 0), (0, 1)), constant_values=True), axis=1)
-    return np.where(first < mask.shape[1], first, -1)
-
-
 def _chain_width_analysis(active: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per chain of a stack, its first activity loss and its first repeat, or -1.
 
@@ -392,7 +386,7 @@ def _chain_width_analysis(active: np.ndarray, lengths: np.ndarray) -> tuple[np.n
     before, after = active[:, :-1], active[:, 1:]
     lost = (before & ~after).any(axis=2) & own
     same = (before == after).all(axis=2) & own
-    return _first_true(lost), _first_true(same)
+    return first_set(lost), first_set(same)
 
 
 def _chain_width_report(

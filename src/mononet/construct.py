@@ -57,7 +57,6 @@ from .core import (
     WeightPattern,
     _as_integers,
     is_totally_ordered,
-    row_blocks,
 )
 from .errors import DuplicatePoint, InvalidArgument, NotTotallyOrdered
 
@@ -66,15 +65,14 @@ from .errors import DuplicatePoint, InvalidArgument, NotTotallyOrdered
 class ConstructionTrace:
     """Evidence emitted by the builders, worked out when it is first read.
 
-    ``embedding_matrix[j, i]`` records whether unit ``i`` of the embedding
-    layer fires on the j-th training point; for a correct build this equals
-    ``x_j >= x_i`` coordinatewise.  ``output_weights`` are the telescoping
-    label differences (floats, for reporting).
+    ``embedding_matrix[j, i]`` records whether unit ``i`` of the layer the
+    suffix-OR reads fires on the j-th training point; for a correct build
+    this equals ``x_j >= x_i`` coordinatewise.  ``output_weights`` are the
+    telescoping label differences (floats, for reporting).
     """
 
     network: ThresholdNetwork
     points: np.ndarray
-    embedding_layer: int
 
     @property
     def layer_widths(self) -> tuple[int, ...]:
@@ -89,9 +87,9 @@ class ConstructionTrace:
         return np.concatenate(list(self._embedding_blocks()))
 
     def _embedding_blocks(self):
-        """The rows of ``embedding_matrix``, one block of ``row_blocks`` at a time: the bools that
+        """The rows of ``embedding_matrix``, in the blocks of ``evaluate_batch``: the bools that
         the suffix-OR reads, which for ``build_interpolator`` are one dominance comparison."""
-        for s in row_blocks(len(self.points), 8 * sum(self.layer_widths[: self.embedding_layer + 1])):
+        for s in self.network._row_blocks(len(self.points)):
             yield self.network._suffix_reads(self.points[s])[:, ::-1]
 
     def write_json(self, fh) -> None:
@@ -102,7 +100,7 @@ class ConstructionTrace:
         at a time so the n x n matrix never exists as Python lists.  A row's
         text is its byte template ``[0, 0, ..., 0], `` with its digits set.
         """
-        width = self.layer_widths[self.embedding_layer]
+        width = self.layer_widths[-1]  # the suffix-OR's, as wide as the layer it reads
         template = np.frombuffer(f"[{', '.join('0' * width)}], ".encode(), np.uint8)
         fh.write(f'{{"layer_widths": {json.dumps(list(self.layer_widths))}, "embedding_matrix": [')
         sep = ""
@@ -114,21 +112,18 @@ class ConstructionTrace:
         fh.write(f'], "output_weights": {json.dumps(list(self.output_weights))}}}\n')
 
 
-def _finish(
-    layers: tuple[ThresholdLayer, ...], ds: MonotoneDataset, embedding_layer: int
-) -> tuple[ThresholdNetwork, ConstructionTrace]:
+def _finish(layers: tuple[ThresholdLayer, ...], ds: MonotoneDataset) -> tuple[ThresholdNetwork, ConstructionTrace]:
     """Add the telescoping output stage to ``layers`` and trace the build.
 
     The stage's weights are y_i - y_{i-1} (nonnegative) and its bias y_0, as
     ints over one scale.  The virtual y_0 is 0 for nonnegative labels; for a
     negative smallest label it is y_1 instead, so the first weight becomes 0
-    and all weights stay nonnegative.  ``embedding_layer`` indexes the layer
-    whose units indicate the training points dominated by the input.
+    and all weights stay nonnegative.
     """
     steps, scale = _as_integers(np.concatenate(([min(0.0, ds.labels[0])], ds.labels)))
     stage = ExactStage(tuple(np.diff(steps).tolist()), steps[0], scale)
     net = ThresholdNetwork(layers, stage)
-    return net, ConstructionTrace(net, ds.points, embedding_layer)
+    return net, ConstructionTrace(net, ds.points)
 
 
 def build_interpolator(ds: MonotoneDataset) -> tuple[ThresholdNetwork, ConstructionTrace]:
@@ -142,7 +137,7 @@ def build_interpolator(ds: MonotoneDataset) -> tuple[ThresholdNetwork, Construct
     index = np.arange(n * d) % d  # unit i*d + c reads coordinate c
     layer1 = ThresholdLayer(WeightPattern(SELECT, d, index), -ds.points.reshape(-1), THRESHOLD)
     layer2 = ThresholdLayer(WeightPattern(BLOCKS, d), np.full(n, -float(d)), THRESHOLD)
-    return _finish((layer1, layer2, _suffix_or_layer(n)), ds, embedding_layer=1)
+    return _finish((layer1, layer2, _suffix_or_layer(n)), ds)
 
 
 def _suffix_or_layer(n: int) -> ThresholdLayer:
@@ -195,4 +190,4 @@ def build_chain_interpolator(ds: MonotoneDataset) -> tuple[ThresholdNetwork, Con
         )
     r = [_separating_index(ds.points, i) for i in range(ds.n)]
     layer1 = ThresholdLayer(WeightPattern(SELECT, ds.dimension, r), -ds.points[range(ds.n), r], THRESHOLD)
-    return _finish((layer1, _suffix_or_layer(ds.n)), ds, embedding_layer=0)
+    return _finish((layer1, _suffix_or_layer(ds.n)), ds)

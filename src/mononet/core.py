@@ -121,6 +121,20 @@ def pairwise_leq(points: np.ndarray, others: np.ndarray | None = None) -> np.nda
     return M
 
 
+def first_set(R: np.ndarray) -> np.ndarray:
+    """Per row of the bool matrix ``R``, the column of its first True, or -1 when it has none."""
+    if not R.shape[1]:
+        return np.full(len(R), -1)
+    r = R.argmax(axis=1)
+    return np.where(R[np.arange(len(R)), r], r, -1)
+
+
+def monotone_violation(points: np.ndarray, labels: np.ndarray, i: int, j: int) -> MonotoneViolation:
+    """The error naming input rows ``i`` and ``j``, where ``points[i] <= points[j]`` and ``labels[i] > labels[j]``."""
+    first, second = (f"x={tuple(map(float, points[k]))} y={float(labels[k])}" for k in (i, j))
+    return MonotoneViolation(i, j, f"{first} vs {second}")
+
+
 @dataclass(frozen=True, eq=False)
 class MonotoneDataset:
     """Canonically ordered monotone labeled points.
@@ -194,12 +208,7 @@ def validate_dataset(points, labels) -> MonotoneDataset:
             bad[t] &= labels[s][t, None] > labels
         if bad.any():
             i, j = np.argwhere(bad)[0] + (s.start, 0)
-            raise MonotoneViolation(
-                int(i),
-                int(j),
-                f"x={tuple(map(float, points[i]))} y={float(labels[i])} "
-                f"vs x={tuple(map(float, points[j]))} y={float(labels[j])}",
-            )
+            raise monotone_violation(points, labels, int(i), int(j))
 
     return canonical_dataset(points, labels)
 
@@ -538,15 +547,22 @@ class ThresholdNetwork:
 
     @cached_property
     def monotone_flag(self) -> bool:
-        """True iff all hidden and output weights are nonnegative.
+        """True iff all hidden and output weights are nonnegative."""
+        return self.first_negative_weight() is None
 
-        An exact weight's sign is its numerator's: ``-1/10**400`` rounds to ``-0.0``.
+    def first_negative_weight(self) -> tuple[int, int, int] | None:
+        """``(layer, unit, input_index)`` of the first negative weight, if any.
+
+        The output stage counts as layer ``len(layers)`` with the one unit 0.  An exact weight's
+        sign is its numerator's: ``-1/10**400`` rounds to ``-0.0``.
         """
-        if any(layer.first_negative_weight() for layer in self.layers):
-            return False
-        if self.exact_stage is not None:
-            return min(self.exact_stage.numerators, default=0) >= 0
-        return not (self.output_weights < 0).any()
+        for li, layer in enumerate(self.layers):
+            bad = layer.first_negative_weight()
+            if bad:
+                return (li, *bad)
+        stage = self.exact_stage
+        bad = np.flatnonzero(self.output_weights < 0 if stage is None else [p < 0 for p in stage.numerators])
+        return (len(self.layers), 0, int(bad[0])) if len(bad) else None
 
     # -- float evaluation ------------------------------------------------
 
@@ -607,8 +623,12 @@ class ThresholdNetwork:
         """For each row of a checked block ``X``, ``k``: one more than the last unit that fires in the
         layer the suffix-OR reads, 0 when none does, which is the count of suffix units that fire."""
         R = self._suffix_reads(X)
-        r = R.argmax(axis=1)  # the first set column: the last unit that fires
-        return np.where(R[np.arange(len(R)), r], R.shape[1] - r, 0)
+        r = first_set(R)  # the last unit that fires
+        return np.where(r >= 0, R.shape[1] - r, 0)
+
+    def _row_blocks(self, rows: int) -> Iterator[slice]:
+        """The blocks in which :meth:`evaluate_batch` takes ``rows`` rows: 8 bytes a unit of the widest layer."""
+        return row_blocks(rows, 8 * max(self.hidden_widths, default=self.input_dimension))
 
     def _check_batch(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -653,7 +673,7 @@ class ThresholdNetwork:
         X = self._check_batch(X)
         out = np.empty(len(X))
         table = self._prefix_table
-        for s in row_blocks(len(X), 8 * max(self.hidden_widths, default=X.shape[1])):
+        for s in self._row_blocks(len(X)):
             if table is not None:
                 np.take(table, self._prefix_lengths(X[s]), out=out[s])
                 continue

@@ -297,3 +297,18 @@ def tabulated_oracle(points: np.ndarray, values: np.ndarray):
         return floor_value
 
     return f
+
+
+def masked_max_table(points: np.ndarray, values: np.ndarray):
+    """The table's target on a batch as one masked ``np.max`` over ``pairwise_leq(points, X)``, the least
+    value where no point lies below: the ``--table`` target as it was before it read a sorted table.
+
+    On a batch of one query numpy reduces the column through SIMD lanes, and which of a tied +0.0 and
+    -0.0 it returns depends on them; on two or more it returns the last tied row's."""
+    floor = values.min()
+
+    def f(X):
+        below = pairwise_leq(points, X)
+        return np.max(np.broadcast_to(values[:, None], below.shape), axis=0, where=below, initial=floor)
+
+    return f

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import axis_minimal, full_grid_approximator, tabulated_oracle
+from conftest import axis_minimal, full_grid_approximator, masked_max_table, tabulated_oracle
 from mononet import approx, core
 from mononet.approx import (
     BUILTIN_FUNCTIONS,
@@ -22,11 +22,19 @@ from mononet.construct import build_interpolator
 from mononet.core import validate_dataset
 from mononet.errors import (
     DimensionMismatch,
+    EmptyDataset,
     GridTooLarge,
     InvalidArgument,
     InvalidNumber,
     MonotoneViolation,
 )
+
+
+def no_pairwise_work(mp: pytest.MonkeyPatch) -> None:
+    """Make every pairwise comparison of the package fail under ``mp``."""
+    fail = lambda *args: pytest.fail("compared pairwise")
+    for module, name in ((core, "pairwise_leq"), (core, "validate_dataset"), (approx, "pairwise_leq")):
+        mp.setattr(module, name, fail)
 
 
 def grid_neighbors(grid, x) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -175,19 +183,25 @@ class TestBuildApproximator:
             assert f(np.array([lo]))[0] <= v <= f(np.array([hi]))[0]
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
-    def test_non_finite_samples_refused_before_the_slope_check(self, value):
+    def test_non_finite_samples_refused_before_the_slope_check(self, value, monkeypatch):
         # the slope check's differences of inf would warn on stderr ahead of the diagnostic
+        def f(X):
+            values = X.sum(axis=1)
+            values[len(values) // 2] = value
+            return values
+
+        no_pairwise_work(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(InvalidNumber, match="labels must be finite"):
-                build_approximator(lambda X: np.full(len(X), value), 1, 1.0, 0.1)
+            for target, d in ((lambda X: np.full(len(X), value), 1), (f, 2)):
+                with pytest.raises(InvalidNumber, match="labels must be finite"):
+                    build_approximator(target, d, 1.0, 0.1)
 
     def test_non_monotone_rejected(self):
         with pytest.raises(MonotoneViolation):
             build_approximator(lambda X: -X[:, 0], 1, 1.0, 0.25)
 
-    def test_a_monotone_grid_is_built_without_the_pairwise_check(self, monkeypatch):
-        monkeypatch.setattr(approx, "validate_dataset", lambda *args: pytest.fail("checked pairwise"))
+    def test_a_monotone_grid_is_built_without_the_pairwise_check(self):
         targets = [
             (lambda X: X.min(axis=1), 2),
             (lambda X: X.max(axis=1), 3),
@@ -196,7 +210,9 @@ class TestBuildApproximator:
             (lambda X: X[:, 0], 1),
         ]
         for f, d in targets:
-            net = build_approximator(f, d, 1.0, 0.3)
+            with pytest.MonkeyPatch.context() as mp:
+                no_pairwise_work(mp)
+                net = build_approximator(f, d, 1.0, 0.3)
             grid = plan_grid(d, 1.0, 0.3)
             points, values = grid.points(), f(grid.points())
             keep = axis_minimal(grid, values)
@@ -227,6 +243,33 @@ class TestBuildApproximator:
                 build_approximator(f, d, 1.0, 0.6)
             assert (got.value.first, got.value.second, str(got.value)) == (want.first, want.second, str(want))
         assert falling > 25
+
+    def test_a_falling_grid_names_the_pair_with_no_pairwise_work(self, monkeypatch):
+        build = approx.build_approximator
+
+        def guarded(*args):
+            with pytest.MonkeyPatch.context() as mp:
+                no_pairwise_work(mp)
+                return build(*args)
+
+        monkeypatch.setitem(globals(), "build_approximator", guarded)  # the test above, its oracle unpatched
+        self.test_a_falling_grid_names_the_pair_validate_dataset_names()
+
+    def test_a_falling_top_corner_names_the_pair_validate_dataset_names(self):
+        # 284 x 284 = 80,656 grid points; only f(1, 1) = 1.5 falls, below x0 + x1 from x0 > 0.5 on;
+        # validate_dataset names positions 40611 and 80655 after its n^2 comparisons
+        def f(X):
+            values = X.sum(axis=1)
+            values[(X == 1.0).all(axis=1)] = 1.5
+            return values
+
+        assert plan_grid(2, 1.0, 0.005).point_count == 80_656
+        with pytest.MonkeyPatch.context() as mp:
+            no_pairwise_work(mp)
+            with pytest.raises(MonotoneViolation) as got:
+                build_approximator(f, 2, 1.0, 0.005)
+        assert (got.value.first, got.value.second) == (40611, 80655)
+        assert str(got.value).endswith("x=(0.5020458146424487, 1.0) y=1.5020458146424487 vs x=(1.0, 1.0) y=1.5")
 
     def test_lipschitz_warning(self):
         with pytest.warns(UserWarning, match="Lipschitz"):
@@ -424,10 +467,10 @@ class TestTabulatedFunction:
         P, y = DUPLICATE_TABLE
         Q = np.random.default_rng(8).uniform(-0.2, 1.2, (500, 2))
         want = tabulated_function(P, y)(Q)
-        monkeypatch.setattr(core, "CHUNK_BYTES", 3 * len(P) * 7)  # blocks of seven queries
+        monkeypatch.setattr(core, "CHUNK_BYTES", len(P) * 7)  # blocks of seven queries
         blocks = []
         leq = approx.pairwise_leq
-        monkeypatch.setattr(approx, "pairwise_leq", lambda A, B: blocks.append(len(B)) or leq(A, B))
+        monkeypatch.setattr(approx, "pairwise_leq", lambda A, B: blocks.append(len(A)) or leq(A, B))
         assert tabulated_function(P, y)(Q).tolist() == want.tolist()
         assert blocks == [7] * 71 + [3]
         assert want.tolist() == [tabulated_oracle(P, y)(q) for q in Q]
@@ -439,6 +482,40 @@ class TestTabulatedFunction:
             tabulated_function(P, y)
         with pytest.raises(InvalidNumber):
             tabulated_oracle(P, y)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        points=table_points,
+        values=st.lists(st.sampled_from([-2.0, -1.0, -0.0, 0.0, 0.5, 1e300]), min_size=12, max_size=12),
+        queries=st.lists(st.tuples(st.integers(-1, 4), st.integers(-1, 4)), min_size=2, max_size=30),
+        chunk=st.integers(1, 200),
+    )
+    def test_equals_the_masked_max_bit_for_bit(self, points, values, queries, chunk):
+        # duplicate points, tied, negative and signed-zero values; two queries or more, as the oracle
+        # picks a zero's sign by SIMD lane on one (each row is checked alone below)
+        P = np.array(points, dtype=float) / 2
+        y = np.array(values[: len(points)])
+        Q = np.array(queries, dtype=float) / 2
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "CHUNK_BYTES", chunk)  # a block of one to a few queries
+            f = tabulated_function(P, y)
+            got = f(Q)
+            alone = [f(Q[i : i + 1]).tobytes() for i in range(len(Q))]
+        assert got.tobytes() == masked_max_table(P, y)(Q).tobytes()
+        assert alone == [got[i : i + 1].tobytes() for i in range(len(Q))]
+
+    @pytest.mark.parametrize(
+        "points, values, error",
+        [
+            (np.zeros((0, 2)), np.zeros(0), EmptyDataset),
+            (np.zeros((3, 2)), np.zeros(2), DimensionMismatch),
+            (np.zeros(3), np.zeros(3), DimensionMismatch),
+        ],
+        ids=["empty", "lengths", "one-dimensional-points"],
+    )
+    def test_malformed_tables_refused_when_made(self, points, values, error):
+        with pytest.raises(error):
+            tabulated_function(points, values)
 
     def test_query_dimension_checked(self):
         with pytest.raises(DimensionMismatch):

@@ -98,11 +98,14 @@ class TestBuildInterpolator:
         build_approximator(lambda X: X.sum(axis=1), d=2, lipschitz=2.0, eps=0.5)
         assert calls == []
         want = pairwise_leq(ds.points).T
-        monkeypatch.setattr(core, "CHUNK_BYTES", 8 * (ds.dimension + 1) * ds.n * 7)
+        monkeypatch.setattr(core, "CHUNK_BYTES", 8 * max(net.hidden_widths) * 7)
         assert np.array_equal(trace.embedding_matrix, want)
         assert trace.embedding_matrix is trace.embedding_matrix
-        # the bools the suffix-OR reads, seven rows at a time
+        # the bools the suffix-OR reads, seven rows at a time: the blocks of evaluate_batch
         blocks = [(net.hidden_widths, len(ds.points[s : s + 7])) for s in range(0, ds.n, 7)]
+        assert calls == blocks
+        calls.clear()
+        net.evaluate_batch(ds.points)
         assert calls == blocks
 
     @pytest.mark.parametrize("chain", [False, True])

@@ -32,6 +32,7 @@ from mononet.core import (
     ThresholdNetwork,
     WeightPattern,
     affine_network,
+    first_set,
     is_totally_ordered,
     pairwise_leq,
     row_blocks,
@@ -568,6 +569,25 @@ class TestEvaluate:
         assert not neg_out.monotone_flag
         zero = ThresholdNetwork((ThresholdLayer([[0.0]], [0.0]),), [0.0], 0.0)
         assert zero.monotone_flag
+
+    def test_first_negative_weight_of_a_network(self):
+        ones = ThresholdLayer([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0])
+        hidden = ThresholdLayer([[1.0, 0.5], [0.0, -2.0]], [0.0, 0.0])
+        assert ThresholdNetwork((ones, hidden), [-1.0, 1.0]).first_negative_weight() == (1, 1, 1)
+        assert ThresholdNetwork((ones, ones), [-0.0, -1.0]).first_negative_weight() == (2, 0, 1)
+        assert ThresholdNetwork((ones,), [0.0, 2.0]).first_negative_weight() is None
+        assert affine_network([0.5, -1e-300], 0.0).first_negative_weight() == (0, 0, 1)
+        # an exact weight's sign is its numerator's, though -1/10**400 is -0.0 in float
+        exact = ThresholdNetwork((ones,), [Fraction(1, 2), Fraction(-1, 10**400)], Fraction(0))
+        assert exact.output_weights[1] == 0.0
+        assert exact.first_negative_weight() == (1, 0, 1)
+        assert not exact.monotone_flag
+
+    def test_first_set(self):
+        R = np.array([[0, 0, 1, 1], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]], dtype=bool)
+        assert first_set(R).tolist() == [2, 0, -1, 3]
+        assert first_set(np.zeros((3, 0), dtype=bool)).tolist() == [-1, -1, -1]
+        assert first_set(np.zeros((0, 4), dtype=bool)).tolist() == []
 
     def test_layer_shape_checks(self):
         with pytest.raises(DimensionMismatch):
