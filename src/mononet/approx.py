@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .construct import build_interpolator
-from .core import ThresholdNetwork, canonical_dataset, first_set, monotone_violation, pairwise_leq, row_blocks
+from .core import ThresholdNetwork, canonical_dataset, monotone_violation, pairwise_leq, prefix_lookup, row_blocks
 from .errors import DimensionMismatch, EmptyDataset, GridTooLarge, InvalidArgument, InvalidNumber
 from .io import parse_float
 
@@ -188,10 +188,10 @@ def tabulated_function(points: np.ndarray, values: np.ndarray) -> Callable[[np.n
     (n, d) ``points`` and (n,) ``values``, n >= 1.  An empty table raises :class:`EmptyDataset`,
     other shapes :class:`DimensionMismatch` and a NaN value :class:`InvalidNumber`.
 
-    The table is sorted by value once: ``table[k]`` is the k-th least value, ``table[0]`` the least.
-    Each block of queries is one :func:`~mononet.core.pairwise_leq` of the negated points, greatest
-    value first, as a built interpolator reads its head: the first point below x gives k.  Of tied
-    values the last table row's is returned, which matters only to the sign of a zero.
+    The table is sorted by value once, stably: ``table[k]`` is the k-th least value.  Each block of
+    queries is one :func:`~mononet.core.pairwise_leq` of the negated points, greatest value first,
+    read by :func:`~mononet.core.prefix_lookup` as a built interpolator's head is.  Of tied values the
+    last row's is returned, and below every point the first row's: one rule for the sign of a zero.
     """
     points, values = np.asarray(points, dtype=float), np.asarray(values, dtype=float)
     if not len(values):
@@ -201,7 +201,7 @@ def tabulated_function(points: np.ndarray, values: np.ndarray) -> Callable[[np.n
     if np.isnan(values).any():
         raise InvalidNumber("table values must not be NaN")
     order = np.argsort(values, kind="stable")
-    table = np.concatenate(([values.min()], values[order]))
+    table = values[np.concatenate((order[:1], order))]
     lows = -points[order[::-1]]  # negation is exact: -x_i <= -q iff x_i <= q
 
     def f(X: np.ndarray) -> np.ndarray:
@@ -209,8 +209,7 @@ def tabulated_function(points: np.ndarray, values: np.ndarray) -> Callable[[np.n
             raise DimensionMismatch(f"queries of shape {X.shape} for table points of {points.shape[1]} coordinates")
         out = np.empty(len(X))
         for s in row_blocks(len(X), len(points)):  # bytes a table point: the leq matrix
-            r = first_set(pairwise_leq(-X[s], lows))
-            np.take(table, np.where(r >= 0, len(points) - r, 0), out=out[s])
+            prefix_lookup(table, pairwise_leq(-X[s], lows), out=out[s])
         return out
 
     return f

@@ -31,6 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import core
 from .core import (
     RELU,
     THRESHOLD,
@@ -65,7 +66,6 @@ SQRT_BOUND_STRIDE = 100  # the convexity campaign bounds each gap on every 100th
 CHAIN_MAX_POINTS = 16  # chain length, drawn from 3..this
 CHAIN_MAX_DIM = 6  # chain dimension, drawn from 1..this
 CHAIN_MAX_WIDTH = CHAIN_MAX_POINTS - 2  # first-layer width, drawn from 1..n-2 for n points
-STACK_BYTES = 1 << 20  # the planned arrays of one stack of networks or of chains
 DEPTH2_MAX_DOUBLES = 2**20  # the spread dataset holds (d+1)*d doubles, so d <= 1023
 MONOTONE_MAX_DOUBLES = 2**25  # the monotone probe's pairs U, V hold 2 * samples * d doubles (256 MiB)
 
@@ -454,7 +454,7 @@ def _streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
     ``random`` call to the parameter stream, sample after sample.  A sample
     takes a fixed number of shape draws, and its number of doubles follows
     from its shape, so a stack boundary only splits a stream between samples:
-    sample k is the same at any ``STACK_BYTES`` and any sample count.
+    sample k is the same at any stack size and any sample count.
     """
     shapes, params = np.random.SeedSequence(seed).spawn(2)
     return np.random.default_rng(shapes), np.random.default_rng(params)
@@ -512,14 +512,14 @@ def run_depth2_campaign(d: int, samples: int, seed: int) -> AuditReport:
     Passes when the summed-activation inequality holds for every network;
     ``details`` additionally counts how many networks interpolated the
     spread dataset (none is expected for continuously random weights).
-    The networks are audited in stacks of at most ``STACK_BYTES``
+    The networks are audited in stacks of at most ``core.WORKING_SET_BYTES``
     of planned arrays, one forward pass per stack.
     """
     require_positive(samples, "samples")
     depth2_counterexample(d)  # refuses a d too small or too large before the first network
     shapes, params = _streams(seed)
     interpolated = 0
-    for s in row_blocks(samples, _depth2_sample_bytes(d), STACK_BYTES):
+    for s in row_blocks(samples, _depth2_sample_bytes(d), core.WORKING_SET_BYTES):
         net, starts, output_biases = _random_depth2_stack(shapes, params, d, s.stop - s.start)
         audits = _depth2_audits(net, d, starts, output_biases)
         failed = np.flatnonzero(~audits.passed)
@@ -633,9 +633,9 @@ def run_convexity_campaign(samples: int, seed: int) -> AuditReport:
     Each network is also checked for the square-root approximation gap of
     at least ``SQRT_GAP_BOUND`` (1/8), and the report gives the least gap.
 
-    The networks run in stacks of at most ``STACK_BYTES`` of planned
-    arrays, one batched forward pass per stack (:class:`_ReluStack`) over
-    each network's probe points and coarse grid.  Only the networks that
+    The networks run in stacks of at most ``core.WORKING_SET_BYTES`` of
+    planned arrays, one batched forward pass per stack (:class:`_ReluStack`)
+    over each network's probe points and coarse grid.  Only the networks that
     need a result of their own are built and run alone, in sample order:
 
     * The probe's test on the stacked values, with a margin of
@@ -675,7 +675,7 @@ def run_convexity_campaign(samples: int, seed: int) -> AuditReport:
     xs, roots = _sqrt_grid(10000)  # the grid of sqrt_gap_witness at its default resolution
     coarse_xs, coarse_roots = xs[::SQRT_BOUND_STRIDE], roots[::SQRT_BOUND_STRIDE]
     min_gap = np.inf
-    for s in row_blocks(samples, _relu_sample_bytes(3 * triples + len(coarse_xs)), STACK_BYTES):
+    for s in row_blocks(samples, _relu_sample_bytes(3 * triples + len(coarse_xs)), core.WORKING_SET_BYTES):
         nets = _random_relu_stack(shapes, params, s.stop - s.start, triples, coarse_xs)
         values = nets.values()
         fu, fv, fm = (values[:, i * triples : (i + 1) * triples] for i in range(3))
@@ -796,14 +796,14 @@ def run_chain_width_campaign(samples: int, seed: int) -> AuditReport:
     chain (the regime where a repeated activation pattern is forced), so
     the audit must locate the pigeonhole witness each time; a passing
     campaign has witnessed it ``samples`` times.  The chains are audited in
-    stacks of at most ``STACK_BYTES`` of planned arrays: one batched matmul
-    gives every activity set of a stack, and array reductions over it the
-    first loss, the first repeat and the outputs there, as
+    stacks of at most ``core.WORKING_SET_BYTES`` of planned arrays: one
+    batched matmul gives every activity set of a stack, and array reductions
+    over it the first loss, the first repeat and the outputs there, as
     :func:`chain_width_audit` finds them for one chain.
     """
     require_positive(samples, "samples")
     shapes, params = _streams(seed)
-    for s in row_blocks(samples, _CHAIN_SAMPLE_BYTES, STACK_BYTES):
+    for s in row_blocks(samples, _CHAIN_SAMPLE_BYTES, core.WORKING_SET_BYTES):
         chains = _random_chain_stack(shapes, params, s.stop - s.start)
         active = chains.activity()
         loss, repeat = _chain_width_analysis(active, chains.lengths)

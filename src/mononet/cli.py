@@ -25,6 +25,7 @@ import functools
 import json
 import re
 import sys
+import warnings
 
 import numpy as np
 
@@ -47,11 +48,9 @@ def main(argv=None) -> int:
             argv = _config_argv(parser, config, argv)
         args = parser.parse_args(argv)
         return args.handler(args)
-    except MonotoneViolation as exc:
-        _diagnostic("monotone-violation", str(exc), first=exc.first, second=exc.second)
-        return EXIT_INVALID
-    except Error as exc:
-        _diagnostic(type(exc).__name__, str(exc))
+    except Error as exc:  # the input positions that a violation or a duplicate names become keys
+        kind = "monotone-violation" if isinstance(exc, MonotoneViolation) else type(exc).__name__
+        _diagnostic(kind, str(exc), **{k: getattr(exc, k) for k in ("first", "second") if hasattr(exc, k)})
         return EXIT_INVALID
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -302,7 +301,11 @@ def _cmd_approx(args) -> int:
     else:
         f = approx.tabulated_function(*io.read_dataset_csv(args.table))
     grid = approx.plan_grid(args.d, args.L, args.eps, args.budget)
-    net = approx.build_approximator(f, args.d, args.L, args.eps, args.budget)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        net = approx.build_approximator(f, args.d, args.L, args.eps, args.budget)
+    for w in caught:  # one line each, as for an unknown config key
+        print(f"warning: {w.message}", file=sys.stderr)
     print(f"d: {args.d}  L: {args.L}  eps: {args.eps}  seed: {args.seed}", file=sys.stderr)
     print(f"grid: {grid.points_per_axis} points per axis, {grid.point_count} total")
     print(f"hidden units: {net.hidden_unit_count}")

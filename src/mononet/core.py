@@ -64,8 +64,8 @@ DENSE, BLOCKS, SUFFIX, SELECT = "dense", "blocks", "suffix", "select"  # the kin
 # Exact float integer arithmetic is guaranteed below this magnitude.
 _EXACT_INT_LIMIT = 2.0**53
 
-CHUNK_BYTES = 1 << 25  # the working size of one block of rows (see row_blocks)
-LEQ_BLOCK_BYTES = 1 << 20  # the comparison buffer of pairwise_leq
+CHUNK_BYTES = 1 << 25  # one of the two block budgets (see row_blocks): a block of evaluated rows
+WORKING_SET_BYTES = 1 << 20  # the other: comparisons, validation, audit stacks, estimator samples
 
 EXACT_SCALE_BITS = 2048  # an exact output stage's largest scale; a float's denominator has <= 1,075 bits
 
@@ -96,7 +96,8 @@ def frozen(values, dtype=float) -> np.ndarray:
 def row_blocks(rows: int, row_bytes: int, budget: int | None = None) -> Iterator[slice]:
     """Slices that partition ``range(rows)``, in order, into blocks of ``budget`` bytes (default
     ``CHUNK_BYTES``) at ``row_bytes`` a row.  A larger row gets a slice of its own, and ``rows = 0``
-    one empty slice.  The slices are made as they are taken: a plan of many blocks holds none."""
+    one empty slice.  The slices are made as they are taken: a plan of many blocks holds none.
+    Every blocked loop plans here, and any but evaluation's passes ``core.WORKING_SET_BYTES``."""
     budget = CHUNK_BYTES if budget is None else budget
     step = max(1, budget // max(row_bytes, 1))
     return (slice(s, min(s + step, rows)) for s in range(0, max(rows, 1), step))
@@ -106,11 +107,11 @@ def pairwise_leq(points: np.ndarray, others: np.ndarray | None = None) -> np.nda
     """Boolean M with M[i, j] = (points[i] <= others[j] coordinatewise); others defaults to points.
 
     Each coordinate's comparison of a block of rows goes through one reused buffer of at most
-    ``LEQ_BLOCK_BYTES`` (or one row), so the peak is M plus that buffer."""
+    ``WORKING_SET_BYTES`` (or one row), so the peak is M plus that buffer."""
     others = points if others is None else others
     M = np.ones((len(points), len(others)), dtype=bool)
     buffer = None
-    for s in row_blocks(len(points), len(others), LEQ_BLOCK_BYTES):
+    for s in row_blocks(len(points), len(others), WORKING_SET_BYTES):
         block = M[s]
         if buffer is None:  # the first block is the largest
             buffer = np.empty_like(block)
@@ -127,6 +128,13 @@ def first_set(R: np.ndarray) -> np.ndarray:
         return np.full(len(R), -1)
     r = R.argmax(axis=1)
     return np.where(R[np.arange(len(R)), r], r, -1)
+
+
+def prefix_lookup(table: np.ndarray, R: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Per row of the bool matrix ``R``, whose reads run last first, ``table[k]``: k is ``R.shape[1] - r``
+    for the first set column r, one more than the last read set, or 0 when no column is set."""
+    r = first_set(R)
+    return np.take(table, np.where(r >= 0, R.shape[1] - r, 0), out=out)
 
 
 def monotone_violation(points: np.ndarray, labels: np.ndarray, i: int, j: int) -> MonotoneViolation:
@@ -202,10 +210,9 @@ def validate_dataset(points, labels) -> MonotoneDataset:
     _check_distinct(points)
 
     # a violation is x_i <= x_j with y_i > y_j; the diagonal never is one
-    for s in row_blocks(len(points), len(points)):
+    for s in row_blocks(len(points), len(points), WORKING_SET_BYTES):
         bad = pairwise_leq(points[s], points)
-        for t in row_blocks(len(bad), len(points), LEQ_BLOCK_BYTES):  # masked in place, a buffer at a time
-            bad[t] &= labels[s][t, None] > labels
+        bad &= labels[s, None] > labels
         if bad.any():
             i, j = np.argwhere(bad)[0] + (s.start, 0)
             raise monotone_violation(points, labels, int(i), int(j))
@@ -568,7 +575,7 @@ class ThresholdNetwork:
 
     @cached_property
     def _prefix_table(self) -> np.ndarray | None:
-        """``T`` when the output on any input is ``T[k]`` (see :meth:`_prefix_lengths`), else None.
+        """``T`` when the output on any input is ``T[k]`` (see :func:`prefix_lookup`), else None.
 
         The network needs an exact stage, and a last hidden layer that is a suffix-OR (a threshold
         ``SUFFIX`` whose count cuts are all 1) of a threshold layer's bools.  The suffix units that
@@ -619,13 +626,6 @@ class ThresholdNetwork:
             X = layer.forward(X)
         return X[:, ::-1]
 
-    def _prefix_lengths(self, X: np.ndarray) -> np.ndarray:
-        """For each row of a checked block ``X``, ``k``: one more than the last unit that fires in the
-        layer the suffix-OR reads, 0 when none does, which is the count of suffix units that fire."""
-        R = self._suffix_reads(X)
-        r = first_set(R)  # the last unit that fires
-        return np.where(r >= 0, R.shape[1] - r, 0)
-
     def _row_blocks(self, rows: int) -> Iterator[slice]:
         """The blocks in which :meth:`evaluate_batch` takes ``rows`` rows: 8 bytes a unit of the widest layer."""
         return row_blocks(rows, 8 * max(self.hidden_widths, default=self.input_dimension))
@@ -675,7 +675,7 @@ class ThresholdNetwork:
         table = self._prefix_table
         for s in self._row_blocks(len(X)):
             if table is not None:
-                np.take(table, self._prefix_lengths(X[s]), out=out[s])
+                prefix_lookup(table, self._suffix_reads(X[s]), out=out[s])
                 continue
             A = X[s]
             for layer in self.layers:

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .audit import AuditReport, require_positive
-from .core import frozen, row_blocks
 from .errors import InvalidArgument, TooLarge
 
 # Largest n the exact oracle accepts.  The DP costs (families per row) *
@@ -41,8 +41,6 @@ EXACT_MAX_N = 5
 # eps = 0.05 and n <= 680 at eps = 0.02 (fail_prob 1e-6).  A run at the cap
 # (n = 351, 69,642 samples, p = 1) took 17 s and 561 MB peak RSS on a 2-vCPU host.
 ESTIMATE_MAX_DRAWS = 2**33
-_DRAW_BYTES = 1 << 23  # the estimator draws at most this many bytes of edge uniforms per block
-_HALL_BYTES = 1 << 22  # at n <= 8, a block's draws or Hall table take at most this many bytes
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,7 +50,7 @@ class EdgeProbabilityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        e = frozen(self.entries)
+        e = core.frozen(self.entries)
         if e.ndim != 2 or e.shape[0] != e.shape[1] or e.shape[0] < 1:
             raise InvalidArgument(f"entries must be a square matrix, got shape {e.shape}")
         if not np.isfinite(e).all() or e.min() < 0 or e.max() > 1:
@@ -334,9 +332,9 @@ def estimate_matching_probability(p: EdgeProbabilityMatrix, cfg: EstimatorConfig
     are drawn replica-major, so distinct replicas use independent stream
     sections.  Each block of :func:`core.row_blocks` is drawn, packed,
     deduplicated and checked before the next, so memory follows one block
-    and only the count of hits carries over.  Its draws take at most
-    ``_DRAW_BYTES``; at n <= 8 its draws or its Hall table take at most
-    ``_HALL_BYTES``.  The estimate does not depend on the blocks.  Raises
+    and only the count of hits carries over.  A block's draws and their
+    bools, and so its Hall table, take at most ``core.WORKING_SET_BYTES``
+    (or one sample).  The estimate does not depend on the blocks.  Raises
     :class:`TooLarge` above ``ESTIMATE_MAX_DRAWS`` draws.
     """
     n = p.n
@@ -345,12 +343,9 @@ def estimate_matching_probability(p: EdgeProbabilityMatrix, cfg: EstimatorConfig
     rng = np.random.default_rng(cfg.seed)
     width = (n + 7) // 8  # bytes per packed row
     graph = np.dtype((np.void, n * width))  # one packed graph as one opaque item
-    if width == 1:  # a sample's draws, or its Hall table (see _perfect_matchings)
-        blocks = row_blocks(cfg.samples, max(8 * n * n, (2 << n) + n), _HALL_BYTES)
-    else:
-        blocks = row_blocks(cfg.samples, 8 * n * n, _DRAW_BYTES)
     hits = 0
-    for s in blocks:
+    # a sample's draws and their bools; at n <= 8 its Hall table, 2**(n+1) + n bytes, is smaller
+    for s in core.row_blocks(cfg.samples, 9 * n * n, core.WORKING_SET_BYTES):
         # bit j of row i (little-endian bytes) is edge (i, j)
         block = np.packbits(rng.random((s.stop - s.start, n, n)) < trunc, axis=2, bitorder="little")
         uniq, count = np.unique(block.reshape(len(block), -1).view(graph), return_counts=True)
@@ -366,7 +361,8 @@ def _perfect_matchings(graphs: np.ndarray, n: int, width: int) -> np.ndarray:
     columns.  The neighbourhoods of all 2**n row sets of all graphs are one
     (2**n, graphs) ``uint8`` table, built by doubling: N[S] = N[S without
     its top row] | that row, in one pass: ``2**(n+1) + n`` bytes per graph
-    with a scratch table and the rows.  The table grows as 2**n per graph, so
+    with a scratch table and the rows, less than the ``9 * n**2`` bytes of a
+    sample's draws and their bools.  The table grows as 2**n per graph, so
     wider rows go to :func:`_matches` one graph at a time, faster there.
     """
     if width > 1:

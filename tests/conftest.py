@@ -300,12 +300,13 @@ def tabulated_oracle(points: np.ndarray, values: np.ndarray):
 
 
 def masked_max_table(points: np.ndarray, values: np.ndarray):
-    """The table's target on a batch as one masked ``np.max`` over ``pairwise_leq(points, X)``, the least
-    value where no point lies below: the ``--table`` target as it was before it read a sorted table.
+    """The table's target on a batch as one masked ``np.max`` over ``pairwise_leq(points, X)``, the
+    first least row's value where no point lies below: the ``--table`` target as it was before it
+    read a sorted table, with that one baseline rule for a tied zero's sign.
 
     On a batch of one query numpy reduces the column through SIMD lanes, and which of a tied +0.0 and
     -0.0 it returns depends on them; on two or more it returns the last tied row's."""
-    floor = values.min()
+    floor = values[np.argsort(values, kind="stable")[0]]
 
     def f(X):
         below = pairwise_leq(points, X)

@@ -505,6 +505,17 @@ class TestTabulatedFunction:
         assert alone == [got[i : i + 1].tobytes() for i in range(len(Q))]
 
     @pytest.mark.parametrize(
+        "values", [[0.0] * 20 + [-0.0], [0.0] * 20 + [-0.0] + [0.0] * 20, [-0.0] + [0.0] * 20, [-0.0, 0.0]]
+    )
+    def test_the_baseline_is_the_first_least_row(self, values):
+        # values.min() picks a tied zero's sign by SIMD lane: -0.0 on the first list, +0.0 on the second
+        y = np.array(values)
+        P = np.arange(len(y), dtype=float)[:, None]
+        below = np.array([[-1.0], [-2.0]])  # below every table point
+        for f in (tabulated_function(P, y), masked_max_table(P, y)):
+            assert np.signbit(f(below)).tolist() == [np.signbit(y[0])] * 2
+
+    @pytest.mark.parametrize(
         "points, values, error",
         [
             (np.zeros((0, 2)), np.zeros(0), EmptyDataset),

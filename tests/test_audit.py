@@ -8,11 +8,10 @@ import pytest
 
 import conftest
 from conftest import random_chain_dataset, random_monotone_network
-from mononet import audit
+from mononet import audit, core
 from mononet.audit import (
     DEPTH2_MAX_WIDTH,
     MONOTONE_MAX_DOUBLES,
-    STACK_BYTES,
     certify_monotone_structure,
     chain_width_audit,
     depth2_counterexample,
@@ -595,7 +594,7 @@ def test_stacked_depth2_audits_match_each_network(d):
 @pytest.mark.parametrize("stack", [None, 7])
 def test_depth2_campaign_matches_network_by_network(monkeypatch, d, stack):
     if stack:  # stacks of 7 networks, so that stack boundaries fall all through the samples
-        monkeypatch.setattr(audit, "STACK_BYTES", audit._depth2_sample_bytes(d) * stack)
+        monkeypatch.setattr(core, "WORKING_SET_BYTES", audit._depth2_sample_bytes(d) * stack)
     for seed in range(4):
         report = run_depth2_campaign(d, 450, seed)
         want = depth2_campaign_by_network(d, 450, seed)
@@ -607,7 +606,7 @@ def test_depth2_campaign_matches_network_by_network(monkeypatch, d, stack):
 def test_falsified_depth2_campaign_reports_the_same_network(monkeypatch, d):
     # a negative tolerance fails every network with lhs == rhs, such as one that never fires
     monkeypatch.setattr(audit, "_REL_TOL", -1e-12)
-    monkeypatch.setattr(audit, "STACK_BYTES", audit._depth2_sample_bytes(d) * 7)
+    monkeypatch.setattr(core, "WORKING_SET_BYTES", audit._depth2_sample_bytes(d) * 7)
     indices = []
     for seed in range(6):
         report = run_depth2_campaign(d, 3000, seed)
@@ -662,7 +661,7 @@ def convexity_sample_bytes(triples: int) -> int:
 
 def convexity_stack_size(triples: int) -> int:
     """Networks per stack of ``run_convexity_campaign`` at ``triples`` triples per network."""
-    return max(1, audit.STACK_BYTES // convexity_sample_bytes(triples))
+    return max(1, core.WORKING_SET_BYTES // convexity_sample_bytes(triples))
 
 
 def test_falsified_convexity_probe_reports_the_same_network(monkeypatch):
@@ -671,8 +670,8 @@ def test_falsified_convexity_probe_reports_the_same_network(monkeypatch):
     monkeypatch.setattr(audit, "_REL_TOL", -1e-12)
     monkeypatch.setattr(audit, "CONVEXITY_TRIPLES", 1)
     # the default stacks, then stacks of 2 networks, so that the early failures fall past the first stack
-    for stack_bytes in (audit.STACK_BYTES, audit._relu_sample_bytes(3 + 101) * 2):
-        monkeypatch.setattr(audit, "STACK_BYTES", stack_bytes)
+    for stack_bytes in (core.WORKING_SET_BYTES, audit._relu_sample_bytes(3 + 101) * 2):
+        monkeypatch.setattr(core, "WORKING_SET_BYTES", stack_bytes)
         indices = []
         for seed in range(12):
             report = run_convexity_campaign(300, seed)
@@ -907,7 +906,7 @@ def test_falsified_chain_width_campaign_reports_the_same_network(monkeypatch, st
     # the same doubles in the stack (its fields from 3 on) and in the oracle (its network draw)
     shift_network_draws(monkeypatch)
     if stack:  # stacks of 7 chains, so that stack boundaries fall all through the samples
-        monkeypatch.setattr(audit, "STACK_BYTES", audit._CHAIN_SAMPLE_BYTES * stack)
+        monkeypatch.setattr(core, "WORKING_SET_BYTES", audit._CHAIN_SAMPLE_BYTES * stack)
     indices = []
     for seed in range(8):
         report = run_chain_width_campaign(3000, seed)
@@ -918,7 +917,7 @@ def test_falsified_chain_width_campaign_reports_the_same_network(monkeypatch, st
         assert_close(report.witness, want.witness)
         indices.append(want.witness["sample_index"])
     # some failure lies past the first stack
-    assert max(indices) >= (stack or audit.STACK_BYTES // audit._CHAIN_SAMPLE_BYTES)
+    assert max(indices) >= (stack or core.WORKING_SET_BYTES // audit._CHAIN_SAMPLE_BYTES)
 
 
 CAMPAIGNS = {  # each campaign at d = 3 where it has one, and its planned bytes per sample
@@ -948,7 +947,7 @@ def test_reports_do_not_depend_on_the_stack_size(monkeypatch, campaign, falsifie
     reports = []
     for stack in (None, 7, 1):
         if stack:
-            monkeypatch.setattr(audit, "STACK_BYTES", sample_bytes() * stack)
+            monkeypatch.setattr(core, "WORKING_SET_BYTES", sample_bytes() * stack)
         reports.append([run(samples, seed).to_dict() for seed in range(4) for samples in (1, 150)])
     assert json.dumps(reports[1]) == json.dumps(reports[0]) == json.dumps(reports[2])
     failures = [r["witness"]["sample_index"] for r in reports[0] if not r["passed"]]
@@ -1009,7 +1008,7 @@ def test_depth2_campaign_memory_is_bounded_at_the_largest_d():
     finally:
         tracemalloc.stop()
     assert report.passed
-    assert peak < 4 * STACK_BYTES
+    assert peak < 4 * core.WORKING_SET_BYTES
 
 
 def test_chain_width_campaign_memory_is_bounded():
@@ -1021,7 +1020,7 @@ def test_chain_width_campaign_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert report.passed
-    assert peak < 4 * STACK_BYTES
+    assert peak < 4 * core.WORKING_SET_BYTES
 
 
 def test_convexity_campaign_memory_is_bounded():
@@ -1035,7 +1034,7 @@ def test_convexity_campaign_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert report.passed
-    assert peak < 4 * STACK_BYTES
+    assert peak < 4 * core.WORKING_SET_BYTES
 
 
 PINNED = json.loads((Path(__file__).parent / "data" / "audit_stdout.json").read_text())

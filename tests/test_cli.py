@@ -85,6 +85,14 @@ class TestSynth:
         assert doc["error"] == "monotone-violation"
         assert (doc["first"], doc["second"]) == (0, 1)
 
+    def test_duplicate_point_names_both_positions(self, tmp_path, capsys):
+        data = write(tmp_path / "dup.csv", "0,0,1\n1,1,2\n0,0,3\n")
+        assert main(["synth", data, "-o", str(tmp_path / "x.json")]) == 2
+        assert diagnostic(capsys.readouterr().err) == {
+            "error": "DuplicatePoint", "message": "points at input positions 0 and 2 are identical",
+            "first": 0, "second": 2,
+        }
+
     @pytest.mark.parametrize("ordered", ["auto", "force-general"])
     def test_label_gap_beyond_float_range_exit_2(self, tmp_path, ordered, capsys):
         data = write(tmp_path / "huge.csv", "0,-1e308\n1,1e308\n")
@@ -369,20 +377,25 @@ class TestApprox:
     def test_rise_past_the_float_range_warns_only_of_g(self, tmp_path, capsys):
         # the grid at d = 2, eps 1 is 0, 0.707, 1 per axis: each axis step is 1e308, the cell's rise inf
         table = write(tmp_path / "table.csv", "0,0,-1e308\n0.7,0,0\n0,0.7,0\n0.7,0.7,1e308\n")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert main(["approx", "--table", table, "--d", "2", "--L", "1", "--eps", "1"]) == 0
-        assert [w.category for w in caught] == [UserWarning]
-        assert "G = inf" in str(caught[0].message)
+        assert main(["approx", "--table", table, "--d", "2", "--L", "1", "--eps", "1"]) == 0
+        warning, config = capsys.readouterr().err.splitlines()
+        assert warning.startswith("warning: ") and "G = inf" in warning
+        assert config.startswith("d: 2  ")
+
+    def test_g_warning_is_one_stderr_line(self, capsys):
+        # the library raises a UserWarning; the CLI prints its message alone, with no source path or line
+        assert main(["approx", "--fn", "sqrt", "--d", "1", "--L", "1", "--eps", "0.01"]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: the error bound G = 0.1 exceeds eps 0.01: grid samples rise by more than eps across a "
+            "grid cell, so the declared Lipschitz bound 1 does not hold",
+            "d: 1  L: 1.0  eps: 0.01  seed: 1729",
+        ]
 
     def test_table_that_cannot_be_built_is_refused_without_a_warning(self, tmp_path, capsys):
         # the two labels' step overflows the float range, so the network cannot be built
         table = write(tmp_path / "table.csv", "0,-1e308\n1,1e308\n")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert main(["approx", "--table", table, "--d", "1", "--L", "1", "--eps", "0.5"]) == 2
-        assert caught == []
-        assert diagnostic(capsys.readouterr().err)["error"] == "InvalidNumber"
+        assert main(["approx", "--table", table, "--d", "1", "--L", "1", "--eps", "0.5"]) == 2
+        assert diagnostic(capsys.readouterr().err)["error"] == "InvalidNumber"  # its one line: no warning
 
     def test_table_with_a_nan_value_refused(self, tmp_path, capsys):
         table = write(tmp_path / "table.csv", "0,0\n0.5,nan\n1,1\n")

@@ -35,6 +35,7 @@ from mononet.core import (
     first_set,
     is_totally_ordered,
     pairwise_leq,
+    prefix_lookup,
     row_blocks,
     threshold,
     validate_dataset,
@@ -228,10 +229,11 @@ class TestValidateDataset:
                     # dominates a later one (points are distinct)
                     assert not np.all(X[i] >= X[j])
 
-    @pytest.mark.parametrize("budget", [64, 1])
+    @pytest.mark.parametrize("budget", [64, 1, 50, 200, 4096, core.WORKING_SET_BYTES])
     def test_row_blocks_report_the_first_row_major_violation(self, monkeypatch, budget):
+        # the blocks of rows and pairwise_leq's comparison buffer both follow the one budget
         rng = np.random.default_rng(budget)
-        monkeypatch.setattr(core, "CHUNK_BYTES", budget)
+        monkeypatch.setattr(core, "WORKING_SET_BYTES", budget)
         violations = 0
         for _ in range(80):
             X = np.unique(rng.integers(0, 4, (int(rng.integers(2, 40)), 2)).astype(float), axis=0)
@@ -247,30 +249,12 @@ class TestValidateDataset:
             assert (err.value.first, err.value.second) == tuple(np.argwhere(bad)[0])
         assert violations > 40
 
-    @pytest.mark.parametrize("chunk, buffer", [(1 << 25, 1), (1 << 25, 50), (200, 1), (200, 50)])
-    def test_masking_by_buffers_reports_the_first_row_major_violation(self, monkeypatch, chunk, buffer):
-        rng = np.random.default_rng(chunk + buffer)
-        monkeypatch.setattr(core, "CHUNK_BYTES", chunk)
-        monkeypatch.setattr(core, "LEQ_BLOCK_BYTES", buffer)
-        violations = 0
-        for _ in range(60):
-            X = np.unique(rng.integers(0, 4, (int(rng.integers(2, 40)), 2)).astype(float), axis=0)
-            rng.shuffle(X)
-            y = rng.integers(0, 3, len(X)).astype(float)
-            bad = np.argwhere(one_shot_leq(X) & (y[:, None] > y[None, :]))
-            if not len(bad):
-                continue
-            violations += 1
-            with pytest.raises(MonotoneViolation) as err:
-                validate_dataset(X, y)
-            assert (err.value.first, err.value.second) == tuple(bad[0])
-        assert violations > 30
-
     def test_a_block_is_masked_in_place(self):
-        # the one block of 4000 x 4000 bools is 15.26 MiB; the labels are compared a buffer at a time
+        # 4000 x 4000 bools are 15.26 MiB; a block of them is at most the 1 MiB budget, and its
+        # label comparison another block, with pairwise_leq's buffer of one more
         X = np.random.default_rng(4004).random((4000, 4))
         y = X @ [1.0, 2.0, 3.0, 4.0]
-        assert len(list(row_blocks(4000, 4000))) == 1
+        assert len(list(row_blocks(4000, 4000, core.WORKING_SET_BYTES))) == 16
         tracemalloc.start()
         try:
             ds = validate_dataset(X, y)
@@ -278,7 +262,7 @@ class TestValidateDataset:
         finally:
             tracemalloc.stop()
         assert ds.n == 4000
-        assert peak <= 4000 * 4000 + (2 << 20), peak
+        assert peak <= 4 << 20, peak
 
     @pytest.mark.parametrize("budget", [64, 1])
     def test_row_blocks_keep_the_canonical_order(self, monkeypatch, budget):
@@ -289,7 +273,7 @@ class TestValidateDataset:
             rng.shuffle(X)
             y = np.floor(random_monotone_score(rng, X) * 3)
             corpus.append((X, y, validate_dataset(X, y)))
-        monkeypatch.setattr(core, "CHUNK_BYTES", budget)
+        monkeypatch.setattr(core, "WORKING_SET_BYTES", budget)
         for X, y, want in corpus:
             assert validate_dataset(X, y) == want
 
@@ -304,13 +288,13 @@ class TestValidateDataset:
         finally:
             tracemalloc.stop()
         assert ds.n == 12000
-        assert peak < 150 << 20, peak
+        assert peak < 4 << 20, peak  # blocks of the 1 MiB budget, as at n = 4,000
 
     def test_tied_labels_stay_within_row_blocks(self, monkeypatch):
         # one tied group of distinct points: no n x n comparison of the group
         X = np.random.default_rng(4000).random((4000, 2))
         y = np.full(len(X), 0.5)
-        monkeypatch.setattr(core, "CHUNK_BYTES", 64 << 10)
+        monkeypatch.setattr(core, "WORKING_SET_BYTES", 64 << 10)
         tracemalloc.start()
         try:
             ds = validate_dataset(X, y)
@@ -437,7 +421,7 @@ class TestPairwiseLeq:
     @pytest.mark.parametrize("n", [1024, 1025])
     def test_both_sides_of_the_first_block_boundary(self, n):
         # a row of the comparison takes n bytes: 1024 rows fit one block, 1025 do not
-        assert (core.LEQ_BLOCK_BYTES // n >= n) == (n == 1024)
+        assert (core.WORKING_SET_BYTES // n >= n) == (n == 1024)
         P = np.random.default_rng(n).integers(0, 50, (n, 2)).astype(float)
         assert np.array_equal(pairwise_leq(P), one_shot_leq(P))
 
@@ -445,7 +429,7 @@ class TestPairwiseLeq:
         P = np.random.default_rng(23).integers(0, 3, (37, 3)).astype(float)
         want = one_shot_leq(P)
         for budget in (1, 37, 37 * 36, 37 * 37, 37 * 38):
-            monkeypatch.setattr(core, "LEQ_BLOCK_BYTES", budget)
+            monkeypatch.setattr(core, "WORKING_SET_BYTES", budget)
             assert np.array_equal(pairwise_leq(P), want)
         assert pairwise_leq(P[:0]).shape == (0, 0)
 
@@ -588,6 +572,16 @@ class TestEvaluate:
         assert first_set(R).tolist() == [2, 0, -1, 3]
         assert first_set(np.zeros((3, 0), dtype=bool)).tolist() == [-1, -1, -1]
         assert first_set(np.zeros((0, 4), dtype=bool)).tolist() == []
+
+    def test_prefix_lookup(self):
+        # k = width - (first set column), or 0: one more than the last read set, reads last first
+        R = np.array([[0, 0, 1, 1], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]], dtype=bool)
+        table = np.array([10.0, 11.0, 12.0, 13.0, 14.0])
+        assert prefix_lookup(table, R).tolist() == [12.0, 14.0, 10.0, 11.0]
+        out = np.full(6, -1.0)
+        prefix_lookup(table, R, out=out[1:5])
+        assert out.tolist() == [-1.0, 12.0, 14.0, 10.0, 11.0, -1.0]
+        assert prefix_lookup(table, np.zeros((3, 0), dtype=bool)).tolist() == [10.0] * 3
 
     def test_layer_shape_checks(self):
         with pytest.raises(DimensionMismatch):
@@ -1008,7 +1002,7 @@ def assert_prefix_path(net: ThresholdNetwork, X: np.ndarray, want: list[float] |
     if want is not None:
         assert got.tolist() == want
     *_, reads, fired = net.hidden_activations(X)
-    k = net._prefix_lengths(X)
+    k = prefix_lookup(np.arange(fired.shape[1] + 1), net._suffix_reads(X))
     assert np.array_equal(fired, np.arange(fired.shape[1]) < k[:, None])
     assert np.array_equal(net._suffix_reads(X)[:, ::-1], reads)
 

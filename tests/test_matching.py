@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mononet import matching
+from mononet import core, matching
 from mononet.cli import main
 from mononet.matching import (
     ESTIMATE_MAX_DRAWS,
@@ -639,7 +639,7 @@ class TestStructuralProbes:
     ids=["p=1", "p=0.5"],
 )
 def test_estimator_memory_follows_one_block(monkeypatch, n, prob, draw_bytes, samples, bound):
-    monkeypatch.setattr(matching, "_DRAW_BYTES", draw_bytes)
+    monkeypatch.setattr(core, "WORKING_SET_BYTES", draw_bytes)
     p = EdgeProbabilityMatrix.uniform(n, prob)
     cfg = EstimatorConfig(bits=8, samples=samples, seed=3)
     estimate_matching_probability(p, EstimatorConfig(bits=8, samples=2))  # first calls import
@@ -656,7 +656,8 @@ def test_estimator_memory_follows_one_block(monkeypatch, n, prob, draw_bytes, sa
 def test_hall_check_memory_follows_one_block(monkeypatch):
     # n = 8, eps 0.02: 18,587 samples of mostly distinct graphs.  One Hall table
     # over a whole block of 2**20 / 64 samples, with its scratch table, would take
-    # 8 MiB; a block is planned so that its draws or its table take at most _HALL_BYTES
+    # 8 MiB; a block is planned so that its draws and their bools, and so its
+    # table, take at most core.WORKING_SET_BYTES
     p = EdgeProbabilityMatrix(np.random.default_rng(8).random((8, 8)))
     cfg = default_parameters(8, 0.02, 1e-6, seed=4)
     estimate_matching_probability(p, EstimatorConfig(bits=8, samples=2))  # first calls import
@@ -670,12 +671,15 @@ def test_hall_check_memory_follows_one_block(monkeypatch):
     draws = np.random.default_rng(cfg.seed).random((cfg.samples, 8, 8)) < trunc
     assert got == sum(hopcroft_karp(BipartiteGraph.from_matrix(g)) for g in draws) / cfg.samples
     # the draws of one block, their bools and a few vectors of one block
-    assert peak < matching._HALL_BYTES * 5 // 4, peak
-    # one sample per block gives the same estimate
-    few = EstimatorConfig(bits=cfg.bits, samples=300, seed=5)
-    want = estimate_matching_probability(p, few)
-    monkeypatch.setattr(matching, "_HALL_BYTES", 1)
-    assert estimate_matching_probability(p, few) == want
+    assert peak < core.WORKING_SET_BYTES * 5 // 4, peak
+    # one sample per block gives the same estimate, on the Hall check and on augmenting paths
+    for n in (8, 12, 32):  # p scaled to a mean degree of at most 4, so that some graphs do not match
+        p = EdgeProbabilityMatrix(np.random.default_rng(n).random((n, n)) * min(1.0, 8 / n))
+        few = EstimatorConfig(bits=cfg.bits, samples=300, seed=5)
+        want = estimate_matching_probability(p, few)
+        with monkeypatch.context() as mp:
+            mp.setattr(core, "WORKING_SET_BYTES", 1)
+            assert estimate_matching_probability(p, few) == want
 
 
 PINNED_EXACT = json.loads((Path(__file__).parent / "data" / "matchprob_exact_stdout.json").read_text())
