@@ -32,6 +32,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import core
 from .construct import build_interpolator
 from .core import ThresholdNetwork, canonical_dataset, monotone_violation, pairwise_leq, prefix_lookup, row_blocks
 from .errors import DimensionMismatch, EmptyDataset, GridTooLarge, InvalidArgument, InvalidNumber
@@ -208,7 +209,7 @@ def tabulated_function(points: np.ndarray, values: np.ndarray) -> Callable[[np.n
         if X.shape[1:] != points.shape[1:]:
             raise DimensionMismatch(f"queries of shape {X.shape} for table points of {points.shape[1]} coordinates")
         out = np.empty(len(X))
-        for s in row_blocks(len(X), len(points)):  # bytes a table point: the leq matrix
+        for s in row_blocks(len(X), len(points), core.WORKING_SET_BYTES):  # bytes a table point: the leq matrix
             prefix_lookup(table, pairwise_leq(-X[s], lows), out=out[s])
         return out
 

@@ -41,20 +41,22 @@ EXIT_FALSIFIED = 3
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    try:
-        config, argv = _extract_config(argv)
-        parser = _parser()
-        if config:
-            argv = _config_argv(parser, config, argv)
-        args = parser.parse_args(argv)
-        return args.handler(args)
-    except Error as exc:  # the input positions that a violation or a duplicate names become keys
-        kind = "monotone-violation" if isinstance(exc, MonotoneViolation) else type(exc).__name__
-        _diagnostic(kind, str(exc), **{k: getattr(exc, k) for k in ("first", "second") if hasattr(exc, k)})
-        return EXIT_INVALID
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    with warnings.catch_warnings():  # the caller's filters apply; a shown warning is one line, as a config key's
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            config, argv = _extract_config(argv)
+            parser = _parser()
+            if config:
+                argv = _config_argv(parser, config, argv)
+            args = parser.parse_args(argv)
+            return args.handler(args)
+        except Error as exc:  # the input positions that a violation or a duplicate names become keys
+            kind = "monotone-violation" if isinstance(exc, MonotoneViolation) else type(exc).__name__
+            _diagnostic(kind, str(exc), **{k: getattr(exc, k) for k in ("first", "second") if hasattr(exc, k)})
+            return EXIT_INVALID
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_IO
 
 
 def _extract_config(argv: list[str]) -> tuple[dict, list[str]]:
@@ -301,11 +303,7 @@ def _cmd_approx(args) -> int:
     else:
         f = approx.tabulated_function(*io.read_dataset_csv(args.table))
     grid = approx.plan_grid(args.d, args.L, args.eps, args.budget)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        net = approx.build_approximator(f, args.d, args.L, args.eps, args.budget)
-    for w in caught:  # one line each, as for an unknown config key
-        print(f"warning: {w.message}", file=sys.stderr)
+    net = approx.build_approximator(f, args.d, args.L, args.eps, args.budget)
     print(f"d: {args.d}  L: {args.L}  eps: {args.eps}  seed: {args.seed}", file=sys.stderr)
     print(f"grid: {grid.points_per_axis} points per axis, {grid.point_count} total")
     print(f"hidden units: {net.hidden_unit_count}")

@@ -97,7 +97,7 @@ def row_blocks(rows: int, row_bytes: int, budget: int | None = None) -> Iterator
     """Slices that partition ``range(rows)``, in order, into blocks of ``budget`` bytes (default
     ``CHUNK_BYTES``) at ``row_bytes`` a row.  A larger row gets a slice of its own, and ``rows = 0``
     one empty slice.  The slices are made as they are taken: a plan of many blocks holds none.
-    Every blocked loop plans here, and any but evaluation's passes ``core.WORKING_SET_BYTES``."""
+    Evaluation (and the construction trace) plans at the default, every other loop at ``WORKING_SET_BYTES``."""
     budget = CHUNK_BYTES if budget is None else budget
     step = max(1, budget // max(row_bytes, 1))
     return (slice(s, min(s + step, rows)) for s in range(0, max(rows, 1), step))

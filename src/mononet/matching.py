@@ -38,8 +38,9 @@ from .errors import InvalidArgument, TooLarge
 # at n = 6 on a 2-vCPU host with one BLAS thread.  Its uint64 families hold n <= 6.
 EXACT_MAX_N = 5
 # Most edge uniforms one estimate may draw (samples * n**2): n <= 1697 at
-# eps = 0.05 and n <= 680 at eps = 0.02 (fail_prob 1e-6).  A run at the cap
-# (n = 351, 69,642 samples, p = 1) took 17 s and 561 MB peak RSS on a 2-vCPU host.
+# eps = 0.05 and n <= 680 at eps = 0.02 (fail_prob 1e-6).  Near the cap (n = 351, eps 0.0104: 68,576
+# samples, p = 1) a run took 64 s and 40 MB peak RSS on a 2-vCPU host with one BLAS thread; above
+# n = 341 a block is one sample, so each sample's graph is checked alone, identical or not.
 ESTIMATE_MAX_DRAWS = 2**33
 
 

@@ -313,6 +313,14 @@ class TestCertifiedError:
         with pytest.warns(UserWarning, match=r"the error bound G = 0\.1 exceeds eps 0\.01"):
             build_approximator(BUILTIN_FUNCTIONS["sqrt"], 1, 1.0, 0.01)
 
+    def test_samples_that_cannot_be_built_are_refused_before_the_warning(self):
+        # the two labels' step overflows the float range: the build refuses them, and warns of no G
+        f = tabulated_function(np.array([[0.0], [1.0]]), np.array([-1e308, 1e308]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning ahead of the refusal would raise here instead
+            with pytest.raises(InvalidNumber):
+                build_approximator(f, 1, 1.0, 0.5)
+
 
 class TestHelpers:
     def test_sample_grid_matches_function(self):
@@ -458,7 +466,7 @@ class TestTabulatedFunction:
         Q = np.array(queries, dtype=float).reshape(-1, 2) / 2
         oracle = tabulated_oracle(P, y)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(core, "CHUNK_BYTES", chunk)  # a block of one to a few queries
+            mp.setattr(core, "WORKING_SET_BYTES", chunk)  # a block of one to a few queries
             got = tabulated_function(P, y)(Q)
         assert got.shape == (len(Q),)
         assert got.tolist() == [oracle(q) for q in Q]
@@ -467,7 +475,7 @@ class TestTabulatedFunction:
         P, y = DUPLICATE_TABLE
         Q = np.random.default_rng(8).uniform(-0.2, 1.2, (500, 2))
         want = tabulated_function(P, y)(Q)
-        monkeypatch.setattr(core, "CHUNK_BYTES", len(P) * 7)  # blocks of seven queries
+        monkeypatch.setattr(core, "WORKING_SET_BYTES", len(P) * 7)  # blocks of seven queries
         blocks = []
         leq = approx.pairwise_leq
         monkeypatch.setattr(approx, "pairwise_leq", lambda A, B: blocks.append(len(A)) or leq(A, B))
@@ -497,7 +505,7 @@ class TestTabulatedFunction:
         y = np.array(values[: len(points)])
         Q = np.array(queries, dtype=float) / 2
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(core, "CHUNK_BYTES", chunk)  # a block of one to a few queries
+            mp.setattr(core, "WORKING_SET_BYTES", chunk)  # a block of one to a few queries
             f = tabulated_function(P, y)
             got = f(Q)
             alone = [f(Q[i : i + 1]).tobytes() for i in range(len(Q))]

@@ -391,6 +391,17 @@ class TestApprox:
             "d: 1  L: 1.0  eps: 0.01  seed: 1729",
         ]
 
+    @pytest.mark.parametrize("action, lines", [("ignore", 1), ("always", 2)])
+    def test_g_warning_follows_the_callers_filters(self, action, lines, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            assert main(["approx", "--fn", "sqrt", "--d", "1", "--L", "1", "--eps", "0.01"]) == 0
+        assert len(capsys.readouterr().err.splitlines()) == lines
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UserWarning, match="G = 0.1"):
+                main(["approx", "--fn", "sqrt", "--d", "1", "--L", "1", "--eps", "0.01"])
+
     def test_table_that_cannot_be_built_is_refused_without_a_warning(self, tmp_path, capsys):
         # the two labels' step overflows the float range, so the network cannot be built
         table = write(tmp_path / "table.csv", "0,-1e308\n1,1e308\n")
