@@ -6,7 +6,8 @@ probability that ``G(p)`` contains a perfect matching.  The module provides
 
 * an exact oracle (a row-wise DP over the right-vertex sets that the first
   rows can be matched onto, kept to n <= ``EXACT_MAX_N`` and used as the
-  reference in every estimator test),
+  reference in every estimator test); its transitions depend only on n, so
+  they are planned once per n and a call does only the float work,
 * a sampling estimator: truncate each entry to ``bits`` binary digits, draw
   ``samples`` independent graphs, return the fraction containing a perfect
   matching (Hall's condition on every subset of rows, as array operations
@@ -33,14 +34,17 @@ from . import core
 from .audit import AuditReport, require_positive
 from .errors import InvalidArgument, TooLarge
 
-# Largest n the exact oracle accepts.  The DP costs (families per row) *
-# 2**n steps per row, as array operations: about 0.6 ms at n = 5 and 12 ms
-# at n = 6 on a 2-vCPU host with one BLAS thread.  Its uint64 families hold n <= 6.
+# Largest n the exact oracle accepts.  A call costs (families per row) *
+# 2**n float steps per row, as array operations: about 0.08 ms at n = 5 and
+# 1.2 ms at n = 6 on a 2-vCPU host with one BLAS thread, after a plan built
+# once per n (0.7 ms and 0.18 MiB at n = 5, 17 ms and 3.6 MiB at n = 6).
+# Its uint64 families hold n <= 6.
 EXACT_MAX_N = 5
 # Most edge uniforms one estimate may draw (samples * n**2): n <= 1697 at
 # eps = 0.05 and n <= 680 at eps = 0.02 (fail_prob 1e-6).  Near the cap (n = 351, eps 0.0104: 68,576
-# samples, p = 1) a run took 64 s and 40 MB peak RSS on a 2-vCPU host with one BLAS thread; above
-# n = 341 a block is one sample, so each sample's graph is checked alone, identical or not.
+# samples, p = 0.5) a run took 43 s and 40 MB peak RSS on a 2-vCPU host with one BLAS thread; above
+# n = 341 a block is one sample, so each sample's graph is checked alone.  A p whose truncated
+# entries are all 0 or 1 is one graph, checked once with no draw: 0.3 s for the whole process.
 ESTIMATE_MAX_DRAWS = 2**33
 
 
@@ -217,12 +221,21 @@ def exact_matching_probability(p: EdgeProbabilityMatrix) -> float:
 
 
 @functools.cache
-def _dp_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only tables of :func:`_family_dp` on n right vertices.
+def _dp_plan(n: int) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray, int], ...]]:
+    """The read-only plan of :func:`_family_dp` on n right vertices.
 
-    ``members[h, j]``: j is in neighbourhood h.  Bit S of ``without[j]`` is
-    set iff j is not in S, and ``shift[j]`` is 2**j, so
-    ``(family & without[j]) << shift[j]`` maps S to S | {j}.
+    ``members[h, j]``: j is in neighbourhood h.  Row k's step is ``(keep,
+    label, count)``: the families after k rows, each with every
+    neighbourhood, give the flat (families, 2**n) successor table, whose
+    nonzero cells ``keep`` go to the ``count`` families after row k + 1,
+    numbered by first appearance, as ``label``.  No step depends on p: the
+    DP keeps every family reachable from the empty set, weight 0 or not.
+
+    A family is a ``uint64`` (2**n <= 64 bits).  Bit S of ``without[j]`` is
+    set iff j is not in S, and ``shift[j]`` is 2**j, so ``(family &
+    without[j]) << shift[j]`` maps S to S | {j}.  Bit operations mix only
+    ``uint64`` operands: numpy 1.x casts ``uint64`` with a Python int to
+    float64.
     """
     hoods = range(1 << n)
     members = np.array([[h >> j & 1 for j in range(n)] for h in hoods], dtype=bool)
@@ -230,35 +243,9 @@ def _dp_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         [sum(1 << s for s in hoods if not s >> j & 1) for j in range(n)], dtype=np.uint64
     )
     shift = np.array([1 << j for j in range(n)], dtype=np.uint64)
-    for table in (members, without, shift):
-        table.flags.writeable = False
-    return members, without, shift
-
-
-def _family_dp(entries: np.ndarray) -> float:
-    """The body of :func:`exact_matching_probability`, for n <= 6.
-
-    Each row's states are a ``uint64`` array of families (2**n <= 64 bits)
-    and a float64 array of their weights.  The successor of every family
-    under every neighbourhood is one (families, 2**n) table.  Its weights
-    are summed family-major, neighbourhood-minor by ``np.bincount``, which
-    adds from 0.0 in array order, and the families are kept in order of
-    first appearance, so every sum is the same sequence of float additions
-    as a dict accumulated in that order, bit for bit.  A neighbourhood's
-    probability is its factors multiplied left to right, one column at a
-    time, and the total is Python's left-to-right ``sum`` (``np.sum`` adds
-    pairwise).  Bit operations mix only ``uint64`` operands: numpy 1.x casts
-    ``uint64`` with a Python int to float64.
-    """
-    n = len(entries)
-    members, without, shift = _dp_tables(n)
     families = np.ones(1, dtype=np.uint64)  # the empty set is the only 0-subset
-    weights = np.ones(1)
-    for row in entries:
-        factors = np.where(members, row, 1.0 - row)
-        hood_prob = factors[:, 0].copy()
-        for j in range(1, n):
-            hood_prob *= factors[:, j]
+    steps = []
+    for _ in range(n):
         # S -> S | {j} for every S in the family that misses j
         grown = (families[:, None] & without) << shift
         succ = np.zeros((len(families), 1), dtype=np.uint64)
@@ -267,9 +254,34 @@ def _family_dp(entries: np.ndarray) -> float:
         succ = succ.ravel()
         keep = np.flatnonzero(succ)
         families, label = _first_seen(succ[keep])
-        weights = np.bincount(
-            label, (weights[:, None] * hood_prob).ravel()[keep], minlength=len(families)
-        )
+        keep.flags.writeable = label.flags.writeable = False
+        steps.append((keep, label, len(families)))
+    members.flags.writeable = False
+    return members, tuple(steps)
+
+
+def _family_dp(entries: np.ndarray) -> float:
+    """The body of :func:`exact_matching_probability`, for n <= 6.
+
+    The families and their successors come from the cached plan
+    :func:`_dp_plan`, so a call does only float work.  The probability of
+    neighbourhood h in row i is its factors multiplied left to right, one
+    column at a time, for all rows at once.  Each row's weights are summed
+    family-major, neighbourhood-minor by ``np.bincount``, which adds from
+    0.0 in array order, and the families are numbered in order of first
+    appearance, so every sum is the same sequence of float additions as a
+    dict accumulated in that order, bit for bit.  The total is Python's
+    left-to-right ``sum`` (``np.sum`` adds pairwise).
+    """
+    members, steps = _dp_plan(len(entries))
+    rows = entries[:, None, :]
+    factors = np.where(members, rows, 1.0 - rows)  # (row, neighbourhood, column)
+    hood_prob = factors[:, :, 0].copy()
+    for j in range(1, len(entries)):
+        hood_prob *= factors[:, :, j]
+    weights = np.ones(1)
+    for (keep, label, count), prob in zip(steps, hood_prob):
+        weights = np.bincount(label, (weights[:, None] * prob).ravel()[keep], minlength=count)
     return min(1.0, sum(weights.tolist()))
 
 
@@ -335,12 +347,16 @@ def estimate_matching_probability(p: EdgeProbabilityMatrix, cfg: EstimatorConfig
     deduplicated and checked before the next, so memory follows one block
     and only the count of hits carries over.  A block's draws and their
     bools, and so its Hall table, take at most ``core.WORKING_SET_BYTES``
-    (or one sample).  The estimate does not depend on the blocks.  Raises
+    (or one sample).  The estimate does not depend on the blocks.  When
+    every truncated entry is 0 or 1, every draw gives the same graph, so
+    that graph is checked once and nothing is drawn.  Raises
     :class:`TooLarge` above ``ESTIMATE_MAX_DRAWS`` draws.
     """
     n = p.n
     require_estimate_size(n, cfg.samples)
     trunc = truncate_probabilities(p, cfg.bits).entries
+    if ((trunc == 0.0) | (trunc == 1.0)).all():  # every draw is this one graph
+        return float(_matches(BipartiteGraph.from_matrix(trunc).rows))
     rng = np.random.default_rng(cfg.seed)
     width = (n + 7) // 8  # bytes per packed row
     graph = np.dtype((np.void, n * width))  # one packed graph as one opaque item

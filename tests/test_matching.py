@@ -339,6 +339,35 @@ class TestExactProbability:
                 exact_matching_probability(EdgeProbabilityMatrix(B))
             assert matching._family_dp(p) == pytest.approx(want, abs=1e-14)
 
+    def test_per_call_path_builds_no_families(self, monkeypatch):
+        # the families and their successors depend only on n: once the plan
+        # for each n is built, a call needs no family construction at all
+        for n in range(1, EXACT_MAX_N + 1):
+            matching._dp_plan(n)
+
+        def no_families(values):
+            raise AssertionError("a call built families")
+
+        monkeypatch.setattr(matching, "_first_seen", no_families)
+        for n in range(1, EXACT_MAX_N + 1):
+            for p in seeded_matrices(700 + n, n, 15):
+                got = exact_matching_probability(EdgeProbabilityMatrix(p))
+                assert got == dict_dp_oracle(p), (n, p.tolist())
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_plan_is_read_only(self, n):
+        members, steps = matching._dp_plan(n)
+        assert members.shape == (1 << n, n) and len(steps) == n
+        arrays = [members, *(a for keep, label, _ in steps for a in (keep, label))]
+        for table in arrays:
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[...] = 0
+        # each row's labels number its successor families 0 .. count - 1
+        for keep, label, count in steps:
+            assert len(keep) == len(label) and label.max() == count - 1
+        assert steps[-1][2] == 1  # after n rows, only the family {[n]} is left
+
     def test_too_large(self):
         with pytest.raises(TooLarge):
             exact_matching_probability(EdgeProbabilityMatrix.uniform(6, 0.5))
@@ -410,6 +439,30 @@ class TestEstimator:
         assert abs(est - 7 / 16) <= 0.02 + 4 / 2**10
         # empirically much tighter at this sample count
         assert abs(est - 7 / 16) <= 0.01
+
+    @pytest.mark.parametrize("n", [3, 9, 32, 351])
+    def test_certain_graph_is_checked_once(self, n, monkeypatch):
+        # when every truncated entry is 0 or 1 every draw is the same graph:
+        # it is checked once and nothing is drawn, even near the draw cap
+        def no_draws(seed):
+            raise AssertionError("the estimator drew a certain graph")
+
+        monkeypatch.setattr(matching.np.random, "default_rng", no_draws)
+        cfg = default_parameters(n, 0.0104, 1e-6)
+        adj = np.eye(n, dtype=bool) | (np.arange(n)[:, None] < np.arange(n))  # upper triangle
+        hopeless = adj.copy()
+        hopeless[n // 2] = False  # a row with no edge
+        tiny = 2.0 ** -(cfg.bits + 1)  # truncates to 0
+        for entries, want in [
+            (np.ones((n, n)), 1.0),
+            (adj.astype(float), 1.0),
+            (np.where(adj, 1.0, tiny), 1.0),
+            (hopeless.astype(float), 0.0),
+            (np.where(hopeless, 1.0, tiny), 0.0),
+        ]:
+            got = estimate_matching_probability(EdgeProbabilityMatrix(entries), cfg)
+            assert type(got) is float and got == want
+            assert want == hopcroft_karp(BipartiteGraph.from_matrix(entries == 1.0))
 
     def test_deterministic_given_seed(self):
         p = EdgeProbabilityMatrix.uniform(3, 0.4)
