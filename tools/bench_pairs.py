@@ -65,10 +65,6 @@ def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def quartiles(values: list) -> list:
-    return statistics.quantiles(values, n=4, method="inclusive")
-
-
 def summarize(pairs: list, metrics: list) -> dict:
     """Per end-to-end metric: both sides' values, the change's wins, medians and quartiles.
 
@@ -88,7 +84,8 @@ def summarize(pairs: list, metrics: list) -> dict:
             "wins": wins,
             "pairs": len(pairs),
             "median": {side: statistics.median(values[side]) for side in SIDES},
-            "quartiles": {side: quartiles(values[side]) for side in SIDES},
+            "quartiles": {side: statistics.quantiles(values[side], n=4, method="inclusive")
+                          for side in SIDES},
         }
     return out
 
