@@ -34,11 +34,16 @@ import numpy as np
 
 from . import core
 from .construct import build_interpolator
-from .core import ThresholdNetwork, canonical_dataset, monotone_violation, pairwise_leq, prefix_lookup, row_blocks
-from .errors import DimensionMismatch, EmptyDataset, GridTooLarge, InvalidArgument, InvalidNumber
+from .core import DominanceIndex, ThresholdNetwork, canonical_dataset, monotone_violation, prefix_lookup, row_blocks
+from .errors import DimensionMismatch, EmptyDataset, GridTooLarge, InvalidArgument, InvalidNumber, TooLarge
 from .io import parse_float
 
 DEFAULT_GRID_BUDGET = 10_000_000
+# Most work one probe check may plan: probes * kept grid points * d, the coordinate comparisons of
+# evaluating the built network on every probe.  CI's largest, mean at d = 3, eps 0.05 over 1,000
+# probes, plans 1.4e8 and takes about 0.2 s on a 2-vCPU host; a probe costs some 80 ns however few
+# points are kept, so the cap is kept low: 4.3e9 probes of one kept point would take about 6 min.
+PROBE_MAX_WORK = 2**32
 
 
 @dataclass(frozen=True)
@@ -149,6 +154,17 @@ def build_approximator(
     return net
 
 
+def require_probe_work(probes: int, net: ThresholdNetwork) -> None:
+    """Raise :class:`TooLarge` when checking ``probes`` probes on the built ``net`` plans more than
+    ``PROBE_MAX_WORK`` coordinate comparisons: probes times its kept points times d."""
+    work = probes * net.hidden_widths[-1] * net.input_dimension
+    if work > PROBE_MAX_WORK:
+        raise TooLarge(
+            f"{probes} probes of {net.hidden_widths[-1]} grid points in {net.input_dimension} dimensions plan "
+            f"{work} comparisons, more than {PROBE_MAX_WORK}; use fewer probes"
+        )
+
+
 def _axis_pass(values: np.ndarray, grid: GridSpec) -> tuple[bool, np.ndarray, float]:
     """Whether finite grid samples fall along an axis, the mask of points strictly above every
     lower axis neighbour, and G, the largest rise of the samples across a grid cell."""
@@ -187,11 +203,12 @@ def _falling_pair(values: np.ndarray, grid: GridSpec) -> tuple[int, int]:
 def tabulated_function(points: np.ndarray, values: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """The target ``x -> max{values[i] : points[i] <= x}``, else ``min(values)``: monotone for any
     (n, d) ``points`` and (n,) ``values``, n >= 1.  An empty table raises :class:`EmptyDataset`,
-    other shapes :class:`DimensionMismatch` and a NaN value :class:`InvalidNumber`.
+    other shapes :class:`DimensionMismatch` and a NaN value or point coordinate :class:`InvalidNumber`.
 
-    The table is sorted by value once, stably: ``table[k]`` is the k-th least value.  Each block of
-    queries is one :func:`~mononet.core.pairwise_leq` of the negated points, greatest value first,
-    read by :func:`~mononet.core.prefix_lookup` as a built interpolator's head is.  Of tied values the
+    The table is sorted by value once, stably: ``table[k]`` is the k-th least value.  One
+    :class:`~mononet.core.DominanceIndex` of the negated points, greatest value first, is built with
+    the target; each block of queries is one query of it, read by :func:`~mononet.core.prefix_lookup`
+    as a built interpolator's head is.  Of tied values the
     last row's is returned, and below every point the first row's: one rule for the sign of a zero.
     """
     points, values = np.asarray(points, dtype=float), np.asarray(values, dtype=float)
@@ -201,16 +218,18 @@ def tabulated_function(points: np.ndarray, values: np.ndarray) -> Callable[[np.n
         raise DimensionMismatch(f"table points must be (n, d) and values (n,), got {points.shape}, {values.shape}")
     if np.isnan(values).any():
         raise InvalidNumber("table values must not be NaN")
+    if np.isnan(points).any():
+        raise InvalidNumber("table point coordinates must not be NaN")
     order = np.argsort(values, kind="stable")
     table = values[np.concatenate((order[:1], order))]
-    lows = -points[order[::-1]]  # negation is exact: -x_i <= -q iff x_i <= q
+    index = DominanceIndex(-points[order[::-1]])  # negation is exact: -x_i <= -q iff x_i <= q
 
     def f(X: np.ndarray) -> np.ndarray:
         if X.shape[1:] != points.shape[1:]:
             raise DimensionMismatch(f"queries of shape {X.shape} for table points of {points.shape[1]} coordinates")
         out = np.empty(len(X))
         for s in row_blocks(len(X), len(points), core.WORKING_SET_BYTES):  # bytes a table point: the leq matrix
-            prefix_lookup(table, pairwise_leq(-X[s], lows), out=out[s])
+            prefix_lookup(table, index.leq(-X[s]), out=out[s])
         return out
 
     return f

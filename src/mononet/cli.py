@@ -304,14 +304,17 @@ def _cmd_approx(args) -> int:
         f = approx.tabulated_function(*io.read_dataset_csv(args.table))
     grid = approx.plan_grid(args.d, args.L, args.eps, args.budget)
     net = approx.build_approximator(f, args.d, args.L, args.eps, args.budget)
+    approx.require_probe_work(args.probes, net)
     print(f"d: {args.d}  L: {args.L}  eps: {args.eps}  seed: {args.seed}", file=sys.stderr)
     print(f"grid: {grid.points_per_axis} points per axis, {grid.point_count} total")
     print(f"hidden units: {net.hidden_unit_count}")
     if args.probes > 0:
-        rng = np.random.default_rng(args.seed)
-        probes = rng.random((args.probes, args.d))
-        errors = np.abs(net.evaluate_batch(probes) - f(probes))
-        print(f"sup error over {args.probes} probes: {float(errors.max()):.6g}")
+        rng = np.random.default_rng(args.seed)  # drawn block by block, one stream: the probes of one call
+        errors = []
+        for s in core.row_blocks(args.probes, 8 * (args.d + 3), core.WORKING_SET_BYTES):  # a probe, 2 values, error
+            probes = rng.random((s.stop - s.start, args.d))
+            errors.append(np.abs(net.evaluate_batch(probes) - f(probes)).max())
+        print(f"sup error over {args.probes} probes: {float(np.max(errors)):.6g}")
     if args.output:
         io.save_network(net, args.output)
         print(f"wrote {args.output}")

@@ -106,20 +106,99 @@ def row_blocks(rows: int, row_bytes: int, budget: int | None = None) -> Iterator
 def pairwise_leq(points: np.ndarray, others: np.ndarray | None = None) -> np.ndarray:
     """Boolean M with M[i, j] = (points[i] <= others[j] coordinatewise); others defaults to points.
 
-    Each coordinate's comparison of a block of rows goes through one reused buffer of at most
-    ``WORKING_SET_BYTES`` (or one row), so the peak is M plus that buffer."""
+    One :class:`DominanceIndex` of ``others`` answers the rows in blocks of ``WORKING_SET_BYTES``
+    (or one row), so the peak is M, the index and one block."""
     others = points if others is None else others
-    M = np.ones((len(points), len(others)), dtype=bool)
-    buffer = None
-    for s in row_blocks(len(points), len(others), WORKING_SET_BYTES):
-        block = M[s]
-        if buffer is None:  # the first block is the largest
-            buffer = np.empty_like(block)
-        leq = buffer[: len(block)]
-        for x, z in zip(points.T, others.T):  # one coordinate at a time
-            np.less_equal(x[s, None], z, out=leq)
-            block &= leq
+    index = DominanceIndex(others)
+    M = np.empty((len(points), len(others)), dtype=bool)
+    for s in row_blocks(len(points), index.row_bytes, WORKING_SET_BYTES):
+        M[s] = index.leq(points[s])
     return M
+
+
+def _index_blocks(n: int, d: int) -> tuple[int, int]:
+    """``(blocks, width)`` of a :class:`DominanceIndex` of n points in d coordinates: the fewest blocks
+    of ``width`` columns, a multiple of 64 and at least 64, whose index of at most
+    ``d * blocks * width * (width + 129) / 8`` bytes fits ``WORKING_SET_BYTES``."""
+    budget = 8 * WORKING_SET_BYTES
+    room = budget // (d * n) - 129 if d * n else n  # the widest block that n columns could fill
+    blocks = max(1, -(-n // max(room, 1)))
+    while True:
+        width = 64 * max(1, -(-n // (64 * blocks)))
+        if width == 64 or d * blocks * width * (width + 129) <= budget:
+            return max(1, -(-n // width)), width
+        blocks += 1
+
+
+class DominanceIndex:
+    """The points ``others``, an (n, d) array, indexed once so that :meth:`leq` answers
+    ``points[i] <= others[j]`` coordinatewise for any number of blocks of queries.
+
+    Per coordinate the values are sorted once, and ``others[j] >= q`` becomes a suffix of that
+    order: with ``k`` the count of values below ``q`` and ``r_j`` the count below ``others[j]``,
+    ``others[j] >= q`` iff ``r_j >= k``.  The columns are cut into blocks of ``width``, a multiple
+    of 64; within a block they are sorted by ``r_j``, and row p of the block's table is the bitset of
+    its columns at sorted positions p and after, one ``bitwise_or.accumulate`` from the end.  A
+    query finds ``k`` by one ``searchsorted`` of the values, the position of ``k`` in every block by
+    one ``searchsorted`` of the blocks' sorted ranks (each block offset by n + 1), gathers those
+    table rows as ``uint64`` words and ANDs them over the coordinates; ``np.unpackbits`` gives the
+    bools.  This is the sort-based dominance of Kung, Luccio and Preparata (JACM 1975), bit-parallel.
+
+    IEEE semantics: a NaN coordinate on either side is never ``<=``.  A NaN of ``others`` sets no bit
+    (nor does a padding column), and a NaN query counts every other value below it, so it reads
+    only NaN columns.  ``-0.0`` and ``0.0`` sort and compare as equal.
+
+    The index takes ``d * blocks * width * (width + 129) / 8`` bytes, planned by
+    :func:`_index_blocks` to fit ``WORKING_SET_BYTES``; at the floor of 64 columns a block it
+    exceeds the budget once d·n passes about 43,000.
+    """
+
+    def __init__(self, others: np.ndarray):
+        others = np.asarray(others, dtype=float)
+        n, d = others.shape
+        blocks, width = _index_blocks(n, d)
+        self.n, self.shape = n, (blocks, width)
+        order = np.argsort(others, axis=0, kind="stable")  # NaN sorts last
+        keys = np.take_along_axis(others, order, axis=0)
+        self._keys = np.ascontiguousarray(keys.T)
+        # a value's rank is where its run of equal values starts; NaN != NaN, so each NaN is its own run
+        starts = np.zeros((n, d), dtype=np.intp)
+        starts[1:] = np.where(keys[1:] != keys[:-1], np.arange(1, n)[:, None], 0)
+        ranks = np.full((d, blocks, width), n)  # a padding column ranks after every value
+        columns = ranks.reshape(d, blocks * width)[:, :n].T
+        np.put_along_axis(columns, order, np.maximum.accumulate(starts, axis=0), axis=0)
+        valid = np.zeros((d, blocks, width), dtype=bool)  # NaN and padding set no bit
+        valid.reshape(d, blocks * width)[:, :n] = ~np.isnan(others.T)
+        within = np.argsort(ranks, axis=2)  # each block's columns by rank
+        self._offsets = np.arange(blocks) * (n + 1)  # ranks are 0 .. n, so the blocks stay apart
+        self._ranks = (np.take_along_axis(ranks, within, axis=2) + self._offsets[:, None]).reshape(d, blocks * width)
+        bits = np.take_along_axis(valid, within, axis=2).astype(np.uint64) << (within % 64).astype(np.uint64)
+        tables = np.zeros((d, blocks, width + 1, width // 64), dtype="<u8")
+        c, b, t = np.ogrid[:d, :blocks, :width]
+        tables[c, b, t, within // 64] = bits
+        suffixes = tables[:, :, ::-1]
+        np.bitwise_or.accumulate(suffixes, axis=2, out=suffixes)
+        self._tables = tables.reshape(d, blocks * (width + 1), width // 64)
+
+    @property
+    def row_bytes(self) -> int:
+        """Bytes a query row takes in :meth:`leq`: its n bools, two rows of words and its positions."""
+        blocks, width = self.shape
+        return self.n + width * blocks // 4 + 16 * blocks
+
+    def leq(self, points: np.ndarray) -> np.ndarray:
+        """The (m, n) bools ``points[i] <= others[j]`` coordinatewise, for an (m, d) array ``points``."""
+        points = np.asarray(points, dtype=float)
+        blocks, width = self.shape
+        words = np.full((len(points), blocks, width // 64), np.uint64(2**64 - 1), dtype="<u8")
+        row = np.empty_like(words)
+        for keys, ranks, table, q in zip(self._keys, self._ranks, self._tables, points.T):
+            at = np.searchsorted(keys, q)[:, None]  # k; in a lone block it is also the position
+            if blocks > 1:
+                at = np.searchsorted(ranks, at + self._offsets) + np.arange(blocks)  # B rows past its ranks
+            words &= table.take(at, axis=0, out=row)
+        bytes_ = words.view(np.uint8).reshape(len(points), blocks * width // 8)
+        return np.unpackbits(bytes_, axis=1, count=self.n, bitorder="little").view(bool)
 
 
 def first_set(R: np.ndarray) -> np.ndarray:
@@ -210,8 +289,9 @@ def validate_dataset(points, labels) -> MonotoneDataset:
     _check_distinct(points)
 
     # a violation is x_i <= x_j with y_i > y_j; the diagonal never is one
+    index = DominanceIndex(points)
     for s in row_blocks(len(points), len(points), WORKING_SET_BYTES):
-        bad = pairwise_leq(points[s], points)
+        bad = index.leq(points[s])
         bad &= labels[s, None] > labels
         if bad.any():
             i, j = np.argwhere(bad)[0] + (s.start, 0)
@@ -596,8 +676,9 @@ class ThresholdNetwork:
             return None
 
     @cached_property
-    def _dominance_lows(self) -> np.ndarray | None:
-        """``-x_i`` for the points ``x_i`` of a ``build_interpolator`` head, last point first, else None.
+    def _dominance_index(self) -> DominanceIndex | None:
+        """The :class:`DominanceIndex` of ``-x_i`` for the points ``x_i`` of a ``build_interpolator``
+        head, last point first, else None.  Built on first use, it serves every later block.
 
         The head is three layers deep: a threshold select whose index is ``tile(arange(d), n)`` and
         whose cuts are the points, then threshold blocks of d whose count cuts are all d, an AND.  Its
@@ -611,17 +692,17 @@ class ThresholdNetwork:
                 and blocks.kind == BLOCKS and blocks.weights.size == d
                 and np.array_equal(select.weights.index, np.tile(np.arange(d), n))
                 and (blocks._count_cuts == d).all()):
-            return frozen(-select._cuts.reshape(n, d)[::-1])
+            return DominanceIndex(-select._cuts.reshape(n, d)[::-1])
         return None
 
     def _suffix_reads(self, X: np.ndarray) -> np.ndarray:
         """The bools the last hidden layer reads on a checked block ``X``, its units in reverse order.
 
-        A ``build_interpolator`` head is one :func:`pairwise_leq`; any other runs its layers.
+        A ``build_interpolator`` head is one query of its :class:`DominanceIndex`; any other runs its layers.
         """
-        lows = self._dominance_lows
-        if lows is not None:
-            return pairwise_leq(-X, lows)
+        index = self._dominance_index
+        if index is not None:
+            return index.leq(-X)
         for layer in self.layers[:-1]:
             X = layer.forward(X)
         return X[:, ::-1]

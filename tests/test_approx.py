@@ -33,8 +33,9 @@ from mononet.errors import (
 def no_pairwise_work(mp: pytest.MonkeyPatch) -> None:
     """Make every pairwise comparison of the package fail under ``mp``."""
     fail = lambda *args: pytest.fail("compared pairwise")
-    for module, name in ((core, "pairwise_leq"), (core, "validate_dataset"), (approx, "pairwise_leq")):
-        mp.setattr(module, name, fail)
+    for owner, name in ((core, "pairwise_leq"), (core, "validate_dataset"), (core.DominanceIndex, "__init__"),
+                        (core.DominanceIndex, "leq")):
+        mp.setattr(owner, name, fail)
 
 
 def grid_neighbors(grid, x) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -477,8 +478,8 @@ class TestTabulatedFunction:
         want = tabulated_function(P, y)(Q)
         monkeypatch.setattr(core, "WORKING_SET_BYTES", len(P) * 7)  # blocks of seven queries
         blocks = []
-        leq = approx.pairwise_leq
-        monkeypatch.setattr(approx, "pairwise_leq", lambda A, B: blocks.append(len(A)) or leq(A, B))
+        leq = core.DominanceIndex.leq
+        monkeypatch.setattr(core.DominanceIndex, "leq", lambda index, A: blocks.append(len(A)) or leq(index, A))
         assert tabulated_function(P, y)(Q).tolist() == want.tolist()
         assert blocks == [7] * 71 + [3]
         assert want.tolist() == [tabulated_oracle(P, y)(q) for q in Q]
@@ -490,6 +491,13 @@ class TestTabulatedFunction:
             tabulated_function(P, y)
         with pytest.raises(InvalidNumber):
             tabulated_oracle(P, y)
+
+    def test_nan_point_refused(self):
+        # a NaN coordinate is never <= a query, so its row's value could never be returned
+        P, y = DUPLICATE_TABLE[0].copy(), DUPLICATE_TABLE[1]
+        P[3, 1] = np.nan
+        with pytest.raises(InvalidNumber, match="point"):
+            tabulated_function(P, y)
 
     @settings(max_examples=300, deadline=None)
     @given(

@@ -52,17 +52,27 @@ def write_stub(root: Path, side: str) -> None:
     (root / "perfbench" / "run.py").write_text(STUB.format(side=side))
 
 
+GIT = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
+
+
+def commit(root: Path, message: str) -> str:
+    subprocess.run(GIT + ["add", "-A"], cwd=root, check=True)
+    subprocess.run(GIT + ["commit", "-q", "-m", message], cwd=root, check=True)
+    return subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
 @pytest.fixture
 def repo(tmp_path, monkeypatch):
+    """A repository whose HEAD~1 runs the base stub and HEAD the change stub."""
     root = tmp_path / "repo"
     root.mkdir()
     (root / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
     write_stub(root, "base")
-    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
-    subprocess.run(git + ["init", "-q"], cwd=root, check=True)
-    subprocess.run(git + ["add", "-A"], cwd=root, check=True)
-    subprocess.run(git + ["commit", "-q", "-m", "base"], cwd=root, check=True)
-    write_stub(root, "change")  # the change is the working tree
+    subprocess.run(GIT + ["init", "-q"], cwd=root, check=True)
+    commit(root, "base")
+    write_stub(root, "change")
+    commit(root, "change")
     log = tmp_path / "runs.log"
     monkeypatch.setenv("BENCH_STUB_LOG", str(log))
     return root, log
@@ -70,7 +80,7 @@ def repo(tmp_path, monkeypatch):
 
 def test_pairs_alternate_and_count_wins(repo):
     root, log = repo
-    assert bench_pairs.main(["HEAD", "--pairs", "4"], root=root) == 0
+    assert bench_pairs.main(["HEAD~1", "--pairs", "4"], root=root) == 0
     runs = [line.split() for line in log.read_text().splitlines()]
     # each workload in turn; the base first in odd pairs, the change first in even ones
     assert [(side, w, int(seed)) for side, w, seed, _, _ in runs] == [
@@ -82,11 +92,12 @@ def test_pairs_alternate_and_count_wins(repo):
     assert {(s, t) for *_, s, t in runs} == {("25", "0")}  # run_seconds, untraced
 
     record = json.loads((root / "BENCH_pairs.json").read_text())
-    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True,
-                          text=True, check=True).stdout.strip()
-    assert record["base"] == {"rev": "HEAD", "commit": head}
-    assert record["change"]["commit"] == head
-    assert (root / ".bench_pairs" / head / "perfbench" / "run.py").is_file()
+    rev = lambda name: subprocess.run(["git", "rev-parse", name], cwd=root, capture_output=True,
+                                      text=True, check=True).stdout.strip()
+    assert record["base"] == {"rev": "HEAD~1", "commit": rev("HEAD~1")}
+    assert record["change"] == {"commit": rev("HEAD"), "dirty": False}
+    for side in ("HEAD~1", "HEAD"):  # both sides run from an archived tree
+        assert (root / ".bench_pairs" / rev(side) / "perfbench" / "run.py").is_file()
     assert set(record["workloads"]) == {"stub-a", "stub-b"}
     assert record["command"].endswith("--seconds 25 --trace 0")
     stub = record["workloads"]["stub-a"]
@@ -122,9 +133,17 @@ def test_summarize_counts_wins_by_direction():
     assert got["down"]["quartiles"]["change"] == [4.5, 5.0, 5.5]
 
 
+def test_uncommitted_changes_are_recorded_and_not_run(repo):
+    root, log = repo
+    write_stub(root, "dirty")
+    assert bench_pairs.main(["HEAD~1", "--workload", "stub-a", "--pairs", "2"], root=root) == 0
+    assert {line.split()[0] for line in log.read_text().splitlines()} == {"base", "change"}
+    assert json.loads((root / "BENCH_pairs.json").read_text())["change"]["dirty"] is True
+
+
 def test_one_workload(repo):
     root, log = repo
-    assert bench_pairs.main(["HEAD", "--workload", "stub-b", "--pairs", "2"], root=root) == 0
+    assert bench_pairs.main(["HEAD~1", "--workload", "stub-b", "--pairs", "2"], root=root) == 0
     assert {line.split()[1] for line in log.read_text().splitlines()} == {"stub-b"}
     record = json.loads((root / "BENCH_pairs.json").read_text())
     assert list(record["workloads"]) == ["stub-b"]
@@ -133,5 +152,5 @@ def test_one_workload(repo):
 def test_too_few_pairs_refused(repo):
     root, _ = repo
     with pytest.raises(SystemExit):
-        bench_pairs.main(["HEAD", "--pairs", "1"], root=root)
+        bench_pairs.main(["HEAD~1", "--pairs", "1"], root=root)
     assert not (root / "BENCH_pairs.json").exists()

@@ -17,8 +17,8 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import mononet
-from mononet import cli
-from mononet.approx import BUILTIN_FUNCTIONS
+from mononet import cli, core
+from mononet.approx import BUILTIN_FUNCTIONS, build_approximator, resolve_function
 from mononet.cli import main
 from mononet.construct import build_interpolator
 from mononet.core import ThresholdLayer, ThresholdNetwork, validate_dataset
@@ -414,6 +414,12 @@ class TestApprox:
         captured = capsys.readouterr()
         assert captured.out == "" and diagnostic(captured.err)["error"] == "InvalidNumber"
 
+    def test_table_with_a_nan_coordinate_refused(self, tmp_path, capsys):
+        table = write(tmp_path / "table.csv", "0.1,0.2,1.0\nnan,0.2,2.0\n0.5,0.5,1.5\n")
+        assert main(["approx", "--table", table, "--d", "2", "--L", "1", "--eps", "0.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and diagnostic(captured.err)["error"] == "InvalidNumber"
+
     @pytest.mark.parametrize("table", ["0,0,0,0\n1,1,1,1\n", "0,0\n1,1\n"])
     def test_table_dimension_must_match_d(self, tmp_path, table, capsys):
         path = write(tmp_path / "table.csv", table)
@@ -441,6 +447,35 @@ class TestApprox:
 
     def test_budget_exit_2(self, capsys):
         assert main(["approx", "--fn", "mean", "--d", "3", "--L", "1", "--eps", "0.001"]) == 2
+
+    def test_probes_past_the_work_cap_refused_at_once(self, capsys):
+        # 2e9 probes of 30 kept points at d = 2 plan 1.2e11 comparisons; the probes were 32 GB at once
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            code = main("approx --fn min --d 2 --L 1 --eps 0.05 --probes 2000000000".split())
+            wall, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and wall < 1 and peak < 4 << 20, (wall, peak)
+        captured = capsys.readouterr()
+        assert captured.out == "" and diagnostic(captured.err)["error"] == "TooLarge"
+        assert main("approx --fn min --d 2 --L 1 --eps 0.05 --probes 100".split()) == 0
+
+    @pytest.mark.parametrize("fn, d", [("mean", 2), ("min", 3)])
+    def test_probes_drawn_in_blocks_give_the_line_of_one_batch(self, monkeypatch, capsys, fn, d):
+        argv = f"approx --fn {fn} --d {d} --L 1 --eps 0.2 --probes 1000".split()
+        net = build_approximator(resolve_function(fn), d, 1.0, 0.2)
+        probes = np.random.default_rng(1729).random((1000, d))  # the default seed, all at once
+        sup = float(np.abs(net.evaluate_batch(probes) - resolve_function(fn)(probes)).max())
+        monkeypatch.setattr(core, "WORKING_SET_BYTES", 8 * (d + 3) * 37)  # blocks of 37 probes
+        blocks = []
+        evaluate = core.ThresholdNetwork.evaluate_batch
+        monkeypatch.setattr(core.ThresholdNetwork, "evaluate_batch",
+                            lambda self, X: blocks.append(len(X)) or evaluate(self, X))
+        assert main(argv) == 0
+        assert blocks == [37] * 27 + [1]
+        assert capsys.readouterr().out.splitlines()[-1] == f"sup error over 1000 probes: {sup:.6g}"
 
     def test_many_probes_run_within_one_block(self, capsys):
         # mean keeps all 46,656 grid points: 2,000 probes of 46,656 output units

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import tracemalloc
@@ -21,7 +22,7 @@ from conftest import (
     random_monotone_score,
 )
 from mononet import core
-from mononet.approx import build_approximator, plan_grid
+from mononet.approx import build_approximator, plan_grid, tabulated_function
 from mononet.construct import build_chain_interpolator, build_interpolator, separating_coordinate
 from mononet.core import (
     RELU,
@@ -407,8 +408,9 @@ class TestTotallyOrdered:
             build_chain_interpolator(ds)
 
 
-def one_shot_leq(P: np.ndarray) -> np.ndarray:
-    return np.all(P[:, None, :] <= P[None, :, :], axis=2)
+def one_shot_leq(P: np.ndarray, Q: np.ndarray | None = None) -> np.ndarray:
+    Q = P if Q is None else Q
+    return np.all(P[:, None, :] <= Q[None, :, :], axis=2)
 
 
 def every_pair_comparable(P: np.ndarray) -> bool:
@@ -417,7 +419,74 @@ def every_pair_comparable(P: np.ndarray) -> bool:
     return bool(np.all(L | L.T))
 
 
+# ties, both zeros, both infinities and NaN, which is never <= nor >= anything
+EDGE_VALUES = st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0, np.inf, np.nan])
+
+
+@st.composite
+def leq_cases(draw):
+    """Queries and points of one dimension d in 0..3: 0..70 of each, so n can be 63, 64 or 65."""
+    d = draw(st.integers(0, 3))
+    rows = lambda count: np.array(draw(st.lists(st.lists(EDGE_VALUES, min_size=d, max_size=d),
+                                                min_size=count, max_size=count)), dtype=float).reshape(count, d)
+    m = draw(st.integers(0, 20))
+    n = draw(st.one_of(st.sampled_from([0, 1, 63, 64, 65]), st.integers(0, 70)))
+    return rows(m), rows(n)
+
+
 class TestPairwiseLeq:
+    @settings(max_examples=300, deadline=None)
+    @given(leq_cases(), st.sampled_from([1, 100, 2_000, 20_000, 1 << 20]))
+    def test_equals_the_one_shot_comparison(self, case, budget):
+        # a small budget cuts the index into blocks of 64 columns and the rows into blocks of one
+        P, Q = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "WORKING_SET_BYTES", budget)
+            got = pairwise_leq(P, Q)
+        assert got.dtype == bool and got.shape == (len(P), len(Q))
+        assert got.tobytes() == one_shot_leq(P, Q).tobytes()
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129, 700])
+    def test_column_block_boundaries(self, monkeypatch, n):
+        # at a budget of 10 KB, 3 coordinates take blocks of 64 columns: n = 129 is three of them
+        rng = np.random.default_rng(n)
+        P, Q = rng.integers(0, 5, (40, 3)).astype(float), rng.integers(0, 5, (n, 3)).astype(float)
+        monkeypatch.setattr(core, "WORKING_SET_BYTES", 10_000)
+        blocks, width = core._index_blocks(n, 3)
+        assert width == 64 and blocks == -(-n // 64)
+        assert np.array_equal(pairwise_leq(P, Q), one_shot_leq(P, Q))
+
+    def test_the_index_fits_the_budget_past_one_block(self):
+        for n, d in ((700, 4), (2000, 4), (4000, 4), (12_000, 2)):
+            blocks, width = core._index_blocks(n, d)
+            assert blocks * width >= n and width % 64 == 0
+            assert d * blocks * width * (width + 129) <= 8 * core.WORKING_SET_BYTES
+        assert core._index_blocks(700, 4) == (1, 704)  # synth's size: one block of all columns
+
+    def test_one_index_serves_every_block(self, monkeypatch):
+        # a built network indexes its points once, for every evaluation block and the trace's rows
+        builds = []
+        init = core.DominanceIndex.__init__
+        monkeypatch.setattr(core.DominanceIndex, "__init__", lambda index, A: builds.append(len(A)) or init(index, A))
+        rng = np.random.default_rng(36)
+        P = rng.random((50, 3))
+        ds = validate_dataset(P, np.round(P.sum(axis=1), 1))
+        assert builds == [50]  # validation: one index for all its blocks
+        net, trace = build_interpolator(ds)
+        monkeypatch.setattr(core, "CHUNK_BYTES", 8 * 150 * 7)  # blocks of 7 rows
+        X = rng.random((100, 3))
+        want = closed_form(ds.points, ds.labels, X)
+        for _ in range(3):
+            assert net.evaluate_batch(X).tolist() == want
+        trace.write_json(io.StringIO())
+        assert np.array_equal(trace.embedding_matrix, one_shot_leq(ds.points).T)
+        assert builds == [50, 50]
+        approx_f = tabulated_function(P, ds.labels)
+        monkeypatch.setattr(core, "WORKING_SET_BYTES", 50 * 3)  # blocks of 3 queries
+        approx_f(X)
+        approx_f(X)
+        assert builds == [50, 50, 50]
+
     @pytest.mark.parametrize("n", [1024, 1025])
     def test_both_sides_of_the_first_block_boundary(self, n):
         # a row of the comparison takes n bytes: 1024 rows fit one block, 1025 do not
@@ -1016,7 +1085,7 @@ class TestPrefixTable:
         lo, hi = ds.points.min(axis=0) - 1, ds.points.max(axis=0) + 1
         X = np.vstack([X, lo + (hi - lo) * rng.random((20, ds.dimension))])
         net = build_interpolator(ds)[0]
-        assert net._dominance_lows is not None
+        assert net._dominance_index is not None
         for each in (net, round_trip(net)):
             assert_prefix_path(each, X, closed_form(ds.points, ds.labels, X))
         if is_totally_ordered(ds):
@@ -1025,7 +1094,7 @@ class TestPrefixTable:
             for i in range(ds.n):
                 r = separating_coordinate(ds, i + 1)[0] - 1
                 lows[i, r] = ds.points[i, r]
-            assert chain._dominance_lows is None  # its head runs its layer
+            assert chain._dominance_index is None  # its head runs its layer
             for each in (chain, round_trip(chain)):
                 assert_prefix_path(each, X, closed_form(lows, ds.labels, X))
             assert chain.evaluate_batch(ds.points).tolist() == ds.labels.tolist()
@@ -1054,7 +1123,7 @@ class TestPrefixTable:
         ]
         others = [ThresholdNetwork((*head, suffix), net.exact_stage) for head in heads]
         for other in others:
-            assert other._dominance_lows is None
+            assert other._dominance_index is None
             assert_prefix_path(other, X)
         assert others[0].evaluate_batch(X).tobytes() == net.evaluate_batch(X).tobytes()
 

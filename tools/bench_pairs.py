@@ -4,12 +4,14 @@ Run from anywhere:
 
     python3 tools/bench_pairs.py REV [--workload W] [--pairs N]
 
-``REV`` is extracted with ``git archive`` into ``.bench_pairs/<commit>/``
-inside the checkout, which git ignores; the base's benchmark writes only
-there.  Pair k (seed k) runs ``perfbench/run.py --workload W --seed k
---seconds S --trace 0``, with S the ``run_seconds`` of ``BENCHMARK.json``,
-once in that tree (the base) and once in this checkout (the change), one
-run at a time.  The base runs first in odd pairs and the change in even
+``REV`` (the base) and ``HEAD`` (the change) are each extracted with
+``git archive`` into ``.bench_pairs/<commit>/`` inside the checkout, which
+git ignores, so both sides run from the same kind of fresh tree and each
+benchmark writes only there: a run in the checkout itself read 0.3 MB more
+peak RSS.  Uncommitted changes are not measured; the record says whether
+the checkout had any.  Pair k (seed k) runs ``perfbench/run.py --workload W
+--seed k --seconds S --trace 0``, with S the ``run_seconds`` of
+``BENCHMARK.json``, once in each tree, one run at a time.  The base runs first in odd pairs and the change in even
 ones, so a drift of the host in time falls on both sides alike.  By
 default every workload of ``BENCHMARK.json`` runs, 10 pairs each.
 
@@ -102,15 +104,16 @@ def main(argv=None, root: Path = ROOT) -> int:
     workloads = [args.workload] if args.workload else [w["name"] for w in bench["workloads"]]
     seconds = bench["run_seconds"]
     commit = git(root, "rev-parse", "--verify", args.rev + "^{commit}").strip()
-    trees = {"base": extract(root, commit), "change": root}
+    head = git(root, "rev-parse", "HEAD").strip()
+    dirty = bool(git(root, "status", "--porcelain", "--untracked-files=no", "--", ".", ":!BENCH_pairs.json").strip())
+    if dirty:
+        print("uncommitted changes are not measured: the change is HEAD", file=sys.stderr)
+    trees = {"base": extract(root, commit), "change": extract(root, head)}
     record = {
         "command": f"python3 perfbench/run.py --workload W --seed K --seconds {seconds} --trace 0",
         "base": {"rev": args.rev, "commit": commit},
-        "change": {
-            "commit": git(root, "rev-parse", "HEAD").strip(),
-            # uncommitted changes to the measured code when it ran
-            "dirty": bool(git(root, "status", "--porcelain", "--", "src", "perfbench").strip()),
-        },
+        # tracked files other than this record differed from HEAD, which is what ran
+        "change": {"commit": head, "dirty": dirty},
         "python": platform.python_version(),
         "numpy": importlib.metadata.version("numpy"),
         "workloads": {},
