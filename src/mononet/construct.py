@@ -45,6 +45,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import core
 from .core import (
     BLOCKS,
     SELECT,
@@ -57,6 +58,7 @@ from .core import (
     WeightPattern,
     _as_integers,
     is_totally_ordered,
+    row_blocks,
 )
 from .errors import DuplicatePoint, InvalidArgument, NotTotallyOrdered
 
@@ -98,17 +100,21 @@ class ConstructionTrace:
         The text is ``json.dumps`` of the dict with keys ``layer_widths``,
         ``embedding_matrix`` and ``output_weights``, written one block of rows
         at a time so the n x n matrix never exists as Python lists.  A row's
-        text is its byte template ``[0, 0, ..., 0], `` with its digits set.
+        text is its byte template ``[0, 0, ..., 0], `` with its digits set.  The
+        text goes out in pieces of at most ``core.WORKING_SET_BYTES``, each
+        decoded straight from its bytes: one string a piece, and no other copy.
         """
         width = self.layer_widths[-1]  # the suffix-OR's, as wide as the layer it reads
         template = np.frombuffer(f"[{', '.join('0' * width)}], ".encode(), np.uint8)
         fh.write(f'{{"layer_widths": {json.dumps(list(self.layer_widths))}, "embedding_matrix": [')
         sep = ""
         for block in self._embedding_blocks():
-            rows = np.tile(template, (len(block), 1))
-            rows[:, 1 : 3 * width : 3] += block  # "0" + 1 is "1"
-            fh.write(sep + rows.tobytes().decode("ascii")[:-2])
-            sep = ", "
+            for s in row_blocks(len(block), len(template), core.WORKING_SET_BYTES):
+                rows = np.tile(template, (s.stop - s.start, 1))
+                rows[:, 1 : 3 * width : 3] += block[s]  # "0" + 1 is "1"
+                fh.write(sep)
+                fh.write(str(rows.reshape(-1)[:-2].data, "ascii"))  # the piece's last ", " dropped
+                sep = ", "
         fh.write(f'], "output_weights": {json.dumps(list(self.output_weights))}}}\n')
 
 

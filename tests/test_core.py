@@ -232,7 +232,7 @@ class TestValidateDataset:
 
     @pytest.mark.parametrize("budget", [64, 1, 50, 200, 4096, core.WORKING_SET_BYTES])
     def test_row_blocks_report_the_first_row_major_violation(self, monkeypatch, budget):
-        # the blocks of rows and pairwise_leq's comparison buffer both follow the one budget
+        # the blocks of rows and the dominance index both follow the one budget
         rng = np.random.default_rng(budget)
         monkeypatch.setattr(core, "WORKING_SET_BYTES", budget)
         violations = 0
@@ -252,7 +252,7 @@ class TestValidateDataset:
 
     def test_a_block_is_masked_in_place(self):
         # 4000 x 4000 bools are 15.26 MiB; a block of them is at most the 1 MiB budget, and its
-        # label comparison another block, with pairwise_leq's buffer of one more
+        # label comparison another block, with the dominance index of the points one more
         X = np.random.default_rng(4004).random((4000, 4))
         y = X @ [1.0, 2.0, 3.0, 4.0]
         assert len(list(row_blocks(4000, 4000, core.WORKING_SET_BYTES))) == 16
@@ -489,7 +489,7 @@ class TestPairwiseLeq:
 
     @pytest.mark.parametrize("n", [1024, 1025])
     def test_both_sides_of_the_first_block_boundary(self, n):
-        # a row of the comparison takes n bytes: 1024 rows fit one block, 1025 do not
+        # a row of bools takes n bytes: 1024 rows of them fit the budget, 1025 do not; the index answers both alike
         assert (core.WORKING_SET_BYTES // n >= n) == (n == 1024)
         P = np.random.default_rng(n).integers(0, 50, (n, 2)).astype(float)
         assert np.array_equal(pairwise_leq(P), one_shot_leq(P))
