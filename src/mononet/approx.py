@@ -208,8 +208,8 @@ def tabulated_function(points: np.ndarray, values: np.ndarray) -> Callable[[np.n
     The table is sorted by value once, stably: ``table[k]`` is the k-th least value.  One
     :class:`~mononet.core.DominanceIndex` of the negated points, greatest value first, is built with
     the target; each block of queries is one query of it, read by :func:`~mononet.core.prefix_lookup`
-    as a built interpolator's head is.  Of tied values the
-    last row's is returned, and below every point the first row's: one rule for the sign of a zero.
+    as a built interpolator's head is.  Of tied values the last row's is returned, and below every
+    point the first row's: one rule for the sign of a zero.
     """
     points, values = np.asarray(points, dtype=float), np.asarray(values, dtype=float)
     if not len(values):

@@ -7,11 +7,11 @@ Run from anywhere:
 ``REV`` (the base) and ``HEAD`` (the change) are each extracted with
 ``git archive`` into ``.bench_pairs/<commit>/`` inside the checkout, which
 git ignores, so both sides run from the same kind of fresh tree and each
-benchmark writes only there: a run in the checkout itself read 0.3 MB more
-peak RSS.  Uncommitted changes are not measured; the record says whether
-the checkout had any.  Pair k (seed k) runs ``perfbench/run.py --workload W
---seed k --seconds S --trace 0``, with S the ``run_seconds`` of
-``BENCHMARK.json``, once in each tree, one run at a time.  The base runs first in odd pairs and the change in even
+benchmark writes only there.  Uncommitted changes are not measured; the
+record says whether the checkout had any.  Pair k (seed k) runs
+``perfbench/run.py --workload W --seed k --seconds S --trace 0``, with S
+the ``run_seconds`` of ``BENCHMARK.json``, once in each tree, one run at a
+time.  The base runs first in odd pairs and the change in even
 ones, so a drift of the host in time falls on both sides alike.  By
 default every workload of ``BENCHMARK.json`` runs, 10 pairs each.
 
