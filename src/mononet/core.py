@@ -157,7 +157,7 @@ class DominanceIndex:
         others = np.asarray(others, dtype=float)
         n, d = others.shape
         blocks, width = _index_blocks(n, d)
-        self.n, self.shape = n, (blocks, width)
+        self.n, self.blocks, self.width = n, blocks, width
         order = np.argsort(others, axis=0, kind="stable")  # NaN sorts last
         keys = np.take_along_axis(others, order, axis=0)
         self._keys = np.ascontiguousarray(keys.T)
@@ -183,13 +183,12 @@ class DominanceIndex:
     @property
     def row_bytes(self) -> int:
         """Bytes a query row takes in :meth:`leq`: its n bools, two rows of words and its positions."""
-        blocks, width = self.shape
-        return self.n + width * blocks // 4 + 16 * blocks
+        return self.n + self.width * self.blocks // 4 + 16 * self.blocks
 
     def leq(self, points: np.ndarray) -> np.ndarray:
         """The (m, n) bools ``points[i] <= others[j]`` coordinatewise, for an (m, d) array ``points``."""
         points = np.asarray(points, dtype=float)
-        blocks, width = self.shape
+        blocks, width = self.blocks, self.width
         words = np.full((len(points), blocks, width // 64), np.uint64(2**64 - 1), dtype="<u8")
         row = np.empty_like(words)
         for keys, ranks, table, q in zip(self._keys, self._ranks, self._tables, points.T):
