@@ -31,7 +31,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import core
 from .core import (
     RELU,
     THRESHOLD,
@@ -68,11 +67,24 @@ CHAIN_MAX_DIM = 6  # chain dimension, drawn from 1..this
 CHAIN_MAX_WIDTH = CHAIN_MAX_POINTS - 2  # first-layer width, drawn from 1..n-2 for n points
 DEPTH2_MAX_DOUBLES = 2**20  # the spread dataset holds (d+1)*d doubles, so d <= 1023
 MONOTONE_MAX_DOUBLES = 2**25  # the monotone probe's pairs U, V hold 2 * samples * d doubles (256 MiB)
+# a campaign's samples times the bytes it plans a sample's stack by (32 GiB): about a minute at the
+# slowest rate measured on a 2-vCPU host, depth2 at d = 1023 (0.55 GB planned a second), and 16 s at d = 3
+CAMPAIGN_MAX_BYTES = 2**35
 
 
 def require_positive(count: int, name: str) -> None:
     if count < 1:
         raise InvalidArgument(f"{name} must be >= 1, got {count}")
+
+
+def _require_planned_bytes(check: str, samples: int, sample_bytes: int) -> None:
+    """Refuse, with :class:`TooLarge` before the first draw, a campaign whose ``samples`` plan more than
+    ``CAMPAIGN_MAX_BYTES`` at ``sample_bytes`` each."""
+    if samples * sample_bytes > CAMPAIGN_MAX_BYTES:
+        raise TooLarge(
+            f"the {check} campaign plans {samples} samples * {sample_bytes} bytes, "
+            f"above the limit of {CAMPAIGN_MAX_BYTES} bytes"
+        )
 
 
 @dataclass(frozen=True)
@@ -513,13 +525,15 @@ def run_depth2_campaign(d: int, samples: int, seed: int) -> AuditReport:
     ``details`` additionally counts how many networks interpolated the
     spread dataset (none is expected for continuously random weights).
     The networks are audited in stacks of at most ``core.WORKING_SET_BYTES``
-    of planned arrays, one forward pass per stack.
+    of planned arrays, one forward pass per stack; more than
+    ``CAMPAIGN_MAX_BYTES`` of them in all raise :class:`TooLarge` before the first.
     """
     require_positive(samples, "samples")
     depth2_counterexample(d)  # refuses a d too small or too large before the first network
+    _require_planned_bytes("depth2", samples, _depth2_sample_bytes(d))
     shapes, params = _streams(seed)
     interpolated = 0
-    for s in row_blocks(samples, _depth2_sample_bytes(d), core.WORKING_SET_BYTES):
+    for s in row_blocks(samples, _depth2_sample_bytes(d)):
         net, starts, output_biases = _random_depth2_stack(shapes, params, d, s.stop - s.start)
         audits = _depth2_audits(net, d, starts, output_biases)
         failed = np.flatnonzero(~audits.passed)
@@ -634,7 +648,8 @@ def run_convexity_campaign(samples: int, seed: int) -> AuditReport:
     at least ``SQRT_GAP_BOUND`` (1/8), and the report gives the least gap.
 
     The networks run in stacks of at most ``core.WORKING_SET_BYTES`` of
-    planned arrays, one batched forward pass per stack (:class:`_ReluStack`)
+    planned arrays (more than ``CAMPAIGN_MAX_BYTES`` in all raise
+    :class:`TooLarge` before the first), one batched forward pass per stack (:class:`_ReluStack`)
     over each network's probe points and coarse grid.  Only the networks that
     need a result of their own are built and run alone, in sample order:
 
@@ -674,8 +689,10 @@ def run_convexity_campaign(samples: int, seed: int) -> AuditReport:
     triples = CONVEXITY_TRIPLES
     xs, roots = _sqrt_grid(10000)  # the grid of sqrt_gap_witness at its default resolution
     coarse_xs, coarse_roots = xs[::SQRT_BOUND_STRIDE], roots[::SQRT_BOUND_STRIDE]
+    sample_bytes = _relu_sample_bytes(3 * triples + len(coarse_xs))
+    _require_planned_bytes("convexity", samples, sample_bytes)
     min_gap = np.inf
-    for s in row_blocks(samples, _relu_sample_bytes(3 * triples + len(coarse_xs)), core.WORKING_SET_BYTES):
+    for s in row_blocks(samples, sample_bytes):
         nets = _random_relu_stack(shapes, params, s.stop - s.start, triples, coarse_xs)
         values = nets.values()
         fu, fv, fm = (values[:, i * triples : (i + 1) * triples] for i in range(3))
@@ -799,11 +816,14 @@ def run_chain_width_campaign(samples: int, seed: int) -> AuditReport:
     stacks of at most ``core.WORKING_SET_BYTES`` of planned arrays: one
     batched matmul gives every activity set of a stack, and array reductions
     over it the first loss, the first repeat and the outputs there, as
-    :func:`chain_width_audit` finds them for one chain.
+    :func:`chain_width_audit` finds them for one chain.  More than
+    ``CAMPAIGN_MAX_BYTES`` of planned arrays in all raise :class:`TooLarge`
+    before the first chain.
     """
     require_positive(samples, "samples")
+    _require_planned_bytes("chain-width", samples, _CHAIN_SAMPLE_BYTES)
     shapes, params = _streams(seed)
-    for s in row_blocks(samples, _CHAIN_SAMPLE_BYTES, core.WORKING_SET_BYTES):
+    for s in row_blocks(samples, _CHAIN_SAMPLE_BYTES):
         chains = _random_chain_stack(shapes, params, s.stop - s.start)
         active = chains.activity()
         loss, repeat = _chain_width_analysis(active, chains.lengths)

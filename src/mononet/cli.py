@@ -311,7 +311,7 @@ def _cmd_approx(args) -> int:
     if args.probes > 0:
         rng = np.random.default_rng(args.seed)  # drawn block by block, one stream: the probes of one call
         errors = []
-        for s in core.row_blocks(args.probes, 8 * (args.d + 3), core.WORKING_SET_BYTES):  # a probe, 2 values, error
+        for s in core.row_blocks(args.probes, 8 * (args.d + 3)):  # a probe, 2 values, error
             probes = rng.random((s.stop - s.start, args.d))
             errors.append(np.abs(net.evaluate_batch(probes) - f(probes)).max())
         print(f"sup error over {args.probes} probes: {float(np.max(errors)):.6g}")

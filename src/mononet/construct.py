@@ -45,7 +45,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import core
 from .core import (
     BLOCKS,
     SELECT,
@@ -88,10 +87,10 @@ class ConstructionTrace:
     def embedding_matrix(self) -> np.ndarray:
         return np.concatenate(list(self._embedding_blocks()))
 
-    def _embedding_blocks(self):
-        """The rows of ``embedding_matrix``, in the blocks of ``evaluate_batch``: the bools that
-        the suffix-OR reads, which for ``build_interpolator`` are one dominance comparison."""
-        for s in self.network._row_blocks(len(self.points)):
+    def _embedding_blocks(self, text_bytes: int = 0):
+        """The rows of ``embedding_matrix``, planned at a row of ``evaluate_batch`` plus ``text_bytes``: the
+        bools that the suffix-OR reads, which for ``build_interpolator`` are one dominance comparison."""
+        for s in row_blocks(len(self.points), self.network._row_bytes + text_bytes):
             yield self.network._suffix_reads(self.points[s])[:, ::-1]
 
     def write_json(self, fh) -> None:
@@ -100,21 +99,20 @@ class ConstructionTrace:
         The text is ``json.dumps`` of the dict with keys ``layer_widths``,
         ``embedding_matrix`` and ``output_weights``, written one block of rows
         at a time so the n x n matrix never exists as Python lists.  A row's
-        text is its byte template ``[0, 0, ..., 0], `` with its digits set.  The
-        text goes out in pieces of at most ``core.WORKING_SET_BYTES``, each
-        decoded straight from its bytes: one string a piece, and no other copy.
+        text is its byte template ``[0, 0, ..., 0], `` with its digits set.  A
+        block is planned at its text and its reads, and its text is decoded
+        straight from its bytes: one string a block, and no other copy.
         """
         width = self.layer_widths[-1]  # the suffix-OR's, as wide as the layer it reads
         template = np.frombuffer(f"[{', '.join('0' * width)}], ".encode(), np.uint8)
         fh.write(f'{{"layer_widths": {json.dumps(list(self.layer_widths))}, "embedding_matrix": [')
         sep = ""
-        for block in self._embedding_blocks():
-            for s in row_blocks(len(block), len(template), core.WORKING_SET_BYTES):
-                rows = np.tile(template, (s.stop - s.start, 1))
-                rows[:, 1 : 3 * width : 3] += block[s]  # "0" + 1 is "1"
-                fh.write(sep)
-                fh.write(str(rows.reshape(-1)[:-2].data, "ascii"))  # the piece's last ", " dropped
-                sep = ", "
+        for block in self._embedding_blocks(len(template)):
+            rows = np.tile(template, (len(block), 1))
+            rows[:, 1 : 3 * width : 3] += block  # "0" + 1 is "1"
+            fh.write(sep)
+            fh.write(str(rows.reshape(-1)[:-2].data, "ascii"))  # the block's last ", " dropped
+            sep = ", "
         fh.write(f'], "output_weights": {json.dumps(list(self.output_weights))}}}\n')
 
 

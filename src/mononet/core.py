@@ -64,8 +64,7 @@ DENSE, BLOCKS, SUFFIX, SELECT = "dense", "blocks", "suffix", "select"  # the kin
 # Exact float integer arithmetic is guaranteed below this magnitude.
 _EXACT_INT_LIMIT = 2.0**53
 
-CHUNK_BYTES = 1 << 25  # one of the two block budgets (see row_blocks): a block of evaluated rows
-WORKING_SET_BYTES = 1 << 20  # the other: comparisons, validation, audit stacks, estimator samples
+WORKING_SET_BYTES = 1 << 20  # the one byte budget: every blocked loop (see row_blocks) and a dominance index
 
 EXACT_SCALE_BITS = 2048  # an exact output stage's largest scale; a float's denominator has <= 1,075 bits
 
@@ -93,25 +92,23 @@ def frozen(values, dtype=float) -> np.ndarray:
     return a
 
 
-def row_blocks(rows: int, row_bytes: int, budget: int | None = None) -> Iterator[slice]:
-    """Slices that partition ``range(rows)``, in order, into blocks of ``budget`` bytes (default
-    ``CHUNK_BYTES``) at ``row_bytes`` a row.  A larger row gets a slice of its own, and ``rows = 0``
-    one empty slice.  The slices are made as they are taken: a plan of many blocks holds none.
-    Evaluation (and the construction trace) plans at the default, every other loop at ``WORKING_SET_BYTES``."""
-    budget = CHUNK_BYTES if budget is None else budget
-    step = max(1, budget // max(row_bytes, 1))
+def row_blocks(rows: int, row_bytes: int) -> Iterator[slice]:
+    """Slices that partition ``range(rows)``, in order, into blocks of ``WORKING_SET_BYTES`` (read at
+    each call) at ``row_bytes`` a row.  A larger row gets a slice of its own, and ``rows = 0`` one
+    empty slice.  The slices are made as they are taken: a plan of many blocks holds none."""
+    step = max(1, WORKING_SET_BYTES // max(row_bytes, 1))
     return (slice(s, min(s + step, rows)) for s in range(0, max(rows, 1), step))
 
 
 def pairwise_leq(points: np.ndarray, others: np.ndarray | None = None) -> np.ndarray:
     """Boolean M with M[i, j] = (points[i] <= others[j] coordinatewise); others defaults to points.
 
-    One :class:`DominanceIndex` of ``others`` answers the rows in blocks of ``WORKING_SET_BYTES``
-    (or one row), so the peak is M, the index and one block."""
+    One :class:`DominanceIndex` of ``others`` answers the rows in the blocks of :func:`row_blocks`,
+    so the peak is M, the index and one block."""
     others = points if others is None else others
     index = DominanceIndex(others)
     M = np.empty((len(points), len(others)), dtype=bool)
-    for s in row_blocks(len(points), index.row_bytes, WORKING_SET_BYTES):
+    for s in row_blocks(len(points), index.row_bytes):
         M[s] = index.leq(points[s])
     return M
 
@@ -158,27 +155,37 @@ class DominanceIndex:
         n, d = others.shape
         blocks, width = _index_blocks(n, d)
         self.n, self.blocks, self.width = n, blocks, width
-        order = np.argsort(others, axis=0, kind="stable")  # NaN sorts last
-        keys = np.take_along_axis(others, order, axis=0)
-        self._keys = np.ascontiguousarray(keys.T)
-        # a value's rank is where its run of equal values starts; NaN != NaN, so each NaN is its own run
-        starts = np.zeros((n, d), dtype=np.intp)
-        starts[1:] = np.where(keys[1:] != keys[:-1], np.arange(1, n)[:, None], 0)
-        ranks = np.full((d, blocks, width), n)  # a padding column ranks after every value
-        columns = ranks.reshape(d, blocks * width)[:, :n].T
-        np.put_along_axis(columns, order, np.maximum.accumulate(starts, axis=0), axis=0)
-        valid = np.zeros((d, blocks, width), dtype=bool)  # NaN and padding set no bit
-        valid.reshape(d, blocks * width)[:, :n] = ~np.isnan(others.T)
-        within = np.argsort(ranks, axis=2)  # each block's columns by rank
         self._offsets = np.arange(blocks) * (n + 1)  # ranks are 0 .. n, so the blocks stay apart
-        self._ranks = (np.take_along_axis(ranks, within, axis=2) + self._offsets[:, None]).reshape(d, blocks * width)
+        self._keys = np.empty((d, n))
+        self._ranks = np.empty((d, blocks * width), dtype=np.intp)
+        self._tables = np.zeros((d, blocks * (width + 1), width // 64), dtype="<u8")
+        for g in row_blocks(d, 64 * (n + blocks * width)):  # a coordinate's temporaries: about 8 words a column
+            self._index(others[:, g].T, g)
+
+    def _index(self, values: np.ndarray, g: slice) -> None:
+        """Index the coordinates ``g``, whose (k, n) ``values`` are the rows, into their rows of the index."""
+        k, n = values.shape
+        blocks, width = self.blocks, self.width
+        order = np.argsort(values, axis=1, kind="stable")  # NaN sorts last
+        keys = self._keys[g]
+        keys[...] = np.take_along_axis(values, order, axis=1)
+        # a value's rank is where its run of equal values starts; NaN != NaN, so each NaN is its own run
+        starts = np.zeros((k, n), dtype=np.intp)
+        starts[:, 1:] = np.where(keys[:, 1:] != keys[:, :-1], np.arange(1, n), 0)
+        ranks = np.full((k, blocks, width), n)  # a padding column ranks after every value
+        np.put_along_axis(ranks.reshape(k, blocks * width)[:, :n], order, np.maximum.accumulate(starts, axis=1), axis=1)
+        valid = np.zeros((k, blocks, width), dtype=bool)  # NaN and padding set no bit
+        valid.reshape(k, blocks * width)[:, :n] = ~np.isnan(values)
+        within = np.argsort(ranks, axis=2)  # each block's columns by rank
+        ranks = np.take_along_axis(ranks, within, axis=2)
+        ranks += self._offsets[:, None]
+        self._ranks[g] = ranks.reshape(k, blocks * width)
         bits = np.take_along_axis(valid, within, axis=2).astype(np.uint64) << (within % 64).astype(np.uint64)
-        tables = np.zeros((d, blocks, width + 1, width // 64), dtype="<u8")
-        c, b, t = np.ogrid[:d, :blocks, :width]
+        tables = self._tables[g].reshape(k, blocks, width + 1, width // 64)
+        c, b, t = np.ogrid[:k, :blocks, :width]
         tables[c, b, t, within // 64] = bits
         suffixes = tables[:, :, ::-1]
         np.bitwise_or.accumulate(suffixes, axis=2, out=suffixes)
-        self._tables = tables.reshape(d, blocks * (width + 1), width // 64)
 
     @property
     def row_bytes(self) -> int:
@@ -289,7 +296,7 @@ def validate_dataset(points, labels) -> MonotoneDataset:
 
     # a violation is x_i <= x_j with y_i > y_j; the diagonal never is one
     index = DominanceIndex(points)
-    for s in row_blocks(len(points), len(points), WORKING_SET_BYTES):
+    for s in row_blocks(len(points), index.row_bytes + len(points)):  # a query row and its label mask
         bad = index.leq(points[s])
         bad &= labels[s, None] > labels
         if bad.any():
@@ -706,9 +713,11 @@ class ThresholdNetwork:
             X = layer.forward(X)
         return X[:, ::-1]
 
-    def _row_blocks(self, rows: int) -> Iterator[slice]:
-        """The blocks in which :meth:`evaluate_batch` takes ``rows`` rows: 8 bytes a unit of the widest layer."""
-        return row_blocks(rows, 8 * max(self.hidden_widths, default=self.input_dimension))
+    @property
+    def _row_bytes(self) -> int:
+        """A row's planned bytes in :meth:`evaluate_batch`: a built interpolator's index query, else 8 a widest unit."""
+        index = self._dominance_index if self._prefix_table is not None else None
+        return index.row_bytes if index is not None else 8 * max(self.hidden_widths, default=self.input_dimension)
 
     def _check_batch(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -753,7 +762,7 @@ class ThresholdNetwork:
         X = self._check_batch(X)
         out = np.empty(len(X))
         table = self._prefix_table
-        for s in self._row_blocks(len(X)):
+        for s in row_blocks(len(X), self._row_bytes):
             if table is not None:
                 prefix_lookup(table, self._suffix_reads(X[s]), out=out[s])
                 continue

@@ -362,7 +362,7 @@ def estimate_matching_probability(p: EdgeProbabilityMatrix, cfg: EstimatorConfig
     graph = np.dtype((np.void, n * width))  # one packed graph as one opaque item
     hits = 0
     # a sample's draws and their bools; at n <= 8 its Hall table, 2**(n+1) + n bytes, is smaller
-    for s in core.row_blocks(cfg.samples, 9 * n * n, core.WORKING_SET_BYTES):
+    for s in core.row_blocks(cfg.samples, 9 * n * n):
         # bit j of row i (little-endian bytes) is edge (i, j)
         block = np.packbits(rng.random((s.stop - s.start, n, n)) < trunc, axis=2, bitorder="little")
         uniq, count = np.unique(block.reshape(len(block), -1).view(graph), return_counts=True)

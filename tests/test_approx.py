@@ -476,7 +476,8 @@ class TestTabulatedFunction:
         P, y = DUPLICATE_TABLE
         Q = np.random.default_rng(8).uniform(-0.2, 1.2, (500, 2))
         want = tabulated_function(P, y)(Q)
-        monkeypatch.setattr(core, "WORKING_SET_BYTES", len(P) * 7)  # blocks of seven queries
+        row_bytes = core.DominanceIndex(P).row_bytes  # one block of 64 columns at any budget
+        monkeypatch.setattr(core, "WORKING_SET_BYTES", row_bytes * 7)  # blocks of seven queries
         blocks = []
         leq = core.DominanceIndex.leq
         monkeypatch.setattr(core.DominanceIndex, "leq", lambda index, A: blocks.append(len(A)) or leq(index, A))

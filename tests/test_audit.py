@@ -430,6 +430,20 @@ def test_depth2_campaign_checks_dimension_first():
         run_depth2_campaign(-3, 1, seed=0)
 
 
+@pytest.mark.parametrize("campaign, sample_bytes", [
+    (lambda samples: run_depth2_campaign(3, samples, seed=0), audit._depth2_sample_bytes(3)),
+    (lambda samples: run_convexity_campaign(samples, seed=0), audit._relu_sample_bytes(3 * 64 + 101)),
+    (lambda samples: run_chain_width_campaign(samples, seed=0), audit._CHAIN_SAMPLE_BYTES),
+], ids=["depth2", "convexity", "chain-width"])
+def test_campaigns_refuse_samples_past_the_byte_cap(monkeypatch, campaign, sample_bytes):
+    # the cap counts the bytes each campaign plans its stacks by: 5,120, 88,704 and 7,184 a sample
+    assert sample_bytes in (5120, 88704, 7184)
+    monkeypatch.setattr(audit, "CAMPAIGN_MAX_BYTES", 3 * sample_bytes)
+    assert campaign(3).passed
+    with pytest.raises(TooLarge, match="above the limit"):
+        campaign(4)
+
+
 # -- the campaigns against network-by-network oracles -------------------------
 
 

@@ -327,6 +327,21 @@ class TestAudit:
         assert captured.out == ""
         assert diagnostic(captured.err)["error"] == "TooLarge"
 
+    @pytest.mark.parametrize("check", ["depth2", "convexity", "chain-width"])
+    def test_samples_past_the_byte_cap_refused_at_once(self, capsys, check):
+        # 10**12 samples plan at least 4 PB of stacks: the campaign ran until it was killed
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            code = main(["audit", "--check", check, "--samples", "1000000000000"])
+            wall, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and wall < 1 and peak < 1 << 20, (wall, peak)
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert diagnostic(captured.err)["error"] == "TooLarge"
+
     def test_exact_stage_past_the_scale_cap_refused_before_allocating(self, tmp_path, capsys):
         # 1/p over distinct primes: the lcm of 50,000 seven-digit ones would take about 1 M bits
         primes = [p for p in range(2, 20_000) if all(p % q for q in range(2, int(p**0.5) + 1))]

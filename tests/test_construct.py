@@ -98,7 +98,7 @@ class TestBuildInterpolator:
         build_approximator(lambda X: X.sum(axis=1), d=2, lipschitz=2.0, eps=0.5)
         assert calls == []
         want = pairwise_leq(ds.points).T
-        monkeypatch.setattr(core, "CHUNK_BYTES", 8 * max(net.hidden_widths) * 7)
+        monkeypatch.setattr(core, "WORKING_SET_BYTES", net._dominance_index.row_bytes * 7)
         assert np.array_equal(trace.embedding_matrix, want)
         assert trace.embedding_matrix is trace.embedding_matrix
         # the bools the suffix-OR reads, seven rows at a time: the blocks of evaluate_batch
@@ -122,8 +122,8 @@ class TestBuildInterpolator:
                 "embedding_matrix": trace.embedding_matrix.astype(int).tolist(),
                 "output_weights": list(trace.output_weights),
             }) + "\n"
-            for budget in (1, 4096, core.CHUNK_BYTES):
-                monkeypatch.setattr(core, "CHUNK_BYTES", budget)
+            for budget in (1, 4096, core.WORKING_SET_BYTES):
+                monkeypatch.setattr(core, "WORKING_SET_BYTES", budget)
                 out = io.StringIO()
                 trace.write_json(out)
                 assert out.getvalue() == want

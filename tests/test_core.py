@@ -23,6 +23,7 @@ from conftest import (
 )
 from mononet import core
 from mononet.approx import build_approximator, plan_grid, tabulated_function
+from mononet.audit import depth2_counterexample
 from mononet.construct import build_chain_interpolator, build_interpolator, separating_coordinate
 from mononet.core import (
     RELU,
@@ -255,7 +256,9 @@ class TestValidateDataset:
         # label comparison another block, with the dominance index of the points one more
         X = np.random.default_rng(4004).random((4000, 4))
         y = X @ [1.0, 2.0, 3.0, 4.0]
-        assert len(list(row_blocks(4000, 4000, core.WORKING_SET_BYTES))) == 16
+        index = core.DominanceIndex(X)
+        assert len(list(row_blocks(4000, index.row_bytes + 4000))) == 36  # a query row and its label mask
+        del index
         tracemalloc.start()
         try:
             ds = validate_dataset(X, y)
@@ -438,7 +441,8 @@ class TestPairwiseLeq:
     @settings(max_examples=300, deadline=None)
     @given(leq_cases(), st.sampled_from([1, 100, 2_000, 20_000, 1 << 20]))
     def test_equals_the_one_shot_comparison(self, case, budget):
-        # a small budget cuts the index into blocks of 64 columns and the rows into blocks of one
+        # a small budget cuts the index into blocks of 64 columns, builds it a coordinate at a time
+        # (below 4,160 bytes, one coordinate's temporaries at one block) and the rows into blocks of one
         P, Q = case
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(core, "WORKING_SET_BYTES", budget)
@@ -473,7 +477,7 @@ class TestPairwiseLeq:
         ds = validate_dataset(P, np.round(P.sum(axis=1), 1))
         assert builds == [50]  # validation: one index for all its blocks
         net, trace = build_interpolator(ds)
-        monkeypatch.setattr(core, "CHUNK_BYTES", 8 * 150 * 7)  # blocks of 7 rows
+        monkeypatch.setattr(core, "WORKING_SET_BYTES", net._dominance_index.row_bytes * 7)  # blocks of 7 rows
         X = rng.random((100, 3))
         want = closed_form(ds.points, ds.labels, X)
         for _ in range(3):
@@ -486,6 +490,49 @@ class TestPairwiseLeq:
         approx_f(X)
         approx_f(X)
         assert builds == [50, 50, 50]
+
+    def test_a_built_network_answers_in_blocks_of_its_index_rows(self, monkeypatch):
+        # synth's size: 1,400 queries of 892 bytes a row are two blocks of the 1 MiB budget, where
+        # 8 bytes a unit of the 2,800-unit select layer would plan 31
+        rng = np.random.default_rng(700)
+        X = rng.random((700, 4))
+        ds = validate_dataset(X, X.sum(axis=1))
+        net, _ = build_interpolator(ds)
+        assert net._row_bytes == net._dominance_index.row_bytes == 892
+        queries = []
+        leq = core.DominanceIndex.leq
+        monkeypatch.setattr(core.DominanceIndex, "leq", lambda index, A: queries.append(len(A)) or leq(index, A))
+        Q = np.vstack([X, rng.random((700, 4))])
+        want = np.where(one_shot_leq(ds.points, Q), ds.labels[:, None], 0.0).max(axis=0)  # every label is > 0
+        assert net.evaluate_batch(Q).tolist() == want.tolist()
+        assert queries == [1175, 225]
+
+    def test_the_build_groups_coordinates_by_the_budget(self, monkeypatch):
+        groups = []
+        index = core.DominanceIndex._index
+        monkeypatch.setattr(core.DominanceIndex, "_index", lambda self, V, g: groups.append(g) or index(self, V, g))
+        core.DominanceIndex(np.zeros((700, 4)))
+        assert groups == [slice(0, 4)]  # synth's size: one group
+        groups.clear()
+        rng = np.random.default_rng(129)
+        P, Q = rng.integers(0, 5, (40, 3)).astype(float), rng.integers(0, 5, (129, 3)).astype(float)
+        monkeypatch.setattr(core, "WORKING_SET_BYTES", 10_000)  # one coordinate's temporaries are 20,544 bytes
+        assert np.array_equal(pairwise_leq(P, Q), one_shot_leq(P, Q))
+        assert groups == [slice(0, 1), slice(1, 2), slice(2, 3)]
+
+    def test_the_build_peaks_at_the_index_and_the_budget(self):
+        # the spread dataset's index is 24 MiB at the floor of 64 columns a block; built in one pass
+        # of every coordinate, its temporaries took 57 MiB more
+        P = np.array(depth2_counterexample(1023).points)
+        tracemalloc.start()
+        try:
+            index = core.DominanceIndex(P)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        own = index._keys.nbytes + index._ranks.nbytes + index._tables.nbytes
+        assert (index.blocks, index.width) == (16, 64) and own > 24 << 20
+        assert peak <= own + 2 * core.WORKING_SET_BYTES, (peak, own)
 
     @pytest.mark.parametrize("n", [1024, 1025])
     def test_both_sides_of_the_first_block_boundary(self, n):
@@ -517,23 +564,27 @@ class TestPairwiseLeq:
 
 class TestRowBlocks:
     def test_slices_partition_the_rows(self, monkeypatch):
-        monkeypatch.setattr(core, "CHUNK_BYTES", 40)  # the default budget is read at each call
-        for rows in (0, 1, 5, 64, 1001):
-            for row_bytes in (0, 1, 8, 13, 41):
-                for budget in (None, 1, 40, 4096):
-                    slices = list(row_blocks(rows, row_bytes, budget))
+        for budget in (1, 40, 4096):
+            monkeypatch.setattr(core, "WORKING_SET_BYTES", budget)  # the budget is read at each call
+            for rows in (0, 1, 5, 64, 1001):
+                for row_bytes in (0, 1, 8, 13, 41):
+                    slices = list(row_blocks(rows, row_bytes))
                     assert [i for s in slices for i in range(s.start, s.stop)] == list(range(rows))
                     assert all(s.step is None and s.start < s.stop for s in slices) or rows == 0
                     # each block within the budget, or one row on its own
                     step = slices[0].stop - slices[0].start
-                    assert step * row_bytes <= (budget or 40) or step == 1 or rows == 0
+                    assert step * row_bytes <= budget or step == 1 or rows == 0
 
-    def test_no_rows_give_one_empty_slice(self):
-        assert list(row_blocks(0, 8)) == list(row_blocks(0, 8, 1)) == [slice(0, 0)]
+    def test_no_rows_give_one_empty_slice(self, monkeypatch):
+        assert list(row_blocks(0, 8)) == [slice(0, 0)]
+        monkeypatch.setattr(core, "WORKING_SET_BYTES", 1)
+        assert list(row_blocks(0, 8)) == [slice(0, 0)]
 
-    def test_a_row_past_the_budget_gets_a_slice_of_its_own(self):
-        assert list(row_blocks(3, 100, 99)) == [slice(0, 1), slice(1, 2), slice(2, 3)]
-        assert list(row_blocks(5, 100, 250)) == [slice(0, 2), slice(2, 4), slice(4, 5)]
+    def test_a_row_past_the_budget_gets_a_slice_of_its_own(self, monkeypatch):
+        monkeypatch.setattr(core, "WORKING_SET_BYTES", 99)
+        assert list(row_blocks(3, 100)) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+        monkeypatch.setattr(core, "WORKING_SET_BYTES", 250)
+        assert list(row_blocks(5, 100)) == [slice(0, 2), slice(2, 4), slice(4, 5)]
 
 
 class TestConstructorsCopy:
@@ -882,7 +933,7 @@ class TestWeightPatterns:
         X = rng.random((101, ds.dimension)) * 10
         whole = net.evaluate_batch(X)
         for budget in (1, 8 * 3 * ds.n * ds.dimension, 10**6):
-            monkeypatch.setattr(core, "CHUNK_BYTES", budget)
+            monkeypatch.setattr(core, "WORKING_SET_BYTES", budget)
             assert net.evaluate_batch(X).tobytes() == whole.tobytes()
             assert net.evaluate_batch(X[:0]).shape == (0,)
 
@@ -1037,7 +1088,7 @@ def assert_batch_invariant(net: ThresholdNetwork, X: np.ndarray, cuts, budget: i
     edges = sorted({0, len(X), *(c % (len(X) + 1) for c in cuts)})
     whole = net.evaluate_batch(X)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(core, "CHUNK_BYTES", budget)  # blocks of a few rows
+        mp.setattr(core, "WORKING_SET_BYTES", budget)  # blocks of a few rows
         parts = [net.evaluate_batch(X[a:b]) for a, b in zip(edges, edges[1:])]
         assert np.concatenate(parts).tobytes() == whole.tobytes()
         assert net.evaluate_batch(X).tobytes() == whole.tobytes()
