@@ -154,3 +154,16 @@ def test_too_few_pairs_refused(repo):
     with pytest.raises(SystemExit):
         bench_pairs.main(["HEAD~1", "--pairs", "1"], root=root)
     assert not (root / "BENCH_pairs.json").exists()
+
+
+@pytest.mark.parametrize("argv", [["no-such-rev"], ["HEAD~1", "--workload", "no-such-workload"]],
+                         ids=["unknown-rev", "unknown-workload"])
+def test_bad_input_refused_before_any_tree_is_extracted(repo, argv, capsys):
+    root, log = repo
+    with pytest.raises(SystemExit) as stop:
+        bench_pairs.main(argv, root=root)
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: " in err.splitlines()[-1] and "Traceback" not in err
+    assert not (root / ".bench_pairs").exists() and not log.exists()
+    assert not (root / "BENCH_pairs.json").exists()

@@ -93,17 +93,21 @@ def summarize(pairs: list, metrics: list) -> dict:
 
 
 def main(argv=None, root: Path = ROOT) -> int:
+    bench = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+    names = [w["name"] for w in bench["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", help="the base: any git revision")
-    parser.add_argument("--workload", help="one workload; default all")
+    parser.add_argument("--workload", choices=names, help="one workload; default all")
     parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2, for quartiles")
-    bench = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
-    workloads = [args.workload] if args.workload else [w["name"] for w in bench["workloads"]]
+    workloads = [args.workload] if args.workload else names
     seconds = bench["run_seconds"]
-    commit = git(root, "rev-parse", "--verify", args.rev + "^{commit}").strip()
+    try:
+        commit = git(root, "rev-parse", "--verify", "--quiet", args.rev + "^{commit}").strip()
+    except subprocess.CalledProcessError:
+        parser.error(f"{args.rev!r} names no commit")
     head = git(root, "rev-parse", "HEAD").strip()
     dirty = bool(git(root, "status", "--porcelain", "--untracked-files=no", "--", ".", ":!BENCH_pairs.json").strip())
     if dirty:
